@@ -1,38 +1,32 @@
 """Recognizers for pruned complete graphs and (complete) bipartite graphs,
-including bipartition recovery through tight chains of indecomposable links."""
+as tests on the support graph S, including bipartition recovery through
+tight chains of indecomposable links."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .family import (
-    DistanceFamily,
-    check_triangle,
-    is_indecomposable,
-)
+from .family import DistanceFamily
 from .graph import WeightedGraph, verify_realization
-from .realization import InternalInconsistencyError, Realization
+from .realization import Realization
 
 
 def complete_check(family: DistanceFamily) -> Realization:
-    """Decide realizability by a pruned complete graph.
+    """Decide realizability by a pruned complete graph: S must be K_n, and
+    S is the realization.
 
-    Accepts iff every entry is indecomposable; the realization is the
-    complete graph with w(e(i,j)) = D_{i,j}, which is necessarily pruned.
+    The tests compare this with the paper's criterion, every entry
+    indecomposable (``is_indecomposable``).
     """
-    tri = check_triangle(family, max_violations=1)
-    if not tri.holds:
-        return Realization.rejected(f"triangle violation at {tri.violations[0]}")
-    for i, j in family.pairs():
-        if not is_indecomposable(family, i, j):
+    support = family.support
+    failed = support.rejection()
+    if failed is not None:
+        return failed
+    for i, j in family.pairs():  # stops at the first non-edge, after at most m pairs
+        if j not in support.adj[i]:
             return Realization.rejected(f"entry ({i},{j}) is decomposable")
-    edges = [(i, j, family.d(i, j)) for i, j in family.pairs()]
-    graph = WeightedGraph(family.n, edges)
-    if not verify_realization(graph, family):
-        raise InternalInconsistencyError("complete reconstruction failed verification")
-    return Realization.ok(graph)
+    return Realization.ok(support.graph)
 
 
 @dataclass
@@ -55,6 +49,7 @@ class Bipartition:
 
 
 def _min_pair(family: DistanceFamily) -> Tuple[int, int]:
+    """Pair (i, j), i < j, with minimal D; lexicographic tie-break."""
     best = None
     best_val = None
     for i, j in family.pairs():
@@ -70,7 +65,8 @@ def bipartition(family: DistanceFamily) -> Bipartition:
 
     Dynamic programming over vertices in increasing D_{x,.} order on states
     (vertex, parity): (v, p) is reachable iff some u with (u, p^1) reachable
-    has (u, v) indecomposable and D_{x,u} + D_{u,v} = D_{x,v}.  This equals
+    has (u, v) indecomposable (an edge of S) and D_{x,u} + D_{u,v} = D_{x,v};
+    the first such u in D_{x,.} order becomes the parent.  This equals
     explicit enumeration of tight chains because the triangle inequalities
     force every prefix of a tight chain to be tight; tightness also makes
     D_{x,.} strictly increase along a chain, so chains are simple.
@@ -80,21 +76,18 @@ def bipartition(family: DistanceFamily) -> Bipartition:
     cmp = family.cmp
     n = family.n
 
+    adj = family.support.adj
     order = sorted((v for v in range(1, n + 1) if v != x), key=lambda v: d(x, v))
+    rank = {v: k for k, v in enumerate([x] + order)}
     # parent[(v, p)] = predecessor vertex on a tight chain of parity p, x-rooted
     parent: Dict[Tuple[int, int], Optional[int]] = {(x, 0): None}
     for v in order:
+        neighbours = sorted(adj[v], key=rank.__getitem__)
+        tight = [u for u in neighbours if cmp.eq(d(x, u) + d(u, v), d(x, v))]
         for p in (0, 1):
-            for u in [x] + order:
-                if u == v:
-                    continue
-                if (u, p ^ 1) not in parent:
-                    continue
-                if not cmp.eq(d(x, u) + d(u, v), d(x, v)):
-                    continue
-                if is_indecomposable(family, u, v):
-                    parent[(v, p)] = u
-                    break
+            u = next((u for u in tight if (u, p ^ 1) in parent), None)
+            if u is not None:
+                parent[(v, p)] = u
 
     def chain(v: int, p: int) -> Tuple[int, ...]:
         links: List[int] = []
@@ -123,9 +116,9 @@ def bipartition(family: DistanceFamily) -> Bipartition:
 
 
 def _bigraph(family: DistanceFamily) -> Tuple[Realization, Optional[Bipartition]]:
-    tri = check_triangle(family, max_violations=1)
-    if not tri.holds:
-        return Realization.rejected(f"triangle violation at {tri.violations[0]}"), None
+    failed = family.support.rejection()
+    if failed is not None:
+        return failed, None
     bp = bipartition(family)
     overlap = bp.x_side & bp.y_side
     if overlap:
@@ -137,14 +130,14 @@ def _bigraph(family: DistanceFamily) -> Tuple[Realization, Optional[Bipartition]
         return Realization.rejected(
             f"base partner {bp.base_pair[1]} did not land in the Y side"
         ), bp
+    # Every same-side pair splits through the other side iff no edge of S
+    # (an indecomposable pair) joins two vertices of one side, as S realizes D.
+    for a, b, _w in family.support.graph.edges:
+        if (a in bp.x_side) == (b in bp.x_side):
+            return Realization.rejected(
+                f"same-side pair ({a},{b}) is an edge of the support graph"
+            ), bp
     d = family.d
-    cmp = family.cmp
-    for side, other in ((bp.x_side, bp.y_side), (bp.y_side, bp.x_side)):
-        for a, b in itertools.combinations(sorted(side), 2):
-            if not any(cmp.eq(d(a, b), d(a, z) + d(z, b)) for z in other):
-                return Realization.rejected(
-                    f"same-side pair ({a},{b}) has no splitting vertex on the other side"
-                ), bp
     edges = [
         (a, b, d(a, b))
         for a in sorted(bp.x_side)
@@ -158,21 +151,40 @@ def _bigraph(family: DistanceFamily) -> Tuple[Realization, Optional[Bipartition]
     return Realization.ok(graph), bp
 
 
+def _pruned_bigraph(
+    family: DistanceFamily, result: Realization, bp: Optional[Bipartition]
+) -> Realization:
+    """Narrow a bipartite verdict to pruned complete bipartite: S must be
+    the complete bipartite graph on the sides, and S is the realization."""
+    if not result.accepted:
+        return result
+    support = family.support
+    for a in sorted(bp.x_side):  # stops at the first missing cross pair, after at most m pairs
+        for b in sorted(bp.y_side):
+            if b not in support.adj[a]:
+                return Realization.rejected(f"cross entry ({a},{b}) is decomposable")
+    return Realization.ok(support.graph)
+
+
 def bigraph_check(family: DistanceFamily) -> Realization:
-    """Decide bipartite realizability; the witness realization is the complete
-    bipartite graph on the recovered sides with the cross 2-weights as weights."""
+    """Decide bipartite realizability: S must be 2-colourable, with the
+    sides that ``bipartition`` recovers.  The witness realization is the
+    complete bipartite graph on those sides with the cross 2-weights as
+    weights.
+
+    The tests compare this with the paper's criterion: every same-side pair
+    splits through a vertex of the other side.
+    """
     result, _bp = _bigraph(family)
     return result
 
 
 def cobigraph_check(family: DistanceFamily) -> Realization:
     """Decide realizability by a *pruned* complete bipartite graph: bipartite
-    realizability plus indecomposability of every cross pair."""
-    result, bp = _bigraph(family)
-    if not result.accepted:
-        return result
-    for a in sorted(bp.x_side):
-        for b in sorted(bp.y_side):
-            if not is_indecomposable(family, a, b):
-                return Realization.rejected(f"cross entry ({a},{b}) is decomposable")
-    return result
+    realizability with S equal to the complete bipartite graph on the sides;
+    S is the realization.
+
+    The tests compare this with the paper's criterion: bipartite, and every
+    cross pair indecomposable.
+    """
+    return _pruned_bigraph(family, *_bigraph(family))

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from .bipartite import Bipartition, _bigraph, cobigraph_check, complete_check
-from .family import DistanceFamily, check_four_point, check_median, check_triangle
+from .bipartite import Bipartition, _bigraph, _pruned_bigraph, complete_check
+from .family import DistanceFamily, check_four_point, check_median
 from .planar import PlanarWitness, planar_check
 from .polygons import polygon_check, pruned_polygon_check
 from .realization import InternalInconsistencyError, Realization
@@ -92,12 +92,20 @@ def _run(check: Callable[[DistanceFamily], Realization], family: DistanceFamily)
 
 
 def classify(family: DistanceFamily) -> ClassificationReport:
-    """Run the condition checks and every recognizer; individual recognizer
-    errors become per-class diagnostics rather than failures."""
+    """Run the condition checks and every recognizer on the family's one
+    support graph; individual recognizer errors become per-class
+    diagnostics rather than failures.
+
+    The four-point and median conditions hold when S is a tree (the paper's
+    tree theorem); otherwise each is checked once, up to its first violation.
+    """
+    support = family.support
+    triangle = support.violation is None
+    tree = triangle and support.verified and support.is_tree()
     conditions = {
-        "triangle": check_triangle(family, max_violations=1).holds,
-        "four_point": check_four_point(family, max_violations=1).holds,
-        "median": check_median(family, max_violations=1).holds,
+        "triangle": triangle,
+        "four_point": tree or check_four_point(family, max_violations=1).holds,
+        "median": tree or check_median(family, max_violations=1).holds,
     }
     verdicts: Dict[str, Realization] = {
         "snake": _run(snake_check, family),
@@ -106,17 +114,14 @@ def classify(family: DistanceFamily) -> ClassificationReport:
         "pruned_polygon": _run(pruned_polygon_check, family),
         "polygon": _run(polygon_check, family),
         "complete": _run(complete_check, family),
-        "pruned_bipartite": _run(cobigraph_check, family),
-        "planar": _run(planar_check, family),
     }
     bp: Optional[Bipartition] = None
-    if conditions["triangle"]:
-        try:
-            bigraph_result, bp = _bigraph(family)
-        except InternalInconsistencyError as exc:
-            bigraph_result = Realization.rejected(f"internal inconsistency: {exc}")
-    else:
-        bigraph_result = Realization.rejected("triangle inequalities fail")
+    try:
+        bigraph_result, bp = _bigraph(family)
+    except InternalInconsistencyError as exc:
+        bigraph_result = Realization.rejected(f"internal inconsistency: {exc}")
+    verdicts["pruned_bipartite"] = _pruned_bigraph(family, bigraph_result, bp)
+    verdicts["planar"] = _run(planar_check, family)
     verdicts["bipartite"] = bigraph_result
 
     planar_witness = verdicts["planar"].witness

@@ -1,8 +1,8 @@
 """Command-line surface tying recognizers, pruning, generators, and formats.
 
 Exit codes: 0 = accepted / success, 1 = rejected (valid input, negative
-verdict), 2 = input error.  The METRIC_REALIZE_TOL environment variable
-overrides the default tolerance used with --tol.
+verdict), 2 = input error or a closed output pipe.  The METRIC_REALIZE_TOL
+environment variable overrides the default tolerance used with --tol.
 """
 
 from __future__ import annotations
@@ -207,7 +207,16 @@ def _dispatch(args) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``).  Point stdout at devnull so
+        # the interpreter's own flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: broken pipe: the reader closed the output early", file=sys.stderr)
+        code = EXIT_INPUT_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -2,16 +2,21 @@
 
 A family assigns a positive value to every unordered pair of distinct
 indices in ``[n] = {1, ..., n}``.  The checks here (triangle, four-point,
-median, indecomposability) are the building blocks of every recognizer.
+median, indecomposability) are the paper's criteria; the recognizers read
+their verdicts off the support graph, ``DistanceFamily.support``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
 from .comparison import EXACT, Cmp, Number
+
+if TYPE_CHECKING:
+    from .support import Support
 
 MAX_VIOLATIONS = 32
 
@@ -56,6 +61,14 @@ class DistanceFamily:
 
     def pairs(self) -> Iterator[Tuple[int, int]]:
         return itertools.combinations(range(1, self.n + 1), 2)
+
+    @cached_property
+    def support(self) -> "Support":
+        """The family's support graph S (``metric_realize.support``), computed
+        on first use and kept with the family."""
+        from .support import analyse  # support builds on graph, which imports this module
+
+        return analyse(self)
 
     def with_value(self, i: int, j: int, value: Number) -> "DistanceFamily":
         """Copy of the family with one entry replaced (for perturbation tests)."""

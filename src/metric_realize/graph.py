@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .comparison import EXACT, Cmp, Number
-from .family import DistanceFamily, FamilyError, check_triangle, is_indecomposable
+from .family import DistanceFamily, FamilyError, is_indecomposable
 
 Edge = Tuple[int, int, Number]
 
@@ -202,15 +202,11 @@ def support_graph(family: DistanceFamily) -> WeightedGraph:
     """Graph on [n] whose edges are exactly the indecomposable pairs.
 
     Each edge carries the family value of its pair: an indecomposable entry
-    forces an edge of exactly that weight in any pruned realization.  The
-    result may be disconnected; connectivity is not asserted here.
+    forces an edge of exactly that weight in any pruned realization.  Raises
+    FamilyError when the triangle inequalities fail.  The graph is computed
+    once per family (``DistanceFamily.support``).
     """
-    report = check_triangle(family, max_violations=1)
-    if not report.holds:
-        raise FamilyError(f"triangle violation at {report.violations[0]}")
-    edges = [
-        (i, j, family.d(i, j))
-        for i, j in family.pairs()
-        if is_indecomposable(family, i, j)
-    ]
-    return WeightedGraph(family.n, edges, require_connected=False)
+    support = family.support
+    if support.violation is not None:
+        raise FamilyError(f"triangle violation at {support.violation}")
+    return support.graph

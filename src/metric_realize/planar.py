@@ -10,9 +10,9 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 
 import networkx as nx
 
-from .family import DistanceFamily, FamilyError, check_triangle, is_indecomposable
-from .graph import WeightedGraph, support_graph, verify_realization
-from .realization import InternalInconsistencyError, Realization
+from .family import DistanceFamily, FamilyError, is_indecomposable
+from .graph import WeightedGraph
+from .realization import Realization
 
 SEARCH_SIZE_LIMIT = 10
 
@@ -154,7 +154,8 @@ def subdivision_witness_search(
 
 
 def _witness_from_kuratowski(sub: "nx.Graph") -> PlanarWitness:
-    """Convert a Kuratowski subgraph (a K5/K33 subdivision) into a witness."""
+    """Convert a Kuratowski subgraph (a K5/K33 subdivision) into a witness
+    whose chains run from the first to the second hub of each hub pair."""
     degrees = dict(sub.degree())
     four = sorted(v for v, d in degrees.items() if d == 4)
     if len(four) == 5:
@@ -164,8 +165,8 @@ def _witness_from_kuratowski(sub: "nx.Graph") -> PlanarWitness:
         kind = "K33"
         hubs = {v for v, d in degrees.items() if d == 3}
 
-    chains: Dict[FrozenSet[int], Tuple[int, ...]] = {}
-    hub_adj: Dict[int, Set[int]] = {h: set() for h in hubs}
+    # Every chain is walked from both of its hubs; walks[(a, b)] runs a -> b.
+    walks: Dict[Tuple[int, int], Tuple[int, ...]] = {}
     for h in hubs:
         for start in sub.neighbors(h):
             interiors: List[int] = []
@@ -174,45 +175,40 @@ def _witness_from_kuratowski(sub: "nx.Graph") -> PlanarWitness:
                 interiors.append(cur)
                 nxt = [w for w in sub.neighbors(cur) if w != prev]
                 prev, cur = cur, nxt[0]
-            chains[frozenset((h, cur))] = tuple(interiors)
-            hub_adj[h].add(cur)
+            walks[(h, cur)] = tuple(interiors)
 
     if kind == "K5":
-        return PlanarWitness(kind, tuple(sorted(hubs)), chains)
-    # 2-color the hub adjacency (it is K33) to recover the two triples
-    start = min(hubs)
-    side_a, side_b = {start}, set(hub_adj[start])
-    for h in hubs:
-        if h not in side_a and h not in side_b:
-            side_a.add(h)
-    a_set, b_set = sorted(side_a), sorted(side_b)
-    if min(b_set) < min(a_set):
-        a_set, b_set = b_set, a_set
-    return PlanarWitness(kind, (tuple(a_set), tuple(b_set)), chains)
+        hub_tuple: tuple = tuple(sorted(hubs))
+    else:
+        # in K33 the hubs joined to the smallest hub form the other triple
+        side_b = {b for a, b in walks if a == min(hubs)}
+        a_set, b_set = sorted(hubs - side_b), sorted(side_b)
+        if min(b_set) < min(a_set):
+            a_set, b_set = b_set, a_set
+        hub_tuple = (tuple(a_set), tuple(b_set))
+    witness = PlanarWitness(kind, hub_tuple, {})
+    witness.chains.update({frozenset(pair): walks[pair] for pair in witness.hub_pairs()})
+    return witness
 
 
 def planar_check(family: DistanceFamily) -> Realization:
-    """Decide planargraphlike: triangle inequalities plus planarity of the
-    support graph (the pruned realization forced by the indecomposable pairs).
+    """Decide planargraphlike: S must be planar, and S is the realization
+    (the pruned realization forced by the indecomposable pairs).
 
-    On rejection for non-planarity the result carries a PlanarWitness.
+    On rejection for non-planarity the result carries a PlanarWitness.  The
+    tests compare this with the exhaustive Kuratowski-subdivision search on S
+    (``subdivision_witness_search``).
     """
-    tri = check_triangle(family, max_violations=1)
-    if not tri.holds:
-        return Realization.rejected(f"triangle violation at {tri.violations[0]}")
-    graph = support_graph(family)
-    if not graph.is_connected():
-        raise InternalInconsistencyError(
-            "support graph of a triangle-satisfying family must be connected"
-        )
+    support = family.support
+    failed = support.rejection()
+    if failed is not None:
+        return failed
     g = nx.Graph()
-    g.add_nodes_from(range(1, graph.n + 1))
-    g.add_edges_from((u, v) for u, v, _w in graph.edges)
+    g.add_nodes_from(range(1, family.n + 1))
+    g.add_edges_from((u, v) for u, v, _w in support.graph.edges)
     is_planar, certificate = nx.check_planarity(g, counterexample=True)
     if is_planar:
-        if not verify_realization(graph, family):
-            raise InternalInconsistencyError("support graph failed verification")
-        return Realization.ok(graph)
+        return Realization.ok(support.graph)
     witness = _witness_from_kuratowski(certificate)
     return Realization.rejected(
         f"support graph contains a {witness.kind} subdivision", witness=witness

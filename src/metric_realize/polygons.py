@@ -1,19 +1,13 @@
-"""Polygon (cycle) recognizers: sequential ordering, the pruned-polygon
-criterion, and the general polygonlike check (pruned polygon or closed snake)."""
+"""Polygon (cycle) recognizers, as shape tests on the support graph S, and
+the paper's sequential ordering walk."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
-from .comparison import Number
-from .family import (
-    DistanceFamily,
-    FamilyError,
-    check_triangle,
-    indecomposable_partners,
-    is_indecomposable,
-)
+from .bipartite import _min_pair
+from .family import DistanceFamily, FamilyError, indecomposable_partners
 from .graph import WeightedGraph, verify_realization
 from .realization import InternalInconsistencyError, Realization
 from .trees import snake_check
@@ -30,18 +24,6 @@ class PolygonOrder:
 
     order: Tuple[int, ...]
     complete: bool
-
-
-def _min_pair(family: DistanceFamily) -> Tuple[int, int]:
-    """Pair (i, j), i < j, with minimal D; lexicographic tie-break."""
-    best = None
-    best_val = None
-    for i, j in family.pairs():
-        v = family.d(i, j)
-        if best_val is None or v < best_val:
-            best_val = v
-            best = (i, j)
-    return best
 
 
 def polygon_order(family: DistanceFamily) -> PolygonOrder:
@@ -79,51 +61,27 @@ def polygon_order(family: DistanceFamily) -> PolygonOrder:
 
 
 def pruned_polygon_check(family: DistanceFamily) -> Realization:
-    """Decide realizability by a pruned positive-weighted polygon.
+    """Decide realizability by a pruned positive-weighted polygon: S must
+    be an n-cycle (every vertex of degree 2; S is connected), and S is the
+    polygon.
 
-    Accepts iff (i) every vertex has exactly two indecomposable partners,
-    (ii) the ordering walk absorbs all n vertices, and (iii) along the
-    resulting cyclic order every 2-weight equals the minimum of its two arc
-    sums.  On acceptance the cycle with the consecutive 2-weights as edge
-    weights realizes the family.
+    The tests compare this with the paper's criterion: the ordering walk of
+    ``polygon_order`` absorbs all n vertices, and along that cyclic order
+    every 2-weight equals the minimum of its two arc sums.
     """
     if family.n < 3:
         return Realization.rejected("a polygon needs n >= 3")
-    tri = check_triangle(family, max_violations=1)
-    if not tri.holds:
-        return Realization.rejected(f"triangle violation at {tri.violations[0]}")
-    try:
-        ordering = polygon_order(family)
-    except FamilyError as exc:
-        return Realization.rejected(str(exc))
-    if not ordering.complete:
-        return Realization.rejected(
-            f"ordering walk closed after {len(ordering.order)} of {family.n} vertices"
-        )
-    order = ordering.order
-    n = family.n
-    d = family.d
-    cmp = family.cmp
-
-    # prefix[k] = weight of the arc from position 0 to position k along the order
-    prefix: List[Number] = [0]
-    for k in range(1, n):
-        prefix.append(prefix[-1] + d(order[k - 1], order[k]))
-    total = prefix[-1] + d(order[-1], order[0])
-    for p in range(n):
-        for q in range(p + 1, n):
-            arc = prefix[q] - prefix[p]
-            expected = min(arc, total - arc)
-            if not cmp.eq(d(order[p], order[q]), expected):
-                return Realization.rejected(
-                    f"arc-minimum condition fails for ({order[p]},{order[q]})"
-                )
-    edges = [(order[k - 1], order[k], d(order[k - 1], order[k])) for k in range(1, n)]
-    edges.append((order[-1], order[0], d(order[-1], order[0])))
-    graph = WeightedGraph(n, edges)
-    if not verify_realization(graph, family):
-        raise InternalInconsistencyError("pruned polygon reconstruction failed verification")
-    return Realization.ok(graph)
+    support = family.support
+    failed = support.rejection()
+    if failed is not None:
+        return failed
+    for v, nbrs in support.adj.items():
+        if len(nbrs) != 2:
+            return Realization.rejected(
+                f"vertex {v} has degree {len(nbrs)} in the support graph "
+                f"(neighbours {sorted(nbrs)}); a polygon needs 2"
+            )
+    return Realization.ok(support.graph)
 
 
 def polygon_check(family: DistanceFamily) -> Realization:
@@ -134,23 +92,13 @@ def polygon_check(family: DistanceFamily) -> Realization:
     """
     if family.n < 3:
         return Realization.rejected("a polygon needs n >= 3")
-    tri = check_triangle(family, max_violations=1)
-    if not tri.holds:
-        return Realization.rejected(f"triangle violation at {tri.violations[0]}")
     pruned = pruned_polygon_check(family)
     if pruned.accepted:
         return pruned
     snake = snake_check(family)
     if snake.accepted:
-        path = snake.graph
-        degree = {v: 0 for v in range(1, family.n + 1)}
-        for u, v, _w in path.edges:
-            degree[u] += 1
-            degree[v] += 1
-        ends = sorted(v for v, deg in degree.items() if deg == 1)
-        edges = list(path.edges)
-        edges.append((ends[0], ends[1], family.d(ends[0], ends[1])))
-        graph = WeightedGraph(family.n, edges)
+        ends = sorted(v for v, nbrs in family.support.adj.items() if len(nbrs) == 1)
+        graph = WeightedGraph(family.n, [*snake.graph.edges, (*ends, family.d(*ends))])
         if not verify_realization(graph, family):
             raise InternalInconsistencyError("snake closure failed verification")
         return Realization.ok(graph)

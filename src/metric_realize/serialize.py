@@ -29,7 +29,10 @@ def parse_number(token: str, cmp: Cmp = EXACT) -> Number:
         raise ParseError(f"malformed number {token!r}") from exc
     if cmp.exact:
         return as_exact_number(value)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ParseError(f"number {token!r} is out of float range") from exc
 
 
 def format_number(value: Number) -> str:

@@ -1,25 +1,21 @@
-"""Recognizers and reconstructors for snakes, caterpillars, and labeled trees.
+"""Recognizers for snakes, caterpillars, and labeled trees.
 
 A snake is a tree with exactly two leaves (a path); a caterpillar is a tree
-whose degree->=2 vertices form a path (the spine).  All recognizers return a
-:class:`Realization` and verify any reconstruction they produce.
+whose degree->=2 vertices form a path (the spine).  Each recognizer is a
+shape test on the family's support graph S, which is also the realization
+it returns: a tree metric's unique pruned realization is its tree.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .comparison import Number
-from .family import (
-    DistanceFamily,
-    FamilyError,
-    check_four_point,
-    check_median,
-)
-from .graph import WeightedGraph, support_graph, verify_realization
-from .realization import InternalInconsistencyError, Realization
+from .family import DistanceFamily, FamilyError
+from .realization import Realization
+from .support import Support
 
 
 @dataclass
@@ -35,54 +31,6 @@ class CaterpillarStats:
 
     def t(self, x: int) -> Number:
         return self.offsets[x - 1]
-
-
-def _max_pair(family: DistanceFamily) -> Tuple[int, int]:
-    """Pair (i, j), i < j, with maximal D; lexicographic tie-break."""
-    best = None
-    best_val = None
-    for i, j in family.pairs():
-        v = family.d(i, j)
-        if best_val is None or v > best_val:
-            best_val = v
-            best = (i, j)
-    return best
-
-
-def snake_check(family: DistanceFamily) -> Realization:
-    """Decide whether the family is realizable by a positive-weighted path.
-
-    With (x, y) a pair of maximal D, the family is snakelike iff
-    D_{i,j} = |D_{i,x} - D_{j,x}| for all distinct i, j != x.  On acceptance
-    the path is rebuilt by sorting vertices by distance from x.
-    """
-    if family.n == 2:
-        return Realization.ok(WeightedGraph(2, [(1, 2, family.d(1, 2))]))
-    cmp = family.cmp
-    d = family.d
-    x, _y = _max_pair(family)
-    rest = [v for v in range(1, family.n + 1) if v != x]
-    for i, j in itertools.combinations(rest, 2):
-        if not cmp.eq(d(i, j), abs(d(i, x) - d(j, x))):
-            return Realization.rejected(
-                f"snake condition fails at ({i},{j}): D={d(i, j)} != |D_{{{i},{x}}}-D_{{{j},{x}}}|"
-            )
-    rest.sort(key=lambda v: d(v, x))
-    order = [x] + rest
-    edges = []
-    prev_dist: Number = 0
-    for k in range(1, len(order)):
-        w = d(order[k], x) - prev_dist
-        if not w > 0:
-            return Realization.rejected(
-                f"snake construction fails: vertices {order[k - 1]} and {order[k]} coincide"
-            )
-        edges.append((order[k - 1], order[k], w))
-        prev_dist = d(order[k], x)
-    graph = WeightedGraph(family.n, edges)
-    if not verify_realization(graph, family):
-        raise InternalInconsistencyError("snake reconstruction failed verification")
-    return Realization.ok(graph)
 
 
 def pendant_offsets(family: DistanceFamily) -> CaterpillarStats:
@@ -118,120 +66,90 @@ def _half(value) -> Number:
     return Fraction(value, 2) if isinstance(value, int) else value / 2
 
 
-def caterpillar_check(family: DistanceFamily) -> Realization:
-    """Decide caterpillar realizability and rebuild the caterpillar.
+def _cycle(adj: Dict[int, Dict[int, Number]]) -> Tuple[int, ...]:
+    """A cycle of a graph with at least as many edges as vertices: peel
+    leaves down to the 2-core, then walk it until a vertex repeats."""
+    degree = {v: len(nbrs) for v, nbrs in adj.items()}
+    core = set(adj)
+    leaves = [v for v, k in degree.items() if k < 2]
+    while leaves:
+        v = leaves.pop()
+        core.discard(v)
+        for u in adj[v]:
+            degree[u] -= 1
+            if degree[u] == 1 and u in core:
+                leaves.append(u)
+    walk, seen, prev = [min(core)], {}, None
+    while walk[-1] not in seen:
+        v = walk[-1]
+        seen[v] = len(walk) - 1
+        walk.append(min(u for u in adj[v] if u in core and u != prev))
+        prev = v
+    return tuple(walk[seen[walk[-1]] : -1])
 
-    Accepts iff the four-point condition holds, the family is median, and for
-    the extremal pair (a, b): D_{a,b} + D_{i,j} >= max{D_{a,i}+D_{b,j},
-    D_{a,j}+D_{b,i}} for all distinct i, j outside {a, b}.  The reconstruction
-    places spine vertices at distance D_{a,i} from a and hangs each t_i > 0
-    vertex by a pendant edge from the spine vertex at distance D_{a,i} - t_i;
-    it is always verified, and acceptance is withdrawn if verification fails.
-    """
-    if family.n == 2:
-        return snake_check(family)
-    cmp = family.cmp
-    d = family.d
 
-    fp = check_four_point(family, max_violations=1)
-    if not fp.holds:
-        return Realization.rejected(f"four-point condition fails at {fp.violations[0]}")
-    med = check_median(family, max_violations=1)
-    if not med.holds:
-        a, b, c, count = med.violations[0]
-        return Realization.rejected(f"median condition fails at ({a},{b},{c}): {count} medians")
-
-    stats = pendant_offsets(family)
-    a, b = stats.extremal_pair
-    for i, j in itertools.combinations([v for v in range(1, family.n + 1) if v not in (a, b)], 2):
-        lhs = d(a, b) + d(i, j)
-        rhs = max(d(a, i) + d(b, j), d(a, j) + d(b, i))
-        if not cmp.le(rhs, lhs):
-            return Realization.rejected(
-                f"caterpillar inequality fails for extremal pair ({a},{b}) at ({i},{j})"
-            )
-
-    graph = _build_caterpillar(family, stats)
-    if isinstance(graph, str):
-        return Realization.rejected(graph)
-    if not verify_realization(graph, family):
-        return Realization.rejected(
-            "caterpillar conditions hold but the reconstruction failed verification"
+def _not_a_tree(support: Support) -> Optional[Realization]:
+    """The rejection the tree classes share, or None when S is a tree."""
+    failed = support.rejection()
+    if failed is None and not support.is_tree():
+        failed = Realization.rejected(
+            f"support graph has the cycle {_cycle(support.adj)}; a tree has none"
         )
-    return Realization.ok(graph)
+    return failed
 
 
-def _build_caterpillar(family: DistanceFamily, stats: CaterpillarStats):
-    """Build the caterpillar for an accepted family; returns a diagnostic
-    string when an attachment point is not among the placed spine vertices."""
-    cmp = family.cmp
-    d = family.d
-    a, b = stats.extremal_pair
+def snake_check(family: DistanceFamily) -> Realization:
+    """Decide whether the family is realizable by a positive-weighted path:
+    S must be a tree of maximum degree 2, and S is the path.
 
-    # Path vertices with positions measured from a; a and b are the path
-    # endpoints even when they carry a positive pendant offset.
-    placed: List[Tuple[Number, int]] = [(0, a), (d(a, b), b)]
-    pendants: List[int] = []
-    for i in range(1, family.n + 1):
-        if i in (a, b):
-            continue
-        t_i = stats.t(i)
-        if cmp.eq(t_i, 0):
-            placed.append((d(a, i), i))
-        else:
-            pendants.append(i)
-
-    placed.sort(key=lambda p: p[0])
-    for (p1, v1), (p2, v2) in zip(placed, placed[1:]):
-        if cmp.eq(p1, p2):
-            return f"vertices {v1} and {v2} would coincide on the spine"
-
-    edges: List[Tuple[int, int, Number]] = []
-    for (p1, v1), (p2, v2) in zip(placed, placed[1:]):
-        edges.append((v1, v2, p2 - p1))
-
-    for i in pendants:
-        t_i = stats.t(i)
-        target = d(a, i) - t_i
-        attach: Optional[int] = None
-        for pos, v in placed:
-            if cmp.eq(pos, target):
-                attach = v
-                break
-        if attach is None:
-            return (
-                f"no spine vertex at distance {target} from {a} to attach vertex {i}"
+    The tests compare this with the paper's snake condition: with (x, y) a
+    pair of maximal D, D_{i,j} = |D_{i,x} - D_{j,x}| for all i, j != x.
+    """
+    support = family.support
+    failed = _not_a_tree(support)
+    if failed is not None:
+        return failed
+    for v, nbrs in support.adj.items():
+        if len(nbrs) > 2:
+            return Realization.rejected(
+                f"vertex {v} has degree {len(nbrs)} in the support graph "
+                f"(neighbours {sorted(nbrs)}); a snake has at most 2"
             )
-        edges.append((attach, i, t_i))
+    return Realization.ok(support.graph)
 
-    return WeightedGraph(family.n, edges)
+
+def caterpillar_check(family: DistanceFamily) -> Realization:
+    """Decide caterpillar realizability: S must be a tree whose inner
+    (degree >= 2) vertices induce a path, i.e. no inner vertex has three
+    inner neighbours; S is the caterpillar.
+
+    The tests compare this with the paper's criterion: four-point and median
+    conditions, and for the extremal pair (a, b) of ``pendant_offsets``,
+    D_{a,b} + D_{i,j} >= max{D_{a,i}+D_{b,j}, D_{a,j}+D_{b,i}} for all
+    distinct i, j outside {a, b}.
+    """
+    support = family.support
+    failed = _not_a_tree(support)
+    if failed is not None:
+        return failed
+    adj = support.adj
+    for v, nbrs in adj.items():
+        inner = sorted(u for u in nbrs if len(adj[u]) >= 2)
+        if len(nbrs) >= 2 and len(inner) > 2:
+            return Realization.rejected(
+                f"inner vertex {v} has {len(inner)} inner neighbours {inner} "
+                "in the support graph; a caterpillar has at most 2"
+            )
+    return Realization.ok(support.graph)
 
 
 def tree_check(family: DistanceFamily) -> Realization:
-    """Decide labeled-tree realizability: four-point condition plus median.
+    """Decide labeled-tree realizability: S must have n - 1 edges, and S is
+    the tree.
 
-    On a positive verdict the tree is recovered as the support graph, which
-    must be connected with exactly n - 1 edges and verify against the family;
-    a failure there is an internal inconsistency (the two conditions
-    characterize tree realizability).
+    The tests compare this with the paper's criterion, the four-point
+    condition plus the median condition (``check_four_point``,
+    ``check_median``).
     """
-    if family.n == 2:
-        return Realization.ok(WeightedGraph(2, [(1, 2, family.d(1, 2))]))
-    fp = check_four_point(family, max_violations=1)
-    if not fp.holds:
-        return Realization.rejected(f"four-point condition fails at {fp.violations[0]}")
-    med = check_median(family, max_violations=1)
-    if not med.holds:
-        a, b, c, count = med.violations[0]
-        return Realization.rejected(f"median condition fails at ({a},{b},{c}): {count} medians")
-    try:
-        graph = support_graph(family)
-    except FamilyError as exc:
-        return Realization.rejected(str(exc))
-    if len(graph.edges) != family.n - 1 or not graph.is_connected():
-        raise InternalInconsistencyError(
-            "four-point and median hold but the support graph is not a spanning tree"
-        )
-    if not verify_realization(graph, family):
-        raise InternalInconsistencyError("tree reconstruction failed verification")
-    return Realization.ok(graph)
+    failed = _not_a_tree(family.support)
+    return failed if failed is not None else Realization.ok(family.support.graph)

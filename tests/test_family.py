@@ -181,3 +181,51 @@ class TestToleranceMode:
         f = fam(3, {(1, 2): 1.0, (2, 3): 1.0, (1, 3): 2.0 - 1e-9}, cmp)
         # within tolerance of equality: still counted as decomposable
         assert not is_indecomposable(f, 1, 3)
+
+
+class TestOnePassSupport:
+    def test_agrees_with_per_pair_checks(self):
+        # small value ranges give many ties and many triangle violations;
+        # float mode adds sub-tolerance and above-tolerance near-ties
+        rng = random.Random(171)
+        for case in range(300):
+            n = rng.randint(2, 7)
+            cmp = Cmp(1e-9) if case % 2 else None
+            values = {}
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    v = rng.randint(1, 4)
+                    values[(i, j)] = v + rng.choice((0, 1e-12, -1e-12, 1e-6)) if cmp else v
+            f = fam(n, values, cmp)
+            support = f.support
+            triangle = check_triangle(f, max_violations=1)
+            assert support.violation == (None if triangle.holds else triangle.violations[0])
+            assert support.graph.edge_pairs() == {
+                (i, j) for i, j in f.pairs() if is_indecomposable(f, i, j)
+            }
+
+    def test_computed_once_per_family(self, fig2_family, monkeypatch):
+        import metric_realize
+        from metric_realize import support as support_module
+
+        calls = []
+        analyse = support_module.analyse
+
+        def counting(family):
+            calls.append(family)
+            return analyse(family)
+
+        monkeypatch.setattr(support_module, "analyse", counting)
+        unit_k5 = fam(5, {(i, j): 1 for i in range(1, 6) for j in range(i + 1, 6)})
+        for f in (fig2_family.with_cmp(fig2_family.cmp), unit_k5):
+            calls.clear()
+            metric_realize.classify(f)
+            for name in (
+                "snake_check", "caterpillar_check", "tree_check",
+                "pruned_polygon_check", "polygon_check", "complete_check",
+                "bigraph_check", "cobigraph_check", "planar_check",
+            ):
+                getattr(metric_realize, name)(f)
+            metric_realize.bipartition(f)
+            metric_realize.support_graph(f)
+            assert calls == [f]

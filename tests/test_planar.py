@@ -139,6 +139,17 @@ class TestPlanarCheck:
                 r.witness.validate(f)
                 seen_reject += 1
         assert seen_reject > 5
+        # larger dense graphs: witness chains with interior vertices
+        rng = random.Random(7)
+        seen_reject = 0
+        for _ in range(25):
+            n = rng.randint(14, 26)
+            f = two_weights(random_connected_graph(n, rng, extra_edges=3 * n))
+            r = planar_check(f)
+            if not r.accepted:
+                r.witness.validate(f)
+                seen_reject += 1
+        assert seen_reject > 20
 
     def test_agrees_with_witness_search_route(self):
         rng = random.Random(152)

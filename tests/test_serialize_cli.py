@@ -233,3 +233,43 @@ class TestCli:
         _, matrix_path = tmp_files
         monkeypatch.setenv("METRIC_REALIZE_TOL", "not-a-number")
         assert run(["check", "--class", "tree", matrix_path, "--tol"]) == 2
+
+
+class TestHostileInput:
+    def test_float_overflow_is_input_error(self, tmp_path, capsys):
+        from metric_realize import Cmp
+
+        with pytest.raises(ParseError, match="out of float range"):
+            parse_number("1e400", Cmp(1e-9))
+        big = tmp_path / "big.csv"
+        big.write_text("0,1e400\n1e400,0\n")
+        assert run(["check", "--class", "tree", str(big), "--tol"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_closed_output_pipe_exits_2_without_traceback(self, tmp_files):
+        import os
+        import subprocess
+        import sys
+
+        import metric_realize
+
+        _, matrix_path = tmp_files
+        src = os.path.dirname(os.path.dirname(metric_realize.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        main = "from metric_realize.cli import main; main()"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before anything is written
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", main, "classify", matrix_path],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=path),
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, err
+        assert err.startswith("error:") and err.count("\n") == 1, err

@@ -26,7 +26,7 @@ def complete_check(family: DistanceFamily) -> Realization:
     for i, j in family.pairs():  # stops at the first non-edge, after at most m pairs
         if j not in support.adj[i]:
             return Realization.rejected(f"entry ({i},{j}) is decomposable")
-    return Realization.ok(support.graph)
+    return Realization.ok(support.realization)
 
 
 @dataclass
@@ -116,9 +116,10 @@ def bipartition(family: DistanceFamily) -> Bipartition:
 
 
 def _bigraph(family: DistanceFamily) -> Tuple[Realization, Optional[Bipartition]]:
-    failed = family.support.rejection()
-    if failed is not None:
-        return failed, None
+    # Only a triangle violation stops this early: the complete bipartite graph
+    # is verified below, so S need not realize D (within a tolerance it may not).
+    if family.support.violation is not None:
+        return family.support.rejection(), None
     bp = bipartition(family)
     overlap = bp.x_side & bp.y_side
     if overlap:
@@ -131,7 +132,7 @@ def _bigraph(family: DistanceFamily) -> Tuple[Realization, Optional[Bipartition]
             f"base partner {bp.base_pair[1]} did not land in the Y side"
         ), bp
     # Every same-side pair splits through the other side iff no edge of S
-    # (an indecomposable pair) joins two vertices of one side, as S realizes D.
+    # (an indecomposable pair) joins two vertices of one side, when S realizes D.
     for a, b, _w in family.support.graph.edges:
         if (a in bp.x_side) == (b in bp.x_side):
             return Realization.rejected(
@@ -163,7 +164,7 @@ def _pruned_bigraph(
         for b in sorted(bp.y_side):
             if b not in support.adj[a]:
                 return Realization.rejected(f"cross entry ({a},{b}) is decomposable")
-    return Realization.ok(support.graph)
+    return Realization.ok(support.realization)
 
 
 def bigraph_check(family: DistanceFamily) -> Realization:

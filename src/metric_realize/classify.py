@@ -101,7 +101,7 @@ def classify(family: DistanceFamily) -> ClassificationReport:
     """
     support = family.support
     triangle = support.violation is None
-    tree = triangle and support.verified and support.is_tree()
+    tree = support.realization is not None and support.is_tree()
     conditions = {
         "triangle": triangle,
         "four_point": tree or check_four_point(family, max_violations=1).holds,

@@ -208,7 +208,7 @@ def planar_check(family: DistanceFamily) -> Realization:
     g.add_edges_from((u, v) for u, v, _w in support.graph.edges)
     is_planar, certificate = nx.check_planarity(g, counterexample=True)
     if is_planar:
-        return Realization.ok(support.graph)
+        return Realization.ok(support.realization)
     witness = _witness_from_kuratowski(certificate)
     return Realization.rejected(
         f"support graph contains a {witness.kind} subdivision", witness=witness

@@ -81,7 +81,7 @@ def pruned_polygon_check(family: DistanceFamily) -> Realization:
                 f"vertex {v} has degree {len(nbrs)} in the support graph "
                 f"(neighbours {sorted(nbrs)}); a polygon needs 2"
             )
-    return Realization.ok(support.graph)
+    return Realization.ok(support.realization)
 
 
 def polygon_check(family: DistanceFamily) -> Realization:

@@ -21,21 +21,34 @@ from .realization import InternalInconsistencyError, Realization
 @dataclass(frozen=True)
 class Support:
     """S with its adjacency, the family's first triangle violation (or None)
-    and whether S realizes the family (checked only when there is none)."""
+    and the graph of S's shape that realizes the family (or None).
+
+    That graph is S itself whenever S realizes D, which always holds in
+    exact mode once the triangle inequalities do.  In tolerance mode
+    near-ties within the tolerance can add up along S until S misses D;
+    a tree S is then reweighted from one end of a longest pair (as the
+    paper rebuilds a snake), and kept when that verifies.
+    """
 
     graph: WeightedGraph
     adj: Dict[int, Dict[int, Number]]
     violation: Optional[Tuple[int, int, int]]
-    verified: bool
+    realization: Optional[WeightedGraph]
+    exact: bool
 
     def rejection(self) -> Optional[Realization]:
         """The verdict shared by every class when S cannot decide it: a
-        triangle violation rejects; an S that fails to realize a metric
-        family is an internal inconsistency.  None when S decides."""
+        triangle violation rejects, and so does an S that misses the family
+        in tolerance mode; in exact mode that is an internal inconsistency.
+        None when S decides."""
         if self.violation is not None:
             return Realization.rejected(f"triangle violation at {self.violation}")
-        if not self.verified:
-            raise InternalInconsistencyError("support graph failed verification")
+        if self.realization is None:
+            if self.exact:
+                raise InternalInconsistencyError("support graph failed verification")
+            return Realization.rejected(
+                "the support graph does not realize the family within the tolerance"
+            )
         return None
 
     def is_tree(self) -> bool:
@@ -68,5 +81,32 @@ def analyse(family: DistanceFamily) -> Support:
                 k = next(k for k in range(1, n + 1) if cmp.lt(row[k - 1] + rows[k - 1][j - 1], dij))
                 violation = (i, j, k)
     graph = WeightedGraph(n, edges, require_connected=False)
-    verified = violation is None and verify_realization(graph, family)
-    return Support(graph, graph.adjacency(), violation, verified)
+    adj = graph.adjacency()
+    realization = None
+    # A disconnected S has infinite 2-weights, which tolerance mode would
+    # compare as equal to anything; it never realizes D.
+    if violation is None and graph.is_connected():
+        if verify_realization(graph, family):
+            realization = graph
+        elif not cmp.exact and len(edges) == n - 1:
+            realization = _reweighted_tree(family, adj)
+    return Support(graph, adj, violation, realization, cmp.exact)
+
+
+def _reweighted_tree(family: DistanceFamily, adj: Dict[int, Dict[int, Number]]) -> Optional[WeightedGraph]:
+    """The tree S with each edge weighted by the step in D_{x,.} along it,
+    x the first vertex of the lexicographically first pair of maximal D;
+    None when a step is not positive or the tree fails verification."""
+    d = family.d
+    x = max(family.pairs(), key=lambda p: d(*p))[0]
+    edges, stack, seen = [], [x], {x}
+    while stack:
+        u = stack.pop()
+        for v in adj[u].keys() - seen:
+            edges.append((u, v, d(x, v) - d(x, u)))
+            seen.add(v)
+            stack.append(v)
+    if not all(w > 0 for _u, _v, w in edges):
+        return None
+    graph = WeightedGraph(family.n, edges)
+    return graph if verify_realization(graph, family) else None

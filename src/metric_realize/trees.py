@@ -3,14 +3,15 @@
 A snake is a tree with exactly two leaves (a path); a caterpillar is a tree
 whose degree->=2 vertices form a path (the spine).  Each recognizer is a
 shape test on the family's support graph S, which is also the realization
-it returns: a tree metric's unique pruned realization is its tree.
+it returns (``Support.realization``): a tree metric's unique pruned
+realization is its tree.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .comparison import Number
 from .family import DistanceFamily, FamilyError
@@ -66,34 +67,13 @@ def _half(value) -> Number:
     return Fraction(value, 2) if isinstance(value, int) else value / 2
 
 
-def _cycle(adj: Dict[int, Dict[int, Number]]) -> Tuple[int, ...]:
-    """A cycle of a graph with at least as many edges as vertices: peel
-    leaves down to the 2-core, then walk it until a vertex repeats."""
-    degree = {v: len(nbrs) for v, nbrs in adj.items()}
-    core = set(adj)
-    leaves = [v for v, k in degree.items() if k < 2]
-    while leaves:
-        v = leaves.pop()
-        core.discard(v)
-        for u in adj[v]:
-            degree[u] -= 1
-            if degree[u] == 1 and u in core:
-                leaves.append(u)
-    walk, seen, prev = [min(core)], {}, None
-    while walk[-1] not in seen:
-        v = walk[-1]
-        seen[v] = len(walk) - 1
-        walk.append(min(u for u in adj[v] if u in core and u != prev))
-        prev = v
-    return tuple(walk[seen[walk[-1]] : -1])
-
-
 def _not_a_tree(support: Support) -> Optional[Realization]:
     """The rejection the tree classes share, or None when S is a tree."""
     failed = support.rejection()
     if failed is None and not support.is_tree():
+        n = support.graph.n
         failed = Realization.rejected(
-            f"support graph has the cycle {_cycle(support.adj)}; a tree has none"
+            f"support graph has {len(support.graph.edges)} edges; a tree on {n} vertices has {n - 1}"
         )
     return failed
 
@@ -115,7 +95,7 @@ def snake_check(family: DistanceFamily) -> Realization:
                 f"vertex {v} has degree {len(nbrs)} in the support graph "
                 f"(neighbours {sorted(nbrs)}); a snake has at most 2"
             )
-    return Realization.ok(support.graph)
+    return Realization.ok(support.realization)
 
 
 def caterpillar_check(family: DistanceFamily) -> Realization:
@@ -140,7 +120,7 @@ def caterpillar_check(family: DistanceFamily) -> Realization:
                 f"inner vertex {v} has {len(inner)} inner neighbours {inner} "
                 "in the support graph; a caterpillar has at most 2"
             )
-    return Realization.ok(support.graph)
+    return Realization.ok(support.realization)
 
 
 def tree_check(family: DistanceFamily) -> Realization:
@@ -152,4 +132,4 @@ def tree_check(family: DistanceFamily) -> Realization:
     ``check_median``).
     """
     failed = _not_a_tree(family.support)
-    return failed if failed is not None else Realization.ok(family.support.graph)
+    return failed if failed is not None else Realization.ok(family.support.realization)

@@ -229,3 +229,60 @@ class TestOnePassSupport:
             metric_realize.bipartition(f)
             metric_realize.support_graph(f)
             assert calls == [f]
+
+
+NINE_RECOGNIZERS = (
+    "snake_check", "caterpillar_check", "tree_check",
+    "pruned_polygon_check", "polygon_check", "complete_check",
+    "bigraph_check", "cobigraph_check", "planar_check",
+)
+
+
+class TestToleranceSupport:
+    """Within a tolerance, near-ties can leave S disconnected or let errors
+    add up along S; every recognizer still returns a clean verdict."""
+
+    def test_disconnected_support_rejects_cleanly(self):
+        import metric_realize
+
+        # 2 and 3 within tolerance of coinciding: S is the single edge (2, 3)
+        f = fam(3, {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1e-10}, Cmp(1e-9))
+        assert f.support.violation is None
+        assert f.support.graph.edge_pairs() == {(2, 3)}
+        assert f.support.realization is None
+        for name in NINE_RECOGNIZERS:
+            r = getattr(metric_realize, name)(f)
+            assert not r.accepted and r.reason, name
+        assert "does not realize the family" in metric_realize.planar_check(f).reason
+        report = metric_realize.classify(f)
+        assert report.accepted_classes() == []
+        assert not any("internal inconsistency" in r.reason for r in report.verdicts.values())
+
+    def test_errors_adding_up_along_a_path(self):
+        import metric_realize
+        from metric_realize import verify_realization
+
+        # ten collinear points, every tight split off by half the tolerance:
+        # S is the path, whose own entries miss D(1, 10) by 4.5 tolerances
+        tol = 1e-9
+        f = fam(10, {
+            (i, j): 0.1 * (j - i) - tol / 2 * (j - i - 1)
+            for i in range(1, 11) for j in range(i + 1, 11)
+        }, Cmp(tol))
+        assert f.support.graph.edge_pairs() == {(k, k + 1) for k in range(1, 10)}
+        assert not verify_realization(f.support.graph, f)
+        # the path reweighted by the steps in D_{1,.}, as the snake rebuild does
+        assert f.support.realization == WeightedGraph(
+            10, [(k, k + 1, f.d(1, k + 1) - f.d(1, k)) for k in range(1, 10)]
+        )
+        report = metric_realize.classify(f)
+        assert report.accepted_classes() == [
+            "snake", "caterpillar", "tree", "polygon", "bipartite", "planar"
+        ]
+        assert report.lattice_violations() == []
+        for name in NINE_RECOGNIZERS:
+            r = getattr(metric_realize, name)(f)
+            if r.accepted:
+                assert verify_realization(r.graph, f), name
+            else:
+                assert r.reason, name

@@ -58,3 +58,60 @@ def test_criteria_agree_with_recognizers(mode):
             assert verdict == criterion(f), (class_id, f.n, f.values)
             accepted[class_id] += verdict
     assert all(accepted.values()), accepted
+
+
+def hops(family):
+    """Edges on a shortest path of S between each pair (fewest on ties)."""
+    n, adj = family.n, family.support.adj
+    inf = (float("inf"), 0)
+    best = [[(0, 0) if i == j else inf for j in range(n + 1)] for i in range(n + 1)]
+    for u, nbrs in adj.items():
+        for v, w in nbrs.items():
+            best[u][v] = (w, 1)
+    for k in range(1, n + 1):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                via = (best[i][k][0] + best[k][j][0], best[i][k][1] + best[k][j][1])
+                best[i][j] = min(best[i][j], via)
+    return {(i, j): best[i][j][1] for i, j in family.pairs()}
+
+
+def noisy_families(rng, tol):
+    """Float copies of two-weights of every generator class at n = 3..10
+    with errors inside the tolerance: entries that shrink by c tolerances
+    per extra edge on their S path, so near-ties add up along S (c = 0.5,
+    0.9), and independent relative noise of at most 0.45 tolerances."""
+    for class_id, low in sorted(CLASS_MIN_N.items()):
+        for n in range(max(3, low), 11):
+            f = two_weights(generate(GenSpec(class_id, n, rng.randint(0, 10**9), weight_kind="decimal")))
+            h = hops(f)
+            base = {p: float(v) for p, v in f.values.items()}
+            for c in (0.5, 0.9):
+                yield DistanceFamily(
+                    n, {p: v - c * tol * max(1.0, v) * (h[p] - 1) for p, v in base.items()}, Cmp(tol)
+                )
+            yield DistanceFamily(
+                n, {p: v * (1 + rng.uniform(-0.45, 0.45) * tol) for p, v in base.items()}, Cmp(tol)
+            )
+
+
+def test_noisy_float_verdicts_are_verified_and_follow_the_criteria():
+    from metric_realize import classify, verify_realization
+
+    rng = random.Random(77)
+    accepted = {c: 0 for c in CRITERIA}
+    for f in noisy_families(rng, 1e-9):
+        report = classify(f)
+        assert report.lattice_violations() == [], f.values
+        for class_id, criterion in CRITERIA.items():
+            r = RECOGNIZERS[class_id](f)
+            if r.accepted:
+                assert verify_realization(r.graph, f), (class_id, f.values)
+            elif criterion(f):
+                # the shape of S never contradicts the criterion; only an S
+                # that misses D within the tolerance (errors adding up along
+                # it) rejects a family the criterion accepts
+                assert f.support.realization is None, (class_id, r.reason, f.values)
+            assert report.verdicts[class_id].accepted == r.accepted
+            accepted[class_id] += r.accepted
+    assert all(accepted.values()), accepted

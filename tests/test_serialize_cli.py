@@ -273,3 +273,14 @@ class TestHostileInput:
         err = proc.stderr.decode()
         assert proc.returncode == 2, err
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_tol_disconnected_support_gives_verdicts(self, tmp_path, capsys):
+        # within the tolerance, 2 and 3 nearly coincide and S is disconnected
+        path = tmp_path / "near.csv"
+        path.write_text("0,1,1\n1,0,1e-10\n1,1e-10,0\n")
+        for class_id in ("snake", "caterpillar", "tree", "planar"):
+            assert run(["check", "--class", class_id, str(path), "--tol"]) == 1
+            assert "rejected" in capsys.readouterr().out
+        assert run(["classify", str(path), "--tol"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert not any(c["accepted"] for c in report["classes"].values())

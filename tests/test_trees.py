@@ -110,13 +110,13 @@ class TestCaterpillar:
         f = fam(4, {(1, 2): 1, (2, 3): 1, (3, 4): 1, (1, 4): 1, (1, 3): 2, (2, 4): 2})
         r = caterpillar_check(f)
         assert not r.accepted
-        assert "cycle (1, 2, 3, 4)" in r.reason
+        assert "support graph has 4 edges; a tree on 4 vertices has 3" in r.reason
 
     def test_rejects_unit_complete_graph(self):
         f = fam(4, {p: 1 for p in itertools.combinations(range(1, 5), 2)})
         r = caterpillar_check(f)
         assert not r.accepted
-        assert "cycle (1, 2, 3)" in r.reason
+        assert "support graph has 6 edges; a tree on 4 vertices has 3" in r.reason
 
     def test_exhaustive_n6_against_shape_oracle(self):
         rng = random.Random(61)
@@ -149,13 +149,13 @@ class TestTree:
         f = fam(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
         r = tree_check(f)
         assert not r.accepted
-        assert "cycle (1, 2, 3)" in r.reason
+        assert "support graph has 3 edges; a tree on 3 vertices has 2" in r.reason
 
     def test_rejects_unit_four_cycle(self):
         f = fam(4, {(1, 2): 1, (2, 3): 1, (3, 4): 1, (1, 4): 1, (1, 3): 2, (2, 4): 2})
         r = tree_check(f)
         assert not r.accepted
-        assert "cycle (1, 2, 3, 4)" in r.reason
+        assert "support graph has 4 edges; a tree on 4 vertices has 3" in r.reason
 
 
 class TestContainment:

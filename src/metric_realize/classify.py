@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from .bipartite import Bipartition, _bigraph, _pruned_bigraph, complete_check
+from .bipartite import Bipartition, bigraph_check, cobigraph_check, complete_check
 from .family import DistanceFamily, check_four_point, check_median
 from .planar import PlanarWitness, planar_check
 from .polygons import polygon_check, pruned_polygon_check
@@ -37,8 +37,8 @@ CONTAINMENTS = (
 
 @dataclass
 class ClassificationReport:
-    """Per-class verdicts with reconstructions, plus recovered side sets and
-    any planarity witness."""
+    """Per-class verdicts with reconstructions, plus the recovered sides
+    when bipartite is accepted and any planarity witness."""
 
     verdicts: Dict[str, Realization]
     condition_summary: Dict[str, bool]
@@ -114,15 +114,10 @@ def classify(family: DistanceFamily) -> ClassificationReport:
         "pruned_polygon": _run(pruned_polygon_check, family),
         "polygon": _run(polygon_check, family),
         "complete": _run(complete_check, family),
+        "bipartite": _run(bigraph_check, family),
+        "pruned_bipartite": _run(cobigraph_check, family),
+        "planar": _run(planar_check, family),
     }
-    bp: Optional[Bipartition] = None
-    try:
-        bigraph_result, bp = _bigraph(family)
-    except InternalInconsistencyError as exc:
-        bigraph_result = Realization.rejected(f"internal inconsistency: {exc}")
-    verdicts["pruned_bipartite"] = _pruned_bigraph(family, bigraph_result, bp)
-    verdicts["planar"] = _run(planar_check, family)
-    verdicts["bipartite"] = bigraph_result
-
+    bipartition = verdicts["bipartite"].witness
     planar_witness = verdicts["planar"].witness
-    return ClassificationReport(verdicts, conditions, bp, planar_witness)
+    return ClassificationReport(verdicts, conditions, bipartition, planar_witness)

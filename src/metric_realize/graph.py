@@ -50,6 +50,12 @@ class WeightedGraph:
                 raise GraphError(f"nonpositive weight on edge ({u},{v}): {w}")
             seen.add((u, v))
             normalized.append((u, v, w))
+        if require_connected and len(normalized) < n - 1:
+            # before anything of size n is built: n may come from a document
+            raise GraphError(
+                f"{len(normalized)} edges cannot connect {n} vertices; "
+                f"a connected graph needs at least {n - 1}"
+            )
         normalized.sort(key=lambda e: (e[0], e[1]))
         self.n = n
         self.edges = tuple(normalized)
@@ -118,7 +124,8 @@ class EdgeUsefulness:
 
 
 def shortest_path_matrix(graph: WeightedGraph) -> List[List[Number]]:
-    """All-pairs shortest path weights, 0-indexed matrix (Floyd-Warshall)."""
+    """All-pairs shortest path weights, 0-indexed matrix (Floyd-Warshall);
+    ``float("inf")`` for pairs in different components."""
     n = graph.n
     inf = float("inf")
     dist: List[List[Number]] = [[inf] * n for _ in range(n)]
@@ -129,14 +136,14 @@ def shortest_path_matrix(graph: WeightedGraph) -> List[List[Number]]:
             dist[u - 1][v - 1] = w
             dist[v - 1][u - 1] = w
     for k in range(n):
-        dk = dist[k]
-        for i in range(n):
-            dik = dist[i][k]
-            if dik == inf:
-                continue
+        # Only finite entries are added: an exact value beyond the float
+        # range plus inf would overflow.  Row k equals column k (the graph is
+        # undirected) and does not change while k is the midpoint.
+        reach = [(j, w) for j, w in enumerate(dist[k]) if w != inf]
+        for i, dik in reach:
             di = dist[i]
-            for j in range(n):
-                alt = dik + dk[j]
+            for j, dkj in reach:
+                alt = dik + dkj
                 if alt < di[j]:
                     di[j] = alt
     return dist

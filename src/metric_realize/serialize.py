@@ -122,7 +122,7 @@ def graph_from_json(text: str, cmp: Cmp = EXACT) -> WeightedGraph:
             (int(e["u"]), int(e["v"]), parse_number(str(e["w"]), cmp))
             for e in doc["edges"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
     try:
         return WeightedGraph(n, edges)

@@ -5,6 +5,7 @@ from metric_realize import (
     WeightedGraph,
     bigraph_check,
     bipartition,
+    classify,
     cobigraph_check,
     complete_check,
     is_indecomposable,
@@ -84,6 +85,17 @@ class TestBipartition:
         bp = bipartition(two_weights(g))
         assert {bp.x_side, bp.y_side} == {frozenset({2}), frozenset({1, 3, 4})}
 
+    def test_sides_partition_vertices_of_non_bipartite_support(self):
+        unit_triangle = fam(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
+        unit_k5 = fam(5, {p: 1 for p in itertools.combinations(range(1, 6), 2)})
+        # pentagon whose vertex 3 ends tight chains of 2 and of 3 links from 1
+        odd_polygon = fam_of(5, [(1, 2, 3), (2, 3, 3), (3, 4, 2), (4, 5, 2), (5, 1, 2)])
+        for f in (unit_triangle, unit_k5, odd_polygon):
+            bp = bipartition(f)
+            assert not bp.x_side & bp.y_side
+            assert bp.x_side | bp.y_side == set(range(1, f.n + 1))
+            assert not bigraph_check(f).accepted
+
     def test_witness_chains_are_tight_indecomposable_paths(self):
         rng = random.Random(111)
         for _ in range(40):
@@ -121,7 +133,7 @@ class TestBigraph:
         f = fam(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
         r = bigraph_check(f)
         assert not r.accepted
-        assert "same-side pair" in r.reason or "overlap" in r.reason
+        assert "same-side pair" in r.reason
 
     def test_rejects_unit_k4(self):
         f = fam(4, {p: 1 for p in itertools.combinations(range(1, 5), 2)})
@@ -148,6 +160,17 @@ class TestBigraph:
             assert r.accepted
             bp = bipartition(f)
             assert {bp.x_side, bp.y_side} == {frozenset(xs), frozenset(ys)}
+
+    def test_accepted_verdicts_carry_the_bipartition(self):
+        g = complete_bipartite([1, 2], [3, 4, 5], lambda a, b: 1)
+        f = two_weights(g)
+        for check in (bigraph_check, cobigraph_check):
+            assert check(f).witness == bipartition(f)
+        assert "bipartition" in classify(f).to_dict()
+        unit_triangle = fam(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
+        report = classify(unit_triangle)
+        assert report.bipartition is None
+        assert "bipartition" not in report.to_dict()
 
     def test_agrees_with_side_assignment_oracle(self):
         rng = random.Random(122)

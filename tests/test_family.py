@@ -230,6 +230,31 @@ class TestOnePassSupport:
             metric_realize.support_graph(f)
             assert calls == [f]
 
+    def test_one_floyd_warshall_per_classify(self, monkeypatch):
+        # S's own verification is the only one in exact mode: the complete
+        # bipartite graph and the closed snake add edges of weight
+        # D_ab = d_S(a, b), which change no 2-weight
+        import metric_realize
+        from metric_realize import GenSpec, generate
+        from metric_realize import graph as graph_module
+        from metric_realize.generators import CLASS_MIN_N
+
+        calls = []
+        shortest_path_matrix = graph_module.shortest_path_matrix
+
+        def counting(graph):
+            calls.append(graph)
+            return shortest_path_matrix(graph)
+
+        for class_id in sorted(CLASS_MIN_N):
+            for n, kind in ((3, "int"), (8, "decimal"), (12, "int")):
+                f = two_weights(generate(GenSpec(class_id, n, 5, weight_kind=kind)))
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(graph_module, "shortest_path_matrix", counting)
+                    report = metric_realize.classify(f)
+                assert len(calls) == 1, (class_id, n, report.accepted_classes())
+
 
 NINE_RECOGNIZERS = (
     "snake_check", "caterpillar_check", "tree_check",

@@ -13,7 +13,11 @@ from metric_realize import (
     verify_realization,
 )
 
+from metric_realize.graph import shortest_path_matrix
+
 from conftest import fam_of, random_connected_graph
+
+inf = float("inf")
 
 
 class TestWeightedGraph:
@@ -40,6 +44,13 @@ class TestWeightedGraph:
     def test_rejects_disconnected_by_default(self):
         with pytest.raises(GraphError):
             WeightedGraph(4, [(1, 2, 1), (3, 4, 1)])
+
+    def test_too_few_edges_rejected_by_count(self):
+        # a connected graph on n vertices has at least n - 1 edges; the count
+        # decides before anything of size n is built
+        with pytest.raises(GraphError, match="1 edges cannot connect 10000 vertices"):
+            WeightedGraph(10_000, [(1, 2, 1)])
+        assert WeightedGraph(10_000, [(1, 2, 1)], require_connected=False).n == 10_000
 
     def test_disconnected_allowed_when_asked(self):
         g = WeightedGraph(4, [(1, 2, 1), (3, 4, 1)], require_connected=False)
@@ -73,6 +84,13 @@ class TestTwoWeights:
     def test_fractional_weights_stay_exact(self):
         g = WeightedGraph(3, [(1, 2, Fraction(1, 3)), (2, 3, Fraction(1, 6))])
         assert two_weights(g).d(1, 3) == Fraction(1, 2)
+
+    def test_exact_values_beyond_float_range(self):
+        big = 10**400
+        f = two_weights(WeightedGraph(3, [(1, 2, big), (2, 3, big)]))
+        assert (f.d(1, 2), f.d(1, 3)) == (big, 2 * big)
+        apart = WeightedGraph(3, [(1, 2, big)], require_connected=False)
+        assert shortest_path_matrix(apart) == [[0, big, inf], [big, 0, inf], [inf, inf, 0]]
 
     def test_single_vertex_rejected(self):
         with pytest.raises(GraphError):

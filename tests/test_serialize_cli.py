@@ -247,6 +247,28 @@ class TestHostileInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_exact_values_beyond_float_range(self, tmp_path, capsys):
+        matrix = tmp_path / "huge.csv"
+        matrix.write_text("0,1e400,2e400\n1e400,0,1e400\n2e400,1e400,0\n")
+        assert run(["classify", str(matrix)]) == 0
+        assert json.loads(capsys.readouterr().out)["classes"]["snake"]["accepted"] is True
+        graph = tmp_path / "huge.json"
+        graph.write_text(json.dumps({"n": 3, "edges": [
+            {"u": 1, "v": 2, "w": "1e400"}, {"u": 2, "v": 3, "w": "1e400"},
+        ]}))
+        assert run(["weights", str(graph)]) == 0
+        assert parse_family_csv(capsys.readouterr().out).d(1, 3) == 2 * 10**400
+
+    def test_oversized_graph_document_is_input_error(self, tmp_path, capsys):
+        graph = tmp_path / "big.json"
+        graph.write_text(json.dumps({"n": 10_000, "edges": [{"u": 1, "v": 2, "w": "1"}]}))
+        assert run(["weights", str(graph)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 1 edges cannot connect 10000 vertices; a connected graph needs at least 9999\n"
+        graph.write_text('{"n": 1e400, "edges": []}')  # JSON reads it as float inf
+        assert run(["weights", str(graph)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed graph document")
+
     def test_closed_output_pipe_exits_2_without_traceback(self, tmp_files):
         import os
         import subprocess

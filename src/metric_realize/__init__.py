@@ -21,10 +21,9 @@ from .family import (
     check_four_point,
     check_median,
     check_triangle,
-    indecomposable_partners,
     is_indecomposable,
 )
-from .generators import GenSpec, GenerationError, brute_force_class_check, generate
+from .generators import GenSpec, GenerationError, generate
 from .graph import (
     EdgeUsefulness,
     GraphError,
@@ -35,31 +34,13 @@ from .graph import (
     useful_edges,
     verify_realization,
 )
-from .planar import (
-    PlanarWitness,
-    SizeGuardError,
-    planar_check,
-    subdivision_witness_search,
-)
-from .polygons import (
-    PolygonOrder,
-    canonical_cycle_order,
-    polygon_check,
-    polygon_order,
-    pruned_polygon_check,
-)
+from .planar import PlanarWitness, planar_check
+from .polygons import polygon_check, pruned_polygon_check
 from .realization import InternalInconsistencyError, Realization
-from .trees import (
-    CaterpillarStats,
-    caterpillar_check,
-    pendant_offsets,
-    snake_check,
-    tree_check,
-)
+from .trees import caterpillar_check, snake_check, tree_check
 
 __all__ = [
     "Bipartition",
-    "CaterpillarStats",
     "ClassificationReport",
     "Cmp",
     "DEFAULT_TOL",
@@ -73,14 +54,10 @@ __all__ = [
     "InternalInconsistencyError",
     "PairPredicateReport",
     "PlanarWitness",
-    "PolygonOrder",
     "Realization",
-    "SizeGuardError",
     "WeightedGraph",
     "bigraph_check",
     "bipartition",
-    "brute_force_class_check",
-    "canonical_cycle_order",
     "caterpillar_check",
     "check_four_point",
     "check_median",
@@ -89,16 +66,12 @@ __all__ = [
     "cobigraph_check",
     "complete_check",
     "generate",
-    "indecomposable_partners",
     "is_indecomposable",
-    "pendant_offsets",
     "planar_check",
     "polygon_check",
-    "polygon_order",
     "prune",
     "pruned_polygon_check",
     "snake_check",
-    "subdivision_witness_search",
     "support_graph",
     "tree_check",
     "two_weights",

@@ -94,7 +94,7 @@ def _two_coloured(family: DistanceFamily) -> Realization:
     failed = support.rejection()
     if failed is not None:
         return failed
-    bp = bipartition(family)
+    bp = family.sides
     gap = set(range(1, family.n + 1)) - bp.x_side - bp.y_side
     if gap:  # only within a tolerance, see ``bipartition``
         return Realization.rejected(f"cover gap: {sorted(gap)} in neither side")
@@ -108,6 +108,11 @@ def _two_coloured(family: DistanceFamily) -> Realization:
     return Realization(True, graph=support.realization, witness=bp)
 
 
+def _complete_bipartite(family: DistanceFamily, bp: Bipartition) -> bool:
+    """Is S, whose every edge crosses the sides, all of K_{X,Y}?"""
+    return len(family.support.graph.edges) == len(bp.x_side) * len(bp.y_side)
+
+
 def bigraph_check(family: DistanceFamily) -> Realization:
     """Decide bipartite realizability: S must be 2-coloured by the sides
     that ``bipartition`` recovers, which the accepted verdict carries as its
@@ -118,14 +123,12 @@ def bigraph_check(family: DistanceFamily) -> Realization:
     splits through a vertex of the other side.
     """
     result = _two_coloured(family)
-    if not result:
+    if not result or _complete_bipartite(family, result.witness):
+        # when S is K_{X,Y}, keep its verified realization, as the pruned
+        # class does, so that within a tolerance the two verdicts agree
         return result
     bp, d = result.witness, family.d
     edges = [(a, b, d(a, b)) for a in sorted(bp.x_side) for b in sorted(bp.y_side)]
-    if len(edges) == len(family.support.graph.edges):
-        # S is that graph: keep its verified realization, as the pruned
-        # class does, so that within a tolerance the two verdicts agree
-        return result
     graph = WeightedGraph(family.n, edges)
     # Each added cross edge weighs D_ab = d_S(a, b), so in exact mode no
     # 2-weight changes; within a tolerance, paths through it may fall short.
@@ -145,11 +148,8 @@ def cobigraph_check(family: DistanceFamily) -> Realization:
     cross pair indecomposable.
     """
     result = _two_coloured(family)
-    if not result:
+    if not result or _complete_bipartite(family, result.witness):
         return result
     bp, adj = result.witness, family.support.adj
-    for a in sorted(bp.x_side):  # stops at the first missing cross pair
-        for b in sorted(bp.y_side):
-            if b not in adj[a]:
-                return Realization.rejected(f"cross entry ({a},{b}) is decomposable")
-    return result
+    a, b = next((a, b) for a in sorted(bp.x_side) for b in sorted(bp.y_side) if b not in adj[a])
+    return Realization.rejected(f"cross entry ({a},{b}) is decomposable")

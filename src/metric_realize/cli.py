@@ -1,8 +1,8 @@
 """Command-line surface tying recognizers, pruning, generators, and formats.
 
 Exit codes: 0 = accepted / success, 1 = rejected (valid input, negative
-verdict), 2 = input error or a closed output pipe.  The METRIC_REALIZE_TOL
-environment variable overrides the default tolerance used with --tol.
+verdict), 2 = input error (a bad tolerance included) or a closed output
+pipe.
 """
 
 from __future__ import annotations
@@ -52,14 +52,10 @@ RECOGNIZERS: Dict[str, Callable[[DistanceFamily], Realization]] = {
 def _cmp_from_args(args) -> Cmp:
     if args.tol is None:
         return EXACT
-    tol = args.tol
-    env = os.environ.get("METRIC_REALIZE_TOL")
-    if env is not None:
-        try:
-            tol = float(env)
-        except ValueError:
-            raise ParseError(f"METRIC_REALIZE_TOL is not a number: {env!r}")
-    return Cmp(tol)
+    try:
+        return Cmp(args.tol)
+    except ValueError as exc:
+        raise ParseError(f"--tol: {exc}") from None
 
 
 def _read(path: str) -> str:

@@ -7,6 +7,7 @@ directly; tolerance mode compares floats with a relative tolerance.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -21,14 +22,15 @@ class Cmp:
     ``tol is None`` selects exact comparison (reference semantics, used by
     all acceptance tests).  Otherwise values are compared with relative
     tolerance ``tol``; the scale is ``max(1, |a|, |b|)`` so that small
-    values are not compared against a vanishing threshold.
+    values are not compared against a vanishing threshold.  A tolerance
+    must be a number with ``0 < tol < inf``.
     """
 
     __slots__ = ("tol",)
 
     def __init__(self, tol: "float | None" = None):
-        if tol is not None and tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if tol is not None and not 0 < tol < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
         self.tol = tol
 
     @property

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 from .comparison import EXACT, Cmp, Number
 
 if TYPE_CHECKING:
+    from .bipartite import Bipartition
     from .support import Support
 
 MAX_VIOLATIONS = 32
@@ -69,6 +70,15 @@ class DistanceFamily:
         from .support import analyse  # support builds on graph, which imports this module
 
         return analyse(self)
+
+    @cached_property
+    def sides(self) -> "Bipartition":
+        """The 2-colouring of S that ``bipartite.bipartition`` walks, computed
+        on first use and kept with the family, so that both bipartite
+        checks read one walk."""
+        from .bipartite import bipartition
+
+        return bipartition(self)
 
     def with_value(self, i: int, j: int, value: Number) -> "DistanceFamily":
         """Copy of the family with one entry replaced (for perturbation tests)."""
@@ -148,11 +158,6 @@ def is_indecomposable(family: DistanceFamily, i: int, j: int) -> bool:
         if not cmp.lt(dij, d(i, z) + d(z, j)):
             return False
     return True
-
-
-def indecomposable_partners(family: DistanceFamily, i: int) -> List[int]:
-    """All j != i such that D_{i,j} is indecomposable."""
-    return [j for j in range(1, family.n + 1) if j != i and is_indecomposable(family, i, j)]
 
 
 def check_median(family: DistanceFamily, max_violations: int = MAX_VIOLATIONS) -> PairPredicateReport:

@@ -6,19 +6,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 import networkx as nx
 
 from .family import DistanceFamily, FamilyError, is_indecomposable
-from .graph import WeightedGraph
 from .realization import Realization
-
-SEARCH_SIZE_LIMIT = 10
-
-
-class SizeGuardError(ValueError):
-    """The brute-force witness search was refused for being too large."""
 
 
 @dataclass
@@ -66,93 +59,6 @@ class PlanarWitness:
                     raise FamilyError(f"link ({u},{v}) in witness is decomposable")
 
 
-def _adjacency(graph: WeightedGraph) -> Dict[int, Set[int]]:
-    adj: Dict[int, Set[int]] = {v: set() for v in range(1, graph.n + 1)}
-    for u, v, _w in graph.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
-def _interior_paths(
-    adj: Dict[int, Set[int]], a: int, b: int, banned: Set[int]
-) -> Iterator[Tuple[int, ...]]:
-    """Simple paths a -> b with at least one interior vertex, interiors
-    avoiding ``banned``; yields the tuple of interiors."""
-
-    def extend(v: int, interiors: List[int]) -> Iterator[Tuple[int, ...]]:
-        for w in sorted(adj[v]):
-            if w == b:
-                if interiors:
-                    yield tuple(interiors)
-            elif w not in banned and w != a and w not in interiors:
-                interiors.append(w)
-                yield from extend(w, interiors)
-                interiors.pop()
-
-    yield from extend(a, [])
-
-
-def _connect_hubs(
-    adj: Dict[int, Set[int]], pairs: Sequence[Tuple[int, int]], hubs: Set[int]
-) -> Optional[Dict[FrozenSet[int], Tuple[int, ...]]]:
-    """Backtracking search for pairwise-disjoint connecting chains; direct
-    edges use the empty chain and consume no interior vertices."""
-    used: Set[int] = set()
-    chains: Dict[FrozenSet[int], Tuple[int, ...]] = {}
-
-    def solve(k: int) -> bool:
-        if k == len(pairs):
-            return True
-        a, b = pairs[k]
-        if b in adj[a]:
-            chains[frozenset((a, b))] = ()
-            if solve(k + 1):
-                return True
-            del chains[frozenset((a, b))]
-            return False
-        for interiors in _interior_paths(adj, a, b, hubs | used):
-            used.update(interiors)
-            chains[frozenset((a, b))] = interiors
-            if solve(k + 1):
-                return True
-            del chains[frozenset((a, b))]
-            used.difference_update(interiors)
-        return False
-
-    return chains if solve(0) else None
-
-
-def subdivision_witness_search(
-    graph: WeightedGraph, size_limit: int = SEARCH_SIZE_LIMIT
-) -> Optional[PlanarWitness]:
-    """Exhaustive search for a K5 or K33 subdivision with hubs among [n].
-
-    Intended for small graphs (the search is exponential); beyond
-    ``size_limit`` vertices it refuses explicitly rather than degrade.
-    """
-    if graph.n > size_limit:
-        raise SizeGuardError(
-            f"witness search refused for n={graph.n} > {size_limit}; use the general planarity test"
-        )
-    adj = _adjacency(graph)
-    vertices = range(1, graph.n + 1)
-    for q in itertools.combinations(vertices, 5):
-        chains = _connect_hubs(adj, list(itertools.combinations(q, 2)), set(q))
-        if chains is not None:
-            return PlanarWitness("K5", tuple(q), chains)
-    for a_set in itertools.combinations(vertices, 3):
-        rest = [v for v in vertices if v not in a_set]
-        for b_set in itertools.combinations(rest, 3):
-            if min(b_set) < min(a_set):
-                continue  # unordered {A, B}: avoid the mirror duplicate
-            pairs = [(a, b) for a in a_set for b in b_set]
-            chains = _connect_hubs(adj, pairs, set(a_set) | set(b_set))
-            if chains is not None:
-                return PlanarWitness("K33", (tuple(a_set), tuple(b_set)), chains)
-    return None
-
-
 def _witness_from_kuratowski(sub: "nx.Graph") -> PlanarWitness:
     """Convert a Kuratowski subgraph (a K5/K33 subdivision) into a witness
     whose chains run from the first to the second hub of each hub pair."""
@@ -196,8 +102,7 @@ def planar_check(family: DistanceFamily) -> Realization:
     (the pruned realization forced by the indecomposable pairs).
 
     On rejection for non-planarity the result carries a PlanarWitness.  The
-    tests compare this with the exhaustive Kuratowski-subdivision search on S
-    (``subdivision_witness_search``).
+    tests compare this with an exhaustive Kuratowski-subdivision search on S.
     """
     support = family.support
     failed = support.rejection()

@@ -9,62 +9,11 @@ realization is its tree.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from .comparison import Number
-from .family import DistanceFamily, FamilyError
+from .family import DistanceFamily
 from .realization import Realization
 from .support import Support
-
-
-@dataclass
-class CaterpillarStats:
-    """Pendant offsets t_x per vertex and the pair maximizing D_{a,b} - t_a - t_b.
-
-    ``offsets[i - 1]`` is t_i.  For a family realized by a caterpillar, t_x is
-    the pendant-edge weight when x is a leaf and 0 when x is on the spine.
-    """
-
-    offsets: Tuple[Number, ...]
-    extremal_pair: Tuple[int, int]
-
-    def t(self, x: int) -> Number:
-        return self.offsets[x - 1]
-
-
-def pendant_offsets(family: DistanceFamily) -> CaterpillarStats:
-    """Compute t_x = 1/2 min over distinct y,z != x of (D_{x,y}+D_{x,z}-D_{y,z})
-    and the extremal pair maximizing D_{a,b} - t_a - t_b (lexicographic ties).
-
-    Requires n >= 3 and the triangle inequalities (caller responsibility);
-    under them every t_x is nonnegative.
-    """
-    if family.n < 3:
-        raise FamilyError("pendant offsets need n >= 3")
-    d = family.d
-    offsets: List[Number] = []
-    for x in range(1, family.n + 1):
-        others = [v for v in range(1, family.n + 1) if v != x]
-        m = min(d(x, y) + d(x, z) - d(y, z) for y, z in itertools.combinations(others, 2))
-        offsets.append(m / 2 if isinstance(m, float) else _half(m))
-    best = None
-    best_val = None
-    for a, b in family.pairs():
-        v = d(a, b) - offsets[a - 1] - offsets[b - 1]
-        if best_val is None or v > best_val:
-            best_val = v
-            best = (a, b)
-    return CaterpillarStats(tuple(offsets), best)
-
-
-def _half(value) -> Number:
-    from fractions import Fraction
-
-    if isinstance(value, int) and value % 2 == 0:
-        return value // 2
-    return Fraction(value, 2) if isinstance(value, int) else value / 2
 
 
 def _not_a_tree(support: Support) -> Optional[Realization]:
@@ -104,7 +53,8 @@ def caterpillar_check(family: DistanceFamily) -> Realization:
     inner neighbours; S is the caterpillar.
 
     The tests compare this with the paper's criterion: four-point and median
-    conditions, and for the extremal pair (a, b) of ``pendant_offsets``,
+    conditions, and for the pair (a, b) maximizing D_{a,b} - t_a - t_b over
+    the pendant offsets t_x = 1/2 min_{y,z} (D_{x,y} + D_{x,z} - D_{y,z}),
     D_{a,b} + D_{i,j} >= max{D_{a,i}+D_{b,j}, D_{a,j}+D_{b,i}} for all
     distinct i, j outside {a, b}.
     """

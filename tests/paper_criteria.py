@@ -2,21 +2,145 @@
 
 The recognizers read every verdict off the support graph S; these
 predicates decide the same classes from the criteria the paper states on
-the family itself, so tests can compare the two.
+the family itself, so tests can compare the two.  The module also holds
+the paper's constructions they rest on: the pendant offsets of a
+caterpillar and the polygon ordering walk along indecomposable partners.
 """
 
 import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import List, Tuple
 
 from metric_realize import (
+    DistanceFamily,
     FamilyError,
+    WeightedGraph,
     bipartition,
     check_four_point,
     check_median,
     check_triangle,
     is_indecomposable,
-    pendant_offsets,
-    polygon_order,
 )
+from metric_realize.bipartite import _min_pair
+from metric_realize.comparison import Number
+
+
+def indecomposable_partners(family: DistanceFamily, i: int) -> List[int]:
+    """All j != i such that D_{i,j} is indecomposable."""
+    return [j for j in range(1, family.n + 1) if j != i and is_indecomposable(family, i, j)]
+
+
+@dataclass
+class CaterpillarStats:
+    """Pendant offsets t_x per vertex and the pair maximizing D_{a,b} - t_a - t_b.
+
+    ``offsets[i - 1]`` is t_i.  For a family realized by a caterpillar, t_x is
+    the pendant-edge weight when x is a leaf and 0 when x is on the spine.
+    """
+
+    offsets: Tuple[Number, ...]
+    extremal_pair: Tuple[int, int]
+
+    def t(self, x: int) -> Number:
+        return self.offsets[x - 1]
+
+
+def pendant_offsets(family: DistanceFamily) -> CaterpillarStats:
+    """Compute t_x = 1/2 min over distinct y,z != x of (D_{x,y}+D_{x,z}-D_{y,z})
+    and the extremal pair maximizing D_{a,b} - t_a - t_b (lexicographic ties).
+
+    Requires n >= 3 and the triangle inequalities (caller responsibility);
+    under them every t_x is nonnegative.
+    """
+    if family.n < 3:
+        raise FamilyError("pendant offsets need n >= 3")
+    d = family.d
+    offsets: List[Number] = []
+    for x in range(1, family.n + 1):
+        others = [v for v in range(1, family.n + 1) if v != x]
+        m = min(d(x, y) + d(x, z) - d(y, z) for y, z in itertools.combinations(others, 2))
+        offsets.append(m / 2 if isinstance(m, float) else _half(m))
+    best = None
+    best_val = None
+    for a, b in family.pairs():
+        v = d(a, b) - offsets[a - 1] - offsets[b - 1]
+        if best_val is None or v > best_val:
+            best_val = v
+            best = (a, b)
+    return CaterpillarStats(tuple(offsets), best)
+
+
+def _half(value) -> Number:
+    if isinstance(value, int) and value % 2 == 0:
+        return value // 2
+    return Fraction(value, 2) if isinstance(value, int) else value / 2
+
+
+@dataclass
+class PolygonOrder:
+    """Vertex order produced by the renaming walk along indecomposable pairs.
+
+    ``complete`` is true when all n vertices were absorbed before the walk
+    first revisited a seen vertex; consecutive entries (cyclically, when
+    complete) are indecomposable pairs of the family.
+    """
+
+    order: Tuple[int, ...]
+    complete: bool
+
+
+def polygon_order(family: DistanceFamily) -> PolygonOrder:
+    """Walk the indecomposable-partner relation starting from a minimal pair.
+
+    Precondition: every vertex has exactly two indecomposable partners (a
+    violation raises FamilyError).  The walk starts at the lexicographically
+    first minimal pair, whose value must itself be indecomposable, and
+    repeatedly appends the unused partner of the last vertex.
+    """
+    if family.n < 3:
+        raise FamilyError("polygon ordering needs n >= 3")
+    partners = {}
+    for i in range(1, family.n + 1):
+        p = indecomposable_partners(family, i)
+        if len(p) != 2:
+            raise FamilyError(
+                f"vertex {i} has {len(p)} indecomposable partners, expected exactly 2"
+            )
+        partners[i] = p
+    u, v = _min_pair(family)
+    if v not in partners[u]:
+        raise FamilyError(f"minimal pair ({u},{v}) is not indecomposable; malformed family")
+    order = [u, v]
+    seen = {u, v}
+    while True:
+        last, prev = order[-1], order[-2]
+        a, b = partners[last]
+        nxt = b if a == prev else a
+        if nxt in seen:
+            break
+        order.append(nxt)
+        seen.add(nxt)
+    return PolygonOrder(tuple(order), complete=(len(order) == family.n))
+
+
+def canonical_cycle_order(graph: WeightedGraph) -> Tuple[int, ...]:
+    """Vertex order of a cycle graph, starting at the smallest label and
+    oriented toward its smaller neighbor; for comparisons up to rotation and
+    reflection."""
+    adj = {v: [] for v in range(1, graph.n + 1)}
+    for u, v, _w in graph.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for v, nb in adj.items():
+        if len(nb) != 2:
+            raise FamilyError(f"not a cycle: vertex {v} has degree {len(nb)}")
+    start = 1
+    order = [start, min(adj[start])]
+    while len(order) < graph.n:
+        a, b = adj[order[-1]]
+        order.append(b if a == order[-2] else a)
+    return tuple(order)
 
 
 def triangle(family):

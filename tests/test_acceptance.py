@@ -17,24 +17,24 @@ from metric_realize import (
     WeightedGraph,
     bigraph_check,
     bipartition,
-    brute_force_class_check,
     caterpillar_check,
     classify,
     complete_check,
     generate,
     is_indecomposable,
-    pendant_offsets,
     planar_check,
     polygon_check,
     prune,
     snake_check,
-    subdivision_witness_search,
     support_graph,
     tree_check,
     two_weights,
     useful_edges,
     verify_realization,
 )
+
+from oracles import brute_force_class_check, subdivision_witness_search
+from paper_criteria import pendant_offsets
 
 CLASSES = (
     ("snake", snake_check),

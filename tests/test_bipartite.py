@@ -13,9 +13,9 @@ from metric_realize import (
     two_weights,
     verify_realization,
 )
-from metric_realize.generators import brute_force_class_check
 
 from conftest import fam, fam_of, random_connected_graph
+from oracles import brute_force_class_check
 
 
 def complete_bipartite(x_side, y_side, weight):

@@ -182,6 +182,12 @@ class TestToleranceMode:
         # within tolerance of equality: still counted as decomposable
         assert not is_indecomposable(f, 1, 3)
 
+    def test_tolerance_must_be_positive_and_finite(self):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                Cmp(bad)
+        assert Cmp(1e-300).tol == 1e-300 and Cmp(1e300).tol == 1e300
+
 
 class TestOnePassSupport:
     def test_agrees_with_per_pair_checks(self):
@@ -254,6 +260,33 @@ class TestOnePassSupport:
                     m.setattr(graph_module, "shortest_path_matrix", counting)
                     report = metric_realize.classify(f)
                 assert len(calls) == 1, (class_id, n, report.accepted_classes())
+
+    def test_one_bipartite_walk_per_classify(self, monkeypatch):
+        # both bipartite checks read the walk kept with the family
+        import metric_realize
+        from metric_realize import GenSpec, generate
+        from metric_realize import bipartite as bipartite_module
+        from metric_realize.generators import CLASS_MIN_N
+
+        calls = []
+        bipartition = bipartite_module.bipartition
+
+        def counting(family):
+            calls.append(family)
+            return bipartition(family)
+
+        for class_id in sorted(CLASS_MIN_N):
+            for n, kind in ((3, "int"), (8, "decimal"), (12, "int")):
+                f = two_weights(generate(GenSpec(class_id, n, 5, weight_kind=kind)))
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(bipartite_module, "bipartition", counting)
+                    report = metric_realize.classify(f)
+                    pruned = metric_realize.cobigraph_check(f)
+                assert calls == [f], (class_id, n, report.accepted_classes())
+                assert pruned == report.verdicts["pruned_bipartite"]
+                if report.bipartition is not None:
+                    assert report.bipartition == bipartition(f)
 
 
 NINE_RECOGNIZERS = (

@@ -7,7 +7,6 @@ from metric_realize import (
     GenSpec,
     GenerationError,
     WeightedGraph,
-    brute_force_class_check,
     caterpillar_check,
     classify,
     cobigraph_check,
@@ -23,12 +22,8 @@ from metric_realize import (
     two_weights,
     verify_realization,
 )
-from metric_realize.generators import (
-    is_caterpillar_edges,
-    is_snake_edges,
-    prufer_sequences,
-    tree_from_prufer,
-)
+
+from oracles import brute_force_class_check, is_caterpillar_edges, is_snake_edges
 
 RECOGNIZER_FOR = {
     "snake": snake_check,

@@ -6,16 +6,15 @@ import pytest
 import networkx as nx
 
 from metric_realize import (
-    SizeGuardError,
     WeightedGraph,
     planar_check,
-    subdivision_witness_search,
     support_graph,
     two_weights,
     verify_realization,
 )
 
 from conftest import fam, random_connected_graph
+from oracles import SizeGuardError, subdivision_witness_search
 
 
 def unit_family(n, pairs):

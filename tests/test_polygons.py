@@ -6,17 +6,16 @@ import pytest
 from metric_realize import (
     FamilyError,
     WeightedGraph,
-    canonical_cycle_order,
     polygon_check,
-    polygon_order,
     prune,
     pruned_polygon_check,
     two_weights,
     verify_realization,
 )
-from metric_realize.generators import brute_force_class_check
 
 from conftest import fam, fam_of
+from oracles import brute_force_class_check
+from paper_criteria import canonical_cycle_order, polygon_order
 
 
 def cycle_graph(weights):

@@ -1,12 +1,16 @@
 """Properties every verdict keeps: relabelling the vertices relabels the
-verdicts' graphs and sides, and integral data gets the same verdicts in
-exact and in tolerance mode."""
+verdicts' graphs and sides, integral data gets the same verdicts in exact
+and in tolerance mode, and at small n every recognizer agrees with its
+brute-force oracle."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import metric_realize
 from metric_realize import Cmp, DistanceFamily, GenSpec, classify, generate, two_weights
 from metric_realize.generators import CLASS_MIN_N
+
+from oracles import brute_force_class_check
 
 PROPERTY_SETTINGS = settings(
     max_examples=150,
@@ -18,11 +22,11 @@ PROPERTY_SETTINGS = settings(
 
 
 @st.composite
-def families(draw, weight_kinds=("int", "decimal")):
-    """Two-weights of a generated instance of any class at n <= 10, half of
-    them with one entry raised by 1 or 2 (often no longer a metric)."""
+def families(draw, weight_kinds=("int", "decimal"), min_n=2, max_n=10):
+    """Two-weights of a generated instance of any class at n <= max_n, half
+    of them with one entry raised by 1 or 2 (often no longer a metric)."""
     class_id = draw(st.sampled_from(sorted(CLASS_MIN_N)))
-    n = draw(st.integers(max(2, CLASS_MIN_N[class_id]), 10))
+    n = draw(st.integers(max(min_n, CLASS_MIN_N[class_id]), max_n))
     spec = GenSpec(class_id, n, draw(st.integers(0, 10**6)), weight_kind=draw(st.sampled_from(weight_kinds)))
     f = two_weights(generate(spec))
     if draw(st.booleans()):
@@ -66,3 +70,24 @@ def test_verdicts_follow_a_relabelling(data):
 def test_exact_and_tolerance_mode_agree_on_integral_data(f):
     floats = DistanceFamily(f.n, {p: float(v) for p, v in f.values.items()}, Cmp(1e-9))
     assert accepted(classify(floats)) == accepted(classify(f))
+
+
+ORACLE_FOR = {
+    "snake_check": "snake",
+    "caterpillar_check": "caterpillar",
+    "tree_check": "tree",
+    "pruned_polygon_check": "pruned_polygon",
+    "polygon_check": "polygon",
+    "complete_check": "complete",
+    "bigraph_check": "complete_bipartite",
+    "cobigraph_check": "pruned_complete_bipartite",
+    "planar_check": "planar",
+}
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(families(min_n=3, max_n=6))
+def test_recognizers_agree_with_the_brute_force_oracles(f):
+    for name, oracle_id in ORACLE_FOR.items():
+        verdict = getattr(metric_realize, name)(f)
+        assert verdict.accepted == brute_force_class_check(f, oracle_id), (name, verdict.reason)

@@ -219,20 +219,23 @@ class TestCli:
         capsys.readouterr()
         assert run(["check", "--class", "snake", str(path), "--tol"]) == 0
 
-    def test_tol_env_override(self, tmp_path, capsys, monkeypatch):
+    def test_tol_value_sets_the_tolerance(self, tmp_path, capsys):
         near = "0,1,2.000000000001\n1,0,1\n2.000000000001,1,0\n"
         path = tmp_path / "near.csv"
         path.write_text(near)
-        monkeypatch.setenv("METRIC_REALIZE_TOL", "1e-15")
-        assert run(["check", "--class", "snake", str(path), "--tol"]) == 1
-        monkeypatch.setenv("METRIC_REALIZE_TOL", "1e-6")
+        assert run(["check", "--class", "snake", str(path), "--tol", "1e-15"]) == 1
         capsys.readouterr()
-        assert run(["check", "--class", "snake", str(path), "--tol"]) == 0
+        assert run(["check", "--class", "snake", str(path), "--tol", "1e-6"]) == 0
 
-    def test_tol_env_junk_is_input_error(self, tmp_files, capsys, monkeypatch):
+    def test_bad_tolerance_is_input_error(self, tmp_files, capsys):
         _, matrix_path = tmp_files
-        monkeypatch.setenv("METRIC_REALIZE_TOL", "not-a-number")
-        assert run(["check", "--class", "tree", matrix_path, "--tol"]) == 2
+        for args in (["check", "--class", "snake", matrix_path], ["classify", matrix_path]):
+            for bad in ("0", "-1", "nan", "inf"):
+                assert run([*args, "--tol", bad]) == 2, (args[0], bad)
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                lines = captured.err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: --tol: tolerance"), lines
 
 
 class TestHostileInput:

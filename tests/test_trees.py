@@ -8,21 +8,16 @@ from metric_realize import (
     FamilyError,
     WeightedGraph,
     caterpillar_check,
-    pendant_offsets,
     snake_check,
     tree_check,
     two_weights,
     verify_realization,
 )
-from metric_realize.generators import (
-    is_caterpillar_edges,
-    is_snake_edges,
-    prufer_sequences,
-    random_prufer_tree,
-    tree_from_prufer,
-)
+from metric_realize.generators import random_prufer_tree, tree_from_prufer
 
 from conftest import fam, fam_of
+from oracles import is_caterpillar_edges, is_snake_edges, prufer_sequences
+from paper_criteria import pendant_offsets
 
 
 def weighted(pairs, rng):

@@ -75,12 +75,31 @@ def _emit_graph(graph, fmt: str) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tol",
-        nargs="?",
         type=float,
-        const=DEFAULT_TOL,
         default=None,
-        help="float mode with relative tolerance (default 1e-9); omit for exact rationals",
+        help="float mode with relative tolerance (default 1e-9 when the next "
+        "argument is not a number); omit for exact rationals",
     )
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _default_bare_tol(argv):
+    """``--tol`` takes the next argument only when it is a number; otherwise
+    it stands for the default tolerance, so ``--tol m.csv`` keeps m.csv as
+    the path and a trailing ``--tol`` still works."""
+    argv = list(argv)
+    for k, token in enumerate(argv):
+        following = argv[k + 1 : k + 2]
+        if token == "--tol" and not (following and _is_number(following[0])):
+            argv[k] = f"--tol={DEFAULT_TOL!r}"
+    return argv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_default_bare_tol(argv))
     try:
         return _dispatch(args)
     except (ParseError, FamilyError, GraphError, GenerationError) as exc:

@@ -158,3 +158,69 @@ class TestPlanarCheck:
             f = two_weights(g)
             s = support_graph(f)
             assert planar_check(f).accepted == (subdivision_witness_search(s) is None)
+
+
+def interleaved_bipartite_pairs(a, b):
+    """K_{a,b} whose sides alternate in label order (1, 3, 5, ... on one
+    side while both sides last), so no vertex prefix is a single side."""
+    labels = list(range(1, a + b + 1))
+    k = min(a, b)
+    side_a = labels[0 : 2 * k : 2] + labels[2 * k :][: a - k]
+    side_b = [v for v in labels if v not in side_a]
+    return [(min(u, v), max(u, v)) for u in side_a for v in side_b]
+
+
+def complete_pairs(n):
+    return list(itertools.combinations(range(1, n + 1), 2))
+
+
+def subdivided(pairs, edge, n):
+    """The graph with ``edge`` split by a new vertex n + 1."""
+    u, v = edge
+    return [p for p in pairs if p != edge] + [(u, n + 1), (v, n + 1)]
+
+
+class TestWitnessCost:
+    """The witness comes from the smallest non-planar vertex prefix of S and
+    one edge-deletion pass, a few left-right planarity runs instead of two
+    per edge of S."""
+
+    @pytest.fixture
+    def lr_runs(self, monkeypatch):
+        from networkx.algorithms.planarity import LRPlanarity
+
+        runs = [0]
+        original = LRPlanarity.lr_planarity
+
+        def counted(self):
+            runs[0] += 1
+            return original(self)
+
+        monkeypatch.setattr(LRPlanarity, "lr_planarity", counted)
+        return runs
+
+    def test_unit_k21_needs_few_planarity_runs(self, lr_runs):
+        r = planar_check(unit_family(21, complete_pairs(21)))
+        assert not r.accepted and r.witness.kind == "K5"
+        assert lr_runs[0] <= 20, lr_runs[0]
+
+    @pytest.mark.parametrize(
+        "n, pairs, kind",
+        [(n, complete_pairs(n), "K5") for n in range(5, 22)]
+        + [
+            (a + b, interleaved_bipartite_pairs(a, b), "K33")
+            for a, b in [(3, 3), (3, 4), (4, 3), (3, 7), (5, 5), (6, 9)]
+        ]
+        + [
+            (10, PETERSEN_PAIRS, "K33"),
+            # the split vertex has the last label: the prefix is all of S
+            (6, subdivided(complete_pairs(5), (1, 2), 5), "K5"),
+            (7, subdivided(interleaved_bipartite_pairs(3, 3), (1, 2), 6), "K33"),
+        ],
+    )
+    def test_rejection_witnesses_validate(self, n, pairs, kind):
+        f = unit_family(n, pairs)
+        r = planar_check(f)
+        assert not r.accepted
+        assert r.witness.kind == kind
+        r.witness.validate(f)

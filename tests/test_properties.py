@@ -1,13 +1,29 @@
 """Properties every verdict keeps: relabelling the vertices relabels the
 verdicts' graphs and sides, integral data gets the same verdicts in exact
 and in tolerance mode, and at small n every recognizer agrees with its
-brute-force oracle."""
+brute-force oracle.  Pruning is idempotent and keeps every 2-weight."""
 
+import itertools
+from fractions import Fraction
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import metric_realize
-from metric_realize import Cmp, DistanceFamily, GenSpec, classify, generate, two_weights
+from metric_realize import (
+    Cmp,
+    DistanceFamily,
+    GenSpec,
+    WeightedGraph,
+    caterpillar_check,
+    classify,
+    generate,
+    prune,
+    support_graph,
+    tree_check,
+    two_weights,
+)
 from metric_realize.generators import CLASS_MIN_N
 
 from oracles import brute_force_class_check
@@ -33,6 +49,28 @@ def families(draw, weight_kinds=("int", "decimal"), min_n=2, max_n=10):
         i, j = draw(st.sampled_from(list(f.pairs())))
         f = f.with_value(i, j, f.d(i, j) + draw(st.sampled_from((1, 2))))
     return f
+
+
+@st.composite
+def graphs(draw, max_n=10):
+    """A generated instance of any class, or a G(n, m) graph (a random
+    spanning tree plus any number of further edges, most of them useless
+    under random weights), with int or decimal weights."""
+    kind = draw(st.sampled_from(("int", "decimal")))
+    if draw(st.booleans()):
+        class_id = draw(st.sampled_from(sorted(CLASS_MIN_N)))
+        n = draw(st.integers(CLASS_MIN_N[class_id], max_n))
+        return generate(GenSpec(class_id, n, draw(st.integers(0, 10**6)), weight_kind=kind))
+    n = draw(st.integers(2, max_n))
+    pairs = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    chords = [p for p in itertools.combinations(range(1, n + 1), 2) if p not in pairs]
+    if chords:
+        pairs.update(draw(st.lists(st.sampled_from(chords), unique=True)))
+    if kind == "int":
+        weights = st.integers(1, 20)
+    else:
+        weights = st.integers(10, 200).map(lambda tenths: Fraction(tenths, 10))
+    return WeightedGraph(n, [(u, v, draw(weights)) for u, v in sorted(pairs)])
 
 
 def relabelled(family, perm):
@@ -91,3 +129,42 @@ def test_recognizers_agree_with_the_brute_force_oracles(f):
     for name, oracle_id in ORACLE_FOR.items():
         verdict = getattr(metric_realize, name)(f)
         assert verdict.accepted == brute_force_class_check(f, oracle_id), (name, verdict.reason)
+
+
+@PROPERTY_SETTINGS
+@given(graphs())
+def test_prune_is_idempotent_and_keeps_the_two_weights(g):
+    pruned = prune(g)
+    assert prune(pruned) == pruned
+    family = two_weights(g)
+    assert two_weights(pruned).values == family.values
+    # and the result is the unique pruned realization, the support graph
+    assert pruned == support_graph(family)
+
+
+# The spider (a claw with legs of length 2, hub 4) is the smallest tree that
+# is not a caterpillar, so the draws above (n <= 6) cannot tell the two
+# recognizers apart; these n = 7 families can.
+SPIDER_PAIRS = [(4, 2), (2, 7), (4, 5), (5, 1), (4, 6), (6, 3)]
+SEVEN_VERTEX_FAMILIES = [
+    pytest.param(
+        two_weights(WeightedGraph(7, [(u, v, w) for (u, v), w in zip(SPIDER_PAIRS, weights)])),
+        id=f"spider-{name}",
+    )
+    for name, weights in (
+        ("unit", [1] * 6),
+        ("int", [3, 1, 4, 1, 5, 9]),
+        ("decimal", [Fraction(k, 10) for k in (13, 7, 21, 5, 9, 30)]),
+    )
+] + [
+    pytest.param(two_weights(generate(GenSpec(class_id, 7, seed, weight_kind=kind))), id=f"{class_id}-{seed}-{kind}")
+    for class_id in ("tree", "caterpillar")
+    for seed in (0, 1)
+    for kind in ("int", "decimal")
+]
+
+
+@pytest.mark.parametrize("f", SEVEN_VERTEX_FAMILIES)
+def test_tree_recognizers_agree_with_the_oracles_at_seven_vertices(f):
+    for check, oracle_id in ((caterpillar_check, "caterpillar"), (tree_check, "tree")):
+        assert check(f).accepted == brute_force_class_check(f, oracle_id), check.__name__

@@ -227,6 +227,18 @@ class TestCli:
         capsys.readouterr()
         assert run(["check", "--class", "snake", str(path), "--tol", "1e-6"]) == 0
 
+    def test_tol_before_the_path_keeps_the_path(self, tmp_path, capsys):
+        # a non-number after --tol is the matrix path, and --tol its default
+        near = "0,1,2.000000000001\n1,0,1\n2.000000000001,1,0\n"
+        path = tmp_path / "near.csv"
+        path.write_text(near)
+        assert run(["check", "--class", "snake", "--tol", str(path)]) == 0
+        assert run(["check", "--tol", "--class", "snake", str(path)]) == 0
+        assert run(["check", "--class", "snake", "--tol", "1e-15", str(path)]) == 1
+        capsys.readouterr()
+        assert run(["classify", "--tol", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["classes"]["snake"]["accepted"] is True
+
     def test_bad_tolerance_is_input_error(self, tmp_files, capsys):
         _, matrix_path = tmp_files
         for args in (["check", "--class", "snake", matrix_path], ["classify", matrix_path]):

@@ -13,10 +13,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
+from . import kernel
 from .comparison import EXACT, Cmp, Number
 
 if TYPE_CHECKING:
     from .bipartite import Bipartition
+    from .kernel import Scaled
     from .support import Support
 
 MAX_VIOLATIONS = 32
@@ -70,6 +72,14 @@ class DistanceFamily:
         from .support import analyse  # support builds on graph, which imports this module
 
         return analyse(self)
+
+    @cached_property
+    def scaled(self) -> "Scaled":
+        """The family as one n x n array (``metric_realize.kernel``): the
+        values times the LCM of their denominators, int64 or Python ints, or
+        float64 once a value is a float; diagonal 0.  Built on first use and
+        kept with the family, so that every verification reads one copy."""
+        return kernel.pair_matrix(self.n, self.values, kernel.common_scale(self.values.values()))
 
     @cached_property
     def sides(self) -> "Bipartition":

@@ -2,7 +2,8 @@
 
 The 2-weight of a pair (i, j) is the minimum total weight of a connected
 subgraph containing both; with positive weights this is the shortest-path
-weight, computed here by Floyd-Warshall.
+weight, computed here by Floyd-Warshall on the dense min-plus kernel
+(``metric_realize.kernel``).
 """
 
 from __future__ import annotations
@@ -11,8 +12,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
+import numpy as np
+
+from . import kernel
 from .comparison import EXACT, Cmp, Number
-from .family import DistanceFamily, FamilyError, is_indecomposable
+from .family import DistanceFamily, FamilyError
 
 Edge = Tuple[int, int, Number]
 
@@ -123,44 +127,42 @@ class EdgeUsefulness:
     useless: FrozenSet[Tuple[int, int]]
 
 
-def shortest_path_matrix(graph: WeightedGraph) -> List[List[Number]]:
-    """All-pairs shortest path weights, 0-indexed matrix (Floyd-Warshall);
-    ``float("inf")`` for pairs in different components."""
-    n = graph.n
-    inf = float("inf")
-    dist: List[List[Number]] = [[inf] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0
-    for u, v, w in graph.edges:
-        if w < dist[u - 1][v - 1]:
-            dist[u - 1][v - 1] = w
-            dist[v - 1][u - 1] = w
-    for k in range(n):
-        # Only finite entries are added: an exact value beyond the float
-        # range plus inf would overflow.  Row k equals column k (the graph is
-        # undirected) and does not change while k is the midpoint.
-        reach = [(j, w) for j, w in enumerate(dist[k]) if w != inf]
-        for i, dik in reach:
-            di = dist[i]
-            for j, dkj in reach:
-                alt = dik + dkj
-                if alt < di[j]:
-                    di[j] = alt
-    return dist
+def _scale(graph: WeightedGraph):
+    """The kernel's scale for the graph's weights (None for float64)."""
+    return kernel.common_scale(w for _u, _v, w in graph.edges)
 
 
-def two_weights(graph: WeightedGraph, cmp: Cmp = EXACT) -> DistanceFamily:
-    """The family of 2-weights of a connected positive-weighted graph."""
+def _distances(graph: WeightedGraph) -> kernel.Scaled:
+    """The graph's 2-weights from the kernel; the graph must be connected."""
     if graph.n < 2:
         raise GraphError("2-weights need n >= 2")
     if not graph.is_connected():
         raise GraphError("2-weights are only defined for connected graphs")
-    dist = shortest_path_matrix(graph)
-    values = {
-        (i, j): dist[i - 1][j - 1]
-        for i, j in itertools.combinations(range(1, graph.n + 1), 2)
-    }
-    return DistanceFamily(graph.n, values, cmp)
+    dist, _inf = kernel.all_pairs(graph.n, graph.edges, _scale(graph))
+    return dist
+
+
+def shortest_path_matrix(graph: WeightedGraph) -> List[List[Number]]:
+    """All-pairs shortest path weights, 0-indexed matrix (Floyd-Warshall);
+    ``float("inf")`` for pairs in different components."""
+    dist, inf = kernel.all_pairs(graph.n, graph.edges, _scale(graph))
+    apart = (dist.array == inf).tolist()
+    return [
+        [float("inf") if far else x for x, far in zip(dist.numbers(row), row_apart)]
+        for row, row_apart in zip(dist.array, apart)
+    ]
+
+
+def two_weights(graph: WeightedGraph, cmp: Cmp = EXACT) -> DistanceFamily:
+    """The family of 2-weights of a connected positive-weighted graph."""
+    dist = _distances(graph)
+    upper = dist.array[np.triu_indices(graph.n, 1)]
+    pairs = itertools.combinations(range(1, graph.n + 1), 2)
+    return DistanceFamily(graph.n, dict(zip(pairs, dist.numbers(upper))), cmp)
+
+
+def _useful_mask(graph: WeightedGraph, cmp: Cmp) -> List[bool]:
+    return kernel.useful(_distances(graph), graph.edges, cmp).tolist()
 
 
 def useful_edges(graph: WeightedGraph, cmp: Cmp = EXACT) -> EdgeUsefulness:
@@ -170,14 +172,10 @@ def useful_edges(graph: WeightedGraph, cmp: Cmp = EXACT) -> EdgeUsefulness:
     indecomposable in the family of 2-weights; this matches the path-based
     definition (an edge some pair cannot avoid).
     """
-    family = two_weights(graph, cmp)
     useful = set()
     useless = set()
-    for u, v, w in graph.edges:
-        if cmp.eq(w, family.d(u, v)) and is_indecomposable(family, u, v):
-            useful.add((u, v))
-        else:
-            useless.add((u, v))
+    for (u, v, _w), keep in zip(graph.edges, _useful_mask(graph, cmp)):
+        (useful if keep else useless).add((u, v))
     return EdgeUsefulness(frozenset(useful), frozenset(useless))
 
 
@@ -188,8 +186,7 @@ def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:
     result does not depend on any removal order; the operation is idempotent
     and preserves all 2-weights.
     """
-    usefulness = useful_edges(graph, cmp)
-    kept = [e for e in graph.edges if (e[0], e[1]) in usefulness.useful]
+    kept = [e for e, keep in zip(graph.edges, _useful_mask(graph, cmp)) if keep]
     return WeightedGraph(graph.n, kept)
 
 
@@ -197,12 +194,16 @@ def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
     """True iff the graph's 2-weights equal the family entrywise under its cmp mode."""
     if graph.n != family.n:
         raise GraphError(f"size mismatch: graph n={graph.n}, family n={family.n}")
-    dist = shortest_path_matrix(graph)
-    cmp = family.cmp
-    for i, j in family.pairs():
-        if not cmp.eq(dist[i - 1][j - 1], family.d(i, j)):
-            return False
-    return True
+    # A disconnected graph has infinite 2-weights, which the tolerance rule
+    # would call close to anything; it never realizes D.
+    if not graph.is_connected():
+        return False
+    target = family.scaled
+    scale = kernel.joint_scale(target.scale, _scale(graph))
+    if scale != target.scale:
+        target = kernel.pair_matrix(family.n, family.values, scale)
+    dist, _inf = kernel.all_pairs(graph.n, graph.edges, scale)
+    return bool(kernel.eq(dist.array, target.array, scale, family.cmp).all())
 
 
 def support_graph(family: DistanceFamily) -> WeightedGraph:

@@ -15,8 +15,18 @@ from .family import DistanceFamily, FamilyError
 from .graph import GraphError, WeightedGraph
 
 
+# Largest vertex count a document may declare.  It is checked before
+# anything of size n^2 is built: a kernel matrix takes 8 n^2 bytes.
+MAX_N = 2048
+
+
 class ParseError(ValueError):
     pass
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_N:
+        raise ParseError(f"{n} vertices exceed the limit of {MAX_N}")
 
 
 def parse_number(token: str, cmp: Cmp = EXACT) -> Number:
@@ -70,6 +80,7 @@ def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
     n = len(rows)
     if n < 2:
         raise ParseError(f"matrix needs at least 2 rows, got {n}")
+    _check_size(n)
     matrix: List[List[Number]] = []
     for i, row in enumerate(rows, start=1):
         cells = [c for c in row.split(",")]
@@ -117,17 +128,29 @@ def graph_from_json(text: str, cmp: Cmp = EXACT) -> WeightedGraph:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     try:
-        n = int(doc["n"])
+        n = _json_int(doc["n"], "n")
         edges = [
-            (int(e["u"]), int(e["v"]), parse_number(str(e["w"]), cmp))
+            (_json_int(e["u"], "u"), _json_int(e["v"], "v"), parse_number(str(e["w"]), cmp))
             for e in doc["edges"]
         ]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
     try:
-        return WeightedGraph(n, edges)
+        graph = WeightedGraph(n, edges)
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
+    # A connected graph lists n - 1 edges, so the checks so far cost no more
+    # than reading the document; the kernel's n x n matrices come later.
+    _check_size(graph.n)
+    return graph
+
+
+def _json_int(value, key: str) -> int:
+    # JSON integers only: int() would make 1.6 and true (a bool is an int)
+    # both vertex 1
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 def graph_to_dot(graph: WeightedGraph) -> str:

@@ -1,5 +1,6 @@
-"""Small-n brute-force realizability oracles and the exhaustive Kuratowski
-search, against which the tests check the recognizers.
+"""Small-n brute-force realizability oracles, the exhaustive Kuratowski
+search, and the scalar 2-weights, usefulness and verification loops, against
+which the tests check the recognizers and the dense min-plus kernel.
 
 Oracles enumerate candidate topologies (Prufer sequences for trees, cyclic
 orders for polygons, side assignments for bipartitions) with edge weights
@@ -14,14 +15,18 @@ import itertools
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from metric_realize import (
+    EXACT,
+    Cmp,
     DistanceFamily,
+    EdgeUsefulness,
     PlanarWitness,
     WeightedGraph,
     check_triangle,
+    is_indecomposable,
     support_graph,
 )
+from metric_realize.comparison import Number
 from metric_realize.generators import tree_from_prufer
-from metric_realize.graph import shortest_path_matrix
 
 ORACLE_SIZE_LIMIT = 7
 SEARCH_SIZE_LIMIT = 10
@@ -29,6 +34,63 @@ SEARCH_SIZE_LIMIT = 10
 
 class SizeGuardError(ValueError):
     """The brute-force witness search was refused for being too large."""
+
+
+# ---------------------------------------------------------------------------
+# Scalar 2-weights, usefulness and verification (references for the kernel)
+# ---------------------------------------------------------------------------
+
+
+def shortest_path_matrix(graph: WeightedGraph) -> List[List[Number]]:
+    """All-pairs shortest path weights, 0-indexed matrix (scalar
+    Floyd-Warshall); ``float("inf")`` for pairs in different components."""
+    n = graph.n
+    inf = float("inf")
+    dist: List[List[Number]] = [[inf] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = 0
+    for u, v, w in graph.edges:
+        if w < dist[u - 1][v - 1]:
+            dist[u - 1][v - 1] = w
+            dist[v - 1][u - 1] = w
+    for k in range(n):
+        # Only finite entries are added: an exact value beyond the float
+        # range plus inf would overflow.  Row k equals column k (the graph is
+        # undirected) and does not change while k is the midpoint.
+        reach = [(j, w) for j, w in enumerate(dist[k]) if w != inf]
+        for i, dik in reach:
+            di = dist[i]
+            for j, dkj in reach:
+                alt = dik + dkj
+                if alt < di[j]:
+                    di[j] = alt
+    return dist
+
+
+def family_of_matrix(matrix: List[List[Number]], cmp: Cmp = EXACT) -> DistanceFamily:
+    n = len(matrix)
+    return DistanceFamily(
+        n, {(i, j): matrix[i - 1][j - 1] for i, j in itertools.combinations(range(1, n + 1), 2)}, cmp
+    )
+
+
+def useful_edges(graph: WeightedGraph, cmp: Cmp = EXACT) -> EdgeUsefulness:
+    """Per edge: its weight equals D_{u,v} and D_{u,v} is indecomposable,
+    one ``is_indecomposable`` scan per edge."""
+    family = family_of_matrix(shortest_path_matrix(graph), cmp)
+    useful = set()
+    useless = set()
+    for u, v, w in graph.edges:
+        if cmp.eq(w, family.d(u, v)) and is_indecomposable(family, u, v):
+            useful.add((u, v))
+        else:
+            useless.add((u, v))
+    return EdgeUsefulness(frozenset(useful), frozenset(useless))
+
+
+def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
+    """Every pair compared under the family's cmp mode."""
+    return _matrix_matches(shortest_path_matrix(graph), family)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,190 @@
+"""The dense min-plus kernel against the scalar loops in ``oracles``:
+2-weights, usefulness, pruning and verification on int, Fraction and float
+weights and on weights whose sums leave int64 (object dtype), connected or
+not, exactly and under ``Cmp(1e-9)``.  Results are Python numbers and a
+Python bool.  Values beyond the float range (10**400) run in exact mode only:
+a tolerance compares floats, and the scalar loop raises OverflowError on
+them too."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from metric_realize import (
+    EXACT,
+    Cmp,
+    WeightedGraph,
+    prune,
+    two_weights,
+    useful_edges,
+    verify_realization,
+)
+from metric_realize import kernel
+from metric_realize.graph import shortest_path_matrix
+
+import oracles
+
+KERNEL_SETTINGS = settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+CMPS = (EXACT, Cmp(1e-9))
+HUGE = 10**400
+
+WEIGHTS = {
+    "int": st.integers(1, 20),
+    "fraction": st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)),
+    "float": st.floats(0.01, 50, allow_nan=False, allow_infinity=False),
+    # sums of these do not fit int64: the object-dtype path
+    "wide": st.integers(1, 20).map(lambda k: k * 2**60),
+    "huge": st.integers(1, 20).map(lambda k: k * HUGE),
+}
+
+
+# Relative offsets of a chord from the path it bridges: an exact tie, ties
+# well and just within Cmp(1e-9), and gaps just outside it.
+OFFSETS = (Fraction(1, 10**12), Fraction(7, 10**10), Fraction(1, 10**8))
+NEAR_TIES = (0, *OFFSETS, *(-x for x in OFFSETS))
+
+
+def comparable(g, cmp):
+    return cmp.exact or all(w < HUGE for *_e, w in g.edges)
+
+
+@st.composite
+def weighted_graphs(draw, connected=True, max_n=8):
+    """A random spanning tree (or forest) plus chords, one weight kind, at
+    times with ties between a chord and the path it bridges."""
+    kind = draw(st.sampled_from(sorted(WEIGHTS)))
+    n = draw(st.integers(2, max_n))
+    weight = WEIGHTS[kind]
+    edges = {}
+    for v in range(2, n + 1):
+        if connected or draw(st.booleans()):
+            edges[(draw(st.integers(1, v - 1)), v)] = draw(weight)
+    pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True).map(sorted)
+    for _ in range(draw(st.integers(0, n))):
+        u, v = draw(pair)
+        edges[(u, v)] = draw(weight)
+    for _ in range(draw(st.integers(0, 2))):
+        u, v = draw(pair)
+        g = WeightedGraph(n, [(a, b, w) for (a, b), w in edges.items()], require_connected=False)
+        d = oracles.shortest_path_matrix(g)[u - 1][v - 1]
+        offset = draw(st.sampled_from(NEAR_TIES))
+        if d != float("inf"):
+            edges[(u, v)] = d * (1 + float(offset)) if isinstance(d, float) else d * (1 + offset)
+    return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()], require_connected=connected)
+
+
+def assert_python_number(x):
+    assert type(x) in (int, Fraction, float), type(x)
+
+
+@KERNEL_SETTINGS
+@given(weighted_graphs(connected=False))
+def test_shortest_path_matrix_equals_the_scalar_loop(g):
+    got = shortest_path_matrix(g)
+    assert got == oracles.shortest_path_matrix(g)
+    for row in got:
+        for x in row:
+            assert_python_number(x)
+
+
+@KERNEL_SETTINGS
+@given(weighted_graphs(), st.sampled_from(CMPS))
+def test_two_weights_equal_the_scalar_loop(g, cmp):
+    assume(comparable(g, cmp))
+    family = two_weights(g, cmp)
+    assert family == oracles.family_of_matrix(oracles.shortest_path_matrix(g), cmp)
+    for x in family.values.values():
+        assert_python_number(x)
+    for i, j in family.values:
+        assert type(i) is int and type(j) is int
+
+
+@KERNEL_SETTINGS
+@given(weighted_graphs(), st.sampled_from(CMPS))
+def test_useful_edges_and_prune_equal_the_per_edge_scan(g, cmp):
+    assume(comparable(g, cmp))
+    want = oracles.useful_edges(g, cmp)
+    assert useful_edges(g, cmp) == want
+    pruned = prune(g, cmp)
+    assert pruned.edge_pairs() == want.useful
+    for u, v, w in pruned.edges:
+        assert type(u) is int and type(v) is int
+        assert_python_number(w)
+
+
+@KERNEL_SETTINGS
+@given(weighted_graphs(), st.sampled_from(CMPS), st.integers(0, 10**6))
+def test_verify_realization_equals_the_scalar_comparison(g, cmp, pick):
+    assume(comparable(g, cmp))
+    family = two_weights(g, cmp)
+    assert verify_realization(g, family) is True
+    pairs = sorted(family.values)
+    i, j = pairs[pick % len(pairs)]
+    d = family.d(i, j)
+    # doubled, just outside the tolerance and within it (exact Fractions,
+    # which never overflow)
+    for factor in (2, *(1 + x for x in OFFSETS)):
+        bumped = Fraction(d) * factor
+        other = family.with_value(i, j, bumped)
+        got = verify_realization(g, other)
+        assert type(got) is bool
+        assert got == oracles.verify_realization(g, other)
+
+
+@pytest.mark.parametrize("cmp", CMPS)
+@pytest.mark.parametrize("offset", NEAR_TIES)
+@pytest.mark.parametrize("unit", (1, 1.0))
+def test_a_chord_at_the_tolerance_boundary(unit, offset, cmp):
+    # the chord (1, 3) against the path 1-2-3 of the same length
+    chord = 2 * unit * (1 + (float(offset) if isinstance(unit, float) else offset))
+    g = WeightedGraph(3, [(1, 2, unit), (2, 3, unit), (1, 3, chord)])
+    assert useful_edges(g, cmp) == oracles.useful_edges(g, cmp)
+    family = two_weights(WeightedGraph(3, [(1, 2, unit), (2, 3, unit)]), cmp)
+    assert verify_realization(g, family) == oracles.verify_realization(g, family)
+
+
+@pytest.mark.parametrize("cmp", CMPS)
+def test_a_disconnected_graph_never_realizes_a_family(cmp):
+    family = two_weights(WeightedGraph(3, [(1, 2, 1.0), (2, 3, 1.0)]), cmp)
+    apart = WeightedGraph(3, [(1, 2, 1.0)], require_connected=False)
+    assert verify_realization(apart, family) is False
+
+
+def test_verification_reads_the_family_matrix_once():
+    g = WeightedGraph(4, [(1, 2, Fraction(1, 2)), (2, 3, 1), (3, 4, Fraction(1, 3))])
+    family = two_weights(g)
+    assert verify_realization(g, family) is True
+    assert family.scaled.scale == 6 and family.scaled.array.dtype.name == "int64"
+    assert family.__dict__["scaled"] is family.scaled
+    # a weight whose denominator the family lacks: the graph still realizes it
+    chord = WeightedGraph(4, [*g.edges, (1, 4, Fraction(23, 7))])
+    assert verify_realization(chord, family) is True
+
+
+@pytest.mark.parametrize(
+    "weights, dtype",
+    [
+        ((1, 2, 3), "int64"),
+        ((Fraction(1, 2), 2, Fraction(1, 3)), "int64"),
+        ((1.5, 2, 3), "float64"),
+        ((HUGE, 1, 1), "object"),
+        ((2**61, 1, 1), "int64"),
+        ((2**62, 1, 1), "object"),  # twice the weight sum plus one exceeds int64
+    ],
+)
+def test_the_dtype_follows_the_data(weights, dtype):
+    edges = [(1, 2, weights[0]), (2, 3, weights[1]), (3, 4, weights[2])]
+    scale = kernel.common_scale(w for *_e, w in edges)
+    dist, _inf = kernel.all_pairs(4, edges, scale)
+    assert dist.array.dtype.name == dtype
+    g = WeightedGraph(4, edges)
+    assert shortest_path_matrix(g) == oracles.shortest_path_matrix(g)

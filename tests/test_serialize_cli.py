@@ -284,6 +284,51 @@ class TestHostileInput:
         assert run(["weights", str(graph)]) == 2
         assert capsys.readouterr().err.startswith("error: malformed graph document")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 2, "edges": [{"u": 1.6, "v": 2, "w": "1"}]},
+            {"n": 2, "edges": [{"u": 2, "v": True, "w": "1"}]},
+            {"n": 3.9, "edges": [{"u": 1, "v": 2, "w": "1"}, {"u": 2, "v": 3, "w": "1"}]},
+        ],
+        ids=["float-u", "bool-v", "float-n"],
+    )
+    def test_non_integral_vertex_ids_are_input_errors(self, tmp_path, capsys, doc):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps(doc))
+        assert run(["prune", str(graph)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed graph document: ") and err.count("\n") == 1
+        assert "must be an integer" in err
+
+    def test_vertex_limit_is_checked_before_any_matrix(self, tmp_path, capsys, monkeypatch):
+        from metric_realize import kernel
+        from metric_realize.serialize import MAX_N
+
+        def no_matrix(*args):
+            raise AssertionError("an n x n matrix was built")
+
+        monkeypatch.setattr(kernel, "all_pairs", no_matrix)
+        monkeypatch.setattr(kernel, "pair_matrix", no_matrix)
+        limit = f"error: {MAX_N + 1} vertices exceed the limit of {MAX_N}\n"
+
+        def path(n):
+            return json.dumps({"n": n, "edges": [{"u": v, "v": v + 1, "w": "1"} for v in range(1, n)]})
+
+        graph = tmp_path / "big.json"
+        graph.write_text(path(MAX_N + 1))
+        for command in ("weights", "prune"):
+            assert run([command, str(graph)]) == 2
+            assert capsys.readouterr().err == limit
+        assert graph_from_json(path(MAX_N)).n == MAX_N
+        # the rows are counted before any cell is read
+        matrix = tmp_path / "big.csv"
+        matrix.write_text("0\n" * (MAX_N + 1))
+        assert run(["classify", str(matrix)]) == 2
+        assert capsys.readouterr().err == limit
+        with pytest.raises(ParseError, match=f"row 1 has 1 cells, expected {MAX_N}"):
+            parse_family_csv("0\n" * MAX_N)
+
     def test_closed_output_pipe_exits_2_without_traceback(self, tmp_files):
         import os
         import subprocess

@@ -8,6 +8,7 @@ pipe.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -102,7 +103,10 @@ def _default_bare_tol(argv):
     return argv
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change
+    it, and building it costs more than a small ``classify``."""
     parser = argparse.ArgumentParser(
         prog="metric-realize",
         description="Decide which weighted-graph classes realize a family of pairwise distances.",

@@ -77,8 +77,9 @@ class DistanceFamily:
     def scaled(self) -> "Scaled":
         """The family as one n x n array (``metric_realize.kernel``): the
         values times the LCM of their denominators, int64 or Python ints, or
-        float64 once a value is a float; diagonal 0.  Built on first use and
-        kept with the family, so that every verification reads one copy."""
+        float64 once a value is a float; diagonal 0.  Built on first use (or
+        by ``serialize.parse_family_csv`` from the parsed matrix) and kept
+        with the family, so that S and every verification read one copy."""
         return kernel.pair_matrix(self.n, self.values, kernel.common_scale(self.values.values()))
 
     @cached_property

@@ -162,7 +162,10 @@ def two_weights(graph: WeightedGraph, cmp: Cmp = EXACT) -> DistanceFamily:
 
 
 def _useful_mask(graph: WeightedGraph, cmp: Cmp) -> List[bool]:
-    return kernel.useful(_distances(graph), graph.edges, cmp).tolist()
+    try:
+        return kernel.useful(_distances(graph), graph.edges, cmp).tolist()
+    except OverflowError:
+        raise GraphError(kernel.OUT_OF_FLOAT_RANGE) from None
 
 
 def useful_edges(graph: WeightedGraph, cmp: Cmp = EXACT) -> EdgeUsefulness:
@@ -203,7 +206,10 @@ def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
     if scale != target.scale:
         target = kernel.pair_matrix(family.n, family.values, scale)
     dist, _inf = kernel.all_pairs(graph.n, graph.edges, scale)
-    return bool(kernel.eq(dist.array, target.array, scale, family.cmp).all())
+    try:
+        return bool(kernel.eq(dist.array, target.array, scale, family.cmp).all())
+    except OverflowError:
+        raise GraphError(kernel.OUT_OF_FLOAT_RANGE) from None
 
 
 def support_graph(family: DistanceFamily) -> WeightedGraph:

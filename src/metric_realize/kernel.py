@@ -9,11 +9,14 @@ None.  The dtype thus follows from the data; there is no option.
 
 Floyd-Warshall runs in n numpy steps of n^2 each.  Every entry sees the
 same additions d_ik + d_kj in the same k order as the scalar loop, so the
-values are those of the loop, in exact and in float arithmetic.
+values are those of the loop, in exact and in float arithmetic.  The split
+matrix of a family (``splits``) is the same min-plus product, also in n
+steps of n^2.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -23,6 +26,18 @@ import numpy as np
 from .comparison import Cmp, Number
 
 INT64_MAX = int(np.iinfo(np.int64).max)
+
+# Why a tolerance comparison raises OverflowError: the float rule cannot
+# take an exact value beyond the float range.
+OUT_OF_FLOAT_RANGE = "an exact value beyond the float range cannot be compared under a tolerance"
+
+
+def python_floats(fn):
+    """``fn`` with numpy's float overflow and invalid-operation warnings off:
+    inf and nan then arise silently, as in the Python float arithmetic of
+    the scalar loops, and a valid input prints nothing on stderr."""
+    return np.errstate(over="ignore", invalid="ignore")(fn)
+
 
 # Entries per block of the edge-by-vertex split array in ``useful``: a few MB
 # per temporary whatever the number of edges.
@@ -94,6 +109,43 @@ def pair_matrix(n: int, values: Mapping[Tuple[int, int], Number], scale: Optiona
     return Scaled(array, scale)
 
 
+def row_matrix(rows: Sequence[Sequence[Number]]) -> Scaled:
+    """The matrix of ``rows``, n lists of n numbers of any sign, scaled by
+    the LCM of their denominators."""
+    cells = list(itertools.chain.from_iterable(rows))
+    scale = common_scale(cells)
+    nums = _scaled(cells, scale)
+    dtype = _dtype(scale, max(map(abs, nums)))
+    return Scaled(np.array(nums, dtype=dtype).reshape(len(rows), -1), scale)
+
+
+@python_floats
+def splits(dist: Scaled) -> Tuple[np.ndarray, np.ndarray]:
+    """The family matrix ``dist`` with its diagonal raised to ``big``, and
+    its min-plus square M_ij = min over z of D_iz + D_zj, in n numpy steps of
+    n^2, one per midpoint z.  ``big`` is twice the largest value plus one (in
+    the family's own numbers, so plus ``scale`` on scaled values): it keeps
+    z = i and z = j out of every off-diagonal minimum, and for n = 2 it leaves
+    the one pair below its split.  The dtype holds 2 * big, the largest sum."""
+    a, scale = dist
+    top = a.max(keepdims=True).item()
+    big = 2 * top + (1 if scale is None else scale)
+    d = a.astype(_dtype(scale, 2 * big))
+    np.fill_diagonal(d, big)
+    m = d[:, 0, None] + d[0]
+    for z in range(1, len(d)):
+        np.minimum(m, d[:, z, None] + d[z], out=m)
+    return d, m
+
+
+@python_floats
+def first_shortcut(d: np.ndarray, i: int, j: int, scale: Optional[int], cmp: Cmp) -> int:
+    """The first z with D_iz + D_zj < D_ij under ``cmp``, on the matrix
+    ``d`` that ``splits`` returns; the pair must have one."""
+    return int(np.argmax(lt(d[i] + d[j], d[i, j], scale, cmp)))
+
+
+@python_floats
 def all_pairs(n: int, edges: Sequence[Tuple[int, int, Number]], scale: Optional[int]) -> Tuple[Scaled, Number]:
     """Shortest-path weights of the graph on [n] with ``edges`` (Floyd-Warshall),
     scaled by ``scale``, a multiple of every weight's denominator (None for
@@ -136,6 +188,7 @@ def _slack(a: np.ndarray, b: np.ndarray, scale: Optional[int], tol: float) -> np
     return tol * np.maximum(1.0, _floats(np.maximum(np.abs(a), np.abs(b)), scale))
 
 
+@python_floats
 def eq(a: np.ndarray, b: np.ndarray, scale: Optional[int], cmp: Cmp) -> np.ndarray:
     """``cmp.eq`` entrywise on scaled arrays.  In tolerance mode it is the
     relative rule |a - b| <= tol * max(1, |a|, |b|) in float64, with the
@@ -145,6 +198,7 @@ def eq(a: np.ndarray, b: np.ndarray, scale: Optional[int], cmp: Cmp) -> np.ndarr
     return np.abs(_floats(a - b, scale)) <= _slack(a, b, scale, cmp.tol)
 
 
+@python_floats
 def lt(a: np.ndarray, b: np.ndarray, scale: Optional[int], cmp: Cmp) -> np.ndarray:
     """``cmp.lt`` entrywise on scaled arrays: in tolerance mode the gap
     b - a must exceed tol * max(1, |a|, |b|)."""
@@ -153,6 +207,7 @@ def lt(a: np.ndarray, b: np.ndarray, scale: Optional[int], cmp: Cmp) -> np.ndarr
     return _floats(b - a, scale) > _slack(a, b, scale, cmp.tol)
 
 
+@python_floats
 def useful(dist: Scaled, edges: Sequence[Tuple[int, int, Number]], cmp: Cmp) -> np.ndarray:
     """Per edge (u, v, w) of a connected graph with 2-weights ``dist``: w
     equals D_uv and D_uv < D_uz + D_zv for every z outside {u, v}.  The splits

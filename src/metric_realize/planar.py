@@ -137,6 +137,11 @@ def planar_check(family: DistanceFamily) -> Realization:
     failed = support.rejection()
     if failed is not None:
         return failed
+    # S is connected here.  A K5 subdivision has cyclomatic number 6 and a
+    # K33 one 4, and no subgraph has a larger one than its graph, so S is
+    # planar when m - n + 1 <= 3 (every tree and polygon S).
+    if len(support.graph.edges) - family.n + 1 <= 3:
+        return Realization.ok(support.realization)
     g = nx.Graph()
     g.add_nodes_from(range(1, family.n + 1))
     g.add_edges_from((u, v) for u, v, _w in support.graph.edges)

@@ -6,10 +6,14 @@ round trips; binary floats never hit the wire in exact mode.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
-from typing import Dict, List
+from typing import List
 
+import numpy as np
+
+from . import kernel
 from .comparison import Cmp, EXACT, Number, as_exact_number
 from .family import DistanceFamily, FamilyError
 from .graph import GraphError, WeightedGraph
@@ -18,6 +22,11 @@ from .graph import GraphError, WeightedGraph
 # Largest vertex count a document may declare.  It is checked before
 # anything of size n^2 is built: a kernel matrix takes 8 n^2 bytes.
 MAX_N = 2048
+
+# Plain tokens up to this length skip the Fraction parser.  Their digits stay
+# within the smallest limit Python may put on int() (640 digits) and their
+# values within the float range, so no error can differ from parse_number's.
+PLAIN_TOKEN_MAX = 300
 
 
 class ParseError(ValueError):
@@ -73,9 +82,46 @@ def format_number(value: Number) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
+def parse_cell(token: str, cmp: Cmp = EXACT) -> Number:
+    """``parse_number`` with a fast path: plain ASCII integers and decimals
+    ("7", "-4.50", ".5") are read with int() and float(), without the
+    Fraction regex.  Every other token goes through ``parse_number``, so
+    values and errors are the same as its own."""
+    t = token.strip()
+    body = t[1:] if t[:1] in ("+", "-") else t
+    whole, _dot, frac = body.partition(".")
+    digits = whole + frac
+    if not (digits.isdigit() and digits.isascii() and len(t) <= PLAIN_TOKEN_MAX):
+        return parse_number(token, cmp)
+    if not cmp.exact:
+        # correctly rounded, as float(Fraction(t)) is; + 0.0 turns -0.0 into 0.0
+        return float(t) + 0.0
+    num = -int(digits) if t[0] == "-" else int(digits)
+    if not frac:
+        return num
+    value = Fraction(num, 10 ** len(frac))
+    return value.numerator if value.denominator == 1 else value
+
+
+def _parse_row(cells: List[str], cmp: Cmp) -> List[Number]:
+    """The numbers of one row: a row of plain unsigned ASCII integers (in
+    tolerance mode, also decimals) in one ``map``, any other row cell by
+    cell with ``parse_cell``."""
+    plain = "".join(cells) if cmp.exact else "".join(cells).replace(".", "")
+    if plain.isdigit() and plain.isascii() and max(map(len, cells)) <= PLAIN_TOKEN_MAX:
+        try:
+            return list(map(int if cmp.exact else float, cells))
+        except ValueError:  # an empty cell or a stray point: parse_number names it
+            pass
+    return [parse_cell(c, cmp) for c in cells]
+
+
 def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
     """Parse an n x n matrix document: n comma-separated lines, zero diagonal,
-    symmetric positive off-diagonals.  Errors name the offending cell."""
+    symmetric positive off-diagonals.  Errors name the offending cell, the
+    first in row order with the diagonal cell ahead of its row.  The checks
+    run on the family's array (``DistanceFamily.scaled``), which is built here
+    once."""
     rows = [line for line in (l.strip() for l in text.splitlines()) if line]
     n = len(rows)
     if n < 2:
@@ -83,25 +129,36 @@ def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
     _check_size(n)
     matrix: List[List[Number]] = []
     for i, row in enumerate(rows, start=1):
-        cells = [c for c in row.split(",")]
+        cells = row.split(",")
         if len(cells) != n:
             raise ParseError(f"row {i} has {len(cells)} cells, expected {n}")
-        matrix.append([parse_number(c, cmp) for c in cells])
-    values: Dict[tuple, Number] = {}
-    for i in range(1, n + 1):
-        if not cmp.eq(matrix[i - 1][i - 1], 0):
-            raise ParseError(f"nonzero diagonal at ({i},{i})")
-        for j in range(i + 1, n + 1):
-            a, b = matrix[i - 1][j - 1], matrix[j - 1][i - 1]
-            if not cmp.eq(a, b):
-                raise ParseError(f"asymmetric at ({i},{j})")
-            if not a > 0:
-                raise ParseError(f"nonpositive 2-weight at ({i},{j})")
-            values[(i, j)] = a
+        matrix.append(_parse_row(cells, cmp))
+    a, scale = kernel.row_matrix(matrix)
+    diagonal_off = ~kernel.eq(np.diagonal(a), 0, scale, cmp)
+    asymmetric = np.triu(~kernel.eq(a, a.T, scale, cmp), 1)
+    nonpositive = np.triu(~(a > 0), 1)
+    bad = asymmetric | nonpositive
+    bad_rows = diagonal_off | bad.any(axis=1)
+    if bad_rows.any():
+        i = int(np.argmax(bad_rows))
+        if diagonal_off[i]:
+            raise ParseError(f"nonzero diagonal at ({i + 1},{i + 1})")
+        j = int(np.argmax(bad[i]))
+        problem = "asymmetric" if asymmetric[i, j] else "nonpositive 2-weight"
+        raise ParseError(f"{problem} at ({i + 1},{j + 1})")
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    upper = (x for i, row in enumerate(matrix, start=1) for x in row[i:])
     try:
-        return DistanceFamily(n, values, cmp)
+        family = DistanceFamily(n, dict(zip(pairs, upper)), cmp)
     except FamilyError as exc:
         raise ParseError(str(exc)) from exc
+    # The family is the upper triangle; its array is that triangle mirrored,
+    # with a zero diagonal (a tolerance admits near-zeros and near-mirrors).
+    lower = np.tril_indices(n, -1)
+    a[lower] = a.T[lower]
+    np.fill_diagonal(a, 0)
+    family.__dict__["scaled"] = kernel.Scaled(a, scale)  # what the cached property would build
+    return family
 
 
 def family_to_csv(family: DistanceFamily) -> str:

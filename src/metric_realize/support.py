@@ -3,17 +3,22 @@
 S is the graph of indecomposable pairs, each edge weighted by its family
 value.  When the triangle inequalities hold, S is the unique pruned
 realization on [n] (Hakimi & Yau 1965), so every class verdict is a test on
-the shape of S.  ``DistanceFamily.support`` memoises :func:`analyse`.
+the shape of S.  ``DistanceFamily.support`` memoises :func:`analyse`, which
+finds S and the triangle check with the dense min-plus kernel
+(``metric_realize.kernel``) on the family's array, not with a loop over
+pairs and midpoints.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
+from . import kernel
 from .comparison import Number
-from .family import DistanceFamily
+from .family import DistanceFamily, FamilyError
 from .graph import WeightedGraph, verify_realization
 from .realization import InternalInconsistencyError, Realization
 
@@ -56,30 +61,32 @@ class Support:
 
 
 def analyse(family: DistanceFamily) -> Support:
-    """One O(n^3) pass: for each pair, the smallest split
-    M_ij = min over z outside {i, j} of D_iz + D_zj decides both the triangle
-    inequality (D_ij <= M_ij) and indecomposability (D_ij < M_ij).  Both
-    comparisons are monotone in the split, so they agree with testing every
-    z, in exact and tolerance mode.  S is verified once, when D is a metric.
+    """S and the triangle check from one min-plus product on the family's
+    array (``kernel.splits``, n numpy steps of n^2): for each pair, the
+    smallest split M_ij = min over z outside {i, j} of D_iz + D_zj decides
+    both the triangle inequality (D_ij <= M_ij) and indecomposability
+    (D_ij < M_ij).  Both comparisons are monotone in the split, so they agree
+    with testing every z, in exact and tolerance mode.  S is verified once,
+    when D is a metric.
     """
-    n, cmp, d = family.n, family.cmp, family.d
-    # On the diagonal, a value above every real split (of the family's own
-    # number type, so huge exact values never meet a float) keeps z = i and
-    # z = j out of the minimum; for n = 2 it leaves the one pair indecomposable.
-    big = 2 * max(family.values.values()) + 1
-    rows = [[d(i, j) if i != j else big for j in range(1, n + 1)] for i in range(1, n + 1)]
-    edges = []
-    violation = None
-    for i in range(1, n + 1):
-        row = rows[i - 1]
-        for j in range(i + 1, n + 1):
-            dij = row[j - 1]
-            split = min(map(operator.add, row, rows[j - 1]))
-            if cmp.lt(dij, split):
-                edges.append((i, j, dij))
-            elif violation is None and cmp.lt(split, dij):
-                k = next(k for k in range(1, n + 1) if cmp.lt(row[k - 1] + rows[k - 1][j - 1], dij))
-                violation = (i, j, k)
+    n, cmp = family.n, family.cmp
+    d, m = kernel.splits(family.scaled)
+    scale = family.scaled.scale
+    # the pairs i < j in lexicographic order
+    rows, cols = np.triu_indices(n, 1)
+    dij, mij = d[rows, cols], m[rows, cols]
+    try:
+        below = kernel.lt(dij, mij, scale, cmp)
+        above = kernel.lt(mij, dij, scale, cmp)
+        violation = None
+        if above.any():
+            first = int(np.argmax(above))
+            i, j = int(rows[first]), int(cols[first])
+            violation = (i + 1, j + 1, kernel.first_shortcut(d, i, j, scale, cmp) + 1)
+    except OverflowError:
+        raise FamilyError(kernel.OUT_OF_FLOAT_RANGE) from None
+    pairs = zip((rows[below] + 1).tolist(), (cols[below] + 1).tolist())
+    edges = [(i, j, family.values[(i, j)]) for i, j in pairs]
     graph = WeightedGraph(n, edges, require_connected=False)
     adj = graph.adjacency()
     realization = None

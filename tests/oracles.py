@@ -1,6 +1,6 @@
 """Small-n brute-force realizability oracles, the exhaustive Kuratowski
-search, and the scalar 2-weights, usefulness and verification loops, against
-which the tests check the recognizers and the dense min-plus kernel.
+search, and the scalar 2-weights, usefulness, verification and split loops,
+against which the tests check the recognizers and the dense min-plus kernel.
 
 Oracles enumerate candidate topologies (Prufer sequences for trees, cyclic
 orders for polygons, side assignments for bipartitions) with edge weights
@@ -12,6 +12,7 @@ by backtracking over disjoint hub-to-hub chains.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from metric_realize import (
@@ -91,6 +92,67 @@ def useful_edges(graph: WeightedGraph, cmp: Cmp = EXACT) -> EdgeUsefulness:
 def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
     """Every pair compared under the family's cmp mode."""
     return _matrix_matches(shortest_path_matrix(graph), family)
+
+
+def support_scan(family: DistanceFamily) -> Tuple[WeightedGraph, Optional[Tuple[int, int, int]], Optional[WeightedGraph]]:
+    """S, the first triangle violation and the realization of S's shape
+    (see ``metric_realize.support.Support``) by the scalar split scan: per
+    pair i < j, the smallest D_iz + D_zj over rows whose diagonal is raised
+    above every split, and for the first violating pair the first k."""
+    from metric_realize.support import _reweighted_tree
+
+    n, cmp, d = family.n, family.cmp, family.d
+    big = 2 * max(family.values.values()) + 1
+    rows = [[d(i, j) if i != j else big for j in range(1, n + 1)] for i in range(1, n + 1)]
+    edges = []
+    violation = None
+    for i in range(1, n + 1):
+        row = rows[i - 1]
+        for j in range(i + 1, n + 1):
+            dij = row[j - 1]
+            split = min(map(operator.add, row, rows[j - 1]))
+            if cmp.lt(dij, split):
+                edges.append((i, j, dij))
+            elif violation is None and cmp.lt(split, dij):
+                k = next(k for k in range(1, n + 1) if cmp.lt(row[k - 1] + rows[k - 1][j - 1], dij))
+                violation = (i, j, k)
+    graph = WeightedGraph(n, edges, require_connected=False)
+    realization = None
+    if violation is None and graph.is_connected():
+        if verify_realization(graph, family):
+            realization = graph
+        elif not cmp.exact and len(edges) == n - 1:
+            realization = _reweighted_tree(family, graph.adjacency())
+    return graph, violation, realization
+
+
+def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
+    """The matrix document read cell by cell with ``parse_number`` and
+    checked pair by pair in row order, the diagonal cell ahead of its row."""
+    from metric_realize.serialize import ParseError, parse_number
+
+    rows = [line for line in (l.strip() for l in text.splitlines()) if line]
+    n = len(rows)
+    if n < 2:
+        raise ParseError(f"matrix needs at least 2 rows, got {n}")
+    matrix = []
+    for i, row in enumerate(rows, start=1):
+        cells = row.split(",")
+        if len(cells) != n:
+            raise ParseError(f"row {i} has {len(cells)} cells, expected {n}")
+        matrix.append([parse_number(c, cmp) for c in cells])
+    values = {}
+    for i in range(1, n + 1):
+        if not cmp.eq(matrix[i - 1][i - 1], 0):
+            raise ParseError(f"nonzero diagonal at ({i},{i})")
+        for j in range(i + 1, n + 1):
+            a, b = matrix[i - 1][j - 1], matrix[j - 1][i - 1]
+            if not cmp.eq(a, b):
+                raise ParseError(f"asymmetric at ({i},{j})")
+            if not a > 0:
+                raise ParseError(f"nonpositive 2-weight at ({i},{j})")
+            values[(i, j)] = a
+    return DistanceFamily(n, values, cmp)
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,7 @@ class TestHostileInput:
 
         monkeypatch.setattr(kernel, "all_pairs", no_matrix)
         monkeypatch.setattr(kernel, "pair_matrix", no_matrix)
+        monkeypatch.setattr(kernel, "row_matrix", no_matrix)
         limit = f"error: {MAX_N + 1} vertices exceed the limit of {MAX_N}\n"
 
         def path(n):

@@ -25,13 +25,11 @@ from .family import (
 )
 from .generators import GenSpec, GenerationError, generate
 from .graph import (
-    EdgeUsefulness,
     GraphError,
     WeightedGraph,
     prune,
     support_graph,
     two_weights,
-    useful_edges,
     verify_realization,
 )
 from .planar import PlanarWitness, planar_check
@@ -46,7 +44,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DistanceFamily",
     "EXACT",
-    "EdgeUsefulness",
     "FamilyError",
     "GenSpec",
     "GenerationError",
@@ -75,7 +72,6 @@ __all__ = [
     "support_graph",
     "tree_check",
     "two_weights",
-    "useful_edges",
     "verify_realization",
 ]
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Tuple
 
+import numpy as np
+
 from .family import DistanceFamily
 from .graph import WeightedGraph, verify_realization
 from .realization import Realization
@@ -49,15 +51,12 @@ class Bipartition:
 
 
 def _min_pair(family: DistanceFamily) -> Tuple[int, int]:
-    """Pair (i, j), i < j, with minimal D; lexicographic tie-break."""
-    best = None
-    best_val = None
-    for i, j in family.pairs():
-        v = family.d(i, j)
-        if best_val is None or v < best_val:
-            best_val = v
-            best = (i, j)
-    return best
+    """Pair (i, j), i < j, with minimal D; lexicographic tie-break (the
+    first minimum of the upper triangle in row-major order)."""
+    upper = ~np.tri(family.n, dtype=bool)
+    k = int(np.argmin(family.scaled.array[upper]))
+    i, j = np.nonzero(upper)
+    return int(i[k]) + 1, int(j[k]) + 1
 
 
 def bipartition(family: DistanceFamily) -> Bipartition:

@@ -9,7 +9,6 @@ weight, computed here by Floyd-Warshall on the dense min-plus kernel
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 import numpy as np
@@ -78,23 +77,12 @@ class WeightedGraph:
     def edge_pairs(self) -> FrozenSet[Tuple[int, int]]:
         return frozenset((u, v) for u, v, _ in self.edges)
 
-    def weight(self, i: int, j: int) -> Number:
-        if i > j:
-            i, j = j, i
-        for u, v, w in self.edges:
-            if u == i and v == j:
-                return w
-        raise GraphError(f"no edge ({i},{j})")
-
     def adjacency(self) -> Dict[int, Dict[int, Number]]:
         adj: Dict[int, Dict[int, Number]] = {v: {} for v in range(1, self.n + 1)}
         for u, v, w in self.edges:
             adj[u][v] = w
             adj[v][u] = w
         return adj
-
-    def degree(self, v: int) -> int:
-        return sum(1 for u, w, _ in self.edges if u == v or w == v)
 
     def is_connected(self) -> bool:
         if self.n == 1:
@@ -110,22 +98,6 @@ class WeightedGraph:
                     stack.append(u)
         return len(seen) == self.n
 
-    def without_edge(self, i: int, j: int, require_connected: bool = True) -> "WeightedGraph":
-        if i > j:
-            i, j = j, i
-        kept = [e for e in self.edges if (e[0], e[1]) != (i, j)]
-        if len(kept) == len(self.edges):
-            raise GraphError(f"no edge ({i},{j})")
-        return WeightedGraph(self.n, kept, require_connected=require_connected)
-
-
-@dataclass
-class EdgeUsefulness:
-    """Partition of an edge set into useful and useless edges."""
-
-    useful: FrozenSet[Tuple[int, int]]
-    useless: FrozenSet[Tuple[int, int]]
-
 
 def _scale(graph: WeightedGraph):
     """The kernel's scale for the graph's weights (None for float64)."""
@@ -133,24 +105,16 @@ def _scale(graph: WeightedGraph):
 
 
 def _distances(graph: WeightedGraph) -> kernel.Scaled:
-    """The graph's 2-weights from the kernel; the graph must be connected."""
+    """The graph's 2-weights from the kernel; the graph must be connected,
+    and in float mode every 2-weight finite."""
     if graph.n < 2:
         raise GraphError("2-weights need n >= 2")
     if not graph.is_connected():
         raise GraphError("2-weights are only defined for connected graphs")
-    dist, _inf = kernel.all_pairs(graph.n, graph.edges, _scale(graph))
+    dist = kernel.all_pairs(graph.n, graph.edges, _scale(graph))
+    if dist.scale is None and not np.isfinite(dist.array).all():
+        raise GraphError("a 2-weight exceeds the float range: a path's total weight overflows float64")
     return dist
-
-
-def shortest_path_matrix(graph: WeightedGraph) -> List[List[Number]]:
-    """All-pairs shortest path weights, 0-indexed matrix (Floyd-Warshall);
-    ``float("inf")`` for pairs in different components."""
-    dist, inf = kernel.all_pairs(graph.n, graph.edges, _scale(graph))
-    apart = (dist.array == inf).tolist()
-    return [
-        [float("inf") if far else x for x, far in zip(dist.numbers(row), row_apart)]
-        for row, row_apart in zip(dist.array, apart)
-    ]
 
 
 def two_weights(graph: WeightedGraph, cmp: Cmp = EXACT) -> DistanceFamily:
@@ -161,36 +125,21 @@ def two_weights(graph: WeightedGraph, cmp: Cmp = EXACT) -> DistanceFamily:
     return DistanceFamily(graph.n, dict(zip(pairs, dist.numbers(upper))), cmp)
 
 
-def _useful_mask(graph: WeightedGraph, cmp: Cmp) -> List[bool]:
-    try:
-        return kernel.useful(_distances(graph), graph.edges, cmp).tolist()
-    except OverflowError:
-        raise GraphError(kernel.OUT_OF_FLOAT_RANGE) from None
-
-
-def useful_edges(graph: WeightedGraph, cmp: Cmp = EXACT) -> EdgeUsefulness:
-    """Classify every edge as useful or useless.
-
-    An edge e(u,v) is useful iff its weight equals D_{u,v} and D_{u,v} is
-    indecomposable in the family of 2-weights; this matches the path-based
-    definition (an edge some pair cannot avoid).
-    """
-    useful = set()
-    useless = set()
-    for (u, v, _w), keep in zip(graph.edges, _useful_mask(graph, cmp)):
-        (useful if keep else useless).add((u, v))
-    return EdgeUsefulness(frozenset(useful), frozenset(useless))
-
-
 def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:
     """Remove all useless edges simultaneously.
 
-    Usefulness is a property of the (invariant) family of 2-weights, so the
-    result does not depend on any removal order; the operation is idempotent
-    and preserves all 2-weights.
+    An edge e(u,v) is useful iff its weight equals D_{u,v} and D_{u,v} is
+    indecomposable in the family of 2-weights; this matches the path-based
+    definition (an edge some pair cannot avoid).  Usefulness is a property
+    of the (invariant) family of 2-weights, so the result does not depend on
+    any removal order; the operation is idempotent and preserves all
+    2-weights.
     """
-    kept = [e for e, keep in zip(graph.edges, _useful_mask(graph, cmp)) if keep]
-    return WeightedGraph(graph.n, kept)
+    try:
+        keep = kernel.useful(_distances(graph), graph.edges, cmp).tolist()
+    except OverflowError:
+        raise GraphError(kernel.OUT_OF_FLOAT_RANGE) from None
+    return WeightedGraph(graph.n, [e for e, k in zip(graph.edges, keep) if k])
 
 
 def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
@@ -205,7 +154,7 @@ def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
     scale = kernel.joint_scale(target.scale, _scale(graph))
     if scale != target.scale:
         target = kernel.pair_matrix(family.n, family.values, scale)
-    dist, _inf = kernel.all_pairs(graph.n, graph.edges, scale)
+    dist = kernel.all_pairs(graph.n, graph.edges, scale)
     try:
         return bool(kernel.eq(dist.array, target.array, scale, family.cmp).all())
     except OverflowError:

@@ -12,6 +12,14 @@ same additions d_ik + d_kj in the same k order as the scalar loop, so the
 values are those of the loop, in exact and in float arithmetic.  The split
 matrix of a family (``splits``) is the same min-plus product, also in n
 steps of n^2.
+
+Two split routines stay, each for its own job.  ``splits`` covers all
+pairs, which the support graph needs.  ``useful`` covers a given edge list,
+which pruning needs.  A pruned graph is the support graph of its 2-weights,
+but each routine is slower at the other's job (shared 2-CPU Xeon host):
+pruning through ``splits`` made the graph-to-family round trip (2-weights,
+prune, verify, n = 12-80) 7-20 % slower, and S's splits through ``useful``
+on an n = 400 tree took 138-150 ms against 127 ms.
 """
 
 from __future__ import annotations
@@ -146,14 +154,14 @@ def first_shortcut(d: np.ndarray, i: int, j: int, scale: Optional[int], cmp: Cmp
 
 
 @python_floats
-def all_pairs(n: int, edges: Sequence[Tuple[int, int, Number]], scale: Optional[int]) -> Tuple[Scaled, Number]:
+def all_pairs(n: int, edges: Sequence[Tuple[int, int, Number]], scale: Optional[int]) -> Scaled:
     """Shortest-path weights of the graph on [n] with ``edges`` (Floyd-Warshall),
     scaled by ``scale``, a multiple of every weight's denominator (None for
-    float64).  Returns the matrix and the value that stands for +inf, held by
-    the pairs in different components: np.inf in float mode, and in exact
-    mode the scaled weight sum plus one, a Python int that exceeds every
-    path and never meets a float.  Twice that value must fit the dtype,
-    because the kernel adds two of them."""
+    float64).  Pairs in different components hold the value that stands for
+    +inf: np.inf in float mode, and in exact mode the scaled weight sum plus
+    one, a Python int that exceeds every path and never meets a float.
+    Twice that value must fit the dtype, because the kernel adds two of
+    them."""
     weights = _scaled((w for _u, _v, w in edges), scale)
     if scale is None:
         inf = np.inf
@@ -173,7 +181,7 @@ def all_pairs(n: int, edges: Sequence[Tuple[int, int, Number]], scale: Optional[
     # while k is the midpoint, so one step is one vectorized relaxation.
     for k in range(n):
         np.minimum(d, d[:, k, None] + d[k], out=d)
-    return Scaled(d, scale), inf
+    return Scaled(d, scale)
 
 
 def _floats(x: np.ndarray, scale: Optional[int]) -> np.ndarray:

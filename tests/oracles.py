@@ -19,7 +19,6 @@ from metric_realize import (
     EXACT,
     Cmp,
     DistanceFamily,
-    EdgeUsefulness,
     PlanarWitness,
     WeightedGraph,
     check_triangle,
@@ -75,18 +74,20 @@ def family_of_matrix(matrix: List[List[Number]], cmp: Cmp = EXACT) -> DistanceFa
     )
 
 
-def useful_edges(graph: WeightedGraph, cmp: Cmp = EXACT) -> EdgeUsefulness:
-    """Per edge: its weight equals D_{u,v} and D_{u,v} is indecomposable,
-    one ``is_indecomposable`` scan per edge."""
+def useful_edges(graph: WeightedGraph, cmp: Cmp = EXACT) -> FrozenSet[Tuple[int, int]]:
+    """The useful edges: per edge, its weight equals D_{u,v} and D_{u,v} is
+    indecomposable, one ``is_indecomposable`` scan per edge."""
     family = family_of_matrix(shortest_path_matrix(graph), cmp)
-    useful = set()
-    useless = set()
-    for u, v, w in graph.edges:
-        if cmp.eq(w, family.d(u, v)) and is_indecomposable(family, u, v):
-            useful.add((u, v))
-        else:
-            useless.add((u, v))
-    return EdgeUsefulness(frozenset(useful), frozenset(useless))
+    return frozenset(
+        (u, v) for u, v, w in graph.edges if cmp.eq(w, family.d(u, v)) and is_indecomposable(family, u, v)
+    )
+
+
+def without_edge(graph: WeightedGraph, u: int, v: int) -> WeightedGraph:
+    """``graph`` less its edge (u, v), u < v, connected or not."""
+    kept = [e for e in graph.edges if e[:2] != (u, v)]
+    assert len(kept) < len(graph.edges), f"no edge ({u},{v})"
+    return WeightedGraph(graph.n, kept, require_connected=False)
 
 
 def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
@@ -402,7 +403,7 @@ def _all_edges_needed(graph: WeightedGraph) -> bool:
     """Every edge's deletion changes some 2-weight (or disconnects): pruned."""
     base = shortest_path_matrix(graph)
     for u, v, _w in graph.edges:
-        reduced = graph.without_edge(u, v, require_connected=False)
+        reduced = without_edge(graph, u, v)
         if not reduced.is_connected():
             continue
         alt = shortest_path_matrix(reduced)

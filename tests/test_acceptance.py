@@ -29,7 +29,6 @@ from metric_realize import (
     support_graph,
     tree_check,
     two_weights,
-    useful_edges,
     verify_realization,
 )
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 from metric_realize import (
     WeightedGraph,
@@ -13,6 +14,7 @@ from metric_realize import (
     two_weights,
     verify_realization,
 )
+from metric_realize.bipartite import _min_pair
 
 from conftest import fam, fam_of, random_connected_graph
 from oracles import brute_force_class_check
@@ -68,6 +70,15 @@ class TestComplete:
 
 
 class TestBipartition:
+    def test_base_pair_is_the_first_minimal_pair(self):
+        rng = random.Random(71)
+        huge = 10**400
+        for scale in (1, Fraction(1, 3), 0.5, 2**62, huge):  # int64, float64 and object arrays
+            for _ in range(40):
+                n = rng.randint(2, 7)
+                f = fam(n, {p: scale * rng.randint(1, 3) for p in itertools.combinations(range(1, n + 1), 2)})
+                assert _min_pair(f) == min(f.pairs(), key=lambda p: f.d(*p))
+
     def test_k23_sides_and_witnesses(self):
         g = complete_bipartite([1, 2], [3, 4, 5], lambda a, b: 1)
         bp = bipartition(two_weights(g))

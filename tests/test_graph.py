@@ -9,15 +9,12 @@ from metric_realize import (
     prune,
     support_graph,
     two_weights,
-    useful_edges,
     verify_realization,
 )
-
-from metric_realize.graph import shortest_path_matrix
+from metric_realize import kernel
 
 from conftest import fam_of, random_connected_graph
-
-inf = float("inf")
+from oracles import without_edge
 
 
 class TestWeightedGraph:
@@ -58,18 +55,13 @@ class TestWeightedGraph:
 
     def test_weight_lookup(self):
         g = WeightedGraph(3, [(1, 2, 5), (2, 3, Fraction(1, 2))])
-        assert g.weight(3, 2) == Fraction(1, 2)
-        with pytest.raises(GraphError):
-            g.weight(1, 3)
+        assert g.adjacency()[3][2] == Fraction(1, 2)
+        assert 3 not in g.adjacency()[1]
 
     def test_degree(self):
         g = WeightedGraph(4, [(1, 2, 1), (1, 3, 1), (1, 4, 1)])
-        assert g.degree(1) == 3
-        assert g.degree(4) == 1
-
-    def test_without_edge(self):
-        g = WeightedGraph(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
-        assert g.without_edge(3, 1).edge_pairs() == {(1, 2), (2, 3)}
+        assert len(g.adjacency()[1]) == 3
+        assert len(g.adjacency()[4]) == 1
 
 
 class TestTwoWeights:
@@ -89,8 +81,9 @@ class TestTwoWeights:
         big = 10**400
         f = two_weights(WeightedGraph(3, [(1, 2, big), (2, 3, big)]))
         assert (f.d(1, 2), f.d(1, 3)) == (big, 2 * big)
-        apart = WeightedGraph(3, [(1, 2, big)], require_connected=False)
-        assert shortest_path_matrix(apart) == [[0, big, inf], [big, 0, inf], [inf, inf, 0]]
+        # apart: big + 1, the exact stand-in for +inf, exceeds every path
+        dist = kernel.all_pairs(3, [(1, 2, big)], 1)
+        assert dist.array.tolist() == [[0, big, big + 1], [big, 0, big + 1], [big + 1, big + 1, 0]]
 
     def test_single_vertex_rejected(self):
         with pytest.raises(GraphError):
@@ -124,30 +117,27 @@ class TestTwoWeights:
 class TestUsefulEdges:
     def test_tree_edges_are_all_useful(self):
         g = WeightedGraph(4, [(1, 2, 1), (2, 3, 2), (2, 4, 7)])
-        u = useful_edges(g)
-        assert u.useful == g.edge_pairs()
-        assert u.useless == frozenset()
+        assert prune(g).edge_pairs() == g.edge_pairs()
 
     def test_heavy_chord_is_useless(self):
         g = WeightedGraph(3, [(1, 2, 1), (2, 3, 1), (1, 3, 2)])
-        u = useful_edges(g)
-        assert u.useless == {(1, 3)}
+        assert prune(g).edge_pairs() == {(1, 2), (2, 3)}
 
     def test_light_chord_is_useful(self):
         g = WeightedGraph(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
-        assert useful_edges(g).useless == frozenset()
+        assert prune(g).edge_pairs() == g.edge_pairs()
 
     def test_deletion_oracle(self):
-        # an edge is useless iff deleting it keeps every 2-weight intact
+        # an edge is dropped iff deleting it keeps every 2-weight intact
         rng = random.Random(31)
         for _ in range(60):
             g = random_connected_graph(rng.randint(2, 8), rng)
             f = two_weights(g)
-            u = useful_edges(g)
+            kept = prune(g).edge_pairs()
             for a, b, _ in g.edges:
-                smaller = g.without_edge(a, b, require_connected=False)
+                smaller = without_edge(g, a, b)
                 same = smaller.is_connected() and two_weights(smaller).values == f.values
-                assert same == ((a, b) in u.useless)
+                assert same == ((a, b) not in kept)
 
 
 class TestPrune:

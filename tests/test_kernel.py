@@ -1,5 +1,5 @@
 """The dense min-plus kernel against the scalar loops in ``oracles``:
-2-weights, usefulness, pruning and verification on int, Fraction and float
+2-weights, pruning and verification on int, Fraction and float
 weights and on weights whose sums leave int64 (object dtype), connected or
 not, exactly and under ``Cmp(1e-9)``.  Results are Python numbers and a
 Python bool.  Values beyond the float range (10**400) run in exact mode only:
@@ -18,11 +18,9 @@ from metric_realize import (
     WeightedGraph,
     prune,
     two_weights,
-    useful_edges,
     verify_realization,
 )
 from metric_realize import kernel
-from metric_realize.graph import shortest_path_matrix
 
 import oracles
 
@@ -86,14 +84,24 @@ def assert_python_number(x):
     assert type(x) in (int, Fraction, float), type(x)
 
 
+def assert_all_pairs_equal_the_scalar_loop(g):
+    """Connected pairs hold the loop's value; pairs apart hold a stand-in
+    for +inf that exceeds the weight sum, hence every path."""
+    dist = kernel.all_pairs(g.n, g.edges, kernel.common_scale(w for *_e, w in g.edges))
+    total = sum(w for *_e, w in g.edges)
+    for row, want in zip(dist.array, oracles.shortest_path_matrix(g)):
+        for x, y in zip(dist.numbers(row), want):
+            assert_python_number(x)
+            if y == float("inf"):
+                assert x > total
+            else:
+                assert x == y
+
+
 @KERNEL_SETTINGS
 @given(weighted_graphs(connected=False))
-def test_shortest_path_matrix_equals_the_scalar_loop(g):
-    got = shortest_path_matrix(g)
-    assert got == oracles.shortest_path_matrix(g)
-    for row in got:
-        for x in row:
-            assert_python_number(x)
+def test_all_pairs_equals_the_scalar_loop(g):
+    assert_all_pairs_equal_the_scalar_loop(g)
 
 
 @KERNEL_SETTINGS
@@ -110,12 +118,10 @@ def test_two_weights_equal_the_scalar_loop(g, cmp):
 
 @KERNEL_SETTINGS
 @given(weighted_graphs(), st.sampled_from(CMPS))
-def test_useful_edges_and_prune_equal_the_per_edge_scan(g, cmp):
+def test_prune_equals_the_per_edge_scan(g, cmp):
     assume(comparable(g, cmp))
-    want = oracles.useful_edges(g, cmp)
-    assert useful_edges(g, cmp) == want
     pruned = prune(g, cmp)
-    assert pruned.edge_pairs() == want.useful
+    assert pruned.edge_pairs() == oracles.useful_edges(g, cmp)
     for u, v, w in pruned.edges:
         assert type(u) is int and type(v) is int
         assert_python_number(w)
@@ -147,7 +153,7 @@ def test_a_chord_at_the_tolerance_boundary(unit, offset, cmp):
     # the chord (1, 3) against the path 1-2-3 of the same length
     chord = 2 * unit * (1 + (float(offset) if isinstance(unit, float) else offset))
     g = WeightedGraph(3, [(1, 2, unit), (2, 3, unit), (1, 3, chord)])
-    assert useful_edges(g, cmp) == oracles.useful_edges(g, cmp)
+    assert prune(g, cmp).edge_pairs() == oracles.useful_edges(g, cmp)
     family = two_weights(WeightedGraph(3, [(1, 2, unit), (2, 3, unit)]), cmp)
     assert verify_realization(g, family) == oracles.verify_realization(g, family)
 
@@ -184,7 +190,5 @@ def test_verification_reads_the_family_matrix_once():
 def test_the_dtype_follows_the_data(weights, dtype):
     edges = [(1, 2, weights[0]), (2, 3, weights[1]), (3, 4, weights[2])]
     scale = kernel.common_scale(w for *_e, w in edges)
-    dist, _inf = kernel.all_pairs(4, edges, scale)
-    assert dist.array.dtype.name == dtype
-    g = WeightedGraph(4, edges)
-    assert shortest_path_matrix(g) == oracles.shortest_path_matrix(g)
+    assert kernel.all_pairs(4, edges, scale).array.dtype.name == dtype
+    assert_all_pairs_equal_the_scalar_loop(WeightedGraph(4, edges))

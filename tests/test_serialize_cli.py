@@ -274,6 +274,19 @@ class TestHostileInput:
         assert run(["weights", str(graph)]) == 0
         assert parse_family_csv(capsys.readouterr().out).d(1, 3) == 2 * 10**400
 
+    @pytest.mark.parametrize("command", ["weights", "prune"])
+    def test_float_two_weights_beyond_the_float_range_are_input_errors(self, tmp_path, capsys, command):
+        # each weight is a float, but D_13 = 2e308 is not
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": 3, "edges": [
+            {"u": 1, "v": 2, "w": "1e308"}, {"u": 2, "v": 3, "w": "1e308"},
+        ]}))
+        assert run([command, str(graph), "--tol"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a 2-weight exceeds the float range: a path's total weight overflows float64\n"
+        assert run([command, str(graph)]) == 0  # exact mode has no range
+
     def test_oversized_graph_document_is_input_error(self, tmp_path, capsys):
         graph = tmp_path / "big.json"
         graph.write_text(json.dumps({"n": 10_000, "edges": [{"u": 1, "v": 2, "w": "1"}]}))

@@ -23,7 +23,6 @@ from metric_realize import (
     planar_check,
     prune,
     two_weights,
-    useful_edges,
     verify_realization,
 )
 from metric_realize import kernel
@@ -247,10 +246,9 @@ def test_support_under_a_tolerance_rejects_values_beyond_the_float_range():
         family.support
 
 
-@pytest.mark.parametrize("entry", (prune, useful_edges))
-def test_pruning_under_a_tolerance_rejects_values_beyond_the_float_range(entry):
+def test_pruning_under_a_tolerance_rejects_values_beyond_the_float_range():
     with pytest.raises(GraphError, match=RANGE):
-        entry(PATH, TOL)
+        prune(PATH, TOL)
 
 
 def test_verification_under_a_tolerance_rejects_values_beyond_the_float_range():

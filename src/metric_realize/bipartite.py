@@ -9,6 +9,7 @@ from typing import Dict, FrozenSet, Tuple
 
 import numpy as np
 
+from . import kernel
 from .family import DistanceFamily
 from .graph import WeightedGraph, verify_realization
 from .realization import Realization
@@ -59,6 +60,7 @@ def _min_pair(family: DistanceFamily) -> Tuple[int, int]:
     return int(i[k]) + 1, int(j[k]) + 1
 
 
+@kernel.python_floats
 def bipartition(family: DistanceFamily) -> Bipartition:
     """Recover the two sides of a would-be bipartite realization.
 
@@ -71,15 +73,19 @@ def bipartition(family: DistanceFamily) -> Bipartition:
     vertex is placed, and the sides 2-colour S exactly when S is bipartite.
     """
     x, y = _min_pair(family)
-    d, cmp, adj = family.d, family.cmp, family.support.adj
-    order = sorted(range(1, family.n + 1), key=lambda v: d(x, v))
+    adj = family.support.adj
+    d, scale = family.scaled
+    dx = d[x - 1]
+    order = [v + 1 for v in sorted(range(family.n), key=dx.tolist().__getitem__)]
     rank = {v: k for k, v in enumerate(order)}
+    # tight[u - 1][v - 1]: D_{x,u} + D_{u,v} = D_{x,v}
+    tight = kernel.eq(dx[:, None] + d, dx, scale, family.cmp).tolist()
     side = {x: 0}
     chains: Dict[int, Tuple[int, ...]] = {x: ()}
     for v in order[1:]:
-        tight = [u for u in adj[v] if u in side and cmp.eq(d(x, u) + d(u, v), d(x, v))]
-        if tight:
-            u = min(tight, key=rank.__getitem__)
+        parents = [u for u in adj[v] if u in side and tight[u - 1][v - 1]]
+        if parents:
+            u = min(parents, key=rank.__getitem__)
             side[v] = side[u] ^ 1
             chains[v] = chains[u] + (u,) if u != x else ()
     x_witnesses, y_witnesses = ({v: c for v, c in chains.items() if side[v] == p} for p in (0, 1))

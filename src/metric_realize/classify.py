@@ -12,17 +12,23 @@ from .polygons import polygon_check, pruned_polygon_check
 from .realization import InternalInconsistencyError, Realization
 from .trees import caterpillar_check, snake_check, tree_check
 
-CLASS_ORDER = (
-    "snake",
-    "caterpillar",
-    "tree",
-    "pruned_polygon",
-    "polygon",
-    "complete",
-    "bipartite",
-    "pruned_bipartite",
-    "planar",
-)
+
+def recognizers() -> Dict[str, Callable[[DistanceFamily], Realization]]:
+    """Every recognizer by class name, in report order.  The functions are
+    looked up per call, not bound once at import, so that a wrapper put on
+    this module's names (a tracer, a test double) is what runs."""
+    return {
+        "snake": snake_check,
+        "caterpillar": caterpillar_check,
+        "tree": tree_check,
+        "pruned_polygon": pruned_polygon_check,
+        "polygon": polygon_check,
+        "complete": complete_check,
+        "bipartite": bigraph_check,
+        "pruned_bipartite": cobigraph_check,
+        "planar": planar_check,
+    }
+
 
 # Acceptance of the first class implies acceptance of the second.
 CONTAINMENTS = (
@@ -46,7 +52,7 @@ class ClassificationReport:
     planar_witness: Optional[PlanarWitness] = None
 
     def accepted_classes(self):
-        return [c for c in CLASS_ORDER if self.verdicts[c].accepted]
+        return [c for c, r in self.verdicts.items() if r.accepted]
 
     def lattice_violations(self):
         """Containment pairs (sub, super) where sub accepted but super rejected."""
@@ -107,17 +113,7 @@ def classify(family: DistanceFamily) -> ClassificationReport:
         "four_point": tree or check_four_point(family, max_violations=1).holds,
         "median": tree or check_median(family, max_violations=1).holds,
     }
-    verdicts: Dict[str, Realization] = {
-        "snake": _run(snake_check, family),
-        "caterpillar": _run(caterpillar_check, family),
-        "tree": _run(tree_check, family),
-        "pruned_polygon": _run(pruned_polygon_check, family),
-        "polygon": _run(polygon_check, family),
-        "complete": _run(complete_check, family),
-        "bipartite": _run(bigraph_check, family),
-        "pruned_bipartite": _run(cobigraph_check, family),
-        "planar": _run(planar_check, family),
-    }
+    verdicts = {name: _run(check, family) for name, check in recognizers().items()}
     bipartition = verdicts["bipartite"].witness
     planar_witness = verdicts["planar"].witness
     return ClassificationReport(verdicts, conditions, bipartition, planar_witness)

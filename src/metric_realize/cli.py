@@ -12,17 +12,13 @@ import functools
 import json
 import os
 import sys
-from typing import Callable, Dict
 
-from .bipartite import bigraph_check, cobigraph_check, complete_check
-from .classify import classify
+from .classify import classify, recognizers
 from .comparison import Cmp, DEFAULT_TOL, EXACT
-from .family import DistanceFamily, FamilyError
+from .family import FamilyError
 from .generators import GenSpec, GenerationError, generate
 from .graph import GraphError, prune, two_weights, verify_realization
-from .planar import planar_check
-from .polygons import polygon_check, pruned_polygon_check
-from .realization import InternalInconsistencyError, Realization
+from .realization import InternalInconsistencyError
 from .serialize import (
     ParseError,
     family_to_csv,
@@ -31,23 +27,13 @@ from .serialize import (
     graph_to_json,
     parse_family_csv,
 )
-from .trees import caterpillar_check, snake_check, tree_check
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_INPUT_ERROR = 2
 
-RECOGNIZERS: Dict[str, Callable[[DistanceFamily], Realization]] = {
-    "snake": snake_check,
-    "caterpillar": caterpillar_check,
-    "tree": tree_check,
-    "polygon": polygon_check,
-    "pruned-polygon": pruned_polygon_check,
-    "complete": complete_check,
-    "bipartite": bigraph_check,
-    "pruned-bipartite": cobigraph_check,
-    "planar": planar_check,
-}
+# ``--class`` names: the report's class names, hyphenated
+CLASS_NAMES = sorted(name.replace("_", "-") for name in recognizers())
 
 
 def _cmp_from_args(args) -> Cmp:
@@ -118,12 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("check", help="run one class recognizer, verdict only")
-    p.add_argument("--class", dest="class_name", required=True, choices=sorted(RECOGNIZERS))
+    p.add_argument("--class", dest="class_name", required=True, choices=CLASS_NAMES)
     p.add_argument("matrix", help="distance matrix CSV file (or -)")
     _add_common(p)
 
     p = sub.add_parser("realize", help="run one recognizer and print the realization")
-    p.add_argument("--class", dest="class_name", required=True, choices=sorted(RECOGNIZERS))
+    p.add_argument("--class", dest="class_name", required=True, choices=CLASS_NAMES)
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("matrix")
     _add_common(p)
@@ -177,7 +163,7 @@ def _dispatch(args) -> int:
     if args.command in ("check", "realize"):
         cmp = _cmp_from_args(args)
         family = parse_family_csv(_read(args.matrix), cmp)
-        result = RECOGNIZERS[args.class_name](family)
+        result = recognizers()[args.class_name.replace("-", "_")](family)
         if result.accepted:
             if args.command == "realize":
                 _emit_graph(result.graph, args.format)

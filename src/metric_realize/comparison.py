@@ -1,8 +1,9 @@
 """Comparison modes for 2-weight arithmetic.
 
-Every equality / strictness decision in the library goes through a
-:class:`Cmp` instance.  Exact mode compares numbers (ints / Fractions)
-directly; tolerance mode compares floats with a relative tolerance.
+A :class:`Cmp` names the mode; every equality and strictness decision in the
+library is ``kernel.eq`` or ``kernel.lt`` under it, on the family's array.
+Exact mode compares numbers (ints / Fractions) directly; tolerance mode
+compares floats with a relative tolerance.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ DEFAULT_TOL = 1e-9
 
 
 class Cmp:
-    """Equality and order predicates under a comparison mode.
+    """A comparison mode.
 
     ``tol is None`` selects exact comparison (reference semantics, used by
     all acceptance tests).  Otherwise values are compared with relative
-    tolerance ``tol``; the scale is ``max(1, |a|, |b|)`` so that small
-    values are not compared against a vanishing threshold.  A tolerance
-    must be a number with ``0 < tol < inf``.
+    tolerance ``tol`` (the rule is ``kernel.eq``'s).  A tolerance must be a
+    number with ``0 < tol < inf``.
     """
 
     __slots__ = ("tol",)
@@ -36,24 +36,6 @@ class Cmp:
     @property
     def exact(self) -> bool:
         return self.tol is None
-
-    @staticmethod
-    def _scale(a: Number, b: Number) -> float:
-        return max(1.0, abs(a), abs(b))
-
-    def eq(self, a: Number, b: Number) -> bool:
-        if self.tol is None:
-            return a == b
-        return abs(a - b) <= self.tol * self._scale(a, b)
-
-    def lt(self, a: Number, b: Number) -> bool:
-        """Strictly less; in tolerance mode the gap must exceed tol*scale."""
-        if self.tol is None:
-            return a < b
-        return b - a > self.tol * self._scale(a, b)
-
-    def le(self, a: Number, b: Number) -> bool:
-        return not self.lt(b, a)
 
     def __repr__(self) -> str:
         return "Cmp(exact)" if self.tol is None else f"Cmp(tol={self.tol!r})"

@@ -3,7 +3,9 @@
 A family assigns a positive value to every unordered pair of distinct
 indices in ``[n] = {1, ..., n}``.  The checks here (triangle, four-point,
 median, indecomposability) are the paper's criteria; the recognizers read
-their verdicts off the support graph, ``DistanceFamily.support``.
+their verdicts off the support graph, ``DistanceFamily.support``.  The
+checks run on the family's array (``DistanceFamily.scaled``) with
+``kernel.eq`` and ``kernel.lt``, one block of at most n^2 entries per step.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
+
+import numpy as np
 
 from . import kernel
 from .comparison import EXACT, Cmp, Number
@@ -76,11 +80,19 @@ class DistanceFamily:
     @cached_property
     def scaled(self) -> "Scaled":
         """The family as one n x n array (``metric_realize.kernel``): the
-        values times the LCM of their denominators, int64 or Python ints, or
-        float64 once a value is a float; diagonal 0.  Built on first use (or
-        by ``serialize.parse_family_csv`` from the parsed matrix) and kept
-        with the family, so that S and every verification read one copy."""
+        values times a common multiple of their denominators, int64 or Python
+        ints, or float64 once a value is a float; diagonal 0.  Built on first
+        use unless the family's maker handed it over (``_keep_scaled``), and
+        kept with the family, so that S, the checks and every verification
+        read one copy."""
         return kernel.pair_matrix(self.n, self.values, kernel.common_scale(self.values.values()))
+
+    def _keep_scaled(self, scaled: "Scaled") -> "DistanceFamily":
+        """The family, with ``scaled`` as its array: one that its maker built
+        on the way (``two_weights``, ``parse_family_csv``), whose dtype holds
+        the sum of any two entries."""
+        self.__dict__["scaled"] = scaled
+        return self
 
     @cached_property
     def sides(self) -> "Bipartition":
@@ -90,17 +102,6 @@ class DistanceFamily:
         from .bipartite import bipartition
 
         return bipartition(self)
-
-    def with_value(self, i: int, j: int, value: Number) -> "DistanceFamily":
-        """Copy of the family with one entry replaced (for perturbation tests)."""
-        if i > j:
-            i, j = j, i
-        values = dict(self.values)
-        values[(i, j)] = value
-        return DistanceFamily(self.n, values, self.cmp)
-
-    def with_cmp(self, cmp: Cmp) -> "DistanceFamily":
-        return DistanceFamily(self.n, self.values, cmp)
 
 
 @dataclass
@@ -114,42 +115,60 @@ class PairPredicateReport:
         return self.holds
 
 
+def _report(violations: Iterator[tuple], max_violations: int) -> PairPredicateReport:
+    """The report of the first ``max_violations`` (at least 1) of
+    ``violations``; the rest are never computed."""
+    found = list(itertools.islice(violations, max(1, max_violations)))
+    return PairPredicateReport(not found, found)
+
+
+@kernel.python_floats
 def check_triangle(family: DistanceFamily, max_violations: int = MAX_VIOLATIONS) -> PairPredicateReport:
     """Check D_{i,j} <= D_{i,k} + D_{k,j} for all distinct i, j, k.
 
     A violation is recorded as ``(i, j, k)`` meaning D_{i,j} > D_{i,k} + D_{k,j},
-    once per unordered choice of {i,j} and k.
+    once per unordered choice of {i,j} and k, in lexicographic order.
     """
-    cmp = family.cmp
-    d = family.d
-    violations: List[tuple] = []
-    for i, j in family.pairs():
-        dij = d(i, j)
-        for k in range(1, family.n + 1):
-            if k == i or k == j:
-                continue
-            if cmp.lt(d(i, k) + d(k, j), dij):
-                violations.append((i, j, k))
-                if len(violations) >= max_violations:
-                    return PairPredicateReport(False, violations)
-    return PairPredicateReport(not violations, violations)
+    return _report(_triangle_violations(family), max_violations)
 
 
+def _triangle_violations(family: DistanceFamily) -> Iterator[tuple]:
+    d, scale = family.scaled
+    for i in range(family.n - 1):
+        # rows j > i, columns k: D_ik + D_kj < D_ij; k = i and k = j give
+        # D_ij itself, which is never below it
+        short = kernel.lt(d[i] + d[i + 1 :], d[i, i + 1 :, None], scale, family.cmp)
+        for j, k in zip(*(ix.tolist() for ix in np.nonzero(short))):
+            yield (i + 1, i + j + 2, k + 1)
+
+
+@kernel.python_floats
 def check_four_point(family: DistanceFamily, max_violations: int = MAX_VIOLATIONS) -> PairPredicateReport:
     """Check that for all distinct i,j,k,h the maximum of the three pairings
-    {D_{i,j}+D_{k,h}, D_{i,k}+D_{j,h}, D_{i,h}+D_{k,j}} is attained at least twice."""
-    cmp = family.cmp
-    d = family.d
-    violations: List[tuple] = []
-    for i, j, k, h in itertools.combinations(range(1, family.n + 1), 4):
-        sums = sorted((d(i, j) + d(k, h), d(i, k) + d(j, h), d(i, h) + d(j, k)))
-        if not cmp.eq(sums[1], sums[2]):
-            violations.append((i, j, k, h))
-            if len(violations) >= max_violations:
-                return PairPredicateReport(False, violations)
-    return PairPredicateReport(not violations, violations)
+    {D_{i,j}+D_{k,h}, D_{i,k}+D_{j,h}, D_{i,h}+D_{k,j}} is attained at least
+    twice.  Violations are the quadruples i < j < k < h in lexicographic order."""
+    return _report(_four_point_violations(family), max_violations)
 
 
+def _four_point_violations(family: DistanceFamily) -> Iterator[tuple]:
+    d, scale = family.scaled
+    upper = ~np.tri(family.n, dtype=bool)
+    for i, j in itertools.combinations(range(family.n - 2), 2):
+        # the pairings D_ij + D_kh, D_ik + D_jh and D_ih + D_jk over the
+        # (k, h) with j < k < h, the upper triangle of the blocks
+        rest = slice(j + 1, None)
+        di, dj = d[i, rest], d[j, rest]
+        x, y, z = d[i, j] + d[rest, rest], di[:, None] + dj, dj[:, None] + di
+        # the middle and the largest pairing, by comparisons alone, as a sort
+        # of the three would give them
+        low, high = np.minimum(x, y), np.maximum(x, y)
+        middle, top = np.maximum(low, np.minimum(high, z)), np.maximum(high, z)
+        bad = ~kernel.eq(middle, top, scale, family.cmp) & upper[rest, rest]
+        for k, h in zip(*(ix.tolist() for ix in np.nonzero(bad))):
+            yield (i + 1, j + 1, j + k + 2, j + h + 2)
+
+
+@kernel.python_floats
 def is_indecomposable(family: DistanceFamily, i: int, j: int) -> bool:
     """True iff D_{i,j} < D_{i,z} + D_{z,j} for every z outside {i, j}.
 
@@ -160,40 +179,33 @@ def is_indecomposable(family: DistanceFamily, i: int, j: int) -> bool:
         raise FamilyError("indecomposability needs i != j")
     if not (1 <= i <= family.n and 1 <= j <= family.n):
         raise FamilyError(f"index out of range: ({i},{j})")
-    cmp = family.cmp
-    d = family.d
-    dij = d(i, j)
-    for z in range(1, family.n + 1):
-        if z == i or z == j:
-            continue
-        if not cmp.lt(dij, d(i, z) + d(z, j)):
-            return False
-    return True
+    d, scale = family.scaled
+    below = kernel.lt(d[i - 1, j - 1], d[i - 1] + d[j - 1], scale, family.cmp)
+    below[[i - 1, j - 1]] = True
+    return bool(below.all())
 
 
+@kernel.python_floats
 def check_median(family: DistanceFamily, max_violations: int = MAX_VIOLATIONS) -> PairPredicateReport:
     """Check that every triple of distinct indices has exactly one median.
 
     m is a median of {a,b,c} when D_{i,j} = D_{i,m} + D_{j,m} for all distinct
     i, j in the triple, with D_{m,m} = 0 so m may coincide with one of a,b,c.
-    Violations carry the triple and its median count.  n < 3 holds vacuously.
+    Violations carry the triple, in lexicographic order, and its median
+    count, capped at 2.  n < 3 holds vacuously.
     """
+    return _report(_median_violations(family), max_violations)
+
+
+def _median_violations(family: DistanceFamily) -> Iterator[tuple]:
+    d, scale = family.scaled
     cmp = family.cmp
-    d = family.d
-    violations: List[tuple] = []
-    for a, b, c in itertools.combinations(range(1, family.n + 1), 3):
-        count = 0
-        for m in range(1, family.n + 1):
-            if (
-                cmp.eq(d(a, b), d(a, m) + d(b, m))
-                and cmp.eq(d(a, c), d(a, m) + d(c, m))
-                and cmp.eq(d(b, c), d(b, m) + d(c, m))
-            ):
-                count += 1
-                if count > 1:
-                    break
-        if count != 1:
-            violations.append((a, b, c, count))
-            if len(violations) >= max_violations:
-                return PairPredicateReport(False, violations)
-    return PairPredicateReport(not violations, violations)
+    for a, b in itertools.combinations(range(family.n - 1), 2):
+        # the m on the a-b geodesic, then per c > b those also on a-c and b-c
+        m = np.nonzero(kernel.eq(d[a, b], d[a] + d[b], scale, cmp))[0]
+        dc = d[b + 1 :, m]
+        on_ac = kernel.eq(d[a, b + 1 :, None], d[a, m] + dc, scale, cmp)
+        on_bc = kernel.eq(d[b, b + 1 :, None], d[b, m] + dc, scale, cmp)
+        count = np.minimum((on_ac & on_bc).sum(axis=1), 2)
+        for c in np.nonzero(count != 1)[0].tolist():
+            yield (a + 1, b + 1, b + c + 2, int(count[c]))

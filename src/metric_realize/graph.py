@@ -118,11 +118,12 @@ def _distances(graph: WeightedGraph) -> kernel.Scaled:
 
 
 def two_weights(graph: WeightedGraph, cmp: Cmp = EXACT) -> DistanceFamily:
-    """The family of 2-weights of a connected positive-weighted graph."""
+    """The family of 2-weights of a connected positive-weighted graph, which
+    keeps the kernel's matrix as its array (``DistanceFamily.scaled``)."""
     dist = _distances(graph)
     upper = dist.array[np.triu_indices(graph.n, 1)]
     pairs = itertools.combinations(range(1, graph.n + 1), 2)
-    return DistanceFamily(graph.n, dict(zip(pairs, dist.numbers(upper))), cmp)
+    return DistanceFamily(graph.n, dict(zip(pairs, dist.numbers(upper))), cmp)._keep_scaled(dist)
 
 
 def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:

@@ -105,9 +105,10 @@ def _dtype(scale: Optional[int], bound: int):
 
 def pair_matrix(n: int, values: Mapping[Tuple[int, int], Number], scale: Optional[int]) -> Scaled:
     """The symmetric matrix of ``values`` (pairs (i, j) over [n]) with a zero
-    diagonal; ``scale`` must be a multiple of every value's denominator."""
+    diagonal; ``scale`` must be a multiple of every value's denominator.  The
+    dtype holds the sum of any two entries."""
     nums = _scaled(values.values(), scale)
-    dtype = _dtype(scale, max(nums, default=0))
+    dtype = _dtype(scale, 2 * max(nums, default=0))
     array = np.zeros((n, n), dtype=dtype)
     if nums:
         ij = np.array(list(values), dtype=np.intp) - 1
@@ -119,11 +120,12 @@ def pair_matrix(n: int, values: Mapping[Tuple[int, int], Number], scale: Optiona
 
 def row_matrix(rows: Sequence[Sequence[Number]]) -> Scaled:
     """The matrix of ``rows``, n lists of n numbers of any sign, scaled by
-    the LCM of their denominators."""
+    the LCM of their denominators, in a dtype that holds the sum or the
+    difference of any two entries."""
     cells = list(itertools.chain.from_iterable(rows))
     scale = common_scale(cells)
     nums = _scaled(cells, scale)
-    dtype = _dtype(scale, max(map(abs, nums)))
+    dtype = _dtype(scale, 2 * max(map(abs, nums)))
     return Scaled(np.array(nums, dtype=dtype).reshape(len(rows), -1), scale)
 
 
@@ -198,9 +200,10 @@ def _slack(a: np.ndarray, b: np.ndarray, scale: Optional[int], tol: float) -> np
 
 @python_floats
 def eq(a: np.ndarray, b: np.ndarray, scale: Optional[int], cmp: Cmp) -> np.ndarray:
-    """``cmp.eq`` entrywise on scaled arrays.  In tolerance mode it is the
-    relative rule |a - b| <= tol * max(1, |a|, |b|) in float64, with the
-    difference taken on the scaled values first."""
+    """a = b entrywise on scaled arrays: exactly in exact mode, and under a
+    tolerance by the relative rule |a - b| <= tol * max(1, |a|, |b|) in
+    float64, with the difference taken on the scaled values first.  The
+    floor of 1 keeps small values from meeting a vanishing threshold."""
     if cmp.exact:
         return a == b
     return np.abs(_floats(a - b, scale)) <= _slack(a, b, scale, cmp.tol)
@@ -208,8 +211,9 @@ def eq(a: np.ndarray, b: np.ndarray, scale: Optional[int], cmp: Cmp) -> np.ndarr
 
 @python_floats
 def lt(a: np.ndarray, b: np.ndarray, scale: Optional[int], cmp: Cmp) -> np.ndarray:
-    """``cmp.lt`` entrywise on scaled arrays: in tolerance mode the gap
-    b - a must exceed tol * max(1, |a|, |b|)."""
+    """a < b entrywise on scaled arrays: exactly in exact mode, and under a
+    tolerance when the gap b - a exceeds the slack of ``eq``,
+    tol * max(1, |a|, |b|)."""
     if cmp.exact:
         return a < b
     return _floats(b - a, scale) > _slack(a, b, scale, cmp.tol)

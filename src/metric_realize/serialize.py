@@ -157,8 +157,7 @@ def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
     lower = np.tril_indices(n, -1)
     a[lower] = a.T[lower]
     np.fill_diagonal(a, 0)
-    family.__dict__["scaled"] = kernel.Scaled(a, scale)  # what the cached property would build
-    return family
+    return family._keep_scaled(kernel.Scaled(a, scale))
 
 
 def family_to_csv(family: DistanceFamily) -> str:
@@ -187,7 +186,7 @@ def graph_from_json(text: str, cmp: Cmp = EXACT) -> WeightedGraph:
     try:
         n = _json_int(doc["n"], "n")
         edges = [
-            (_json_int(e["u"], "u"), _json_int(e["v"], "v"), parse_number(str(e["w"]), cmp))
+            (_json_int(e["u"], "u"), _json_int(e["v"], "v"), parse_cell(str(e["w"]), cmp))
             for e in doc["edges"]
         ]
     except (KeyError, TypeError, ValueError) as exc:

@@ -13,6 +13,18 @@ def fam(n, entries, cmp=None):
     return DistanceFamily(n, dict(entries), cmp or EXACT)
 
 
+def with_value(family, i, j, value):
+    """Copy of the family with the entry (i, j) replaced (for perturbation tests)."""
+    values = dict(family.values)
+    values[min(i, j), max(i, j)] = value
+    return DistanceFamily(family.n, values, family.cmp)
+
+
+def with_cmp(family, cmp):
+    """The family's values under another comparison mode."""
+    return DistanceFamily(family.n, family.values, cmp)
+
+
 def fam_of(n, edges):
     """Family of 2-weights of the graph with the given weighted edges."""
     return two_weights(WeightedGraph(n, edges))

@@ -1,6 +1,7 @@
 """Small-n brute-force realizability oracles, the exhaustive Kuratowski
-search, and the scalar 2-weights, usefulness, verification and split loops,
-against which the tests check the recognizers and the dense min-plus kernel.
+search, the scalar comparison rule, and the scalar 2-weights, usefulness,
+verification, split and family-check loops, against which the tests check
+the recognizers and the dense min-plus kernel.
 
 Oracles enumerate candidate topologies (Prufer sequences for trees, cyclic
 orders for polygons, side assignments for bipartitions) with edge weights
@@ -19,10 +20,10 @@ from metric_realize import (
     EXACT,
     Cmp,
     DistanceFamily,
+    FamilyError,
+    PairPredicateReport,
     PlanarWitness,
     WeightedGraph,
-    check_triangle,
-    is_indecomposable,
     support_graph,
 )
 from metric_realize.comparison import Number
@@ -34,6 +35,96 @@ SEARCH_SIZE_LIMIT = 10
 
 class SizeGuardError(ValueError):
     """The brute-force witness search was refused for being too large."""
+
+
+# ---------------------------------------------------------------------------
+# The scalar comparison rule (the reference for ``kernel.eq`` and ``kernel.lt``)
+# ---------------------------------------------------------------------------
+
+
+def _slack(cmp: Cmp, a: Number, b: Number) -> float:
+    return cmp.tol * max(1.0, abs(a), abs(b))
+
+
+def eq(cmp: Cmp, a: Number, b: Number) -> bool:
+    """a = b: exactly, or within the relative tolerance tol * max(1, |a|, |b|)."""
+    if cmp.exact:
+        return a == b
+    return abs(a - b) <= _slack(cmp, a, b)
+
+
+def lt(cmp: Cmp, a: Number, b: Number) -> bool:
+    """Strictly less; in tolerance mode the gap must exceed tol * max(1, |a|, |b|)."""
+    if cmp.exact:
+        return a < b
+    return b - a > _slack(cmp, a, b)
+
+
+def le(cmp: Cmp, a: Number, b: Number) -> bool:
+    return not lt(cmp, b, a)
+
+
+# ---------------------------------------------------------------------------
+# Scalar family checks (references for ``metric_realize.family``)
+# ---------------------------------------------------------------------------
+
+
+def triangle_scan(family: DistanceFamily, max_violations: int) -> PairPredicateReport:
+    """``check_triangle`` by the loop over pairs i < j and midpoints k."""
+    d, cmp = family.d, family.cmp
+    violations: List[tuple] = []
+    for i, j in family.pairs():
+        for k in range(1, family.n + 1):
+            if k != i and k != j and lt(cmp, d(i, k) + d(k, j), d(i, j)):
+                violations.append((i, j, k))
+                if len(violations) >= max_violations:
+                    return PairPredicateReport(False, violations)
+    return PairPredicateReport(not violations, violations)
+
+
+def four_point_scan(family: DistanceFamily, max_violations: int) -> PairPredicateReport:
+    """``check_four_point`` by the loop over quadruples i < j < k < h."""
+    d, cmp = family.d, family.cmp
+    violations: List[tuple] = []
+    for i, j, k, h in itertools.combinations(range(1, family.n + 1), 4):
+        sums = sorted((d(i, j) + d(k, h), d(i, k) + d(j, h), d(i, h) + d(j, k)))
+        if not eq(cmp, sums[1], sums[2]):
+            violations.append((i, j, k, h))
+            if len(violations) >= max_violations:
+                return PairPredicateReport(False, violations)
+    return PairPredicateReport(not violations, violations)
+
+
+def median_scan(family: DistanceFamily, max_violations: int) -> PairPredicateReport:
+    """``check_median`` by the loop over triples a < b < c and candidates m,
+    stopping at a second median."""
+    d, cmp = family.d, family.cmp
+    violations: List[tuple] = []
+    for a, b, c in itertools.combinations(range(1, family.n + 1), 3):
+        count = 0
+        for m in range(1, family.n + 1):
+            if (
+                eq(cmp, d(a, b), d(a, m) + d(b, m))
+                and eq(cmp, d(a, c), d(a, m) + d(c, m))
+                and eq(cmp, d(b, c), d(b, m) + d(c, m))
+            ):
+                count += 1
+                if count > 1:
+                    break
+        if count != 1:
+            violations.append((a, b, c, count))
+            if len(violations) >= max_violations:
+                return PairPredicateReport(False, violations)
+    return PairPredicateReport(not violations, violations)
+
+
+def indecomposable_scan(family: DistanceFamily, i: int, j: int) -> bool:
+    """``is_indecomposable`` by the loop over midpoints z outside {i, j}."""
+    if i == j:
+        raise FamilyError("indecomposability needs i != j")
+    d, cmp = family.d, family.cmp
+    others = (z for z in range(1, family.n + 1) if z != i and z != j)
+    return all(lt(cmp, d(i, j), d(i, z) + d(z, j)) for z in others)
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +167,10 @@ def family_of_matrix(matrix: List[List[Number]], cmp: Cmp = EXACT) -> DistanceFa
 
 def useful_edges(graph: WeightedGraph, cmp: Cmp = EXACT) -> FrozenSet[Tuple[int, int]]:
     """The useful edges: per edge, its weight equals D_{u,v} and D_{u,v} is
-    indecomposable, one ``is_indecomposable`` scan per edge."""
+    indecomposable, one ``indecomposable_scan`` per edge."""
     family = family_of_matrix(shortest_path_matrix(graph), cmp)
     return frozenset(
-        (u, v) for u, v, w in graph.edges if cmp.eq(w, family.d(u, v)) and is_indecomposable(family, u, v)
+        (u, v) for u, v, w in graph.edges if eq(cmp, w, family.d(u, v)) and indecomposable_scan(family, u, v)
     )
 
 
@@ -112,10 +203,10 @@ def support_scan(family: DistanceFamily) -> Tuple[WeightedGraph, Optional[Tuple[
         for j in range(i + 1, n + 1):
             dij = row[j - 1]
             split = min(map(operator.add, row, rows[j - 1]))
-            if cmp.lt(dij, split):
+            if lt(cmp, dij, split):
                 edges.append((i, j, dij))
-            elif violation is None and cmp.lt(split, dij):
-                k = next(k for k in range(1, n + 1) if cmp.lt(row[k - 1] + rows[k - 1][j - 1], dij))
+            elif violation is None and lt(cmp, split, dij):
+                k = next(k for k in range(1, n + 1) if lt(cmp, row[k - 1] + rows[k - 1][j - 1], dij))
                 violation = (i, j, k)
     graph = WeightedGraph(n, edges, require_connected=False)
     realization = None
@@ -144,11 +235,11 @@ def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
         matrix.append([parse_number(c, cmp) for c in cells])
     values = {}
     for i in range(1, n + 1):
-        if not cmp.eq(matrix[i - 1][i - 1], 0):
+        if not eq(cmp, matrix[i - 1][i - 1], 0):
             raise ParseError(f"nonzero diagonal at ({i},{i})")
         for j in range(i + 1, n + 1):
             a, b = matrix[i - 1][j - 1], matrix[j - 1][i - 1]
-            if not cmp.eq(a, b):
+            if not eq(cmp, a, b):
                 raise ParseError(f"asymmetric at ({i},{j})")
             if not a > 0:
                 raise ParseError(f"nonpositive 2-weight at ({i},{j})")
@@ -312,7 +403,7 @@ def _forced_tree_realizes(n: int, edges: Sequence[Tuple[int, int]], family: Dist
                 if w == parent:
                     continue
                 dist = acc + d(v, w)
-                if not cmp.eq(dist, d(root, w)):
+                if not eq(cmp, dist, d(root, w)):
                     return False
                 stack.append((w, v, dist))
     return True
@@ -333,13 +424,13 @@ def _snakelike_brute(family: DistanceFamily) -> bool:
         for k in range(1, n):
             acc = acc + d(perm[k - 1], perm[k])
             prefix.append(acc)
-            if not cmp.eq(acc, d(perm[0], perm[k])):
+            if not eq(cmp, acc, d(perm[0], perm[k])):
                 ok = False
                 break
         if not ok:
             continue
         if all(
-            cmp.eq(prefix[j] - prefix[i], d(perm[i], perm[j]))
+            eq(cmp, prefix[j] - prefix[i], d(perm[i], perm[j]))
             for i in range(1, n)
             for j in range(i + 1, n)
         ):
@@ -375,7 +466,7 @@ def _pruned_polygonlike_brute(family: DistanceFamily) -> bool:
             prefix.append(prefix[-1] + d(order[k - 1], order[k]))
         total = prefix[-1] + d(order[-1], order[0])
         if not all(
-            cmp.eq(d(order[p], order[q]), min(prefix[q] - prefix[p], total - (prefix[q] - prefix[p])))
+            eq(cmp, d(order[p], order[q]), min(prefix[q] - prefix[p], total - (prefix[q] - prefix[p])))
             for p in range(n)
             for q in range(p + 1, n)
         ):
@@ -394,7 +485,7 @@ def _pruned_polygonlike_brute(family: DistanceFamily) -> bool:
 def _matrix_matches(matrix, family: DistanceFamily) -> bool:
     cmp = family.cmp
     for i, j in family.pairs():
-        if not cmp.eq(matrix[i - 1][j - 1], family.d(i, j)):
+        if not eq(cmp, matrix[i - 1][j - 1], family.d(i, j)):
             return False
     return True
 
@@ -413,7 +504,7 @@ def _all_edges_needed(graph: WeightedGraph) -> bool:
 
 
 def _cographlike_brute(family: DistanceFamily) -> bool:
-    if not check_triangle(family, max_violations=1).holds:
+    if not triangle_scan(family, 1).holds:
         return False
     graph = WeightedGraph(
         family.n, [(i, j, family.d(i, j)) for i, j in family.pairs()]
@@ -443,7 +534,7 @@ def _bigraphlike_brute(family: DistanceFamily, pruned: bool = False) -> bool:
 
 
 def _planarlike_brute(family: DistanceFamily) -> bool:
-    if not check_triangle(family, max_violations=1).holds:
+    if not triangle_scan(family, 1).holds:
         return False
     return subdivision_witness_search(support_graph(family)) is None
 

@@ -25,6 +25,8 @@ from metric_realize import (
 from metric_realize.bipartite import _min_pair
 from metric_realize.comparison import Number
 
+from oracles import eq, le
+
 
 def indecomposable_partners(family: DistanceFamily, i: int) -> List[int]:
     """All j != i such that D_{i,j} is indecomposable."""
@@ -153,7 +155,7 @@ def snake_condition(family):
     d, cmp = family.d, family.cmp
     x, _y = max(family.pairs(), key=lambda p: (d(*p), -p[0], -p[1]))
     rest = [v for v in range(1, family.n + 1) if v != x]
-    return all(cmp.eq(d(i, j), abs(d(i, x) - d(j, x))) for i, j in itertools.combinations(rest, 2))
+    return all(eq(cmp, d(i, j), abs(d(i, x) - d(j, x))) for i, j in itertools.combinations(rest, 2))
 
 
 def tree_condition(family):
@@ -177,7 +179,7 @@ def caterpillar_condition(family):
     a, b = pendant_offsets(family).extremal_pair
     rest = [v for v in range(1, family.n + 1) if v not in (a, b)]
     return all(
-        cmp.le(max(d(a, i) + d(b, j), d(a, j) + d(b, i)), d(a, b) + d(i, j))
+        le(cmp, max(d(a, i) + d(b, j), d(a, j) + d(b, i)), d(a, b) + d(i, j))
         for i, j in itertools.combinations(rest, 2)
     )
 
@@ -199,7 +201,7 @@ def pruned_polygon_condition(family):
         prefix.append(prefix[-1] + d(order[k - 1], order[k]))
     total = prefix[-1] + d(order[-1], order[0])
     return all(
-        cmp.eq(d(order[p], order[q]), min(prefix[q] - prefix[p], total - prefix[q] + prefix[p]))
+        eq(cmp, d(order[p], order[q]), min(prefix[q] - prefix[p], total - prefix[q] + prefix[p]))
         for p, q in itertools.combinations(range(n), 2)
     )
 
@@ -225,7 +227,7 @@ def bipartite_condition(family):
         return False
     d, cmp = family.d, family.cmp
     return all(
-        any(cmp.eq(d(a, b), d(a, z) + d(z, b)) for z in other)
+        any(eq(cmp, d(a, b), d(a, z) + d(z, b)) for z in other)
         for side, other in ((bp.x_side, bp.y_side), (bp.y_side, bp.x_side))
         for a, b in itertools.combinations(sorted(side), 2)
     )

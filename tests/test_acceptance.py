@@ -32,7 +32,8 @@ from metric_realize import (
     verify_realization,
 )
 
-from oracles import brute_force_class_check, subdivision_witness_search
+from conftest import with_value
+from oracles import brute_force_class_check, eq, subdivision_witness_search
 from paper_criteria import pendant_offsets
 
 CLASSES = (
@@ -226,7 +227,7 @@ def _brute_parity_sides(family):
             if not is_indecomposable(family, v, w):
                 continue
             t = total + d(v, w)
-            if not cmp.eq(t, d(x, w)):
+            if not eq(cmp, t, d(x, w)):
                 continue
             (odd if (len(links) + 1) % 2 else even).add(w)
             links.append(w)
@@ -284,7 +285,7 @@ def test_criterion_7_containment_lattice():
         if rng.random() < 0.5:
             i, j = rng.choice(list(f.pairs()))
             factor = rng.choice([Fraction(1, 2), Fraction(11, 10), 2, 3])
-            f = f.with_value(i, j, f.d(i, j) * factor)
+            f = with_value(f, i, j, f.d(i, j) * factor)
         violations = classify(f).lattice_violations()
         if violations:
             failures.append((case, class_id, n, violations))
@@ -299,7 +300,7 @@ def test_criterion_8_negative_robustness(per_class_round_trips):
     rng = random.Random(0xACCE8)
     for class_id, check, f, seed in accepted:
         i, j = rng.choice(list(f.pairs()))
-        bumped = f.with_value(i, j, f.d(i, j) * Fraction(11, 10))
+        bumped = with_value(f, i, j, f.d(i, j) * Fraction(11, 10))
         r = check(bumped)
         if r.accepted and not verify_realization(r.graph, bumped):
             failures.append((class_id, seed, (i, j), "unverified acceptance"))

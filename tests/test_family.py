@@ -1,8 +1,14 @@
+"""Distance families, the four family checks and the support graph; the
+array checks against the scalar scans in ``oracles``."""
+
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metric_realize import (
+    EXACT,
     Cmp,
     DistanceFamily,
     FamilyError,
@@ -16,7 +22,9 @@ from metric_realize import (
     two_weights,
 )
 
-from conftest import fam, fam_of, random_connected_graph
+import oracles
+from conftest import fam, fam_of, random_connected_graph, with_cmp
+from test_support import SETTINGS, families
 
 
 class TestDistanceFamily:
@@ -113,6 +121,14 @@ class TestMedian:
     def test_vacuous_for_two_points(self):
         f = fam(2, {(1, 2): 5})
         assert check_median(f).holds
+
+    def test_median_count_stops_at_two(self):
+        # unit K33 on the sides {1, 2, 3} and {4, 5, 6}: each side's triple
+        # has the three vertices of the other side as medians
+        f = fam_of(6, [(a, b, 1) for a in (1, 2, 3) for b in (4, 5, 6)])
+        report = check_median(f)
+        assert report == oracles.median_scan(f, 32)
+        assert (1, 2, 3, 2) in report.violations and (4, 5, 6, 2) in report.violations
 
 
 class TestIndecomposable:
@@ -223,7 +239,7 @@ class TestOnePassSupport:
 
         monkeypatch.setattr(support_module, "analyse", counting)
         unit_k5 = fam(5, {(i, j): 1 for i in range(1, 6) for j in range(i + 1, 6)})
-        for f in (fig2_family.with_cmp(fig2_family.cmp), unit_k5):
+        for f in (with_cmp(fig2_family, fig2_family.cmp), unit_k5):
             calls.clear()
             metric_realize.classify(f)
             for name in (
@@ -345,3 +361,43 @@ class TestToleranceSupport:
                 assert verify_realization(r.graph, f), name
             else:
                 assert r.reason, name
+
+
+TOL = Cmp(1e-9)
+# Relative noise on float entries: none, well within, just within and just
+# outside TOL.
+NOISE = (0.0, 1e-12, -1e-12, 7e-10, -7e-10, 1e-8, -1e-8)
+
+
+@st.composite
+def checked_families(draw):
+    """A family of ``test_support.families`` (int, decimal, beyond-int64 and
+    beyond-float values; metric or not) as it is, exactly or under TOL, or
+    as floats, exactly, under TOL, or with NOISE under TOL.  Values beyond
+    the float range stay exact: a tolerance cannot compare them."""
+    kind, family = draw(families())
+    modes = ("exact",) if kind == "huge" else ("exact", "tol", "float", "float tol", "noisy")
+    mode = draw(st.sampled_from(modes))
+    if mode == "exact":
+        return family  # with the array that two_weights kept, if it made the family
+    values = family.values
+    if mode in ("float", "float tol"):
+        values = {p: float(v) for p, v in values.items()}
+    elif mode == "noisy":
+        values = {p: float(v) * (1 + draw(st.sampled_from(NOISE))) for p, v in values.items()}
+    return DistanceFamily(family.n, values, EXACT if mode == "float" else TOL)
+
+
+@settings(SETTINGS, max_examples=400)
+@given(checked_families(), st.sampled_from((1, 5, 32)))
+def test_the_array_checks_equal_the_scalar_scans(family, cap):
+    reports = (
+        (check_triangle(family, cap), oracles.triangle_scan(family, cap)),
+        (check_four_point(family, cap), oracles.four_point_scan(family, cap)),
+        (check_median(family, cap), oracles.median_scan(family, cap)),
+    )
+    for got, want in reports:
+        assert got == want
+        assert all(type(x) is int for violation in got.violations for x in violation)
+    for i, j in family.pairs():
+        assert is_indecomposable(family, i, j) is oracles.indecomposable_scan(family, i, j)

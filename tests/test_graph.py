@@ -13,7 +13,7 @@ from metric_realize import (
 )
 from metric_realize import kernel
 
-from conftest import fam_of, random_connected_graph
+from conftest import fam_of, random_connected_graph, with_value
 from oracles import without_edge
 
 
@@ -167,7 +167,7 @@ class TestVerifyRealization:
         assert verify_realization(fig2_graph, fig2_family)
 
     def test_rejects_perturbed_family(self, fig2_graph, fig2_family):
-        bumped = fig2_family.with_value(4, 6, fig2_family.d(4, 6) + 1)
+        bumped = with_value(fig2_family, 4, 6, fig2_family.d(4, 6) + 1)
         assert not verify_realization(fig2_graph, bumped)
 
     def test_size_mismatch(self, fig2_family):

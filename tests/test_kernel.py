@@ -1,10 +1,10 @@
-"""The dense min-plus kernel against the scalar loops in ``oracles``:
-2-weights, pruning and verification on int, Fraction and float
-weights and on weights whose sums leave int64 (object dtype), connected or
-not, exactly and under ``Cmp(1e-9)``.  Results are Python numbers and a
-Python bool.  Values beyond the float range (10**400) run in exact mode only:
-a tolerance compares floats, and the scalar loop raises OverflowError on
-them too."""
+"""The dense min-plus kernel against the scalar loops in ``oracles``: the
+comparison rule entry by entry, and 2-weights, pruning and verification on
+int, Fraction and float weights and on weights whose sums leave int64
+(object dtype), connected or not, exactly and under ``Cmp(1e-9)``.  Results
+are Python numbers and a Python bool.  Values beyond the float range
+(10**400) run in exact mode only: a tolerance compares floats, and the
+scalar loop raises OverflowError on them too."""
 
 from fractions import Fraction
 
@@ -15,14 +15,19 @@ from hypothesis import strategies as st
 from metric_realize import (
     EXACT,
     Cmp,
+    DistanceFamily,
     WeightedGraph,
+    check_triangle,
+    is_indecomposable,
     prune,
     two_weights,
     verify_realization,
 )
 from metric_realize import kernel
+from metric_realize.serialize import parse_family_csv
 
 import oracles
+from conftest import with_value
 
 KERNEL_SETTINGS = settings(
     max_examples=120,
@@ -49,6 +54,35 @@ WEIGHTS = {
 # well and just within Cmp(1e-9), and gaps just outside it.
 OFFSETS = (Fraction(1, 10**12), Fraction(7, 10**10), Fraction(1, 10**8))
 NEAR_TIES = (0, *OFFSETS, *(-x for x in OFFSETS))
+
+
+@KERNEL_SETTINGS
+@given(
+    st.sampled_from(sorted(WEIGHTS) + ["signed"]),
+    st.sampled_from((*CMPS, Cmp(0.5))),
+    st.data(),
+)
+def test_eq_and_lt_apply_the_scalar_rule_entry_by_entry(kind, cmp, data):
+    # pairs (a, b) with b a near tie of a or a value of its own; Cmp(0.5)
+    # meets the floor of 1 in max(1, |a|, |b|) on small values
+    value = WEIGHTS.get(kind, st.integers(-20, 20))
+    a = data.draw(st.lists(value, min_size=1, max_size=12))
+    b = []
+    for x in a:
+        offset = data.draw(st.sampled_from(NEAR_TIES))
+        tie = x * (1 + float(offset)) if isinstance(x, float) else x * (1 + offset)
+        b.append(data.draw(st.sampled_from((tie, x)) | value))
+    (sa, sb), scale = kernel.row_matrix([a, b])
+    if kind == "huge" and not cmp.exact:
+        for rule in (kernel.eq, kernel.lt):
+            with pytest.raises(OverflowError):
+                rule(sa, sb, scale, cmp)
+        with pytest.raises(OverflowError):
+            oracles.eq(cmp, a[0], b[0])
+        return
+    assert kernel.eq(sa, sb, scale, cmp).tolist() == [oracles.eq(cmp, x, y) for x, y in zip(a, b)]
+    assert kernel.lt(sa, sb, scale, cmp).tolist() == [oracles.lt(cmp, x, y) for x, y in zip(a, b)]
+    assert kernel.lt(sb, sa, scale, cmp).tolist() == [oracles.lt(cmp, y, x) for x, y in zip(a, b)]
 
 
 def comparable(g, cmp):
@@ -140,7 +174,7 @@ def test_verify_realization_equals_the_scalar_comparison(g, cmp, pick):
     # which never overflow)
     for factor in (2, *(1 + x for x in OFFSETS)):
         bumped = Fraction(d) * factor
-        other = family.with_value(i, j, bumped)
+        other = with_value(family, i, j, bumped)
         got = verify_realization(g, other)
         assert type(got) is bool
         assert got == oracles.verify_realization(g, other)
@@ -165,12 +199,15 @@ def test_a_disconnected_graph_never_realizes_a_family(cmp):
     assert verify_realization(apart, family) is False
 
 
-def test_verification_reads_the_family_matrix_once():
+def test_verification_reads_the_family_matrix_once(monkeypatch):
     g = WeightedGraph(4, [(1, 2, Fraction(1, 2)), (2, 3, 1), (3, 4, Fraction(1, 3))])
     family = two_weights(g)
-    assert verify_realization(g, family) is True
+    # two_weights hands its Floyd-Warshall matrix to the family
+    assert "scaled" in family.__dict__
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "pair_matrix", lambda *args: pytest.fail("the family matrix was rebuilt"))
+        assert verify_realization(g, family) is True
     assert family.scaled.scale == 6 and family.scaled.array.dtype.name == "int64"
-    assert family.__dict__["scaled"] is family.scaled
     # a weight whose denominator the family lacks: the graph still realizes it
     chord = WeightedGraph(4, [*g.edges, (1, 4, Fraction(23, 7))])
     assert verify_realization(chord, family) is True
@@ -192,3 +229,14 @@ def test_the_dtype_follows_the_data(weights, dtype):
     scale = kernel.common_scale(w for *_e, w in edges)
     assert kernel.all_pairs(4, edges, scale).array.dtype.name == dtype
     assert_all_pairs_equal_the_scalar_loop(WeightedGraph(4, edges))
+
+
+@pytest.mark.parametrize("value, dtype", [(2**61, "int64"), (2**62, "object")])
+def test_a_family_array_holds_the_sum_of_two_entries(value, dtype):
+    # the equilateral triangle: D_13 + D_32 = 2 D_12 must not wrap around
+    text = f"0,{value},{value}\n{value},0,{value}\n{value},{value},0\n"
+    built = DistanceFamily(3, {(1, 2): value, (1, 3): value, (2, 3): value})
+    for family in (parse_family_csv(text), built):
+        assert family.scaled.array.dtype.name == dtype
+        assert check_triangle(family).holds
+        assert is_indecomposable(family, 1, 2)

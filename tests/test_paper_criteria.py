@@ -19,6 +19,7 @@ from metric_realize import (
 )
 from metric_realize.generators import CLASS_MIN_N
 
+from conftest import with_value
 from paper_criteria import CRITERIA
 
 RECOGNIZERS = {
@@ -43,7 +44,7 @@ def families(rng):
                 f = two_weights(generate(GenSpec(class_id, n, rng.randint(0, 10**9))))
                 yield f
                 i, j = rng.choice(list(f.pairs()))
-                yield f.with_value(i, j, max(1, f.d(i, j) + rng.choice((-1, 1))))
+                yield with_value(f, i, j, max(1, f.d(i, j) + rng.choice((-1, 1))))
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

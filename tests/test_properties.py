@@ -26,6 +26,7 @@ from metric_realize import (
 )
 from metric_realize.generators import CLASS_MIN_N
 
+from conftest import with_value
 from oracles import brute_force_class_check
 
 PROPERTY_SETTINGS = settings(
@@ -47,7 +48,7 @@ def families(draw, weight_kinds=("int", "decimal"), min_n=2, max_n=10):
     f = two_weights(generate(spec))
     if draw(st.booleans()):
         i, j = draw(st.sampled_from(list(f.pairs())))
-        f = f.with_value(i, j, f.d(i, j) + draw(st.sampled_from((1, 2))))
+        f = with_value(f, i, j, f.d(i, j) + draw(st.sampled_from((1, 2))))
     return f
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from metric_realize import WeightedGraph, two_weights
+from metric_realize import WeightedGraph, classify, two_weights
 from metric_realize.cli import run
 from metric_realize.serialize import (
     ParseError,
@@ -146,6 +146,17 @@ class TestCli:
         _, matrix_path = tmp_files
         assert run(["check", "--class", "snake", matrix_path]) == 1
         assert "rejected" in capsys.readouterr().out
+
+    def test_every_class_name_runs_the_recognizer_of_its_report_entry(self, tmp_path, capsys):
+        # the unit 4-cycle: a polygon and a complete bipartite graph, no tree
+        family = two_weights(WeightedGraph(4, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 1)]))
+        path = tmp_path / "c4.csv"
+        path.write_text(family_to_csv(family))
+        verdicts = classify(family).verdicts
+        assert {r.accepted for r in verdicts.values()} == {True, False}
+        for name, verdict in verdicts.items():
+            assert run(["check", "--class", name.replace("_", "-"), str(path)]) == (0 if verdict else 1)
+            assert capsys.readouterr().out.startswith(f"{name.replace('_', '-')}: ")
 
     def test_realize_json_matches_input_graph(self, tmp_files, capsys, fig2_graph):
         _, matrix_path = tmp_files

@@ -20,6 +20,11 @@ from metric_realize import (
     FamilyError,
     GraphError,
     WeightedGraph,
+    bipartition,
+    check_four_point,
+    check_median,
+    check_triangle,
+    is_indecomposable,
     planar_check,
     prune,
     two_weights,
@@ -30,7 +35,7 @@ from metric_realize.cli import build_parser, run
 from metric_realize.serialize import ParseError, parse_cell, parse_family_csv, parse_number
 
 import oracles
-from conftest import random_connected_graph
+from conftest import random_connected_graph, with_cmp, with_value
 from test_paper_criteria import noisy_families
 
 SETTINGS = settings(
@@ -70,7 +75,7 @@ def families(draw):
     if draw(st.booleans()):
         i, j = draw(st.sampled_from(pairs))
         moved = family.d(i, j) + draw(st.sampled_from((-1, 1))) * Fraction(draw(value), 2)
-        family = family.with_value(i, j, moved if moved > 0 else draw(value))
+        family = with_value(family, i, j, moved if moved > 0 else draw(value))
     return kind, family
 
 
@@ -92,7 +97,7 @@ def test_analyse_equals_the_scalar_split_scan(drawn, cmp):
     kind, family = drawn
     if kind == "huge" and not cmp.exact:
         return  # a tolerance cannot compare them: see the range tests below
-    assert_matches_the_scan(family.with_cmp(cmp))
+    assert_matches_the_scan(with_cmp(family, cmp))
 
 
 def test_analyse_equals_the_scalar_split_scan_on_noisy_families():
@@ -299,6 +304,15 @@ def test_float_overflow_in_the_kernel_prints_no_warning(tmp_path, capsys):
     metric.write_text("0,1e308,1e308\n1e308,0,1e308\n1e308,1e308,0\n")
     assert run(["classify", str(metric), "--tol"]) == 0
     assert capsys.readouterr().err == ""
+    # the four family checks and the bipartition walk form them too, as in
+    # the scalar scans
+    rows = (",".join("0" if i == j else "1e308" for j in range(4)) for i in range(4))
+    k4 = parse_family_csv("\n".join(rows), TOL)
+    assert check_triangle(k4) == oracles.triangle_scan(k4, 32)
+    assert check_four_point(k4) == oracles.four_point_scan(k4, 32)
+    assert check_median(k4) == oracles.median_scan(k4, 32)
+    assert is_indecomposable(k4, 1, 2) is oracles.indecomposable_scan(k4, 1, 2)
+    assert bipartition(k4).base_pair == (1, 2)
     # a path whose 2-weights verify S, though Floyd-Warshall forms D_13 + D_31
     path = tmp_path / "path.csv"
     w = ["0", "5.9e307", "1.18e308", "1.77e308"]

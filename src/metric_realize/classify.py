@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
@@ -63,31 +64,11 @@ class ClassificationReport:
         ]
 
     def to_dict(self) -> dict:
-        from .serialize import graph_to_dict
+        """The report as the JSON document that ``metric-realize classify``
+        prints (``serialize.report_to_json``, which holds the schema)."""
+        from .serialize import report_to_json
 
-        out: dict = {"classes": {}, "conditions": self.condition_summary}
-        for name, r in self.verdicts.items():
-            entry: dict = {"accepted": r.accepted}
-            if r.reason:
-                entry["reason"] = r.reason
-            if r.graph is not None:
-                entry["realization"] = graph_to_dict(r.graph)
-            out["classes"][name] = entry
-        if self.bipartition is not None:
-            out["bipartition"] = {
-                "x_side": sorted(self.bipartition.x_side),
-                "y_side": sorted(self.bipartition.y_side),
-            }
-        if self.planar_witness is not None:
-            w = self.planar_witness
-            out["planar_witness"] = {
-                "kind": w.kind,
-                "hubs": list(w.hubs) if w.kind == "K5" else [list(w.hubs[0]), list(w.hubs[1])],
-                "chains": {
-                    f"{min(p)},{max(p)}": list(c) for p, c in w.chains.items()
-                },
-            }
-        return out
+        return json.loads(report_to_json(self))
 
 
 def _run(check: Callable[[DistanceFamily], Realization], family: DistanceFamily) -> Realization:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import io
 import os
 import sys
 
@@ -26,6 +26,7 @@ from .serialize import (
     graph_to_dot,
     graph_to_json,
     parse_family_csv,
+    report_to_json,
 )
 
 EXIT_OK = 0
@@ -46,9 +47,11 @@ def _cmp_from_args(args) -> Cmp:
 
 
 def _read(path: str) -> str:
+    """The document at ``path`` (stdin for "-") without a leading UTF-8 byte
+    order mark, which editors such as Excel ("CSV UTF-8") write."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+        return sys.stdin.read().removeprefix("\ufeff")
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return handle.read()
 
 
@@ -176,9 +179,7 @@ def _dispatch(args) -> int:
     if args.command == "classify":
         cmp = _cmp_from_args(args)
         family = parse_family_csv(_read(args.matrix), cmp)
-        report = classify(family)
-        json.dump(report.to_dict(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(report_to_json(classify(family)))
         return EXIT_OK
 
     if args.command == "prune":
@@ -213,6 +214,14 @@ def _dispatch(args) -> int:
 
 
 def main() -> None:
+    if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        # ``python -u``: a text layer straight on the file ignores a partial
+        # write, so a reader that closed in the middle of a report would
+        # leave the exit code at 0.  A buffered layer writes the rest and
+        # raises BrokenPipeError.
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(sys.stdout.buffer), sys.stdout.encoding, sys.stdout.errors, write_through=True
+        )
     try:
         code = run()
         sys.stdout.flush()

@@ -33,7 +33,10 @@ class WeightedGraph:
     structure).
     """
 
-    __slots__ = ("n", "edges")
+    # ``_dist`` keeps the 2-weights once ``two_weights`` or ``prune`` has
+    # computed them (``_distances``); the graph does not change after
+    # construction, so neither do they.
+    __slots__ = ("n", "edges", "_dist")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int, Number]], require_connected: bool = True):
         if n < 1:
@@ -62,6 +65,7 @@ class WeightedGraph:
         normalized.sort(key=lambda e: (e[0], e[1]))
         self.n = n
         self.edges = tuple(normalized)
+        self._dist = None
         if require_connected and not self.is_connected():
             raise GraphError("graph is not connected")
 
@@ -105,8 +109,12 @@ def _scale(graph: WeightedGraph):
 
 
 def _distances(graph: WeightedGraph) -> kernel.Scaled:
-    """The graph's 2-weights from the kernel; the graph must be connected,
-    and in float mode every 2-weight finite."""
+    """The graph's 2-weights from the kernel, computed on first use and kept
+    with the graph, so that ``two_weights`` and ``prune`` on one graph run
+    one Floyd-Warshall; the graph must be connected, and in float mode every
+    2-weight finite.  Nothing writes to the kept array."""
+    if graph._dist is not None:
+        return graph._dist
     if graph.n < 2:
         raise GraphError("2-weights need n >= 2")
     if not graph.is_connected():
@@ -114,6 +122,7 @@ def _distances(graph: WeightedGraph) -> kernel.Scaled:
     dist = kernel.all_pairs(graph.n, graph.edges, _scale(graph))
     if dist.scale is None and not np.isfinite(dist.array).all():
         raise GraphError("a 2-weight exceeds the float range: a path's total weight overflows float64")
+    graph._dist = dist
     return dist
 
 
@@ -144,7 +153,9 @@ def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:
 
 
 def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
-    """True iff the graph's 2-weights equal the family entrywise under its cmp mode."""
+    """True iff the graph's 2-weights equal the family entrywise under its cmp
+    mode.  The graph's 2-weights are computed here afresh, not taken from the
+    ones ``two_weights`` or ``prune`` kept with it."""
     if graph.n != family.n:
         raise GraphError(f"size mismatch: graph n={graph.n}, family n={family.n}")
     # A disconnected graph has infinite 2-weights, which the tolerance rule

@@ -1,7 +1,8 @@
 """Small-n brute-force realizability oracles, the exhaustive Kuratowski
-search, the scalar comparison rule, and the scalar 2-weights, usefulness,
-verification, split and family-check loops, against which the tests check
-the recognizers and the dense min-plus kernel.
+search, the scalar comparison rule, the scalar 2-weights, usefulness,
+verification, split and family-check loops, and the dict form of the
+classify report, against which the tests check the recognizers, the dense
+min-plus kernel and the report writer.
 
 Oracles enumerate candidate topologies (Prufer sequences for trees, cyclic
 orders for polygons, side assignments for bipartitions) with edge weights
@@ -245,6 +246,35 @@ def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
                 raise ParseError(f"nonpositive 2-weight at ({i},{j})")
             values[(i, j)] = a
     return DistanceFamily(n, values, cmp)
+
+
+def report_dict(report) -> dict:
+    """The classify report as a dict built field by field (the reference for
+    ``serialize.report_to_json``, which must print exactly
+    ``json.dumps(report_dict(report), indent=2)`` plus a newline)."""
+    from metric_realize.serialize import graph_to_dict
+
+    out: dict = {"classes": {}, "conditions": report.condition_summary}
+    for name, r in report.verdicts.items():
+        entry: dict = {"accepted": r.accepted}
+        if r.reason:
+            entry["reason"] = r.reason
+        if r.graph is not None:
+            entry["realization"] = graph_to_dict(r.graph)
+        out["classes"][name] = entry
+    if report.bipartition is not None:
+        out["bipartition"] = {
+            "x_side": sorted(report.bipartition.x_side),
+            "y_side": sorted(report.bipartition.y_side),
+        }
+    if report.planar_witness is not None:
+        w = report.planar_witness
+        out["planar_witness"] = {
+            "kind": w.kind,
+            "hubs": list(w.hubs) if w.kind == "K5" else [list(w.hubs[0]), list(w.hubs[1])],
+            "chains": {f"{min(p)},{max(p)}": list(c) for p, c in w.chains.items()},
+        }
+    return out
 
 
 # ---------------------------------------------------------------------------

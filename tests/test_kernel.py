@@ -213,6 +213,31 @@ def test_verification_reads_the_family_matrix_once(monkeypatch):
     assert verify_realization(chord, family) is True
 
 
+def test_two_weights_and_prune_of_one_graph_run_one_floyd_warshall(monkeypatch):
+    # the round trip graph -> 2-weights -> pruned graph -> verification
+    g = WeightedGraph(4, [(1, 2, Fraction(1, 2)), (2, 3, 1), (1, 3, Fraction(3, 2)), (3, 4, Fraction(1, 3))])
+    runs = []
+    all_pairs = kernel.all_pairs
+
+    def counting(n, edges, scale):
+        runs.append(edges)
+        return all_pairs(n, edges, scale)
+
+    monkeypatch.setattr(kernel, "all_pairs", counting)
+    family = two_weights(g)
+    pruned = prune(g)
+    assert runs == [g.edges]
+    # the kept 2-weights give what a fresh graph computes
+    fresh = WeightedGraph(g.n, g.edges)
+    assert pruned == prune(fresh) and pruned.edge_pairs() == {(1, 2), (2, 3), (3, 4)}
+    assert two_weights(g).values == family.values == two_weights(fresh, Cmp(1e-9)).values
+    # verification computes the 2-weights of the graph it checks afresh
+    runs.clear()
+    assert verify_realization(pruned, family) is True
+    assert verify_realization(g, family) is True
+    assert runs == [pruned.edges, g.edges]
+
+
 @pytest.mark.parametrize(
     "weights, dtype",
     [

@@ -3,21 +3,27 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from metric_realize import WeightedGraph, classify, two_weights
+from metric_realize import EXACT, Cmp, GenSpec, WeightedGraph, classify, generate, two_weights
 from metric_realize.cli import run
+from metric_realize.generators import CLASS_MIN_N
 from metric_realize.serialize import (
     ParseError,
     family_to_csv,
     format_number,
     graph_from_json,
+    graph_to_dict,
     graph_to_dot,
     graph_to_json,
     parse_family_csv,
     parse_number,
+    report_to_json,
 )
 
-from conftest import random_connected_graph
+import oracles
+from conftest import random_connected_graph, with_value
 
 PATH_CSV = "0,1,3\n1,0,2\n3,2,0\n"
 TRIANGLE_CSV = "0,1,1\n1,0,1\n1,1,0\n"
@@ -121,6 +127,87 @@ class TestGraphJson:
         assert dot.endswith("}\n")
 
 
+def indented_dump(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+WRITER_SETTINGS = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# Edge weights by kind: exact ints, decimals, thirds and sevenths (written
+# "p/q"), floats (compared under a tolerance), and unit weights, whose ties
+# make complete and complete bipartite support graphs.
+WEIGHTS = {
+    "int": st.integers(1, 30),
+    "decimal": st.builds(Fraction, st.integers(1, 400), st.sampled_from([2, 4, 5, 10, 100])),
+    "ratio": st.builds(Fraction, st.integers(1, 60), st.sampled_from([3, 7, 21])),
+    "float": st.floats(0.01, 50, allow_nan=False, allow_infinity=False),
+    "unit": st.just(1),
+}
+
+
+@st.composite
+def graphs(draw):
+    """A generator graph (every class, n up to 9) with weights of one kind."""
+    class_id = draw(st.sampled_from(sorted(CLASS_MIN_N)))
+    n = draw(st.integers(max(2, CLASS_MIN_N[class_id]), 9))
+    shape = generate(GenSpec(class_id, n, draw(st.integers(0, 10**6))))
+    weight = WEIGHTS[draw(st.sampled_from(sorted(WEIGHTS)))]
+    return WeightedGraph(n, [(u, v, draw(weight)) for u, v, _w in shape.edges])
+
+
+class TestReportJson:
+    """``report_to_json`` prints what the indenting encoder printed for the
+    report's dict form (``oracles.report_dict``), byte for byte."""
+
+    def test_equals_the_indented_dump_on_the_acceptance_families(self, fig2_family):
+        reports = [classify(fig2_family)]
+        for class_id in sorted(CLASS_MIN_N):
+            for n in (3, 5, 6, 8, 12):
+                if n < CLASS_MIN_N[class_id]:
+                    continue
+                for seed in range(3):
+                    for kind, lo, hi in (("int", 1, 20), ("decimal", 1, 20), ("int", 1, 1)):
+                        graph = generate(GenSpec(class_id, n, seed, kind, lo, hi))
+                        reports.append(classify(two_weights(graph)))
+                        reports.append(classify(two_weights(graph, Cmp(1e-9))))
+        for report in reports:
+            assert report_to_json(report) == indented_dump(oracles.report_dict(report))
+        # the optional members appear and are absent
+        assert {r.planar_witness.kind for r in reports if r.planar_witness} == {"K5", "K33"}
+        assert {r.bipartition is None for r in reports} == {True, False}
+
+    @WRITER_SETTINGS
+    @given(graphs(), st.booleans(), st.booleans(), st.data())
+    def test_equals_the_indented_dump(self, graph, tolerance, metric, data):
+        cmp = Cmp(1e-9) if tolerance or any(isinstance(w, float) for *_e, w in graph.edges) else EXACT
+        family = two_weights(graph, cmp)
+        if not metric:
+            # one entry above the sum of all the others breaks a triangle
+            i, j = sorted(data.draw(st.lists(st.integers(1, graph.n), min_size=2, max_size=2, unique=True)))
+            family = with_value(family, i, j, sum(family.values.values()) + 1)
+        report = classify(family)
+        assert report_to_json(report) == indented_dump(oracles.report_dict(report))
+        assert report.to_dict() == oracles.report_dict(report)
+
+    def test_non_ascii_reasons_are_escaped(self):
+        # reasons are ASCII today; the writer escapes as json.dumps would
+        report = classify(two_weights(WeightedGraph(3, [(1, 2, 1), (2, 3, 1)])))
+        report.verdicts["snake"].reason = 'quote " back\\slash \u2264 tab\t'
+        assert report_to_json(report) == indented_dump(oracles.report_dict(report))
+
+    @WRITER_SETTINGS
+    @given(graphs())
+    @example(WeightedGraph(1, []))  # an empty edge list
+    def test_graph_to_json_equals_the_indented_dump(self, graph):
+        assert graph_to_json(graph) == indented_dump(graph_to_dict(graph))
+
+
 @pytest.fixture
 def tmp_files(tmp_path, fig2_graph, fig2_family):
     graph_path = tmp_path / "graph.json"
@@ -220,6 +307,22 @@ class TestCli:
 
         monkeypatch.setattr("sys.stdin", io.StringIO(TRIANGLE_CSV))
         assert run(["check", "--class", "complete", "-"]) == 0
+
+    def test_a_leading_byte_order_mark_is_ignored(self, tmp_files, tmp_path, capsys, monkeypatch):
+        import io
+
+        # Excel's "CSV UTF-8" and some editors start a file with U+FEFF
+        graph_path, matrix_path = tmp_files
+        for command, path in (("classify", matrix_path), ("prune", graph_path)):
+            assert run([command, path]) == 0
+            plain = capsys.readouterr().out
+            marked = tmp_path / f"bom-{command}"
+            marked.write_bytes(b"\xef\xbb\xbf" + open(path, "rb").read())
+            assert run([command, str(marked)]) == 0
+            assert capsys.readouterr().out == plain
+            monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + open(path).read()))
+            assert run([command, "-"]) == 0
+            assert capsys.readouterr().out == plain
 
     def test_tol_flag_enables_float_mode(self, tmp_path, capsys):
         # entries off by 1e-12: exact mode rejects the snake, float mode accepts
@@ -379,6 +482,36 @@ class TestHostileInput:
             os.close(write_end)
         err = proc.stderr.decode()
         assert proc.returncode == 2, err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_classify_to_a_reader_that_closes_early_exits_2(self, tmp_path, unbuffered):
+        import os
+        import subprocess
+        import sys
+
+        import metric_realize
+
+        # unit K60: a report of about 160 kB, which one write cannot put
+        # into a pipe whose reader stops after the first line; the same
+        # under ``python -u`` (PYTHONUNBUFFERED), where stdout's text layer
+        # sits on the file itself
+        n = 60
+        matrix = tmp_path / "k60.csv"
+        matrix.write_text("".join(",".join("0" if i == j else "1" for j in range(n)) + "\n" for i in range(n)))
+        src = os.path.dirname(os.path.dirname(metric_realize.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        main = "from metric_realize.cli import main; main()"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", main, "classify", str(matrix)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered),
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2, err
         assert err.startswith("error:") and err.count("\n") == 1, err
 
     def test_tol_disconnected_support_gives_verdicts(self, tmp_path, capsys):

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-import networkx as nx
-
 from .comparison import Number
 from .graph import WeightedGraph
 
@@ -175,6 +173,8 @@ def generate(spec: GenSpec) -> WeightedGraph:
         return WeightedGraph(n, edges)
 
     if spec.class_id == "planar":
+        import networkx as nx
+
         edges = random_prufer_tree(n, rng)
         g = nx.Graph(edges)
         g.add_nodes_from(range(1, n + 1))

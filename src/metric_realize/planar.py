@@ -5,13 +5,14 @@ chains of indecomposable links)."""
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .family import DistanceFamily, FamilyError, is_indecomposable
 from .realization import Realization
+
+Pair = Tuple[int, int]
 
 
 @dataclass
@@ -40,13 +41,21 @@ class PlanarWitness:
 
     def validate(self, family: DistanceFamily) -> None:
         """Check the witness's structural invariants against a family."""
+        if self.kind == "K5":
+            sides, shape = [self.hubs], "five distinct hubs"
+        elif self.kind == "K33":
+            sides, shape = list(self.hubs), "two disjoint hub triples"
+        else:
+            raise FamilyError(f"unknown witness kind {self.kind!r}")
+        sizes = [len(side) for side in sides]
+        if sizes != ([5] if self.kind == "K5" else [3, 3]) or len(self.hub_set()) != sum(sizes):
+            raise FamilyError(f"{self.kind} witness needs {shape}")
         hubs = self.hub_set()
-        expected = 5 if self.kind == "K5" else 6
-        if len(hubs) != expected:
-            raise FamilyError(f"{self.kind} witness needs {expected} distinct hubs")
         used: Set[int] = set()
         for a, b in self.hub_pairs():
-            chain = self.chains[frozenset((a, b))]
+            chain = self.chains.get(frozenset((a, b)))
+            if chain is None:
+                raise FamilyError(f"{self.kind} witness has no chain for ({a},{b})")
             for v in chain:
                 if v in hubs:
                     raise FamilyError(f"chain for ({a},{b}) passes through hub {v}")
@@ -59,27 +68,82 @@ class PlanarWitness:
                     raise FamilyError(f"link ({u},{v}) in witness is decomposable")
 
 
-def _witness_from_kuratowski(sub: "nx.Graph") -> PlanarWitness:
-    """Convert a Kuratowski subgraph (a K5/K33 subdivision) into a witness
-    whose chains run from the first to the second hub of each hub pair."""
-    degrees = dict(sub.degree())
-    four = sorted(v for v, d in degrees.items() if d == 4)
+def _adjacency(edges: Sequence[Pair]) -> Dict[int, List[int]]:
+    adj: Dict[int, List[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
+
+
+def _bipartite(edges: Sequence[Pair]) -> bool:
+    """Whether the graph with these edges has a 2-colouring (one BFS)."""
+    adj = _adjacency(edges)
+    colour: Dict[int, int] = {}
+    for root in adj:
+        if root in colour:
+            continue
+        colour[root] = 0
+        queue = [root]
+        for u in queue:
+            for v in adj[u]:
+                if v not in colour:
+                    colour[v] = 1 - colour[u]
+                    queue.append(v)
+                elif colour[v] == colour[u]:
+                    return False
+    return True
+
+
+def _planar(edges: Sequence[Pair], bipartite: bool) -> bool:
+    """Whether the graph with these edges is planar; ``bipartite`` may be
+    True only for a bipartite graph.
+
+    Counts decide most graphs.  With v non-isolated vertices and m edges,
+    Euler's formula gives m <= 3v - 6 for a planar graph on v >= 3
+    vertices, and m <= 2v - 4 for a bipartite one.  A non-planar graph
+    contains a K5 or K33 subdivision, so it has m >= 9 and v >= 5, and on
+    5 vertices it is K5, which the Euler bound rejects.  networkx's
+    left-right test runs only when neither rule decides.
+    """
+    vertices = {x for edge in edges for x in edge}
+    m, v = len(edges), len(vertices)
+    if v >= 3 and m > (2 * v - 4 if bipartite else 3 * v - 6):
+        return False
+    if v <= 5 or m <= 8:
+        return True
+    import networkx as nx
+
+    g = nx.Graph()
+    # in label order, as S's own graph: the left-right test's depth-first
+    # search follows the node order, and its running time with it
+    g.add_nodes_from(sorted(vertices))
+    g.add_edges_from(edges)
+    return nx.check_planarity(g)[0]
+
+
+def _witness_from_kuratowski(edges: Sequence[Pair]) -> PlanarWitness:
+    """Convert the edge list of a Kuratowski subgraph (a K5/K33 subdivision)
+    into a witness whose chains run from the first to the second hub of
+    each hub pair."""
+    adj = _adjacency(edges)
+    four = sorted(v for v, nbrs in adj.items() if len(nbrs) == 4)
     if len(four) == 5:
         kind = "K5"
         hubs = set(four)
     else:
         kind = "K33"
-        hubs = {v for v, d in degrees.items() if d == 3}
+        hubs = {v for v, nbrs in adj.items() if len(nbrs) == 3}
 
     # Every chain is walked from both of its hubs; walks[(a, b)] runs a -> b.
     walks: Dict[Tuple[int, int], Tuple[int, ...]] = {}
     for h in hubs:
-        for start in sub.neighbors(h):
+        for start in adj[h]:
             interiors: List[int] = []
             prev, cur = h, start
             while cur not in hubs:
                 interiors.append(cur)
-                nxt = [w for w in sub.neighbors(cur) if w != prev]
+                nxt = [w for w in adj[cur] if w != prev]
                 prev, cur = cur, nxt[0]
             walks[(h, cur)] = tuple(interiors)
 
@@ -97,41 +161,59 @@ def _witness_from_kuratowski(sub: "nx.Graph") -> PlanarWitness:
     return witness
 
 
-def _kuratowski_subgraph(g: "nx.Graph") -> "nx.Graph":
-    """An edge-minimal non-planar subgraph of the non-planar graph ``g`` on
-    1..n, without isolated vertices: a K5 or K33 subdivision.
+def _kuratowski_subgraph(edges: Sequence[Pair], n: int, bipartite: bool) -> List[Pair]:
+    """An edge-minimal non-planar subgraph of the non-planar graph on 1..n
+    with the sorted edge list ``edges`` (pairs u < v): the edges of a K5 or
+    K33 subdivision.
 
-    Bisection finds the smallest k with ``g[1..k]`` non-planar in O(log n)
-    tests; one deletion pass over that subgraph's edges then keeps an edge
-    only when the graph is planar without it.  An edge kept at its turn stays
-    needed, since later deletions only shrink a graph already planar
-    without it.
+    Bisection finds the smallest k with the prefix S[1..k] (the edges whose
+    larger end is at most k) non-planar in O(log n) tests; one deletion pass over that
+    prefix's edges, in sorted order, then keeps an edge only when the graph
+    is planar without it.  An edge kept at its turn stays needed, since
+    later deletions only shrink a graph already planar without it.  An edge
+    with an endpoint of degree 1 lies on no Kuratowski subdivision, so it is
+    dropped without a test.  Every subgraph of a bipartite graph is
+    bipartite, so ``bipartite`` (S's flag) serves every test.
     """
-    lo, hi = 5, g.number_of_nodes()  # g[1..hi] is non-planar, g[1..4] planar
+
+    def prefix(k: int) -> List[Pair]:
+        return [edge for edge in edges if edge[1] <= k]
+
+    lo, hi = 5, n  # S[1..hi] is non-planar, S[1..4] planar
     while lo < hi:
         mid = (lo + hi) // 2
-        if nx.check_planarity(g.subgraph(range(1, mid + 1)))[0]:
+        if _planar(prefix(mid), bipartite):
             lo = mid + 1
         else:
             hi = mid
-    sub = g.subgraph(range(1, hi + 1)).copy()
-    for u, v in sorted(sub.edges):
-        sub.remove_edge(u, v)
-        if nx.check_planarity(sub)[0]:
-            sub.add_edge(u, v)
-    sub.remove_nodes_from([v for v, d in sub.degree() if d == 0])
-    return sub
+    sub = prefix(hi)
+    degree = Counter(x for edge in sub for x in edge)
+    kept: List[Pair] = []
+    for k, (u, v) in enumerate(sub):
+        if degree[u] > 1 and degree[v] > 1 and _planar(kept + sub[k + 1 :], bipartite):
+            kept.append((u, v))
+        else:
+            degree[u] -= 1
+            degree[v] -= 1
+    return kept
 
 
 def planar_check(family: DistanceFamily) -> Realization:
     """Decide planargraphlike: S must be planar, and S is the realization
     (the pruned realization forced by the indecomposable pairs).
 
+    Edge and vertex counts settle planarity where they can (``_planar``):
+    an S with m - n + 1 <= 3 is planar, and Euler's bound (m <= 3n - 6, or
+    2n - 4 when S is bipartite) rejects every K_n with n >= 5 and every
+    K_{a,b} with a, b >= 3.  networkx's left-right test runs only when the
+    counts cannot decide.
+
     On rejection for non-planarity the result carries a PlanarWitness read
     off a Kuratowski subgraph of S.  It is found in the smallest non-planar
-    vertex prefix S[1..k] by one edge-deletion pass, not by networkx's
-    counterexample search over all of S.  The tests compare the verdict with
-    an exhaustive Kuratowski-subdivision search on S.
+    vertex prefix S[1..k] by one edge-deletion pass on S's edge list, not by
+    networkx's counterexample search over all of S.  The tests compare the
+    verdict with an exhaustive Kuratowski-subdivision search on S, and the
+    subgraph with the deletion pass that tests every step with networkx.
     """
     support = family.support
     failed = support.rejection()
@@ -142,12 +224,11 @@ def planar_check(family: DistanceFamily) -> Realization:
     # planar when m - n + 1 <= 3 (every tree and polygon S).
     if len(support.graph.edges) - family.n + 1 <= 3:
         return Realization.ok(support.realization)
-    g = nx.Graph()
-    g.add_nodes_from(range(1, family.n + 1))
-    g.add_edges_from((u, v) for u, v, _w in support.graph.edges)
-    if nx.check_planarity(g)[0]:
+    edges = sorted((u, v) for u, v, _w in support.graph.edges)
+    bipartite = _bipartite(edges)
+    if _planar(edges, bipartite):
         return Realization.ok(support.realization)
-    witness = _witness_from_kuratowski(_kuratowski_subgraph(g))
+    witness = _witness_from_kuratowski(_kuratowski_subgraph(edges, family.n, bipartite))
     return Realization.rejected(
         f"support graph contains a {witness.kind} subdivision", witness=witness
     )

@@ -8,7 +8,8 @@ Oracles enumerate candidate topologies (Prufer sequences for trees, cyclic
 orders for polygons, side assignments for bipartitions) with edge weights
 forced to the family values of adjacent pairs, and decide by checking all
 path sums.  The witness search looks for a K5 or K33 subdivision in a graph
-by backtracking over disjoint hub-to-hub chains.
+by backtracking over disjoint hub-to-hub chains; the deletion pass finds a
+Kuratowski subgraph with networkx's planarity test at every step.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import itertools
 import operator
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+
+import networkx as nx
 
 from metric_realize import (
     EXACT,
@@ -406,6 +409,31 @@ def subdivision_witness_search(
             if chains is not None:
                 return PlanarWitness("K33", (tuple(a_set), tuple(b_set)), chains)
     return None
+
+
+def kuratowski_deletion_pass(graph: WeightedGraph) -> List[Tuple[int, int]]:
+    """The sorted edges of a Kuratowski subgraph of the non-planar
+    ``graph``, with networkx's left-right test at every step (the reference
+    for ``planar._kuratowski_subgraph``): bisection finds the smallest k
+    with the vertex prefix [1..k] non-planar, then one deletion pass over
+    that prefix's sorted edges keeps an edge only when the graph is planar
+    without it."""
+    g = nx.Graph()
+    g.add_nodes_from(range(1, graph.n + 1))
+    g.add_edges_from((u, v) for u, v, _w in graph.edges)
+    lo, hi = 5, graph.n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if nx.check_planarity(g.subgraph(range(1, mid + 1)))[0]:
+            lo = mid + 1
+        else:
+            hi = mid
+    sub = g.subgraph(range(1, hi + 1)).copy()
+    for u, v in sorted(sub.edges):
+        sub.remove_edge(u, v)
+        if nx.check_planarity(sub)[0]:
+            sub.add_edge(u, v)
+    return sorted((min(e), max(e)) for e in sub.edges)
 
 
 # ---------------------------------------------------------------------------

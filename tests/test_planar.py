@@ -6,15 +6,18 @@ import pytest
 import networkx as nx
 
 from metric_realize import (
+    FamilyError,
+    PlanarWitness,
     WeightedGraph,
     planar_check,
     support_graph,
     two_weights,
     verify_realization,
 )
+from metric_realize.planar import _bipartite, _kuratowski_subgraph, _planar
 
 from conftest import fam, random_connected_graph
-from oracles import SizeGuardError, subdivision_witness_search
+from oracles import SizeGuardError, kuratowski_deletion_pass, subdivision_witness_search
 
 
 def unit_family(n, pairs):
@@ -27,6 +30,47 @@ PETERSEN_PAIRS = [
     (1, 6), (2, 7), (3, 8), (4, 9), (5, 10),
     (6, 8), (8, 10), (10, 7), (7, 9), (9, 6),
 ]
+
+
+def interleaved_bipartite_pairs(a, b):
+    """K_{a,b} whose sides alternate in label order (1, 3, 5, ... on one
+    side while both sides last), so no vertex prefix is a single side."""
+    labels = list(range(1, a + b + 1))
+    k = min(a, b)
+    side_a = labels[0 : 2 * k : 2] + labels[2 * k :][: a - k]
+    side_b = [v for v in labels if v not in side_a]
+    return [(min(u, v), max(u, v)) for u in side_a for v in side_b]
+
+
+def complete_pairs(n):
+    return list(itertools.combinations(range(1, n + 1), 2))
+
+
+def subdivided(pairs, edge, n):
+    """The graph with ``edge`` split by a new vertex n + 1."""
+    u, v = edge
+    return [p for p in pairs if p != edge] + [(u, n + 1), (v, n + 1)]
+
+
+@pytest.fixture
+def lr_runs(monkeypatch):
+    """The number of networkx left-right planarity runs, as a one-item list."""
+    from networkx.algorithms.planarity import LRPlanarity
+
+    runs = [0]
+    original = LRPlanarity.lr_planarity
+
+    def counted(self):
+        runs[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(LRPlanarity, "lr_planarity", counted)
+    return runs
+
+
+BIPARTITE_SIDES = [(3, 3), (3, 4), (4, 3), (3, 7), (5, 5), (6, 9)]
+K5_PAIRS = complete_pairs(5)
+K33_PAIRS = [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]
 
 
 class TestWitnessSearch:
@@ -160,56 +204,174 @@ class TestPlanarCheck:
             assert planar_check(f).accepted == (subdivision_witness_search(s) is None)
 
 
-def interleaved_bipartite_pairs(a, b):
-    """K_{a,b} whose sides alternate in label order (1, 3, 5, ... on one
-    side while both sides last), so no vertex prefix is a single side."""
-    labels = list(range(1, a + b + 1))
-    k = min(a, b)
-    side_a = labels[0 : 2 * k : 2] + labels[2 * k :][: a - k]
-    side_b = [v for v in labels if v not in side_a]
-    return [(min(u, v), max(u, v)) for u in side_a for v in side_b]
+class TestWitnessValidate:
+    def test_k33_witness_needs_two_hub_triples(self):
+        # every cross pair of unit K_{4,2} is indecomposable, so only the
+        # shape of the hubs tells this planar family's false witness apart
+        pairs = [(a, b) for a in (1, 2, 3, 4) for b in (5, 6)]
+        f = unit_family(6, pairs)
+        assert planar_check(f).accepted
+        chains = {frozenset(p): () for p in pairs}
+        with pytest.raises(FamilyError, match="two disjoint hub triples"):
+            PlanarWitness("K33", ((1, 2, 3, 4), (5, 6)), chains).validate(f)
+
+    def test_k33_witness_triples_must_be_disjoint(self):
+        f = unit_family(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
+        chains = {frozenset((a, b)): () for a in (1, 2, 3) for b in (3, 4, 5) if a != b}
+        with pytest.raises(FamilyError, match="two disjoint hub triples"):
+            PlanarWitness("K33", ((1, 2, 3), (3, 4, 5)), chains).validate(f)
+
+    def test_k33_witness_needs_two_sides(self):
+        f = unit_family(6, [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)])
+        with pytest.raises(FamilyError, match="two disjoint hub triples"):
+            PlanarWitness("K33", ((1, 2, 3),), {}).validate(f)
+
+    def test_k5_witness_needs_five_hubs(self):
+        f = fam(5, {p: 1 for p in complete_pairs(5)})
+        chains = {frozenset(p): () for p in complete_pairs(4)}
+        with pytest.raises(FamilyError, match="five distinct hubs"):
+            PlanarWitness("K5", (1, 2, 3, 4), chains).validate(f)
+
+    def test_unknown_kind_is_rejected(self):
+        f = fam(5, {p: 1 for p in complete_pairs(5)})
+        chains = {frozenset(p): () for p in complete_pairs(5)}
+        with pytest.raises(FamilyError, match="unknown witness kind"):
+            PlanarWitness("K6", (1, 2, 3, 4, 5), chains).validate(f)
+
+    def test_missing_chain_is_a_family_error(self):
+        f = fam(5, {p: 1 for p in complete_pairs(5)})
+        witness = planar_check(f).witness
+        witness.validate(f)
+        del witness.chains[frozenset((2, 4))]
+        with pytest.raises(FamilyError, match=r"no chain for \(2,4\)"):
+            witness.validate(f)
 
 
-def complete_pairs(n):
-    return list(itertools.combinations(range(1, n + 1), 2))
+def random_bipartite_pairs(labels, m, rng):
+    """m random edges across a random split of ``labels`` (fewer when the
+    split has fewer cross pairs)."""
+    side = {v: rng.random() < 0.5 for v in labels}
+    cross = [(u, v) for u, v in itertools.combinations(labels, 2) if side[u] != side[v]]
+    return rng.sample(cross, min(m, len(cross)))
 
 
-def subdivided(pairs, edge, n):
-    """The graph with ``edge`` split by a new vertex n + 1."""
-    u, v = edge
-    return [p for p in pairs if p != edge] + [(u, n + 1), (v, n + 1)]
+class TestPlanarCounts:
+    """``_planar`` decides by counts where it can and agrees with networkx's
+    left-right test everywhere."""
+
+    @staticmethod
+    def left_right(pairs):
+        return nx.check_planarity(nx.Graph(pairs))[0]
+
+    @pytest.mark.parametrize(
+        "pairs, planar",
+        [
+            (K5_PAIRS, False),
+            (K5_PAIRS[1:], True),
+            (K33_PAIRS, False),
+            (K33_PAIRS[1:], True),
+            ([(a, b) for a in (1, 2, 3, 4) for b in (5, 6)], True),
+            # K5 and K33 among isolated labels and behind a pendant path
+            ([(u + 3, v + 3) for u, v in K5_PAIRS], False),
+            ([(u * 2, v * 2) for u, v in K33_PAIRS] + [(12, 13), (13, 14)], False),
+        ],
+    )
+    def test_named_graphs(self, pairs, planar):
+        for bipartite in {False, _bipartite(pairs)}:
+            assert _planar(pairs, bipartite) is planar
+        assert self.left_right(pairs) is planar
+
+    def test_agrees_with_left_right_test(self):
+        rng = random.Random(161)
+        bipartite_seen = 0
+        for _ in range(1500):
+            # up to 9 labels, so some are isolated; m clusters at 8 to 10
+            labels = range(1, rng.randint(3, 9) + 1)
+            m = rng.choice([rng.randint(0, 14), rng.randint(8, 10)])
+            if rng.random() < 0.4:
+                pairs = random_bipartite_pairs(labels, m, rng)
+            else:
+                pairs = list(itertools.combinations(labels, 2))
+                pairs = rng.sample(pairs, min(m, len(pairs)))
+            if not pairs:
+                continue
+            want = self.left_right(pairs)
+            bipartite = _bipartite(pairs)
+            assert bipartite == nx.is_bipartite(nx.Graph(pairs))
+            bipartite_seen += bipartite
+            assert _planar(pairs, False) == want, pairs
+            assert _planar(pairs, bipartite) == want, pairs
+        assert bipartite_seen > 300
+
+    def test_counts_decide_small_and_complete_graphs(self, lr_runs):
+        rng = random.Random(162)
+        cases = []
+        for _ in range(300):
+            # at most 5 vertices, or 6 and at most 8 edges
+            labels = range(1, rng.randint(3, 6) + 1)
+            pairs = list(itertools.combinations(labels, 2))
+            pairs = rng.sample(pairs, rng.randint(1, min(len(pairs), 8 if len(labels) == 6 else 10)))
+            cases.append((pairs, _bipartite(pairs), self.left_right(pairs)))
+        cases += [(complete_pairs(n), False, False) for n in range(5, 22)]
+        cases += [(interleaved_bipartite_pairs(a, b), True, False) for a, b in BIPARTITE_SIDES]
+        lr_runs[0] = 0
+        for pairs, bipartite, planar in cases:
+            assert _planar(pairs, bipartite) == planar, pairs
+        assert lr_runs[0] == 0
+
+    def test_extraction_matches_the_left_right_deletion_pass(self):
+        rng = random.Random(163)
+        seen = 0
+        for k in range(120):
+            n = rng.randint(6, 14)
+            if k % 2:
+                pairs = sorted(random_bipartite_pairs(range(1, n + 1), rng.randint(n, 3 * n), rng))
+            else:
+                g = random_connected_graph(n, rng, extra_edges=rng.randint(n, 2 * n))
+                pairs = sorted((u, v) for u, v, _w in g.edges)
+            if self.left_right(pairs):
+                continue
+            seen += 1
+            graph = WeightedGraph(n, [(u, v, 1) for u, v in pairs], require_connected=False)
+            assert _kuratowski_subgraph(pairs, n, _bipartite(pairs)) == kuratowski_deletion_pass(graph)
+        assert seen > 40
 
 
 class TestWitnessCost:
     """The witness comes from the smallest non-planar vertex prefix of S and
-    one edge-deletion pass, a few left-right planarity runs instead of two
-    per edge of S."""
-
-    @pytest.fixture
-    def lr_runs(self, monkeypatch):
-        from networkx.algorithms.planarity import LRPlanarity
-
-        runs = [0]
-        original = LRPlanarity.lr_planarity
-
-        def counted(self):
-            runs[0] += 1
-            return original(self)
-
-        monkeypatch.setattr(LRPlanarity, "lr_planarity", counted)
-        return runs
+    one edge-deletion pass, whose planarity tests edge and vertex counts
+    settle where they can: no left-right run for a complete or complete
+    bipartite S, a few at most elsewhere, instead of two per edge of S."""
 
     def test_unit_k21_needs_few_planarity_runs(self, lr_runs):
         r = planar_check(unit_family(21, complete_pairs(21)))
         assert not r.accepted and r.witness.kind == "K5"
-        assert lr_runs[0] <= 20, lr_runs[0]
+        assert lr_runs[0] == 0, lr_runs[0]
+
+    @pytest.mark.parametrize(
+        "n, pairs, most",
+        [(n, complete_pairs(n), 0) for n in range(5, 22)]
+        + [(a + b, interleaved_bipartite_pairs(a, b), 0) for a, b in BIPARTITE_SIDES]
+        + [
+            (10, PETERSEN_PAIRS, 16),
+            (6, subdivided(complete_pairs(5), (1, 2), 5), 13),
+            (7, subdivided(interleaved_bipartite_pairs(3, 3), (1, 2), 6), 12),
+        ],
+    )
+    def test_left_right_runs(self, lr_runs, n, pairs, most):
+        # complete and complete bipartite S are settled by Euler's bound at
+        # every step; the others take at most as many runs as the deletion
+        # pass that tested every edge
+        f = unit_family(n, pairs)
+        assert not planar_check(f).accepted
+        assert lr_runs[0] <= most, lr_runs[0]
 
     @pytest.mark.parametrize(
         "n, pairs, kind",
         [(n, complete_pairs(n), "K5") for n in range(5, 22)]
         + [
             (a + b, interleaved_bipartite_pairs(a, b), "K33")
-            for a, b in [(3, 3), (3, 4), (4, 3), (3, 7), (5, 5), (6, 9)]
+            for a, b in BIPARTITE_SIDES
         ]
         + [
             (10, PETERSEN_PAIRS, "K33"),

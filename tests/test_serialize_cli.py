@@ -524,3 +524,24 @@ class TestHostileInput:
         assert run(["classify", str(path), "--tol"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert not any(c["accepted"] for c in report["classes"].values())
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # networkx is imported only where a planarity test needs its left-right
+    # run (and by the planar generator), not on every CLI start
+    import os
+    import subprocess
+    import sys
+
+    import metric_realize
+
+    src = os.path.dirname(os.path.dirname(metric_realize.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    guard = "import metric_realize.cli, sys; assert 'networkx' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", guard],
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -4,6 +4,7 @@ as tests on the support graph S, including bipartition recovery as a
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Tuple
 
@@ -132,8 +133,11 @@ def bigraph_check(family: DistanceFamily) -> Realization:
         # when S is K_{X,Y}, keep its verified realization, as the pruned
         # class does, so that within a tolerance the two verdicts agree
         return result
-    bp, d = result.witness, family.d
-    edges = [(a, b, d(a, b)) for a in sorted(bp.x_side) for b in sorted(bp.y_side)]
+    bp = result.witness
+    xs, ys = sorted(bp.x_side), sorted(bp.y_side)
+    cross = family.scaled.array[np.ix_(np.array(xs) - 1, np.array(ys) - 1)]
+    weights = family.scaled.numbers(cross.ravel())
+    edges = [(a, b, w) for (a, b), w in zip(itertools.product(xs, ys), weights)]
     graph = WeightedGraph(family.n, edges)
     # Each added cross edge weighs D_ab = d_S(a, b), so in exact mode no
     # 2-weight changes; within a tolerance, paths through it may fall short.

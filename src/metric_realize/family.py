@@ -11,7 +11,7 @@ checks run on the family's array (``DistanceFamily.scaled``) with
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
@@ -32,39 +32,59 @@ class FamilyError(ValueError):
     """Raised for structurally invalid families or indices."""
 
 
-@dataclass(frozen=True)
 class DistanceFamily:
     """Symmetric positive values indexed by unordered pairs over [n].
 
-    ``values`` maps ``(i, j)`` with ``i < j`` to a positive number.  The
-    diagonal is not stored and is treated as 0 wherever a formula needs it.
+    ``values`` maps ``(i, j)`` with ``i < j`` to a positive finite number.
+    The family keeps only its n x n array ``scaled`` (``kernel.pair_matrix``,
+    diagonal 0), which every decision reads; ``values`` and ``d`` are views.
     """
 
-    n: int
-    values: Dict[Tuple[int, int], Number]
-    cmp: Cmp = field(default=EXACT)
-
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, values: Dict[Tuple[int, int], Number], cmp: Cmp = EXACT):
+        if n < 2:
             raise FamilyError("a distance family needs n >= 2")
-        expected = self.n * (self.n - 1) // 2
-        if len(self.values) != expected:
-            raise FamilyError(
-                f"expected {expected} pair values for n={self.n}, got {len(self.values)}"
-            )
-        for (i, j), v in self.values.items():
-            if not (1 <= i < j <= self.n):
-                raise FamilyError(f"bad pair key ({i},{j}) for n={self.n}")
+        expected = n * (n - 1) // 2
+        if len(values) != expected:
+            raise FamilyError(f"expected {expected} pair values for n={n}, got {len(values)}")
+        for (i, j), v in values.items():
+            if not (1 <= i < j <= n):
+                raise FamilyError(f"bad pair key ({i},{j}) for n={n}")
             if not v > 0:
                 raise FamilyError(f"nonpositive 2-weight at ({i},{j}): {v}")
+            if v == np.inf:
+                raise FamilyError(f"infinite 2-weight at ({i},{j})")
+        self.n, self.cmp = n, cmp
+        self.scaled = kernel.pair_matrix(n, values, kernel.common_scale(values.values()))
+
+    @classmethod
+    def _of_array(cls, scaled: "Scaled", cmp: Cmp) -> "DistanceFamily":
+        """The family of a checked array that its maker built (symmetric, zero
+        diagonal, positive finite entries, a dtype that holds any sum of two)."""
+        family = cls.__new__(cls)
+        family.n, family.cmp, family.scaled = len(scaled.array), cmp, scaled
+        return family
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DistanceFamily):
+            return NotImplemented
+        return (self.n, self.cmp, self.values) == (other.n, other.cmp, other.values)
+
+    def __repr__(self) -> str:
+        return f"DistanceFamily(n={self.n!r}, values={self.values!r}, cmp={self.cmp!r})"
+
+    @cached_property
+    def values(self) -> Dict[Tuple[int, int], Number]:
+        """D_{i,j} by (i, j), i < j, as Python numbers, read from the array on first use."""
+        upper = self.scaled.array[np.triu_indices(self.n, 1)]
+        return dict(zip(self.pairs(), self.scaled.numbers(upper)))
 
     def d(self, i: int, j: int) -> Number:
-        """D_{i,j}; returns 0 for i == j (the diagonal convention)."""
+        """D_{i,j}, one entry of the array; 0 for i == j (the diagonal)."""
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise FamilyError(f"index out of range: ({i},{j})")
         if i == j:
             return 0
-        if i > j:
-            i, j = j, i
-        return self.values[(i, j)]
+        return self.scaled.numbers(self.scaled.array[i - 1, j - 1 : j])[0]
 
     def pairs(self) -> Iterator[Tuple[int, int]]:
         return itertools.combinations(range(1, self.n + 1), 2)
@@ -76,23 +96,6 @@ class DistanceFamily:
         from .support import analyse  # support builds on graph, which imports this module
 
         return analyse(self)
-
-    @cached_property
-    def scaled(self) -> "Scaled":
-        """The family as one n x n array (``metric_realize.kernel``): the
-        values times a common multiple of their denominators, int64 or Python
-        ints, or float64 once a value is a float; diagonal 0.  Built on first
-        use unless the family's maker handed it over (``_keep_scaled``), and
-        kept with the family, so that S, the checks and every verification
-        read one copy."""
-        return kernel.pair_matrix(self.n, self.values, kernel.common_scale(self.values.values()))
-
-    def _keep_scaled(self, scaled: "Scaled") -> "DistanceFamily":
-        """The family, with ``scaled`` as its array: one that its maker built
-        on the way (``two_weights``, ``parse_family_csv``), whose dtype holds
-        the sum of any two entries."""
-        self.__dict__["scaled"] = scaled
-        return self
 
     @cached_property
     def sides(self) -> "Bipartition":

@@ -8,7 +8,6 @@ weight, computed here by Floyd-Warshall on the dense min-plus kernel
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 import numpy as np
@@ -127,12 +126,9 @@ def _distances(graph: WeightedGraph) -> kernel.Scaled:
 
 
 def two_weights(graph: WeightedGraph, cmp: Cmp = EXACT) -> DistanceFamily:
-    """The family of 2-weights of a connected positive-weighted graph, which
-    keeps the kernel's matrix as its array (``DistanceFamily.scaled``)."""
-    dist = _distances(graph)
-    upper = dist.array[np.triu_indices(graph.n, 1)]
-    pairs = itertools.combinations(range(1, graph.n + 1), 2)
-    return DistanceFamily(graph.n, dict(zip(pairs, dist.numbers(upper))), cmp)._keep_scaled(dist)
+    """The family of 2-weights of a connected positive-weighted graph: the
+    kernel's matrix is its array (``DistanceFamily.scaled``)."""
+    return DistanceFamily._of_array(_distances(graph), cmp)
 
 
 def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:

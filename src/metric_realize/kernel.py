@@ -1,11 +1,13 @@
 """The dense min-plus kernel behind 2-weights, pruning and verification.
 
-Numbers enter the kernel as an n x n numpy array.  Exact numbers (int and
-Fraction) are multiplied by a common multiple ``scale`` of their
-denominators and stored as int64 when the largest value the kernel can form
-fits, and otherwise as Python ints in a ``dtype=object`` array.  As soon as
-one number is a float, every number is stored as float64 and ``scale`` is
-None.  The dtype thus follows from the data; there is no option.
+Numbers live in the kernel as n x n numpy arrays; a family is one
+(``DistanceFamily.scaled``), and ``Scaled.numbers`` gives back the Python
+numbers a caller sees.  Exact numbers (int and Fraction) are multiplied by a
+common multiple ``scale`` of their denominators and stored as int64 when the
+largest value the kernel can form fits, and otherwise as Python ints in a
+``dtype=object`` array.  As soon as one number is a float, every number is
+stored as float64 and ``scale`` is None.  The dtype thus follows from the
+data; there is no option.
 
 Floyd-Warshall runs in n numpy steps of n^2 each.  Every entry sees the
 same additions d_ik + d_kj in the same k order as the scalar loop, so the

@@ -12,7 +12,6 @@ indenting encoder, which runs in pure Python, spends on it.
 
 from __future__ import annotations
 
-import itertools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import kernel
 from .comparison import Cmp, EXACT, Number, as_exact_number
-from .family import DistanceFamily, FamilyError
+from .family import DistanceFamily
 from .graph import GraphError, WeightedGraph
 
 if TYPE_CHECKING:
@@ -130,8 +129,8 @@ def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
     """Parse an n x n matrix document: n comma-separated lines, zero diagonal,
     symmetric positive off-diagonals.  Errors name the offending cell, the
     first in row order with the diagonal cell ahead of its row.  The checks
-    run on the family's array (``DistanceFamily.scaled``), which is built here
-    once."""
+    run on the parsed matrix, which becomes the family's array
+    (``DistanceFamily.scaled``)."""
     rows = [line for line in (l.strip() for l in text.splitlines()) if line]
     n = len(rows)
     if n < 2:
@@ -156,25 +155,21 @@ def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
         j = int(np.argmax(bad[i]))
         problem = "asymmetric" if asymmetric[i, j] else "nonpositive 2-weight"
         raise ParseError(f"{problem} at ({i + 1},{j + 1})")
-    pairs = itertools.combinations(range(1, n + 1), 2)
-    upper = (x for i, row in enumerate(matrix, start=1) for x in row[i:])
-    try:
-        family = DistanceFamily(n, dict(zip(pairs, upper)), cmp)
-    except FamilyError as exc:
-        raise ParseError(str(exc)) from exc
-    # The family is the upper triangle; its array is that triangle mirrored,
-    # with a zero diagonal (a tolerance admits near-zeros and near-mirrors).
+    # The family is the upper triangle mirrored, with a zero diagonal (a
+    # tolerance admits near-zeros and near-mirrors).
     lower = np.tril_indices(n, -1)
     a[lower] = a.T[lower]
     np.fill_diagonal(a, 0)
-    return family._keep_scaled(kernel.Scaled(a, scale))
+    return DistanceFamily._of_array(kernel.Scaled(a, scale), cmp)
 
 
 def family_to_csv(family: DistanceFamily) -> str:
-    lines = []
-    for i in range(1, family.n + 1):
-        lines.append(",".join(format_number(family.d(i, j)) for j in range(1, family.n + 1)))
-    return "\n".join(lines) + "\n"
+    """The n x n matrix document of the family, each pair formatted once."""
+    n = family.n
+    cells = [["0"] * n for _ in range(n)]
+    for (i, j), v in family.values.items():
+        cells[i - 1][j - 1] = cells[j - 1][i - 1] = format_number(v)
+    return "".join(",".join(row) + "\n" for row in cells)
 
 
 def graph_to_dict(graph: WeightedGraph) -> dict:

@@ -85,8 +85,8 @@ def analyse(family: DistanceFamily) -> Support:
             violation = (i + 1, j + 1, kernel.first_shortcut(d, i, j, scale, cmp) + 1)
     except OverflowError:
         raise FamilyError(kernel.OUT_OF_FLOAT_RANGE) from None
-    pairs = zip((rows[below] + 1).tolist(), (cols[below] + 1).tolist())
-    edges = [(i, j, family.values[(i, j)]) for i, j in pairs]
+    weights = family.scaled.numbers(dij[below])
+    edges = list(zip((rows[below] + 1).tolist(), (cols[below] + 1).tolist(), weights))
     graph = WeightedGraph(n, edges, require_connected=False)
     adj = graph.adjacency()
     realization = None
@@ -104,13 +104,13 @@ def _reweighted_tree(family: DistanceFamily, adj: Dict[int, Dict[int, Number]]) 
     """The tree S with each edge weighted by the step in D_{x,.} along it,
     x the first vertex of the lexicographically first pair of maximal D;
     None when a step is not positive or the tree fails verification."""
-    d = family.d
-    x = max(family.pairs(), key=lambda p: d(*p))[0]
+    x = int(np.argmax(family.scaled.array.max(axis=1))) + 1  # the first row holding the largest D
+    dx = family.scaled.numbers(family.scaled.array[x - 1])
     edges, stack, seen = [], [x], {x}
     while stack:
         u = stack.pop()
         for v in adj[u].keys() - seen:
-            edges.append((u, v, d(x, v) - d(x, u)))
+            edges.append((u, v, dx[v - 1] - dx[u - 1]))
             seen.add(v)
             stack.append(v)
     if not all(w > 0 for _u, _v, w in edges):

@@ -195,8 +195,6 @@ def support_scan(family: DistanceFamily) -> Tuple[WeightedGraph, Optional[Tuple[
     (see ``metric_realize.support.Support``) by the scalar split scan: per
     pair i < j, the smallest D_iz + D_zj over rows whose diagonal is raised
     above every split, and for the first violating pair the first k."""
-    from metric_realize.support import _reweighted_tree
-
     n, cmp, d = family.n, family.cmp, family.d
     big = 2 * max(family.values.values()) + 1
     rows = [[d(i, j) if i != j else big for j in range(1, n + 1)] for i in range(1, n + 1)]
@@ -218,8 +216,27 @@ def support_scan(family: DistanceFamily) -> Tuple[WeightedGraph, Optional[Tuple[
         if verify_realization(graph, family):
             realization = graph
         elif not cmp.exact and len(edges) == n - 1:
-            realization = _reweighted_tree(family, graph.adjacency())
+            realization = reweighted_tree(family, graph.adjacency())
     return graph, violation, realization
+
+
+def reweighted_tree(family: DistanceFamily, adj: Dict[int, Dict[int, Number]]) -> Optional[WeightedGraph]:
+    """``support._reweighted_tree`` by scalar lookups: the tree S with each
+    edge weighted by the step in D_{x,.} along it, x the first vertex of
+    the lexicographically first pair of maximal D."""
+    d = family.d
+    x = max(family.pairs(), key=lambda p: d(*p))[0]
+    edges, stack, seen = [], [x], {x}
+    while stack:
+        u = stack.pop()
+        for v in adj[u].keys() - seen:
+            edges.append((u, v, d(x, v) - d(x, u)))
+            seen.add(v)
+            stack.append(v)
+    if not all(w > 0 for _u, _v, w in edges):
+        return None
+    graph = WeightedGraph(family.n, edges)
+    return graph if verify_realization(graph, family) else None
 
 
 def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:

@@ -1,7 +1,9 @@
 """Distance families, the four family checks and the support graph; the
 array checks against the scalar scans in ``oracles``."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,41 @@ class TestDistanceFamily:
     def test_needs_two_vertices(self):
         with pytest.raises(FamilyError):
             DistanceFamily(1, {})
+
+    @pytest.mark.parametrize("i, j", [(0, 3), (1, 4), (0, 0), (4, 4), (-1, 2), (3, 5)])
+    def test_indices_outside_one_to_n_raise(self, i, j):
+        f = fam(3, {(1, 2): 1, (1, 3): 2, (2, 3): 1})
+        with pytest.raises(FamilyError, match="index out of range"):
+            f.d(i, j)
+
+    @pytest.mark.parametrize("cmp", (EXACT, Cmp(1e-9)))
+    @pytest.mark.parametrize("value", (math.inf, -math.inf, math.nan))
+    def test_rejects_non_finite_values(self, value, cmp):
+        with pytest.raises(FamilyError, match=r"at \(1,2\)"):
+            DistanceFamily(3, {(1, 2): value, (1, 3): 1, (2, 3): 1}, cmp)
+
+    def test_values_and_d_read_the_array(self):
+        exact = fam(3, {(1, 2): Fraction(4, 2), (1, 3): Fraction(1, 2), (2, 3): 10**400})
+        assert "values" not in exact.__dict__
+        assert exact.d(2, 1) == 2 and type(exact.d(2, 1)) is int
+        assert exact.values == {(1, 2): 2, (1, 3): Fraction(1, 2), (2, 3): 10**400}
+        assert [type(v) for v in exact.values.values()] == [int, Fraction, int]
+        # the array is float64 once a value is a float, and so are the views
+        mixed = fam(3, {(1, 2): 1, (1, 3): Fraction(1, 2), (2, 3): 1.5})
+        assert mixed.values == {(1, 2): 1.0, (1, 3): 0.5, (2, 3): 1.5}
+        assert all(type(v) is float for v in mixed.values.values())
+        assert type(mixed.d(1, 2)) is float and mixed.d(3, 3) == 0
+
+    def test_equal_values_make_equal_families(self):
+        # a chord off every shortest path sets the array's scale to 21, the
+        # values' own is 3
+        g = WeightedGraph(3, [(1, 2, Fraction(1, 3)), (2, 3, 1), (1, 3, Fraction(100, 7))])
+        f = two_weights(g)
+        same = fam(3, {(1, 2): Fraction(1, 3), (1, 3): Fraction(4, 3), (2, 3): 1})
+        assert (f.scaled.scale, same.scaled.scale) == (21, 3)
+        assert f == same and f != with_cmp(same, Cmp(1e-9)) and f != fam(2, {(1, 2): 1})
+        with pytest.raises(TypeError):
+            hash(f)
 
 
 class TestTriangle:

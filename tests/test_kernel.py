@@ -8,6 +8,7 @@ scalar loop raises OverflowError on them too."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -148,6 +149,18 @@ def test_two_weights_equal_the_scalar_loop(g, cmp):
         assert_python_number(x)
     for i, j in family.values:
         assert type(i) is int and type(j) is int
+    # the family of its own values is the family; its array holds the same
+    # numbers, at the values' own scale: the graph's weights set the scale of
+    # the Floyd-Warshall array, and a weight off every shortest path may make
+    # it a multiple of that
+    rebuilt = DistanceFamily(family.n, family.values, cmp)
+    assert rebuilt == family
+    (a, scale), (b, own) = family.scaled, rebuilt.scaled
+    if scale is None:
+        assert own is None and b.dtype == a.dtype and np.array_equal(a, b)
+    else:
+        assert scale % own == 0 and np.array_equal(a, b * (scale // own))
+        assert a.dtype == object or b.dtype == np.int64
 
 
 @KERNEL_SETTINGS
@@ -211,6 +224,16 @@ def test_verification_reads_the_family_matrix_once(monkeypatch):
     # a weight whose denominator the family lacks: the graph still realizes it
     chord = WeightedGraph(4, [*g.edges, (1, 4, Fraction(23, 7))])
     assert verify_realization(chord, family) is True
+
+
+@pytest.mark.parametrize("cmp", CMPS)
+def test_the_graph_round_trip_builds_no_python_number_per_pair(cmp):
+    # two_weights, prune and verification read the Floyd-Warshall array; the
+    # family's values view is never built
+    g = WeightedGraph(4, [(1, 2, Fraction(1, 2)), (2, 3, 1), (1, 3, Fraction(3, 2)), (3, 4, Fraction(1, 3))])
+    family = two_weights(g, cmp)
+    assert verify_realization(prune(g, cmp), family) is True
+    assert "values" not in family.__dict__
 
 
 def test_two_weights_and_prune_of_one_graph_run_one_floyd_warshall(monkeypatch):

@@ -95,6 +95,23 @@ class TestFamilyCsv:
         f = parse_family_csv("\n0,1\n\n1,0\n\n")
         assert f.n == 2
 
+    @pytest.mark.parametrize("cmp", (EXACT, Cmp(1e-9)))
+    def test_classify_builds_no_python_number_per_pair(self, cmp):
+        # every class runs on the parsed array; S's edges, the snake's
+        # closing edge (polygon), the cross edges (bipartite of a tree) and,
+        # on the noisy path, the reweighted tree convert only what they return
+        texts = [
+            family_to_csv(two_weights(generate(GenSpec(class_id, 9, 3, "decimal"))))
+            for class_id in ("snake", "tree", "polygon", "complete_bipartite", "planar")
+        ]
+        tol = 1e-9
+        noisy = [[0.1 * abs(j - i) - tol / 2 * max(abs(j - i) - 1, 0) for j in range(10)] for i in range(10)]
+        texts.append("".join(",".join(map(repr, row)) + "\n" for row in noisy))
+        for text in texts:
+            family = parse_family_csv(text, cmp)
+            assert classify(family).accepted_classes()
+            assert "values" not in family.__dict__
+
 
 class TestGraphJson:
     def test_round_trip_preserves_exact_weights(self, fig2_graph):

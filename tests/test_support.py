@@ -5,12 +5,13 @@ and the layers around it on the classify path: the CSV fast path against
 Kuratowski search, the errors of a tolerance on values beyond the float
 range, and the parser built once per process."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from metric_realize import (
@@ -30,7 +31,6 @@ from metric_realize import (
     two_weights,
     verify_realization,
 )
-from metric_realize import kernel
 from metric_realize.cli import build_parser, run
 from metric_realize.serialize import ParseError, parse_cell, parse_family_csv, parse_number
 
@@ -100,12 +100,29 @@ def test_analyse_equals_the_scalar_split_scan(drawn, cmp):
     assert_matches_the_scan(with_cmp(family, cmp))
 
 
+def noisy_paths(rng, tol):
+    """Collinear points in random order with every tight split off by half
+    the tolerance: S is the path, it misses D once errors add up along it,
+    and the path reweighted from one end realizes D."""
+    for n in range(3, 11):
+        label = rng.sample(range(1, n + 1), n)
+        at = [k / 10 for k in itertools.accumulate(rng.randint(1, 5) for _ in range(n))]
+        values = {}
+        for a in range(n):
+            for b in range(a + 1, n):
+                values[tuple(sorted((label[a], label[b])))] = at[b] - at[a] - tol / 2 * (b - a - 1)
+        yield DistanceFamily(n, values, Cmp(tol))
+
+
 def test_analyse_equals_the_scalar_split_scan_on_noisy_families():
-    decided = 0
-    for family in noisy_families(random.Random(77), 1e-9):
+    rng = random.Random(77)
+    decided = reweighted = 0
+    for family in [*noisy_families(rng, 1e-9), *noisy_paths(rng, 1e-9)]:
         assert_matches_the_scan(family)
         decided += family.support.realization is None
+        reweighted += family.support.realization not in (None, family.support.graph)
     assert decided  # some S miss D within the tolerance
+    assert reweighted  # and some are reweighted
 
 
 @pytest.mark.parametrize(
@@ -185,11 +202,15 @@ def parsed(parse, text, cmp):
 
 @settings(SETTINGS, max_examples=400)
 @given(matrix_documents(), st.sampled_from((EXACT, Cmp(1e-9))))
+@example("0,1.5,7/3\n1.5,0,2.50\n7/3,2.50,0\n", EXACT)
 def test_matrix_documents_read_as_the_cell_by_cell_parser(text, cmp):
     assert parsed(parse_family_csv, text, cmp) == parsed(oracles.parse_family_csv, text, cmp)
     if not isinstance(parsed(parse_family_csv, text, cmp), tuple):
+        # the family of its own values is the family, with the same array
         family = parse_family_csv(text, cmp)
-        built = kernel.pair_matrix(family.n, family.values, kernel.common_scale(family.values.values()))
+        rebuilt = DistanceFamily(family.n, family.values, family.cmp)
+        assert rebuilt == family
+        built = rebuilt.scaled
         assert family.scaled.scale == built.scale
         assert family.scaled.array.dtype == built.array.dtype
         assert np.array_equal(family.scaled.array, built.array)

@@ -11,7 +11,7 @@ from typing import Dict, FrozenSet, Tuple
 import numpy as np
 
 from . import kernel
-from .family import DistanceFamily
+from .family import DistanceFamily, FamilyError
 from .graph import WeightedGraph, verify_realization
 from .realization import Realization
 
@@ -72,6 +72,8 @@ def bipartition(family: DistanceFamily) -> Bipartition:
     makes D_{x,.} strictly increase along them, so they are simple.  When S
     realizes D the last link of a shortest S-path to v is tight, so every
     vertex is placed, and the sides 2-colour S exactly when S is bipartite.
+    Under a tolerance, exact sums D_{x,u} + D_{u,v} beyond the float range
+    raise FamilyError, as values beyond it do in ``DistanceFamily.support``.
     """
     x, y = _min_pair(family)
     adj = family.support.adj
@@ -80,7 +82,10 @@ def bipartition(family: DistanceFamily) -> Bipartition:
     order = [v + 1 for v in sorted(range(family.n), key=dx.tolist().__getitem__)]
     rank = {v: k for k, v in enumerate(order)}
     # tight[u - 1][v - 1]: D_{x,u} + D_{u,v} = D_{x,v}
-    tight = kernel.eq(dx[:, None] + d, dx, scale, family.cmp).tolist()
+    try:
+        tight = kernel.eq(dx[:, None] + d, dx, scale, family.cmp).tolist()
+    except OverflowError:
+        raise FamilyError(kernel.OUT_OF_FLOAT_RANGE) from None
     side = {x: 0}
     chains: Dict[int, Tuple[int, ...]] = {x: ()}
     for v in order[1:]:

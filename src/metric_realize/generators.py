@@ -14,6 +14,7 @@ from typing import List, Sequence, Tuple
 
 from .comparison import Number
 from .graph import WeightedGraph
+from .serialize import MAX_N
 
 CLASS_MIN_N = {
     "snake": 2,
@@ -53,6 +54,8 @@ class GenSpec:
             raise GenerationError(
                 f"class {self.class_id} needs n >= {CLASS_MIN_N[self.class_id]}, got {self.n}"
             )
+        if self.n > MAX_N:
+            raise GenerationError(f"{self.n} vertices exceed the limit of {MAX_N}")
         if self.weight_kind not in ("int", "decimal"):
             raise GenerationError(f"unknown weight model {self.weight_kind!r}")
         if self.lo < 1 or self.lo > self.hi:

@@ -158,13 +158,16 @@ def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
     # would call close to anything; it never realizes D.
     if not graph.is_connected():
         return False
-    target = family.scaled
-    scale = kernel.joint_scale(target.scale, _scale(graph))
-    if scale != target.scale:
-        target = kernel.pair_matrix(family.n, family.values, scale)
+    target, own = family.scaled
+    scale = kernel.joint_scale(own, _scale(graph))
+    if scale != own:
+        # in Python ints, whose products are exact and whose true division
+        # rounds correctly, as float(Fraction) does
+        exact = target.astype(object)
+        target = exact * (scale // own) if scale is not None else np.asarray(exact / own, dtype=np.float64)
     dist = kernel.all_pairs(graph.n, graph.edges, scale)
     try:
-        return bool(kernel.eq(dist.array, target.array, scale, family.cmp).all())
+        return bool(kernel.eq(dist.array, target, scale, family.cmp).all())
     except OverflowError:
         raise GraphError(kernel.OUT_OF_FLOAT_RANGE) from None
 

@@ -13,7 +13,7 @@ Floyd-Warshall runs in n numpy steps of n^2 each.  Every entry sees the
 same additions d_ik + d_kj in the same k order as the scalar loop, so the
 values are those of the loop, in exact and in float arithmetic.  The split
 matrix of a family (``splits``) is the same min-plus product, also in n
-steps of n^2.
+steps of n^2, on a copy of the family's array that stays inside it.
 
 Two split routines stay, each for its own job.  ``splits`` covers all
 pairs, which the support graph needs.  ``useful`` covers a given edge list,
@@ -132,13 +132,14 @@ def row_matrix(rows: Sequence[Sequence[Number]]) -> Scaled:
 
 
 @python_floats
-def splits(dist: Scaled) -> Tuple[np.ndarray, np.ndarray]:
-    """The family matrix ``dist`` with its diagonal raised to ``big``, and
-    its min-plus square M_ij = min over z of D_iz + D_zj, in n numpy steps of
-    n^2, one per midpoint z.  ``big`` is twice the largest value plus one (in
-    the family's own numbers, so plus ``scale`` on scaled values): it keeps
-    z = i and z = j out of every off-diagonal minimum, and for n = 2 it leaves
-    the one pair below its split.  The dtype holds 2 * big, the largest sum."""
+def splits(dist: Scaled) -> np.ndarray:
+    """The split matrix of the family matrix ``dist``: M_ij = min over z
+    outside {i, j} of D_iz + D_zj, in n numpy steps of n^2, one per midpoint
+    z.  The steps run on a copy whose diagonal is raised to ``big``, twice
+    the largest value plus one (in the family's own numbers, so plus
+    ``scale`` on scaled values): it keeps z = i and z = j out of every
+    off-diagonal minimum, and for n = 2 it leaves the one pair below its
+    split.  The copy's dtype holds 2 * big, the largest sum."""
     a, scale = dist
     top = a.max(keepdims=True).item()
     big = 2 * top + (1 if scale is None else scale)
@@ -147,14 +148,7 @@ def splits(dist: Scaled) -> Tuple[np.ndarray, np.ndarray]:
     m = d[:, 0, None] + d[0]
     for z in range(1, len(d)):
         np.minimum(m, d[:, z, None] + d[z], out=m)
-    return d, m
-
-
-@python_floats
-def first_shortcut(d: np.ndarray, i: int, j: int, scale: Optional[int], cmp: Cmp) -> int:
-    """The first z with D_iz + D_zj < D_ij under ``cmp``, on the matrix
-    ``d`` that ``splits`` returns; the pair must have one."""
-    return int(np.argmax(lt(d[i] + d[j], d[i, j], scale, cmp)))
+    return m
 
 
 @python_floats

@@ -76,25 +76,6 @@ def _adjacency(edges: Sequence[Pair]) -> Dict[int, List[int]]:
     return adj
 
 
-def _bipartite(edges: Sequence[Pair]) -> bool:
-    """Whether the graph with these edges has a 2-colouring (one BFS)."""
-    adj = _adjacency(edges)
-    colour: Dict[int, int] = {}
-    for root in adj:
-        if root in colour:
-            continue
-        colour[root] = 0
-        queue = [root]
-        for u in queue:
-            for v in adj[u]:
-                if v not in colour:
-                    colour[v] = 1 - colour[u]
-                    queue.append(v)
-                elif colour[v] == colour[u]:
-                    return False
-    return True
-
-
 def _planar(edges: Sequence[Pair], bipartite: bool) -> bool:
     """Whether the graph with these edges is planar; ``bipartite`` may be
     True only for a bipartite graph.
@@ -224,8 +205,11 @@ def planar_check(family: DistanceFamily) -> Realization:
     # planar when m - n + 1 <= 3 (every tree and polygon S).
     if len(support.graph.edges) - family.n + 1 <= 3:
         return Realization.ok(support.realization)
-    edges = sorted((u, v) for u, v, _w in support.graph.edges)
-    bipartite = _bipartite(edges)
+    edges = [(u, v) for u, v, _w in support.graph.edges]
+    # S is 2-coloured when every edge crosses the sides of the bipartition
+    # walk, and the walk 2-colours every bipartite S that realizes D
+    x = family.sides.x_side
+    bipartite = all((u in x) != (v in x) for u, v in edges)
     if _planar(edges, bipartite):
         return Realization.ok(support.realization)
     witness = _witness_from_kuratowski(_kuratowski_subgraph(edges, family.n, bipartite))

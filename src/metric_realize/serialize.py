@@ -172,15 +172,10 @@ def family_to_csv(family: DistanceFamily) -> str:
     return "".join(",".join(row) + "\n" for row in cells)
 
 
-def graph_to_dict(graph: WeightedGraph) -> dict:
-    return {
-        "n": graph.n,
-        "edges": [{"u": u, "v": v, "w": format_number(w)} for u, v, w in graph.edges],
-    }
-
-
 def graph_to_json(graph: WeightedGraph) -> str:
-    """``json.dumps(graph_to_dict(graph), indent=2)`` plus a newline."""
+    """The graph document ``{"n": n, "edges": [{"u": u, "v": v, "w": "w"},
+    ...]}``, weights through ``format_number``, as ``json.dumps(doc,
+    indent=2)`` writes it, plus a newline."""
     return _graph_text(graph, "") + "\n"
 
 

@@ -6,7 +6,11 @@ realization on [n] (Hakimi & Yau 1965), so every class verdict is a test on
 the shape of S.  ``DistanceFamily.support`` memoises :func:`analyse`, which
 finds S and the triangle check with the dense min-plus kernel
 (``metric_realize.kernel``) on the family's array, not with a loop over
-pairs and midpoints.
+pairs and midpoints.  Each other fact about S is derived once: the midpoint
+of the first triangle violation from two rows of that array, connectivity
+by ``verify_realization`` (a disconnected S never realizes D), and the
+2-colouring by the ``bipartition`` walk (``DistanceFamily.sides``), which
+the bipartite classes and the planarity counts read.
 """
 
 from __future__ import annotations
@@ -60,21 +64,28 @@ class Support:
         return len(self.graph.edges) == self.graph.n - 1
 
 
+@kernel.python_floats
 def analyse(family: DistanceFamily) -> Support:
     """S and the triangle check from one min-plus product on the family's
     array (``kernel.splits``, n numpy steps of n^2): for each pair, the
     smallest split M_ij = min over z outside {i, j} of D_iz + D_zj decides
     both the triangle inequality (D_ij <= M_ij) and indecomposability
     (D_ij < M_ij).  Both comparisons are monotone in the split, so they agree
-    with testing every z, in exact and tolerance mode.  S is verified once,
-    when D is a metric.
+    with testing every z, in exact and tolerance mode.  The first violated
+    pair's midpoint is the first z with D_iz + D_zj < D_ij, read off the two
+    rows of the array.  S is verified once, when D is a metric.
+
+    Under a tolerance an infinite float split has an infinite slack, so no
+    comparison with it can hold; such a family raises FamilyError.
     """
     n, cmp = family.n, family.cmp
-    d, m = kernel.splits(family.scaled)
-    scale = family.scaled.scale
+    a, scale = family.scaled
+    m = kernel.splits(family.scaled)
     # the pairs i < j in lexicographic order
     rows, cols = np.triu_indices(n, 1)
-    dij, mij = d[rows, cols], m[rows, cols]
+    dij, mij = a[rows, cols], m[rows, cols]
+    if not cmp.exact and scale is None and not np.isfinite(mij).all():
+        raise FamilyError("a sum of two values beyond the float range cannot be compared under a tolerance")
     try:
         below = kernel.lt(dij, mij, scale, cmp)
         above = kernel.lt(mij, dij, scale, cmp)
@@ -82,7 +93,9 @@ def analyse(family: DistanceFamily) -> Support:
         if above.any():
             first = int(np.argmax(above))
             i, j = int(rows[first]), int(cols[first])
-            violation = (i + 1, j + 1, kernel.first_shortcut(d, i, j, scale, cmp) + 1)
+            # z = i and z = j give D_ij itself, which is never below it
+            z = int(np.argmax(kernel.lt(a[i] + a[j], a[i, j], scale, cmp)))
+            violation = (i + 1, j + 1, z + 1)
     except OverflowError:
         raise FamilyError(kernel.OUT_OF_FLOAT_RANGE) from None
     weights = family.scaled.numbers(dij[below])
@@ -90,9 +103,7 @@ def analyse(family: DistanceFamily) -> Support:
     graph = WeightedGraph(n, edges, require_connected=False)
     adj = graph.adjacency()
     realization = None
-    # A disconnected S has infinite 2-weights, which tolerance mode would
-    # compare as equal to anything; it never realizes D.
-    if violation is None and graph.is_connected():
+    if violation is None:
         if verify_realization(graph, family):
             realization = graph
         elif not cmp.exact and len(edges) == n - 1:
@@ -103,7 +114,8 @@ def analyse(family: DistanceFamily) -> Support:
 def _reweighted_tree(family: DistanceFamily, adj: Dict[int, Dict[int, Number]]) -> Optional[WeightedGraph]:
     """The tree S with each edge weighted by the step in D_{x,.} along it,
     x the first vertex of the lexicographically first pair of maximal D;
-    None when a step is not positive or the tree fails verification."""
+    None when S is not connected, a step is not positive or the tree fails
+    verification."""
     x = int(np.argmax(family.scaled.array.max(axis=1))) + 1  # the first row holding the largest D
     dx = family.scaled.numbers(family.scaled.array[x - 1])
     edges, stack, seen = [], [x], {x}
@@ -113,7 +125,7 @@ def _reweighted_tree(family: DistanceFamily, adj: Dict[int, Dict[int, Number]]) 
             edges.append((u, v, dx[v - 1] - dx[u - 1]))
             seen.add(v)
             stack.append(v)
-    if not all(w > 0 for _u, _v, w in edges):
+    if len(seen) < family.n or not all(w > 0 for _u, _v, w in edges):
         return None
     graph = WeightedGraph(family.n, edges)
     return graph if verify_realization(graph, family) else None

@@ -268,12 +268,21 @@ def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
     return DistanceFamily(n, values, cmp)
 
 
+def graph_to_dict(graph) -> dict:
+    """The graph document as a dict (the reference for
+    ``serialize.graph_to_json``)."""
+    from metric_realize.serialize import format_number
+
+    return {
+        "n": graph.n,
+        "edges": [{"u": u, "v": v, "w": format_number(w)} for u, v, w in graph.edges],
+    }
+
+
 def report_dict(report) -> dict:
     """The classify report as a dict built field by field (the reference for
     ``serialize.report_to_json``, which must print exactly
     ``json.dumps(report_dict(report), indent=2)`` plus a newline)."""
-    from metric_realize.serialize import graph_to_dict
-
     out: dict = {"classes": {}, "conditions": report.condition_summary}
     for name, r in report.verdicts.items():
         entry: dict = {"accepted": r.accepted}

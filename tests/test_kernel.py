@@ -220,10 +220,15 @@ def test_verification_reads_the_family_matrix_once(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(kernel, "pair_matrix", lambda *args: pytest.fail("the family matrix was rebuilt"))
         assert verify_realization(g, family) is True
+        # a weight whose denominator the family lacks, and a float weight:
+        # the family array is rescaled, and the graph still realizes it
+        chord = WeightedGraph(4, [*g.edges, (1, 4, Fraction(23, 7))])
+        assert verify_realization(chord, family) is True
+        assert verify_realization(WeightedGraph(4, [*g.edges, (1, 4, 3.5)]), family) is True
+        short = WeightedGraph(4, [(1, 2, 0.5), (2, 3, 1), (3, 4, 1 / 3), (1, 4, 1.8)])
+        assert verify_realization(short, family) is False
     assert family.scaled.scale == 6 and family.scaled.array.dtype.name == "int64"
-    # a weight whose denominator the family lacks: the graph still realizes it
-    chord = WeightedGraph(4, [*g.edges, (1, 4, Fraction(23, 7))])
-    assert verify_realization(chord, family) is True
+    assert "values" not in family.__dict__
 
 
 @pytest.mark.parametrize("cmp", CMPS)

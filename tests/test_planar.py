@@ -6,15 +6,21 @@ import pytest
 import networkx as nx
 
 from metric_realize import (
+    EXACT,
+    Cmp,
     FamilyError,
+    GenSpec,
     PlanarWitness,
     WeightedGraph,
+    generate,
     planar_check,
     support_graph,
     two_weights,
     verify_realization,
 )
-from metric_realize.planar import _bipartite, _kuratowski_subgraph, _planar
+from metric_realize import planar
+from metric_realize.generators import CLASS_MIN_N
+from metric_realize.planar import _kuratowski_subgraph, _planar
 
 from conftest import fam, random_connected_graph
 from oracles import SizeGuardError, kuratowski_deletion_pass, subdivision_witness_search
@@ -277,7 +283,7 @@ class TestPlanarCounts:
         ],
     )
     def test_named_graphs(self, pairs, planar):
-        for bipartite in {False, _bipartite(pairs)}:
+        for bipartite in {False, nx.is_bipartite(nx.Graph(pairs))}:
             assert _planar(pairs, bipartite) is planar
         assert self.left_right(pairs) is planar
 
@@ -296,8 +302,7 @@ class TestPlanarCounts:
             if not pairs:
                 continue
             want = self.left_right(pairs)
-            bipartite = _bipartite(pairs)
-            assert bipartite == nx.is_bipartite(nx.Graph(pairs))
+            bipartite = nx.is_bipartite(nx.Graph(pairs))
             bipartite_seen += bipartite
             assert _planar(pairs, False) == want, pairs
             assert _planar(pairs, bipartite) == want, pairs
@@ -311,13 +316,43 @@ class TestPlanarCounts:
             labels = range(1, rng.randint(3, 6) + 1)
             pairs = list(itertools.combinations(labels, 2))
             pairs = rng.sample(pairs, rng.randint(1, min(len(pairs), 8 if len(labels) == 6 else 10)))
-            cases.append((pairs, _bipartite(pairs), self.left_right(pairs)))
+            cases.append((pairs, nx.is_bipartite(nx.Graph(pairs)), self.left_right(pairs)))
         cases += [(complete_pairs(n), False, False) for n in range(5, 22)]
         cases += [(interleaved_bipartite_pairs(a, b), True, False) for a, b in BIPARTITE_SIDES]
         lr_runs[0] = 0
         for pairs, bipartite, planar in cases:
             assert _planar(pairs, bipartite) == planar, pairs
         assert lr_runs[0] == 0
+
+    @pytest.mark.parametrize("cmp", [EXACT, Cmp(1e-9)], ids=["exact", "tol"])
+    def test_the_flag_planar_check_passes_is_the_bipartition_walks(self, monkeypatch, cmp):
+        # the flag comes from the sides of ``family.sides``: it must never
+        # call a non-bipartite S bipartite, and in exact mode, where S
+        # realizes D, it must call every bipartite S bipartite
+        flags = []
+
+        def recorded(edges, bipartite):
+            flags.append(bipartite)
+            return _planar(edges, bipartite)
+
+        monkeypatch.setattr(planar, "_planar", recorded)
+        seen = {False: 0, True: 0}
+        for class_id, n, seed, kind in itertools.product(
+            CLASS_MIN_N, range(3, 16), (1, 2, 3), ("int", "decimal")
+        ):
+            f = two_weights(generate(GenSpec(class_id, n, seed, weight_kind=kind)), cmp)
+            flags.clear()
+            planar_check(f)
+            if not flags:  # settled before the planarity test
+                continue
+            want = nx.is_bipartite(nx.Graph(list(support_graph(f).edge_pairs())))
+            assert set(flags) == {flags[0]}
+            if cmp.exact:
+                assert flags[0] == want, (class_id, n, seed, kind)
+            else:
+                assert want or not flags[0], (class_id, n, seed, kind)
+            seen[want] += 1
+        assert seen[True] > 40 and seen[False] > 100, seen
 
     def test_extraction_matches_the_left_right_deletion_pass(self):
         rng = random.Random(163)
@@ -333,7 +368,8 @@ class TestPlanarCounts:
                 continue
             seen += 1
             graph = WeightedGraph(n, [(u, v, 1) for u, v in pairs], require_connected=False)
-            assert _kuratowski_subgraph(pairs, n, _bipartite(pairs)) == kuratowski_deletion_pass(graph)
+            bipartite = nx.is_bipartite(nx.Graph(pairs))
+            assert _kuratowski_subgraph(pairs, n, bipartite) == kuratowski_deletion_pass(graph)
         assert seen > 40
 
 

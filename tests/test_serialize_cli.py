@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from metric_realize import EXACT, Cmp, GenSpec, WeightedGraph, classify, generate, two_weights
+from metric_realize import EXACT, Cmp, GenSpec, GenerationError, WeightedGraph, classify, generate, two_weights
 from metric_realize.cli import run
 from metric_realize.generators import CLASS_MIN_N
 from metric_realize.serialize import (
@@ -14,7 +14,6 @@ from metric_realize.serialize import (
     family_to_csv,
     format_number,
     graph_from_json,
-    graph_to_dict,
     graph_to_dot,
     graph_to_json,
     parse_family_csv,
@@ -222,7 +221,7 @@ class TestReportJson:
     @given(graphs())
     @example(WeightedGraph(1, []))  # an empty edge list
     def test_graph_to_json_equals_the_indented_dump(self, graph):
-        assert graph_to_json(graph) == indented_dump(graph_to_dict(graph))
+        assert graph_to_json(graph) == indented_dump(oracles.graph_to_dict(graph))
 
 
 @pytest.fixture
@@ -473,6 +472,11 @@ class TestHostileInput:
         assert capsys.readouterr().err == limit
         with pytest.raises(ParseError, match=f"row 1 has 1 cells, expected {MAX_N}"):
             parse_family_csv("0\n" * MAX_N)
+        # and before a generator lists a vertex
+        assert run(["gen", "--class", "snake", "--n", str(MAX_N + 1)]) == 2
+        assert capsys.readouterr() == ("", limit)
+        with pytest.raises(GenerationError, match="1000000000 vertices exceed the limit"):
+            GenSpec("complete", 10**9, 1)
 
     def test_closed_output_pipe_exits_2_without_traceback(self, tmp_files):
         import os

@@ -21,6 +21,7 @@ from metric_realize import (
     FamilyError,
     GraphError,
     WeightedGraph,
+    bigraph_check,
     bipartition,
     check_four_point,
     check_median,
@@ -262,6 +263,7 @@ def test_planar_verdict_equals_the_exhaustive_search_when_m_is_at_most_n_plus_4(
 # ---------------------------------------------------------------------------
 
 RANGE = "an exact value beyond the float range cannot be compared under a tolerance"
+SUM_BEYOND_FLOATS = "a sum of two values beyond the float range cannot be compared under a tolerance"
 PATH = WeightedGraph(3, [(1, 2, HUGE), (2, 3, HUGE), (1, 3, 3 * HUGE)])
 TOL = Cmp(1e-9)
 
@@ -270,6 +272,16 @@ def test_support_under_a_tolerance_rejects_values_beyond_the_float_range():
     family = two_weights(PATH, TOL)
     with pytest.raises(FamilyError, match=RANGE):
         family.support
+
+
+def test_the_bipartition_walk_under_a_tolerance_rejects_sums_beyond_the_float_range():
+    # K_{3,3}: every split is at most 3 * 5e307, but the walk's same-side
+    # sums D_xu + D_uv reach 2e308; planarity reads the walk's sides too
+    family = two_weights(WeightedGraph(6, [(a, b, 5 * 10**307) for a in (1, 2, 3) for b in (4, 5, 6)]), TOL)
+    assert family.support.realization is not None
+    for check in (bipartition, bigraph_check, planar_check):
+        with pytest.raises(FamilyError, match=RANGE):
+            check(family)
 
 
 def test_pruning_under_a_tolerance_rejects_values_beyond_the_float_range():
@@ -320,20 +332,21 @@ def test_repeated_runs_share_one_parser_and_keep_their_outputs(tmp_path, capsys)
 
 @pytest.mark.filterwarnings("error")
 def test_float_overflow_in_the_kernel_prints_no_warning(tmp_path, capsys):
-    # the splits 1e308 + 1e308 are inf
+    # the splits 1e308 + 1e308 are inf, which no tolerance can compare
     metric = tmp_path / "m.csv"
     metric.write_text("0,1e308,1e308\n1e308,0,1e308\n1e308,1e308,0\n")
-    assert run(["classify", str(metric), "--tol"]) == 0
-    assert capsys.readouterr().err == ""
-    # the four family checks and the bipartition walk form them too, as in
-    # the scalar scans
+    assert run(["classify", str(metric), "--tol"]) == 2
+    assert capsys.readouterr() == ("", f"error: {SUM_BEYOND_FLOATS}\n")
+    # the four family checks form them too, as in the scalar scans; the
+    # bipartition walk reads S, which rejects them
     rows = (",".join("0" if i == j else "1e308" for j in range(4)) for i in range(4))
     k4 = parse_family_csv("\n".join(rows), TOL)
     assert check_triangle(k4) == oracles.triangle_scan(k4, 32)
     assert check_four_point(k4) == oracles.four_point_scan(k4, 32)
     assert check_median(k4) == oracles.median_scan(k4, 32)
     assert is_indecomposable(k4, 1, 2) is oracles.indecomposable_scan(k4, 1, 2)
-    assert bipartition(k4).base_pair == (1, 2)
+    with pytest.raises(FamilyError, match=SUM_BEYOND_FLOATS):
+        bipartition(k4)
     # a path whose 2-weights verify S, though Floyd-Warshall forms D_13 + D_31
     path = tmp_path / "path.csv"
     w = ["0", "5.9e307", "1.18e308", "1.77e308"]
@@ -350,3 +363,19 @@ def test_float_overflow_in_the_kernel_prints_no_warning(tmp_path, capsys):
     mirror.write_text("0,1e308\n-1e308,0\n")
     assert run(["classify", str(mirror), "--tol"]) == 2
     assert capsys.readouterr().err == "error: asymmetric at (1,2)\n"
+
+
+def test_a_tolerance_rejects_infinite_splits_in_one_line(tmp_path, capsys):
+    # the split of the one pair of n = 2 is D_12 + 2 D_12 + 1, inf; its slack
+    # would be inf too, so no comparison with it could hold
+    pair = tmp_path / "pair.csv"
+    pair.write_text("0,1e308\n1e308,0\n")
+    assert run(["classify", str(pair), "--tol"]) == 2
+    assert capsys.readouterr() == ("", f"error: {SUM_BEYOND_FLOATS}\n")
+    # exact mode reads the integer 10**308, whose sums stay exact: a snake and K_2
+    assert run(["classify", str(pair)]) == 0
+    accepted = capsys.readouterr().out
+    assert '"snake": {\n      "accepted": true' in accepted
+    assert '"complete": {\n      "accepted": true' in accepted
+    with pytest.raises(FamilyError, match=SUM_BEYOND_FLOATS):
+        DistanceFamily(3, {(1, 2): 1e308, (1, 3): 1e308, (2, 3): 1}, TOL).support

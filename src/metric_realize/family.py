@@ -120,8 +120,13 @@ class PairPredicateReport:
 
 def _report(violations: Iterator[tuple], max_violations: int) -> PairPredicateReport:
     """The report of the first ``max_violations`` (at least 1) of
-    ``violations``; the rest are never computed."""
-    found = list(itertools.islice(violations, max(1, max_violations)))
+    ``violations``; the rest are never computed.  Under a tolerance, sums
+    of exact values beyond the float range raise FamilyError, as they do in
+    ``DistanceFamily.support``."""
+    try:
+        found = list(itertools.islice(violations, max(1, max_violations)))
+    except OverflowError:
+        raise FamilyError(kernel.OUT_OF_FLOAT_RANGE) from None
     return PairPredicateReport(not found, found)
 
 

@@ -160,13 +160,13 @@ def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
         return False
     target, own = family.scaled
     scale = kernel.joint_scale(own, _scale(graph))
-    if scale != own:
-        # in Python ints, whose products are exact and whose true division
-        # rounds correctly, as float(Fraction) does
-        exact = target.astype(object)
-        target = exact * (scale // own) if scale is not None else np.asarray(exact / own, dtype=np.float64)
     dist = kernel.all_pairs(graph.n, graph.edges, scale)
     try:
+        if scale != own:
+            # in Python ints, whose products are exact and whose true
+            # division rounds correctly, as float(Fraction) does
+            exact = target.astype(object)
+            target = exact * (scale // own) if scale is not None else np.asarray(exact / own, dtype=np.float64)
         return bool(kernel.eq(dist.array, target, scale, family.cmp).all())
     except OverflowError:
         raise GraphError(kernel.OUT_OF_FLOAT_RANGE) from None

@@ -68,11 +68,35 @@ class PlanarWitness:
                     raise FamilyError(f"link ({u},{v}) in witness is decomposable")
 
 
-def _adjacency(edges: Sequence[Pair]) -> Dict[int, List[int]]:
-    adj: Dict[int, List[int]] = {}
+def _adjacency(edges: Sequence[Pair]) -> Dict[int, Set[int]]:
+    adj: Dict[int, Set[int]] = {}
     for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return adj
+
+
+def _reduced(edges: Sequence[Pair]) -> Dict[int, Set[int]]:
+    """The adjacency left when vertices of degree at most 1 are deleted and
+    vertices of degree 2 are smoothed (their two edges replaced by one
+    between their neighbours, dropped when those are already adjacent),
+    until every vertex has degree 3 or more.  Both steps keep a graph
+    planar and keep it non-planar, and neither raises a degree."""
+    adj = _adjacency(edges)
+    low = [x for x, nbrs in adj.items() if len(nbrs) <= 2]
+    while low:
+        x = low.pop()
+        nbrs = adj.pop(x, None)
+        if nbrs is None:  # queued twice
+            continue
+        for y in nbrs:
+            adj[y].discard(x)
+        if len(nbrs) == 2:
+            a, b = nbrs
+            if b not in adj[a]:
+                adj[a].add(b)
+                adj[b].add(a)
+        low.extend(y for y in nbrs if len(adj[y]) <= 2)
     return adj
 
 
@@ -84,8 +108,15 @@ def _planar(edges: Sequence[Pair], bipartite: bool) -> bool:
     Euler's formula gives m <= 3v - 6 for a planar graph on v >= 3
     vertices, and m <= 2v - 4 for a bipartite one.  A non-planar graph
     contains a K5 or K33 subdivision, so it has m >= 9 and v >= 5, and on
-    5 vertices it is K5, which the Euler bound rejects.  networkx's
-    left-right test runs only when neither rule decides.
+    5 vertices it is K5, which the Euler bound rejects.
+
+    When the counts of the graph itself do not decide, they are applied
+    again to its reduction (``_reduced``: pendant vertices deleted, degree-2
+    vertices smoothed), which has fewer vertices and edges and the same
+    planarity; there m > 3v - 6 (smoothing may break bipartiteness) means
+    non-planar, v <= 5 or m <= 8 planar, and three degree-3 vertices with
+    one neighbour set span a K33.  networkx's left-right test runs on the
+    graph only when none of these rules decides.
     """
     vertices = {x for edge in edges for x in edge}
     m, v = len(edges), len(vertices)
@@ -93,6 +124,16 @@ def _planar(edges: Sequence[Pair], bipartite: bool) -> bool:
         return False
     if v <= 5 or m <= 8:
         return True
+    adj = _reduced(edges)
+    v = len(adj)
+    m = sum(map(len, adj.values())) // 2
+    if v >= 3 and m > 3 * v - 6:
+        return False
+    if v <= 5 or m <= 8:
+        return True
+    triples = Counter(frozenset(nbrs) for nbrs in adj.values() if len(nbrs) == 3)
+    if max(triples.values(), default=0) >= 3:
+        return False
     import networkx as nx
 
     g = nx.Graph()
@@ -186,8 +227,12 @@ def planar_check(family: DistanceFamily) -> Realization:
     Edge and vertex counts settle planarity where they can (``_planar``):
     an S with m - n + 1 <= 3 is planar, and Euler's bound (m <= 3n - 6, or
     2n - 4 when S is bipartite) rejects every K_n with n >= 5 and every
-    K_{a,b} with a, b >= 3.  networkx's left-right test runs only when the
-    counts cannot decide.
+    K_{a,b} with a, b >= 3.  Where the counts of a graph do not decide,
+    those of its reduction (pendant vertices deleted, degree-2 vertices
+    smoothed) are taken; on the complete and complete bipartite S of the
+    tests and the benchmark (n <= 21, labels in any order) they decide
+    every step of the witness search.  networkx's left-right test runs
+    only when no count decides.
 
     On rejection for non-planarity the result carries a PlanarWitness read
     off a Kuratowski subgraph of S.  It is found in the smallest non-planar

@@ -18,6 +18,7 @@ from metric_realize import (
     check_four_point,
     check_median,
     check_triangle,
+    classify,
     is_indecomposable,
     prune,
     support_graph,
@@ -438,3 +439,12 @@ def test_the_array_checks_equal_the_scalar_scans(family, cap):
         assert all(type(x) is int for violation in got.violations for x in violation)
     for i, j in family.pairs():
         assert is_indecomposable(family, i, j) is oracles.indecomposable_scan(family, i, j)
+
+
+@pytest.mark.parametrize("check", (check_triangle, check_four_point, check_median, classify))
+def test_the_checks_under_a_tolerance_reject_sums_beyond_the_float_range(check):
+    # K_{3,3} of weight 5e307: every value fits a float, but the sums of two
+    # same-side values (2 * 1e308) that the checks compare do not
+    g = WeightedGraph(6, [(a, b, 5 * 10**307) for a in (1, 2, 3) for b in (4, 5, 6)])
+    with pytest.raises(FamilyError, match="beyond the float range"):
+        check(two_weights(g, Cmp(1e-9)))

@@ -17,6 +17,7 @@ from metric_realize import (
     EXACT,
     Cmp,
     DistanceFamily,
+    GraphError,
     WeightedGraph,
     check_triangle,
     is_indecomposable,
@@ -229,6 +230,14 @@ def test_verification_reads_the_family_matrix_once(monkeypatch):
         assert verify_realization(short, family) is False
     assert family.scaled.scale == 6 and family.scaled.array.dtype.name == "int64"
     assert "values" not in family.__dict__
+
+
+def test_a_float_weight_against_an_exact_value_beyond_the_float_range():
+    # the float weight makes the joint scale None: the family's exact array
+    # is divided down to float64, where 10**400 has no value
+    family = two_weights(WeightedGraph(3, [(1, 2, HUGE), (2, 3, 1)]))
+    with pytest.raises(GraphError, match=kernel.OUT_OF_FLOAT_RANGE):
+        verify_realization(WeightedGraph(3, [(1, 2, 1.5), (2, 3, 1)]), family)
 
 
 @pytest.mark.parametrize("cmp", CMPS)

@@ -58,6 +58,39 @@ def subdivided(pairs, edge, n):
     return [p for p in pairs if p != edge] + [(u, n + 1), (v, n + 1)]
 
 
+def shuffled_bipartite_pairs(a, b, rng):
+    """K_{a,b} with its labels 1..a+b dealt to the sides in random order."""
+    labels = rng.sample(range(1, a + b + 1), a + b)
+    return [(min(u, v), max(u, v)) for u in labels[:a] for v in labels[a:]]
+
+
+def chained(pairs, k):
+    """``pairs`` with every edge replaced by a path through k new labels."""
+    top = max(x for edge in pairs for x in edge)
+    out = []
+    for j, (u, v) in enumerate(pairs):
+        walk = [u, *range(top + j * k + 1, top + j * k + k + 1), v]
+        out += [(min(edge), max(edge)) for edge in zip(walk, walk[1:])]
+    return out
+
+
+def with_paths(pairs, rng, splits, pendants):
+    """``pairs`` with ``splits`` random edges replaced by paths through new
+    labels and ``pendants`` paths hung from random vertices."""
+    pairs = list(pairs)
+    top = max(x for edge in pairs for x in edge)
+    for _ in range(min(splits, len(pairs))):
+        u, v = pairs.pop(rng.randrange(len(pairs)))
+        walk = [u, *range(top + 1, top + 1 + rng.randint(1, 3)), v]
+        top = walk[-2]
+        pairs += zip(walk, walk[1:])
+    for _ in range(pendants):
+        walk = [rng.choice(rng.choice(pairs)), *range(top + 1, top + 1 + rng.randint(1, 3))]
+        top = walk[-1]
+        pairs += zip(walk, walk[1:])
+    return [(min(edge), max(edge)) for edge in pairs]
+
+
 @pytest.fixture
 def lr_runs(monkeypatch):
     """The number of networkx left-right planarity runs, as a one-item list."""
@@ -308,6 +341,54 @@ class TestPlanarCounts:
             assert _planar(pairs, bipartite) == want, pairs
         assert bipartite_seen > 300
 
+    def test_agrees_with_left_right_test_through_the_reduction(self):
+        # pendant paths and subdivided edges, which the reduction deletes and
+        # smooths; shuffled K_{a,b} minus a few edges, the deletion pass's
+        # own steps; the flag is the true one and False
+        rng = random.Random(164)
+        planar_seen = 0
+        for k in range(1200):
+            if k % 3:
+                labels = range(1, rng.randint(3, 14) + 1)
+                pairs = list(itertools.combinations(labels, 2))
+                pairs = rng.sample(pairs, min(rng.randint(1, 3 * len(labels)), len(pairs)))
+                pairs = with_paths(pairs, rng, rng.randint(0, 4), rng.randint(0, 2))
+            else:
+                a = rng.randint(2, 6)
+                pairs = shuffled_bipartite_pairs(a, rng.randint(a, 16 - a), rng)
+                pairs = rng.sample(pairs, len(pairs) - rng.randint(0, 4))
+            want = self.left_right(pairs)
+            planar_seen += want
+            for bipartite in {False, nx.is_bipartite(nx.Graph(pairs))}:
+                assert _planar(pairs, bipartite) == want, pairs
+        assert 300 < planar_seen < 900, planar_seen
+
+    @pytest.mark.parametrize(
+        "pairs, planar, runs",
+        [
+            # its own reduction: only the left-right test decides it
+            (PETERSEN_PAIRS, False, 1),
+            # K33 with every edge behind a chain of two degree-2 vertices,
+            # and the same without one edge
+            (chained(K33_PAIRS, 2), False, 0),
+            (chained(K33_PAIRS[1:], 2), True, 0),
+            # K5 with one edge subdivided twice
+            (subdivided(subdivided(K5_PAIRS, (1, 2), 5), (2, 6), 6), False, 0),
+            # K5 with a claw hung from a hub: the claw's centre turns
+            # pendant only once its two leaves are gone
+            (K5_PAIRS + [(1, 6), (6, 7), (6, 8)], False, 0),
+            # K5 with a leaf on the apex of a triangle over the edge (1, 2):
+            # the apex falls to degree 2 once its leaf is gone
+            (K5_PAIRS + [(1, 6), (2, 6), (6, 7)], False, 0),
+        ],
+    )
+    def test_named_graphs_through_the_reduction(self, lr_runs, pairs, planar, runs):
+        assert self.left_right(pairs) is planar
+        for bipartite in {False, nx.is_bipartite(nx.Graph(pairs))}:
+            lr_runs[0] = 0
+            assert _planar(pairs, bipartite) is planar
+            assert lr_runs[0] == runs
+
     def test_counts_decide_small_and_complete_graphs(self, lr_runs):
         rng = random.Random(162)
         cases = []
@@ -376,8 +457,9 @@ class TestPlanarCounts:
 class TestWitnessCost:
     """The witness comes from the smallest non-planar vertex prefix of S and
     one edge-deletion pass, whose planarity tests edge and vertex counts
-    settle where they can: no left-right run for a complete or complete
-    bipartite S, a few at most elsewhere, instead of two per edge of S."""
+    settle where they can, on the graph or on its reduction: no left-right
+    run for a complete or complete bipartite S, a few at most elsewhere,
+    instead of two per edge of S."""
 
     def test_unit_k21_needs_few_planarity_runs(self, lr_runs):
         r = planar_check(unit_family(21, complete_pairs(21)))
@@ -389,18 +471,66 @@ class TestWitnessCost:
         [(n, complete_pairs(n), 0) for n in range(5, 22)]
         + [(a + b, interleaved_bipartite_pairs(a, b), 0) for a, b in BIPARTITE_SIDES]
         + [
-            (10, PETERSEN_PAIRS, 16),
-            (6, subdivided(complete_pairs(5), (1, 2), 5), 13),
-            (7, subdivided(interleaved_bipartite_pairs(3, 3), (1, 2), 6), 12),
+            (10, PETERSEN_PAIRS, 1),
+            (6, subdivided(complete_pairs(5), (1, 2), 5), 0),
+            (7, subdivided(interleaved_bipartite_pairs(3, 3), (1, 2), 6), 0),
         ],
     )
     def test_left_right_runs(self, lr_runs, n, pairs, most):
         # complete and complete bipartite S are settled by Euler's bound at
-        # every step; the others take at most as many runs as the deletion
-        # pass that tested every edge
+        # every step, and the subdivided ones by the counts of their
+        # reductions; the Petersen graph's reduction is itself, and only
+        # its test on all of S runs the left-right test
         f = unit_family(n, pairs)
         assert not planar_check(f).accepted
         assert lr_runs[0] <= most, lr_runs[0]
+
+    @pytest.mark.parametrize("b", range(3, 19))
+    @pytest.mark.parametrize("a", [2, 3])
+    def test_shuffled_complete_bipartite_runs_no_left_right_test(self, lr_runs, a, b):
+        # labels dealt to the sides at random, so the deletion pass meets
+        # K_{3,b} prefixes minus a few edges, which Euler's bound on the
+        # graph does not settle but the counts of its reduction do
+        f = unit_family(a + b, shuffled_bipartite_pairs(a, b, random.Random(100 * a + b)))
+        r = planar_check(f)
+        assert r.accepted is (a == 2)
+        if not r.accepted:
+            assert r.witness.kind == "K33"
+            r.witness.validate(f)
+        assert lr_runs[0] == 0, lr_runs[0]
+
+    def test_classify_of_complete_and_complete_bipartite_leaves_networkx_unloaded(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import metric_realize
+        from metric_realize.serialize import family_to_csv
+
+        src = os.path.dirname(os.path.dirname(metric_realize.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = (
+            "import sys\n"
+            "from metric_realize.cli import run\n"
+            "assert run(['classify', sys.argv[1]]) == 0\n"
+            "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+        )
+        cases = {
+            "K5": unit_family(21, complete_pairs(21)),
+            "K33": unit_family(21, shuffled_bipartite_pairs(3, 18, random.Random(318))),
+        }
+        for kind, family in cases.items():
+            matrix = tmp_path / f"{kind}.csv"
+            matrix.write_text(family_to_csv(family))
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(matrix)],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=path),
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert f'"kind": "{kind}"' in proc.stdout
 
     @pytest.mark.parametrize(
         "n, pairs, kind",

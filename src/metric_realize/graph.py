@@ -3,7 +3,9 @@
 The 2-weight of a pair (i, j) is the minimum total weight of a connected
 subgraph containing both; with positive weights this is the shortest-path
 weight, computed here by Floyd-Warshall on the dense min-plus kernel
-(``metric_realize.kernel``).
+(``metric_realize.kernel``).  Exact verification does not compute it: it
+checks the Bellman equations of the graph on the family's array
+(``kernel.bellman``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,13 @@ Edge = Tuple[int, int, Number]
 
 class GraphError(ValueError):
     """Raised for structurally invalid graphs (loops, duplicates, disconnection)."""
+
+
+# Why an exact comparison raises OverflowError: a float on one side puts it in
+# float64, where an exact value beyond the float range has no value.
+_FLOAT_AGAINST_BEYOND_FLOATS = (
+    "an exact value beyond the float range cannot be compared with a float weight or family value"
+)
 
 
 class WeightedGraph:
@@ -150,25 +159,39 @@ def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:
 
 def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
     """True iff the graph's 2-weights equal the family entrywise under its cmp
-    mode.  The graph's 2-weights are computed here afresh, not taken from the
-    ones ``two_weights`` or ``prune`` kept with it."""
+    mode.
+
+    In exact mode with exact weights this is the Bellman check
+    (``kernel.bellman``) on the family's array, O(n * m) and no
+    Floyd-Warshall: D_ij = min over the neighbours u of i of w_iu + D_uj.
+    It also rules out a disconnected graph.  Under a tolerance, or with a
+    float on either side, the graph's 2-weights are computed here afresh
+    (not taken from the ones ``two_weights`` or ``prune`` kept with it) and
+    compared entrywise: near-ties within a tolerance do not chain along a
+    path, and float sums round."""
     if graph.n != family.n:
         raise GraphError(f"size mismatch: graph n={graph.n}, family n={family.n}")
+    target, own = family.scaled
+    scale = kernel.joint_scale(own, _scale(graph))
+    if scale is not None and scale != own:
+        # in Python ints, whose products are exact
+        target = target.astype(object) * (scale // own)
+    if family.cmp.exact and scale is not None:
+        return kernel.bellman(graph.n, graph.edges, target, scale)
     # A disconnected graph has infinite 2-weights, which the tolerance rule
     # would call close to anything; it never realizes D.
     if not graph.is_connected():
         return False
-    target, own = family.scaled
-    scale = kernel.joint_scale(own, _scale(graph))
-    dist = kernel.all_pairs(graph.n, graph.edges, scale)
     try:
-        if scale != own:
-            # in Python ints, whose products are exact and whose true
-            # division rounds correctly, as float(Fraction) does
-            exact = target.astype(object)
-            target = exact * (scale // own) if scale is not None else np.asarray(exact / own, dtype=np.float64)
+        dist = kernel.all_pairs(graph.n, graph.edges, scale)
+        if scale is None and own is not None:
+            # in Python ints, whose true division rounds correctly, as
+            # float(Fraction) does
+            target = np.asarray(target.astype(object) / own, dtype=np.float64)
         return bool(kernel.eq(dist.array, target, scale, family.cmp).all())
     except OverflowError:
+        if family.cmp.exact:
+            raise GraphError(_FLOAT_AGAINST_BEYOND_FLOATS) from None
         raise GraphError(kernel.OUT_OF_FLOAT_RANGE) from None
 
 

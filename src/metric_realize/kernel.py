@@ -22,6 +22,14 @@ but each routine is slower at the other's job (shared 2-CPU Xeon host):
 pruning through ``splits`` made the graph-to-family round trip (2-weights,
 prune, verify, n = 12-80) 7-20 % slower, and S's splits through ``useful``
 on an n = 400 tree took 138-150 ms against 127 ms.
+
+Exact verification needs no Floyd-Warshall.  ``bellman`` checks that a
+graph realizes an exact family array through the Bellman equations
+D_ij = min over the neighbours u of i of w_iu + D_uj, in O(n * m) entries
+as numpy blocks; with positive weights the shortest-path weights are their
+only solution.  Under a tolerance near-ties do not chain along a path, and
+float sums round, so there verification compares the graph's Floyd-Warshall
+matrix with the family entrywise (``eq``).
 """
 
 from __future__ import annotations
@@ -49,8 +57,8 @@ def python_floats(fn):
     return np.errstate(over="ignore", invalid="ignore")(fn)
 
 
-# Entries per block of the edge-by-vertex split array in ``useful``: a few MB
-# per temporary whatever the number of edges.
+# Entries per block of the edge-by-vertex arrays in ``useful`` and
+# ``bellman``: a few MB per temporary whatever the number of edges.
 SPLIT_BLOCK = 1 << 18
 
 
@@ -213,6 +221,55 @@ def lt(a: np.ndarray, b: np.ndarray, scale: Optional[int], cmp: Cmp) -> np.ndarr
     if cmp.exact:
         return a < b
     return _floats(b - a, scale) > _slack(a, b, scale, cmp.tol)
+
+
+def bellman(n: int, edges: Sequence[Tuple[int, int, Number]], target: np.ndarray, scale: int) -> bool:
+    """True iff the graph on [n] with ``edges`` realizes the exact family
+    array ``target`` (scaled by ``scale``, a multiple of every weight's
+    denominator): D_ij = min over the neighbours u of i of w_iu + D_uj for
+    every i != j.  With positive weights the shortest-path weights are the
+    only solution of these equations (Bellman 1958).  Following a minimizing
+    neighbour from i reaches j along a path of weight D_ij, and
+    D_ij <= w_iu + D_uj on every edge keeps D at or below the path weights.
+    So the check also proves the graph connected; a vertex without an edge
+    fails it.
+
+    The directed edges, sorted by source, add their weight to the row of
+    their target, and ``np.minimum.reduceat`` takes each source's minimum:
+    O(n * m) entries in blocks of at most SPLIT_BLOCK, unless one source's
+    rows need more (never more than n x n).  The dtype holds the largest
+    weight plus the largest value."""
+    if not edges:
+        return n < 2
+    u, v, weights = zip(*edges)
+    weights = _scaled(weights, scale)
+    src = np.array(u + v, dtype=np.intp) - 1
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], (np.array(v + u, dtype=np.intp) - 1)[order]
+    degree = np.bincount(src, minlength=n)
+    if not degree.all():
+        return False
+    dtype = _dtype(scale, max(weights) + int(target.max()))
+    d = np.asarray(target, dtype=dtype)
+    w = np.array(weights + weights, dtype=dtype)[order]
+    ends = np.cumsum(degree)
+    starts = ends - degree
+    cap = max(1, SPLIT_BLOCK // n)
+    first = 0
+    while first < n:
+        lo = starts[first]
+        last = max(first + 1, int(np.searchsorted(ends, lo + cap, side="right")))
+        hi = ends[last - 1]
+        block = d[dst[lo:hi]]
+        block += w[lo:hi, None]
+        best = np.minimum.reduceat(block, starts[first:last] - lo, axis=0)
+        sources = np.arange(first, last)
+        # D_ii = 0 takes no equation
+        best[sources - first, sources] = 0
+        if not (best == d[first:last]).all():
+            return False
+        first = last
+    return True
 
 
 @python_floats

@@ -10,7 +10,10 @@ pairs and midpoints.  Each other fact about S is derived once: the midpoint
 of the first triangle violation from two rows of that array, connectivity
 by ``verify_realization`` (a disconnected S never realizes D), and the
 2-colouring by the ``bipartition`` walk (``DistanceFamily.sides``), which
-the bipartite classes and the planarity counts read.
+the bipartite classes and the planarity counts read.  In exact mode that
+verification is the Bellman check on the family's array
+(``kernel.bellman``, O(n * m) for the m edges of S), so exact ``classify``
+runs no Floyd-Warshall.
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ def analyse(family: DistanceFamily) -> Support:
     (D_ij < M_ij).  Both comparisons are monotone in the split, so they agree
     with testing every z, in exact and tolerance mode.  The first violated
     pair's midpoint is the first z with D_iz + D_zj < D_ij, read off the two
-    rows of the array.  S is verified once, when D is a metric.
+    rows of the array.  S is verified once, when D is a metric: by the
+    Bellman equations in exact mode, by Floyd-Warshall under a tolerance.
 
     Under a tolerance an infinite float split has an infinite slack, so no
     comparison with it can hold; such a family raises FamilyError.

@@ -290,11 +290,12 @@ class TestOnePassSupport:
             metric_realize.support_graph(f)
             assert calls == [f]
 
-    def test_one_floyd_warshall_per_classify(self, monkeypatch):
-        # S's own verification is the only one in exact mode: the complete
-        # bipartite graph and the closed snake add edges of weight
-        # D_ab = d_S(a, b), which change no 2-weight.  Every all-pairs run
-        # goes through the kernel's entry point, which is what is counted.
+    def test_no_floyd_warshall_per_exact_classify(self, monkeypatch):
+        # S's own verification is the only one in exact mode, and it is the
+        # Bellman check on the family's array: the complete bipartite graph
+        # and the closed snake add edges of weight D_ab = d_S(a, b), which
+        # change no 2-weight.  Every all-pairs run goes through the kernel's
+        # entry point, which is what is counted.
         import metric_realize
         from metric_realize import GenSpec, generate
         from metric_realize import kernel
@@ -314,7 +315,7 @@ class TestOnePassSupport:
                 with monkeypatch.context() as m:
                     m.setattr(kernel, "all_pairs", counting)
                     report = metric_realize.classify(f)
-                assert len(calls) == 1, (class_id, n, report.accepted_classes())
+                assert calls == [], (class_id, n, report.accepted_classes())
 
     def test_one_bipartite_walk_per_classify(self, monkeypatch):
         # both bipartite checks read the walk kept with the family

@@ -6,6 +6,9 @@ are Python numbers and a Python bool.  Values beyond the float range
 (10**400) run in exact mode only: a tolerance compares floats, and the
 scalar loop raises OverflowError on them too."""
 
+import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -92,12 +95,13 @@ def comparable(g, cmp):
 
 
 @st.composite
-def weighted_graphs(draw, connected=True, max_n=8):
+def weighted_graphs(draw, connected=True, max_n=8, n=None, weights=WEIGHTS):
     """A random spanning tree (or forest) plus chords, one weight kind, at
     times with ties between a chord and the path it bridges."""
-    kind = draw(st.sampled_from(sorted(WEIGHTS)))
-    n = draw(st.integers(2, max_n))
-    weight = WEIGHTS[kind]
+    kind = draw(st.sampled_from(sorted(weights)))
+    if n is None:
+        n = draw(st.integers(2, max_n))
+    weight = weights[kind]
     edges = {}
     for v in range(2, n + 1):
         if connected or draw(st.booleans()):
@@ -194,6 +198,88 @@ def test_verify_realization_equals_the_scalar_comparison(g, cmp, pick):
         assert got == oracles.verify_realization(g, other)
 
 
+# weights next to 2**62: the Bellman sums w + D reach the int64 boundary
+PAIR_WEIGHTS = {**WEIGHTS, "int64 edge": st.integers(2**62 - 4, 2**62 + 4)}
+
+
+@st.composite
+def graph_pairs(draw):
+    """A graph g and a graph h on its vertices: g less an edge (connected or
+    not), g plus a chord at D_uv or one unit of the array off it, g with one
+    vertex cut off, or a graph of its own."""
+    g = draw(weighted_graphs(weights=PAIR_WEIGHTS))
+    n = g.n
+    shape = draw(st.sampled_from(("less", "chord", "isolated", "unrelated")))
+    missing = sorted(set(itertools.combinations(range(1, n + 1), 2)) - g.edge_pairs())
+    if shape == "chord" and missing:
+        u, v = draw(st.sampled_from(missing))
+        d = oracles.shortest_path_matrix(g)[u - 1][v - 1]
+        unit = math.ulp(d) if isinstance(d, float) else Fraction(1, kernel.common_scale(w for *_e, w in g.edges))
+        w = d + draw(st.sampled_from((0, unit, -unit)))
+        assume(w > 0)
+        if isinstance(w, Fraction) and w.denominator == 1:
+            w = w.numerator
+        return g, WeightedGraph(n, [*g.edges, (u, v, w)])
+    if shape == "isolated":
+        x = draw(st.integers(1, n))
+        return g, WeightedGraph(n, [e for e in g.edges if x not in e[:2]], require_connected=False)
+    if shape == "unrelated":
+        return g, draw(weighted_graphs(connected=False, n=n, weights=PAIR_WEIGHTS))
+    u, v, _w = draw(st.sampled_from(g.edges))
+    return g, oracles.without_edge(g, u, v)
+
+
+@KERNEL_SETTINGS
+@given(graph_pairs(), st.sampled_from(CMPS))
+def test_verify_realization_of_another_graph_equals_the_scalar_comparison(pair, cmp):
+    # the family of g, as two_weights gives it and rebuilt from its values
+    # (an int64 array where two_weights needs object), checked on h with
+    # blocks of the default size and with one source per block.  A
+    # disconnected h never realizes D; the scalar loop's infinite 2-weights
+    # would pass the tolerance rule.
+    g, h = pair
+    assume(comparable(g, cmp) and comparable(h, cmp))
+    # a float against 10**400 raises GraphError, which the tests of the
+    # float range check
+    weights = [w for graph in pair for *_e, w in graph.edges]
+    assume(not (any(isinstance(w, float) for w in weights) and any(w >= HUGE for w in weights)))
+    family = two_weights(g, cmp)
+    for f in (family, DistanceFamily(g.n, family.values, cmp)):
+        want = h.is_connected() and oracles.verify_realization(h, f)
+        for block in (kernel.SPLIT_BLOCK, 1):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(kernel, "SPLIT_BLOCK", block)
+                got = verify_realization(h, f)
+            assert type(got) is bool and got == want
+
+
+@pytest.mark.parametrize("chord", (2**62 - 2, 2**62 - 1, 2**62 + 1, 2**62 + 2, 2**63))
+def test_the_bellman_sums_leave_int64_past_its_boundary(chord):
+    # D_13 = 2**62 - 1, and twice it fits int64, so the family's array is
+    # int64.  The chord (1, 3) adds its weight to D_32 = 2**62 - 2, which
+    # passes INT64_MAX from 2**62 + 2 on: the sum must not wrap around.
+    top = 2**62 - 1
+    family = DistanceFamily(3, {(1, 2): 1, (2, 3): top - 1, (1, 3): top})
+    assert family.scaled.array.dtype.name == "int64"
+    h = WeightedGraph(3, [(1, 2, 1), (2, 3, top - 1), (1, 3, chord)])
+    assert verify_realization(h, family) is (chord >= top) is oracles.verify_realization(h, family)
+
+
+def test_the_bellman_blocks_stay_small():
+    # unit K_200 realizes its family; its 2m * n sums (about 8M entries) are
+    # built in blocks of SPLIT_BLOCK entries, never in one piece
+    n = 200
+    g = WeightedGraph(n, [(u, v, 1) for u, v in itertools.combinations(range(1, n + 1), 2)])
+    family = two_weights(g)
+    tracemalloc.start()
+    try:
+        assert verify_realization(g, family) is True
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * max(kernel.SPLIT_BLOCK, n * n)
+
+
 @pytest.mark.parametrize("cmp", CMPS)
 @pytest.mark.parametrize("offset", NEAR_TIES)
 @pytest.mark.parametrize("unit", (1, 1.0))
@@ -232,12 +318,26 @@ def test_verification_reads_the_family_matrix_once(monkeypatch):
     assert "values" not in family.__dict__
 
 
+FLOAT_AGAINST_HUGE = "an exact value beyond the float range cannot be compared with a float weight or family value"
+
+
 def test_a_float_weight_against_an_exact_value_beyond_the_float_range():
     # the float weight makes the joint scale None: the family's exact array
-    # is divided down to float64, where 10**400 has no value
+    # is divided down to float64, where 10**400 has no value.  No tolerance
+    # is in play, and the error names the float.
     family = two_weights(WeightedGraph(3, [(1, 2, HUGE), (2, 3, 1)]))
-    with pytest.raises(GraphError, match=kernel.OUT_OF_FLOAT_RANGE):
+    with pytest.raises(GraphError, match=FLOAT_AGAINST_HUGE) as raised:
         verify_realization(WeightedGraph(3, [(1, 2, 1.5), (2, 3, 1)]), family)
+    assert "tolerance" not in str(raised.value)
+
+
+@pytest.mark.parametrize("cmp, message", [(EXACT, FLOAT_AGAINST_HUGE), (Cmp(1e-9), kernel.OUT_OF_FLOAT_RANGE)])
+def test_an_exact_weight_beyond_the_float_range_against_a_float_family(cmp, message):
+    # the float family makes the joint scale None, and the weight 10**400
+    # has no float64 value: the package's error, not a raw OverflowError
+    family = two_weights(WeightedGraph(3, [(1, 2, 1.5), (2, 3, 1)]), cmp)
+    with pytest.raises(GraphError, match=message):
+        verify_realization(WeightedGraph(3, [(1, 2, HUGE), (2, 3, 1)]), family)
 
 
 @pytest.mark.parametrize("cmp", CMPS)
@@ -268,10 +368,25 @@ def test_two_weights_and_prune_of_one_graph_run_one_floyd_warshall(monkeypatch):
     fresh = WeightedGraph(g.n, g.edges)
     assert pruned == prune(fresh) and pruned.edge_pairs() == {(1, 2), (2, 3), (3, 4)}
     assert two_weights(g).values == family.values == two_weights(fresh, Cmp(1e-9)).values
-    # verification computes the 2-weights of the graph it checks afresh
+    # exact verification is the Bellman check on the family's array: no
+    # Floyd-Warshall and no connectivity walk
     runs.clear()
+    walks = []
+    is_connected = WeightedGraph.is_connected
+
+    def walking(graph):
+        walks.append(graph)
+        return is_connected(graph)
+
+    monkeypatch.setattr(WeightedGraph, "is_connected", walking)
     assert verify_realization(pruned, family) is True
     assert verify_realization(g, family) is True
+    assert runs == [] and walks == []
+    # under a tolerance each verification computes the 2-weights of the graph
+    # it checks afresh
+    tolerant = two_weights(g, Cmp(1e-9))
+    assert verify_realization(pruned, tolerant) is True
+    assert verify_realization(g, tolerant) is True
     assert runs == [pruned.edges, g.edges]
 
 

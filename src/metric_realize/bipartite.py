@@ -4,7 +4,6 @@ as tests on the support graph S, including bipartition recovery as a
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Tuple
 
@@ -111,17 +110,26 @@ def _two_coloured(family: DistanceFamily) -> Realization:
         return Realization.rejected(f"cover gap: {sorted(gap)} in neither side")
     # Every same-side pair splits through the other side iff no edge of S
     # (an indecomposable pair) joins two vertices of one side.
-    for a, b, _w in support.graph.edges:
-        if (a in bp.x_side) == (b in bp.x_side):
-            return Realization.rejected(
-                f"same-side pair ({a},{b}) is an edge of the support graph"
-            )
+    same = _same_side(family)
+    if same.any():
+        k = int(np.argmax(same))  # the first such edge in sorted order
+        a, b = int(support.graph.u[k]) + 1, int(support.graph.v[k]) + 1
+        return Realization.rejected(f"same-side pair ({a},{b}) is an edge of the support graph")
     return Realization(True, graph=support.realization, witness=bp)
+
+
+def _same_side(family: DistanceFamily) -> np.ndarray:
+    """Per edge of S, whether the ``bipartition`` walk put both ends on one
+    side (X, or not X)."""
+    x = np.zeros(family.n, dtype=bool)
+    x[[a - 1 for a in family.sides.x_side]] = True
+    s = family.support.graph
+    return x[s.u] == x[s.v]
 
 
 def _complete_bipartite(family: DistanceFamily, bp: Bipartition) -> bool:
     """Is S, whose every edge crosses the sides, all of K_{X,Y}?"""
-    return len(family.support.graph.edges) == len(bp.x_side) * len(bp.y_side)
+    return len(family.support.graph.u) == len(bp.x_side) * len(bp.y_side)
 
 
 def bigraph_check(family: DistanceFamily) -> Realization:
@@ -139,11 +147,14 @@ def bigraph_check(family: DistanceFamily) -> Realization:
         # class does, so that within a tolerance the two verdicts agree
         return result
     bp = result.witness
-    xs, ys = sorted(bp.x_side), sorted(bp.y_side)
-    cross = family.scaled.array[np.ix_(np.array(xs) - 1, np.array(ys) - 1)]
-    weights = family.scaled.numbers(cross.ravel())
-    edges = [(a, b, w) for (a, b), w in zip(itertools.product(xs, ys), weights)]
-    graph = WeightedGraph(family.n, edges)
+    xs, ys = (np.array(sorted(side), dtype=np.intp) - 1 for side in (bp.x_side, bp.y_side))
+    x, y = np.repeat(xs, len(ys)), np.tile(ys, len(xs))
+    u, v = np.minimum(x, y), np.maximum(x, y)
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    d, scale = family.scaled
+    # both sides are non-empty, so K_{X,Y} is connected
+    graph = WeightedGraph._of_arrays(family.n, u, v, d[u, v], scale, connected=True)
     # Each added cross edge weighs D_ab = d_S(a, b), so in exact mode no
     # 2-weight changes; within a tolerance, paths through it may fall short.
     if not family.cmp.exact and not verify_realization(graph, family):

@@ -48,11 +48,19 @@ def _cmp_from_args(args) -> Cmp:
 
 def _read(path: str) -> str:
     """The document at ``path`` (stdin for "-") without a leading UTF-8 byte
-    order mark, which editors such as Excel ("CSV UTF-8") write."""
-    if path == "-":
-        return sys.stdin.read().removeprefix("\ufeff")
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        return handle.read()
+    order mark, which editors such as Excel ("CSV UTF-8") write.  A path
+    that cannot be read (missing, a directory, no permission) or bytes that
+    are not UTF-8 are input errors that name the path."""
+    name = "standard input" if path == "-" else path
+    try:
+        if path == "-":
+            return sys.stdin.read().removeprefix("\ufeff")
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except OSError as exc:
+        raise ParseError(f"cannot read {name}: {exc.strerror or exc}") from None
 
 
 def _emit_graph(graph, fmt: str) -> None:

@@ -6,11 +6,25 @@ weight, computed here by Floyd-Warshall on the dense min-plus kernel
 (``metric_realize.kernel``).  Exact verification does not compute it: it
 checks the Bellman equations of the graph on the family's array
 (``kernel.bellman``).
+
+A graph is stored as columns: 0-based vertex indices ``u`` < ``v`` in
+sorted order, and the weights ``w`` scaled by ``scale`` as the kernel scales
+a family (int64, Python ints or float64).  The kernel reads these columns.
+``WeightedGraph(n, edges)`` checks its edge tuples one by one and stores
+them so.  Graphs that the package builds from arrays it has checked (the
+support graph, K_{X,Y}, the pruned graph, the closed snake, a parsed graph
+document) come from the trusted maker ``WeightedGraph._of_arrays``, as a
+family's array comes from ``DistanceFamily._of_array``.  ``edges`` and
+``adjacency()`` are views built on first use; the scale and the result of
+the connectivity check are kept with the graph, so that no later step
+derives them again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+import itertools
+import numbers
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -39,12 +53,22 @@ class WeightedGraph:
     checked on construction unless ``require_connected=False`` (used by
     ``support_graph``, which may legitimately return a disconnected
     structure).
+
+    The graph is stored as columns, one entry per edge in sorted order:
+    ``u`` and ``v`` hold 0-based vertex indices (label - 1) with u < v, and
+    ``w`` holds the weights times ``scale``, the LCM of their denominators,
+    by the kernel's rule: int64 when the largest fits, Python ints
+    (``object``) otherwise, and float64 with ``scale`` None as soon as one
+    weight is a float.  ``edges`` (the sorted ``(u, v, weight)`` tuples, as
+    Python numbers) and ``adjacency()`` are views built on first use;
+    ``==``, ``hash`` and ``repr`` read ``edges``.
     """
 
-    # ``_dist`` keeps the 2-weights once ``two_weights`` or ``prune`` has
-    # computed them (``_distances``); the graph does not change after
-    # construction, so neither do they.
-    __slots__ = ("n", "edges", "_dist")
+    # ``_connected`` is None until a walk has decided it; the constructor's
+    # check records True.  ``_dist`` keeps the 2-weights once ``two_weights``
+    # or ``prune`` has computed them (``_distances``).  The graph does not
+    # change after construction, so neither do they.
+    __slots__ = ("n", "u", "v", "w", "scale", "_connected", "_edges", "_adj", "_dist")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int, Number]], require_connected: bool = True):
         if n < 1:
@@ -56,6 +80,9 @@ class WeightedGraph:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+            if not (isinstance(u, numbers.Integral) and isinstance(v, numbers.Integral)):
+                # the index columns would truncate it
+                raise GraphError(f"edge ({u},{v}) has a vertex that is not an integer")
             if u > v:
                 u, v = v, u
             if (u, v) in seen:
@@ -64,18 +91,46 @@ class WeightedGraph:
                 raise GraphError(f"nonpositive weight on edge ({u},{v}): {w}")
             seen.add((u, v))
             normalized.append((u, v, w))
-        if require_connected and len(normalized) < n - 1:
+        if require_connected:
             # before anything of size n is built: n may come from a document
-            raise GraphError(
-                f"{len(normalized)} edges cannot connect {n} vertices; "
-                f"a connected graph needs at least {n - 1}"
-            )
+            _check_count(n, len(normalized))
         normalized.sort(key=lambda e: (e[0], e[1]))
-        self.n = n
-        self.edges = tuple(normalized)
-        self._dist = None
+        us, vs, ws = zip(*normalized) if normalized else ((), (), ())
+        scale = kernel.common_scale(ws)
+        u, v = np.array(us, dtype=np.intp) - 1, np.array(vs, dtype=np.intp) - 1
+        self._store(n, u, v, kernel.scaled_array(ws, scale), scale)
+        # the view keeps each weight as it was given (a float makes the
+        # column float64, but an exact weight beside it stays exact here)
+        self._edges = tuple(normalized)
         if require_connected and not self.is_connected():
             raise GraphError("graph is not connected")
+
+    @classmethod
+    def _of_arrays(
+        cls, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, scale: Optional[int], connected: Optional[bool] = None
+    ) -> "WeightedGraph":
+        """The graph of checked columns that its maker built: 0-based indices
+        u < v in sorted order without repeats, positive weights ``w`` times
+        ``scale`` (int64 or object; float64 when ``scale`` is None).
+        ``connected`` records what the maker knows; None leaves it to a
+        walk."""
+        graph = cls.__new__(cls)
+        graph._store(n, u, v, w, scale)
+        graph._connected = connected
+        return graph
+
+    def _store(self, n, u, v, w, scale) -> None:
+        self.n, self.u, self.v, self.w, self.scale = n, u, v, w, scale
+        self._connected = self._edges = self._adj = self._dist = None
+
+    @property
+    def edges(self) -> Tuple[Edge, ...]:
+        """The sorted ``(u, v, weight)`` tuples, labels from 1, weights as
+        Python int, Fraction or float."""
+        if self._edges is None:
+            labels = (self.u + 1).tolist(), (self.v + 1).tolist()
+            self._edges = tuple(zip(*labels, kernel.numbers(self.w, self.scale)))
+        return self._edges
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WeightedGraph) and self.n == other.n and self.edges == other.edges
@@ -87,39 +142,60 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, edges={list(self.edges)!r})"
 
     def edge_pairs(self) -> FrozenSet[Tuple[int, int]]:
-        return frozenset((u, v) for u, v, _ in self.edges)
+        return frozenset(zip((self.u + 1).tolist(), (self.v + 1).tolist()))
 
     def adjacency(self) -> Dict[int, Dict[int, Number]]:
-        adj: Dict[int, Dict[int, Number]] = {v: {} for v in range(1, self.n + 1)}
-        for u, v, w in self.edges:
-            adj[u][v] = w
-            adj[v][u] = w
-        return adj
+        """Neighbour -> weight per vertex, built from ``edges`` on first use
+        and kept; callers must not change it."""
+        if self._adj is None:
+            adj: Dict[int, Dict[int, Number]] = {v: {} for v in range(1, self.n + 1)}
+            for u, v, w in self.edges:
+                adj[u][v] = w
+                adj[v][u] = w
+            self._adj = adj
+        return self._adj
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = self.adjacency()
-        seen = {1}
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.n
+        """Whether the graph is connected, walked once and then recorded."""
+        if self._connected is None:
+            self._connected = _walk(self.n, self.u, self.v)
+        return self._connected
 
 
-def _scale(graph: WeightedGraph):
-    """The kernel's scale for the graph's weights (None for float64)."""
-    return kernel.common_scale(w for _u, _v, w in graph.edges)
+def _walk(n: int, u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the edges (u, v) join all n vertices into one component, by
+    union-find with path halving."""
+    parent = list(range(n))
+    components = n
+    for a, b in zip(u.tolist(), v.tolist()):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            components -= 1
+    return components == 1
+
+
+def _check_count(n: int, m: int) -> None:
+    if m < n - 1:
+        raise GraphError(f"{m} edges cannot connect {n} vertices; a connected graph needs at least {n - 1}")
+
+
+def _check_connected(graph: WeightedGraph) -> None:
+    """The constructor's connectivity checks, in its order, on a graph made
+    from arrays."""
+    _check_count(graph.n, len(graph.u))
+    if not graph.is_connected():
+        raise GraphError("graph is not connected")
 
 
 def _distances(graph: WeightedGraph) -> kernel.Scaled:
     """The graph's 2-weights from the kernel, computed on first use and kept
     with the graph, so that ``two_weights`` and ``prune`` on one graph run
-    one Floyd-Warshall; the graph must be connected, and in float mode every
+    one Floyd-Warshall; the graph must be connected (a check the
+    constructor has recorded is not walked again), and in float mode every
     2-weight finite.  Nothing writes to the kept array."""
     if graph._dist is not None:
         return graph._dist
@@ -127,7 +203,7 @@ def _distances(graph: WeightedGraph) -> kernel.Scaled:
         raise GraphError("2-weights need n >= 2")
     if not graph.is_connected():
         raise GraphError("2-weights are only defined for connected graphs")
-    dist = kernel.all_pairs(graph.n, graph.edges, _scale(graph))
+    dist = kernel.all_pairs(graph.n, graph.u, graph.v, graph.w, graph.scale)
     if dist.scale is None and not np.isfinite(dist.array).all():
         raise GraphError("a 2-weight exceeds the float range: a path's total weight overflows float64")
     graph._dist = dist
@@ -151,10 +227,15 @@ def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:
     2-weights.
     """
     try:
-        keep = kernel.useful(_distances(graph), graph.edges, cmp).tolist()
+        keep = kernel.useful(_distances(graph), graph.u, graph.v, graph.w, cmp)
     except OverflowError:
         raise GraphError(kernel.OUT_OF_FLOAT_RANGE) from None
-    return WeightedGraph(graph.n, [e for e, k in zip(graph.edges, keep) if k])
+    pruned = WeightedGraph._of_arrays(graph.n, graph.u[keep], graph.v[keep], graph.w[keep], graph.scale)
+    if graph._edges is not None:
+        # the kept rows of the view, each weight as it was given
+        pruned._edges = tuple(itertools.compress(graph._edges, keep.tolist()))
+    _check_connected(pruned)
+    return pruned
 
 
 def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
@@ -172,22 +253,18 @@ def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
     if graph.n != family.n:
         raise GraphError(f"size mismatch: graph n={graph.n}, family n={family.n}")
     target, own = family.scaled
-    scale = kernel.joint_scale(own, _scale(graph))
-    if scale is not None and scale != own:
-        # in Python ints, whose products are exact
-        target = target.astype(object) * (scale // own)
+    scale = kernel.joint_scale(own, graph.scale)
     if family.cmp.exact and scale is not None:
-        return kernel.bellman(graph.n, graph.edges, target, scale)
+        w = kernel.at_scale(graph.w, graph.scale, scale)
+        return kernel.bellman(graph.n, graph.u, graph.v, w, kernel.at_scale(target, own, scale), scale)
     # A disconnected graph has infinite 2-weights, which the tolerance rule
     # would call close to anything; it never realizes D.
     if not graph.is_connected():
         return False
     try:
-        dist = kernel.all_pairs(graph.n, graph.edges, scale)
-        if scale is None and own is not None:
-            # in Python ints, whose true division rounds correctly, as
-            # float(Fraction) does
-            target = np.asarray(target.astype(object) / own, dtype=np.float64)
+        w = kernel.at_scale(graph.w, graph.scale, scale)
+        dist = kernel.all_pairs(graph.n, graph.u, graph.v, w, scale)
+        target = kernel.at_scale(target, own, scale)
         return bool(kernel.eq(dist.array, target, scale, family.cmp).all())
     except OverflowError:
         if family.cmp.exact:

@@ -9,6 +9,11 @@ largest value the kernel can form fits, and otherwise as Python ints in a
 stored as float64 and ``scale`` is None.  The dtype thus follows from the
 data; there is no option.
 
+A graph enters the kernel as its columns (``WeightedGraph``): 0-based
+vertex indices u and v, and the weights w scaled by the graph's scale.
+``all_pairs``, ``useful`` and ``bellman`` read them; no entry point takes
+edge tuples.
+
 Floyd-Warshall runs in n numpy steps of n^2 each.  Every entry sees the
 same additions d_ik + d_kj in the same k order as the scalar loop, so the
 values are those of the loop, in exact and in float arithmetic.  The split
@@ -71,14 +76,19 @@ class Scaled(NamedTuple):
 
     def numbers(self, entries: np.ndarray) -> List[Number]:
         """Python int, Fraction or float values of scaled 1-d ``entries``."""
-        values = entries.tolist()
-        if self.scale is None or self.scale == 1:
-            return values
-        out = []
-        for v in values:
-            q = Fraction(v, self.scale)
-            out.append(q.numerator if q.denominator == 1 else q)
-        return out
+        return numbers(entries, self.scale)
+
+
+def numbers(entries: np.ndarray, scale: Optional[int]) -> List[Number]:
+    """Python int, Fraction or float values of 1-d ``entries`` scaled by ``scale``."""
+    values = entries.tolist()
+    if scale is None or scale == 1:
+        return values
+    out = []
+    for v in values:
+        q = Fraction(v, scale)
+        out.append(q.numerator if q.denominator == 1 else q)
+    return out
 
 
 def common_scale(numbers: Iterable[Number]) -> Optional[int]:
@@ -102,6 +112,8 @@ def joint_scale(a: Optional[int], b: Optional[int]) -> Optional[int]:
 def _scaled(numbers: Iterable[Number], scale: Optional[int]) -> list:
     if scale is None:
         return [float(x) for x in numbers]
+    if scale == 1:
+        return [x.numerator for x in numbers]
     return [x.numerator * (scale // x.denominator) for x in numbers]
 
 
@@ -111,6 +123,27 @@ def _dtype(scale: Optional[int], bound: int):
     if scale is None:
         return np.float64
     return np.int64 if bound <= INT64_MAX else object
+
+
+def scaled_array(numbers: Sequence[Number], scale: Optional[int]) -> np.ndarray:
+    """The 1-d array of ``numbers`` times ``scale``, a multiple of every
+    denominator: float64 when ``scale`` is None, int64 when the largest
+    fits, Python ints otherwise."""
+    nums = _scaled(numbers, scale)
+    return np.array(nums, dtype=_dtype(scale, max(nums, default=0)))
+
+
+def at_scale(a: np.ndarray, own: Optional[int], scale: Optional[int]) -> np.ndarray:
+    """Entries ``a`` scaled by ``own``, scaled by ``scale`` instead: a
+    multiple of ``own``, or None for float64.  The work is done in Python
+    ints, whose products are exact and whose true division rounds
+    correctly, as float(Fraction) does; an exact value beyond the float
+    range raises OverflowError."""
+    if scale == own:
+        return a
+    if scale is None:
+        return np.asarray(a.astype(object) / own, dtype=np.float64)
+    return a.astype(object) * (scale // own)
 
 
 def pair_matrix(n: int, values: Mapping[Tuple[int, int], Number], scale: Optional[int]) -> Scaled:
@@ -159,30 +192,32 @@ def splits(dist: Scaled) -> np.ndarray:
     return m
 
 
+def _total(w: np.ndarray) -> int:
+    """The sum of scaled exact weights, as a Python int."""
+    if w.dtype == object or len(w) * int(w.max(initial=0)) > INT64_MAX:
+        return sum(w.tolist())
+    return int(w.sum())
+
+
 @python_floats
-def all_pairs(n: int, edges: Sequence[Tuple[int, int, Number]], scale: Optional[int]) -> Scaled:
-    """Shortest-path weights of the graph on [n] with ``edges`` (Floyd-Warshall),
-    scaled by ``scale``, a multiple of every weight's denominator (None for
-    float64).  Pairs in different components hold the value that stands for
-    +inf: np.inf in float mode, and in exact mode the scaled weight sum plus
-    one, a Python int that exceeds every path and never meets a float.
-    Twice that value must fit the dtype, because the kernel adds two of
-    them."""
-    weights = _scaled((w for _u, _v, w in edges), scale)
+def all_pairs(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, scale: Optional[int]) -> Scaled:
+    """Shortest-path weights (Floyd-Warshall) of the graph on [n] whose edges
+    join the 0-based vertex indices ``u`` and ``v`` with the weights ``w``,
+    scaled by ``scale`` (None for float64).  Pairs in different components
+    hold the value that stands for +inf: np.inf in float mode, and in exact
+    mode the scaled weight sum plus one, a Python int that exceeds every path
+    and never meets a float.  Twice that value must fit the dtype, because
+    the kernel adds two of them."""
     if scale is None:
         inf = np.inf
         dtype = np.float64
     else:
-        inf = sum(weights) + 1
+        inf = _total(w) + 1
         dtype = _dtype(scale, 2 * inf)
     d = np.full((n, n), inf, dtype=dtype)
     np.fill_diagonal(d, 0)
-    if edges:
-        u = np.array([e[0] - 1 for e in edges], dtype=np.intp)
-        v = np.array([e[1] - 1 for e in edges], dtype=np.intp)
-        w = np.array(weights, dtype=dtype)
-        d[u, v] = w
-        d[v, u] = w
+    d[u, v] = w
+    d[v, u] = w
     # Row k equals column k (the graph is undirected) and does not change
     # while k is the midpoint, so one step is one vectorized relaxation.
     for k in range(n):
@@ -223,35 +258,33 @@ def lt(a: np.ndarray, b: np.ndarray, scale: Optional[int], cmp: Cmp) -> np.ndarr
     return _floats(b - a, scale) > _slack(a, b, scale, cmp.tol)
 
 
-def bellman(n: int, edges: Sequence[Tuple[int, int, Number]], target: np.ndarray, scale: int) -> bool:
-    """True iff the graph on [n] with ``edges`` realizes the exact family
-    array ``target`` (scaled by ``scale``, a multiple of every weight's
-    denominator): D_ij = min over the neighbours u of i of w_iu + D_uj for
-    every i != j.  With positive weights the shortest-path weights are the
-    only solution of these equations (Bellman 1958).  Following a minimizing
-    neighbour from i reaches j along a path of weight D_ij, and
-    D_ij <= w_iu + D_uj on every edge keeps D at or below the path weights.
-    So the check also proves the graph connected; a vertex without an edge
-    fails it.
+def bellman(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, target: np.ndarray, scale: int) -> bool:
+    """True iff the graph on [n] whose edges join the 0-based vertex indices
+    ``u`` and ``v`` with the weights ``w`` realizes the exact family array
+    ``target``, both scaled by ``scale``: D_ij = min over the neighbours u
+    of i of w_iu + D_uj for every i != j.  With positive weights the
+    shortest-path weights are the only solution of these equations
+    (Bellman 1958).  Following a minimizing neighbour from i reaches j along
+    a path of weight D_ij, and D_ij <= w_iu + D_uj on every edge keeps D at
+    or below the path weights.  So the check also proves the graph
+    connected; a vertex without an edge fails it.
 
     The directed edges, sorted by source, add their weight to the row of
     their target, and ``np.minimum.reduceat`` takes each source's minimum:
     O(n * m) entries in blocks of at most SPLIT_BLOCK, unless one source's
     rows need more (never more than n x n).  The dtype holds the largest
     weight plus the largest value."""
-    if not edges:
+    if not len(u):
         return n < 2
-    u, v, weights = zip(*edges)
-    weights = _scaled(weights, scale)
-    src = np.array(u + v, dtype=np.intp) - 1
+    src = np.concatenate((u, v))
     order = np.argsort(src, kind="stable")
-    src, dst = src[order], (np.array(v + u, dtype=np.intp) - 1)[order]
+    src, dst = src[order], np.concatenate((v, u))[order]
     degree = np.bincount(src, minlength=n)
     if not degree.all():
         return False
-    dtype = _dtype(scale, max(weights) + int(target.max()))
+    dtype = _dtype(scale, int(w.max()) + int(target.max()))
     d = np.asarray(target, dtype=dtype)
-    w = np.array(weights + weights, dtype=dtype)[order]
+    w = np.concatenate((w, w)).astype(dtype)[order]
     ends = np.cumsum(degree)
     starts = ends - degree
     cap = max(1, SPLIT_BLOCK // n)
@@ -273,19 +306,18 @@ def bellman(n: int, edges: Sequence[Tuple[int, int, Number]], target: np.ndarray
 
 
 @python_floats
-def useful(dist: Scaled, edges: Sequence[Tuple[int, int, Number]], cmp: Cmp) -> np.ndarray:
-    """Per edge (u, v, w) of a connected graph with 2-weights ``dist``: w
-    equals D_uv and D_uv < D_uz + D_zv for every z outside {u, v}.  The splits
-    are an edges x vertices array, built in blocks of SPLIT_BLOCK entries."""
+def useful(dist: Scaled, u: np.ndarray, v: np.ndarray, w: np.ndarray, cmp: Cmp) -> np.ndarray:
+    """Per edge (u, v) with weight w, at the scale of ``dist``, of a connected
+    graph with 2-weights ``dist``: w equals D_uv and D_uv < D_uz + D_zv for
+    every z outside {u, v}.  The splits are an edges x vertices array, built
+    in blocks of SPLIT_BLOCK entries."""
     d, scale = dist
     n = len(d)
-    u = np.array([e[0] - 1 for e in edges], dtype=np.intp)
-    v = np.array([e[1] - 1 for e in edges], dtype=np.intp)
-    w = np.array(_scaled((e[2] for e in edges), scale), dtype=d.dtype)
+    w = w.astype(d.dtype)
     duv = d[u, v]
     keep = eq(w, duv, scale, cmp)
     block = max(1, SPLIT_BLOCK // n)
-    for lo in range(0, len(edges), block):
+    for lo in range(0, len(u), block):
         part = slice(lo, lo + block)
         below = lt(duv[part, None], d[u[part]] + d[v[part]], scale, cmp)
         rows = np.arange(len(below))

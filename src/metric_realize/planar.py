@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
+from .bipartite import _same_side
 from .family import DistanceFamily, FamilyError, is_indecomposable
 from .realization import Realization
 
@@ -248,13 +249,13 @@ def planar_check(family: DistanceFamily) -> Realization:
     # S is connected here.  A K5 subdivision has cyclomatic number 6 and a
     # K33 one 4, and no subgraph has a larger one than its graph, so S is
     # planar when m - n + 1 <= 3 (every tree and polygon S).
-    if len(support.graph.edges) - family.n + 1 <= 3:
+    s = support.graph
+    if len(s.u) - family.n + 1 <= 3:
         return Realization.ok(support.realization)
-    edges = [(u, v) for u, v, _w in support.graph.edges]
+    edges = list(zip((s.u + 1).tolist(), (s.v + 1).tolist()))
     # S is 2-coloured when every edge crosses the sides of the bipartition
     # walk, and the walk 2-colours every bipartite S that realizes D
-    x = family.sides.x_side
-    bipartite = all((u in x) != (v in x) for u, v in edges)
+    bipartite = not _same_side(family).any()
     if _planar(edges, bipartite):
         return Realization.ok(support.realization)
     witness = _witness_from_kuratowski(_kuratowski_subgraph(edges, family.n, bipartite))

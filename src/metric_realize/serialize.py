@@ -22,7 +22,7 @@ import numpy as np
 from . import kernel
 from .comparison import Cmp, EXACT, Number, as_exact_number
 from .family import DistanceFamily
-from .graph import GraphError, WeightedGraph
+from .graph import GraphError, WeightedGraph, _check_connected
 
 if TYPE_CHECKING:
     from .classify import ClassificationReport
@@ -186,6 +186,16 @@ def _block(open_: str, close: str, lines: List[str], pad: str) -> str:
     return open_ + "\n" + ",\n".join(lines) + "\n" + pad + close
 
 
+def _edge_rows(graph: WeightedGraph):
+    """The graph's edges read from its columns, as (u, v, weight) rows with
+    the weight's format: "%d" for the exact weights of a scale-1 graph, and
+    "%s" of ``format_number`` for any other."""
+    labels = (graph.u + 1).tolist(), (graph.v + 1).tolist()
+    if graph.scale == 1:
+        return zip(*labels, graph.w.tolist()), "%d"
+    return zip(*labels, map(format_number, kernel.numbers(graph.w, graph.scale))), "%s"
+
+
 def _graph_text(graph: WeightedGraph, pad: str) -> str:
     """The graph document as indent-2 JSON whose opening brace sits on a line
     indented by ``pad``.  ``format_number`` writes digits, signs, ".", "/"
@@ -193,8 +203,9 @@ def _graph_text(graph: WeightedGraph, pad: str) -> str:
     inner = pad + "  "
     item = inner + "  "
     key = item + "  "
-    edge = f'{item}{{\n{key}"u": %d,\n{key}"v": %d,\n{key}"w": "%s"\n{item}}}'
-    edges = _block("[", "]", [edge % (u, v, format_number(w)) for u, v, w in graph.edges], inner)
+    rows, weight = _edge_rows(graph)
+    edge = f'{item}{{\n{key}"u": %d,\n{key}"v": %d,\n{key}"w": "{weight}"\n{item}}}'
+    edges = _block("[", "]", [edge % row for row in rows], inner)
     return _block("{", "}", [f'{inner}"n": {graph.n:d}', f'{inner}"edges": {edges}'], pad)
 
 
@@ -255,26 +266,63 @@ def report_to_json(report: "ClassificationReport") -> str:
 
 
 def graph_from_json(text: str, cmp: Cmp = EXACT) -> WeightedGraph:
+    """The graph document ``{"n": n, "edges": [{"u": u, "v": v, "w": "w"},
+    ...]}`` as a checked, connected graph.  The fields are read as columns;
+    the first fault is reported in document order, as the edge-by-edge
+    checks name it."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     try:
         n = _json_int(doc["n"], "n")
-        edges = [
-            (_json_int(e["u"], "u"), _json_int(e["v"], "v"), parse_cell(str(e["w"]), cmp))
-            for e in doc["edges"]
-        ]
+        us, vs, ws = _fields(doc["edges"], cmp)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
     try:
-        graph = WeightedGraph(n, edges)
+        graph = _graph(n, us, vs, ws)
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
     # A connected graph lists n - 1 edges, so the checks so far cost no more
     # than reading the document; the kernel's n x n matrices come later.
     _check_size(graph.n)
     return graph
+
+
+def _fields(items, cmp: Cmp):
+    """The u, v and w columns of the document's edge list: the vertex types
+    checked in one pass, the weights read as one ``_parse_row``.  A missing
+    field or a vertex that is not an integer sends the list through the
+    edge-by-edge loop, which names the first fault in document order."""
+    try:
+        us, vs, ws = [e["u"] for e in items], [e["v"] for e in items], [e["w"] for e in items]
+    except (KeyError, TypeError):
+        us = vs = ws = None
+    if us is None or not set(map(type, us + vs)) <= {int}:
+        rows = [(_json_int(e["u"], "u"), _json_int(e["v"], "v"), parse_cell(str(e["w"]), cmp)) for e in items]
+        return [list(column) for column in zip(*rows)] if rows else ([], [], [])
+    return us, vs, _parse_row(list(map(str, ws)), cmp)
+
+
+def _graph(n: int, us: List[int], vs: List[int], ws: List[Number]) -> WeightedGraph:
+    """The checked graph of a document's columns.  Numpy masks find whether
+    any edge is a self-loop, repeats an earlier one or has a nonpositive
+    weight; when one does, or a vertex or n itself is out of range,
+    ``WeightedGraph`` checks the edges one by one and names the first fault
+    in document order."""
+    if 1 <= n <= MAX_N and (not us or (min(min(us), min(vs)) >= 1 and max(max(us), max(vs)) <= n)):
+        u, v = np.array(us, dtype=np.intp) - 1, np.array(vs, dtype=np.intp) - 1
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        order = np.argsort(lo * n + hi, kind="stable")
+        lo, hi = lo[order], hi[order]
+        scale = kernel.common_scale(ws)
+        w = kernel.scaled_array(ws, scale)[order]
+        repeats = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+        if not ((u == v).any() or repeats.any()) and (w > 0).all():
+            graph = WeightedGraph._of_arrays(n, lo, hi, w, scale)
+            _check_connected(graph)
+            return graph
+    return WeightedGraph(n, zip(us, vs, ws))
 
 
 def _json_int(value, key: str) -> int:
@@ -289,7 +337,8 @@ def graph_to_dot(graph: WeightedGraph) -> str:
     lines = ["graph realization {"]
     for v in range(1, graph.n + 1):
         lines.append(f"  {v};")
-    for u, v, w in graph.edges:
-        lines.append(f'  {u} -- {v} [label="{format_number(w)}"];')
+    rows, weight = _edge_rows(graph)
+    edge = f'  %d -- %d [label="{weight}"];'
+    lines.extend(edge % row for row in rows)
     lines.append("}")
     return "\n".join(lines) + "\n"

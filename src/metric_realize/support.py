@@ -64,7 +64,7 @@ class Support:
         return None
 
     def is_tree(self) -> bool:
-        return len(self.graph.edges) == self.graph.n - 1
+        return len(self.graph.u) == self.graph.n - 1
 
 
 @kernel.python_floats
@@ -102,15 +102,13 @@ def analyse(family: DistanceFamily) -> Support:
             violation = (i + 1, j + 1, z + 1)
     except OverflowError:
         raise FamilyError(kernel.OUT_OF_FLOAT_RANGE) from None
-    weights = family.scaled.numbers(dij[below])
-    edges = list(zip((rows[below] + 1).tolist(), (cols[below] + 1).tolist(), weights))
-    graph = WeightedGraph(n, edges, require_connected=False)
+    graph = WeightedGraph._of_arrays(n, rows[below], cols[below], dij[below], scale)
     adj = graph.adjacency()
     realization = None
     if violation is None:
         if verify_realization(graph, family):
             realization = graph
-        elif not cmp.exact and len(edges) == n - 1:
+        elif not cmp.exact and len(graph.u) == n - 1:
             realization = _reweighted_tree(family, adj)
     return Support(graph, adj, violation, realization, cmp.exact)
 

@@ -22,7 +22,7 @@ def _not_a_tree(support: Support) -> Optional[Realization]:
     if failed is None and not support.is_tree():
         n = support.graph.n
         failed = Realization.rejected(
-            f"support graph has {len(support.graph.edges)} edges; a tree on {n} vertices has {n - 1}"
+            f"support graph has {len(support.graph.u)} edges; a tree on {n} vertices has {n - 1}"
         )
     return failed
 

@@ -186,8 +186,14 @@ def without_edge(graph: WeightedGraph, u: int, v: int) -> WeightedGraph:
 
 
 def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
-    """Every pair compared under the family's cmp mode."""
-    return _matrix_matches(shortest_path_matrix(graph), family)
+    """Every pair compared under the family's cmp mode.  A disconnected
+    graph, one with an infinite scalar 2-weight, realizes nothing: the
+    tolerance rule would give that entry an infinite slack and call it
+    close to anything."""
+    dist = shortest_path_matrix(graph)
+    if any(float("inf") in row for row in dist):
+        return False
+    return _matrix_matches(dist, family)
 
 
 def support_scan(family: DistanceFamily) -> Tuple[WeightedGraph, Optional[Tuple[int, int, int]], Optional[WeightedGraph]]:

@@ -304,9 +304,9 @@ class TestOnePassSupport:
         calls = []
         all_pairs = kernel.all_pairs
 
-        def counting(n, edges, scale):
-            calls.append(edges)
-            return all_pairs(n, edges, scale)
+        def counting(n, u, v, w, scale):
+            calls.append((u, v, w))
+            return all_pairs(n, u, v, w, scale)
 
         for class_id in sorted(CLASS_MIN_N):
             for n, kind in ((3, "int"), (8, "decimal"), (12, "int")):

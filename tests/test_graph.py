@@ -38,6 +38,12 @@ class TestWeightedGraph:
         with pytest.raises(GraphError):
             WeightedGraph(2, [(1, 3, 1)])
 
+    @pytest.mark.parametrize("require_connected", (True, False))
+    def test_rejects_a_vertex_that_is_not_an_integer(self, require_connected):
+        # the index columns would read 1.5 as vertex 1
+        with pytest.raises(GraphError, match=r"edge \(1.5,2\) has a vertex that is not an integer"):
+            WeightedGraph(3, [(1.5, 2, 1), (2, 3, 1)], require_connected=require_connected)
+
     def test_rejects_disconnected_by_default(self):
         with pytest.raises(GraphError):
             WeightedGraph(4, [(1, 2, 1), (3, 4, 1)])
@@ -82,7 +88,8 @@ class TestTwoWeights:
         f = two_weights(WeightedGraph(3, [(1, 2, big), (2, 3, big)]))
         assert (f.d(1, 2), f.d(1, 3)) == (big, 2 * big)
         # apart: big + 1, the exact stand-in for +inf, exceeds every path
-        dist = kernel.all_pairs(3, [(1, 2, big)], 1)
+        apart = WeightedGraph(3, [(1, 2, big)], require_connected=False)
+        dist = kernel.all_pairs(3, apart.u, apart.v, apart.w, apart.scale)
         assert dist.array.tolist() == [[0, big, big + 1], [big, 0, big + 1], [big + 1, big + 1, 0]]
 
     def test_single_vertex_rejected(self):

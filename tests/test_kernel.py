@@ -7,6 +7,7 @@ are Python numbers and a Python bool.  Values beyond the float range
 scalar loop raises OverflowError on them too."""
 
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -25,11 +26,15 @@ from metric_realize import (
     check_triangle,
     is_indecomposable,
     prune,
+    support_graph,
     two_weights,
     verify_realization,
 )
-from metric_realize import kernel
-from metric_realize.serialize import parse_family_csv
+from metric_realize import graph as graph_module
+from metric_realize import kernel, serialize
+from metric_realize.bipartite import bigraph_check
+from metric_realize.polygons import polygon_check
+from metric_realize.serialize import graph_from_json, graph_to_dot, graph_to_json, parse_family_csv
 
 import oracles
 from conftest import with_value
@@ -120,6 +125,11 @@ def weighted_graphs(draw, connected=True, max_n=8, n=None, weights=WEIGHTS):
     return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()], require_connected=connected)
 
 
+def edges_of(u, v, w, scale):
+    """The edge tuples of the columns a kernel entry point takes."""
+    return tuple(zip((u + 1).tolist(), (v + 1).tolist(), kernel.numbers(w, scale)))
+
+
 def assert_python_number(x):
     assert type(x) in (int, Fraction, float), type(x)
 
@@ -127,7 +137,8 @@ def assert_python_number(x):
 def assert_all_pairs_equal_the_scalar_loop(g):
     """Connected pairs hold the loop's value; pairs apart hold a stand-in
     for +inf that exceeds the weight sum, hence every path."""
-    dist = kernel.all_pairs(g.n, g.edges, kernel.common_scale(w for *_e, w in g.edges))
+    assert g.scale == kernel.common_scale(w for *_e, w in g.edges)
+    dist = kernel.all_pairs(g.n, g.u, g.v, g.w, g.scale)
     total = sum(w for *_e, w in g.edges)
     for row, want in zip(dist.array, oracles.shortest_path_matrix(g)):
         for x, y in zip(dist.numbers(row), want):
@@ -235,8 +246,7 @@ def test_verify_realization_of_another_graph_equals_the_scalar_comparison(pair, 
     # the family of g, as two_weights gives it and rebuilt from its values
     # (an int64 array where two_weights needs object), checked on h with
     # blocks of the default size and with one source per block.  A
-    # disconnected h never realizes D; the scalar loop's infinite 2-weights
-    # would pass the tolerance rule.
+    # disconnected h never realizes D, in the package and in the oracle.
     g, h = pair
     assume(comparable(g, cmp) and comparable(h, cmp))
     # a float against 10**400 raises GraphError, which the tests of the
@@ -245,7 +255,7 @@ def test_verify_realization_of_another_graph_equals_the_scalar_comparison(pair, 
     assume(not (any(isinstance(w, float) for w in weights) and any(w >= HUGE for w in weights)))
     family = two_weights(g, cmp)
     for f in (family, DistanceFamily(g.n, family.values, cmp)):
-        want = h.is_connected() and oracles.verify_realization(h, f)
+        want = oracles.verify_realization(h, f)
         for block in (kernel.SPLIT_BLOCK, 1):
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(kernel, "SPLIT_BLOCK", block)
@@ -356,9 +366,9 @@ def test_two_weights_and_prune_of_one_graph_run_one_floyd_warshall(monkeypatch):
     runs = []
     all_pairs = kernel.all_pairs
 
-    def counting(n, edges, scale):
-        runs.append(edges)
-        return all_pairs(n, edges, scale)
+    def counting(n, u, v, w, scale):
+        runs.append(edges_of(u, v, w, scale))
+        return all_pairs(n, u, v, w, scale)
 
     monkeypatch.setattr(kernel, "all_pairs", counting)
     family = two_weights(g)
@@ -402,10 +412,9 @@ def test_two_weights_and_prune_of_one_graph_run_one_floyd_warshall(monkeypatch):
     ],
 )
 def test_the_dtype_follows_the_data(weights, dtype):
-    edges = [(1, 2, weights[0]), (2, 3, weights[1]), (3, 4, weights[2])]
-    scale = kernel.common_scale(w for *_e, w in edges)
-    assert kernel.all_pairs(4, edges, scale).array.dtype.name == dtype
-    assert_all_pairs_equal_the_scalar_loop(WeightedGraph(4, edges))
+    g = WeightedGraph(4, [(1, 2, weights[0]), (2, 3, weights[1]), (3, 4, weights[2])])
+    assert kernel.all_pairs(4, g.u, g.v, g.w, g.scale).array.dtype.name == dtype
+    assert_all_pairs_equal_the_scalar_loop(g)
 
 
 @pytest.mark.parametrize("value, dtype", [(2**61, "int64"), (2**62, "object")])
@@ -417,3 +426,96 @@ def test_a_family_array_holds_the_sum_of_two_entries(value, dtype):
         assert family.scaled.array.dtype.name == dtype
         assert check_triangle(family).holds
         assert is_indecomposable(family, 1, 2)
+
+
+# Weights of the graphs the package makes from arrays: exact int, exact
+# decimal, beyond int64 and the float range (object dtype), and float.
+MAKER_WEIGHTS = {
+    "int": st.integers(1, 20),
+    "decimal": st.integers(1, 400).map(lambda k: Fraction(k, 20)).map(
+        lambda q: q.numerator if q.denominator == 1 else q
+    ),
+    "huge": st.integers(1, 20).map(lambda k: k * HUGE),
+    "float": st.floats(0.01, 50, allow_nan=False, allow_infinity=False),
+}
+
+
+@st.composite
+def paths(draw, weight):
+    """A path on its vertices in a random order: a snake family, whose
+    bipartite and polygon classes build K_{X,Y} and the closed snake."""
+    n = draw(st.integers(2, 8))
+    order = draw(st.permutations(range(1, n + 1)))
+    return WeightedGraph(n, [(a, b, draw(weight)) for a, b in zip(order, order[1:])])
+
+
+def assert_made_as_the_public_constructor_makes_it(h):
+    """The graph equals the public constructor's graph of its edges, and its
+    view holds what that graph's columns hold: labels and weights as Python
+    ints, Fractions and floats, of the same types, in the same order."""
+    public = WeightedGraph(h.n, h.edges, require_connected=False)
+    assert h == public and hash(h) == hash(public) and repr(h) == repr(public)
+    columns = edges_of(public.u, public.v, public.w, public.scale)
+    assert [tuple(map(type, e)) for e in h.edges] == [tuple(map(type, e)) for e in columns]
+    assert h.edges == columns
+    for u, v, w in h.edges:
+        assert type(u) is int and type(v) is int
+        assert_python_number(w)
+
+
+@KERNEL_SETTINGS
+@given(st.sampled_from(sorted(MAKER_WEIGHTS)), st.sampled_from(CMPS), st.booleans(), st.data())
+def test_graphs_made_from_arrays_equal_the_public_constructors(kind, cmp, path, data):
+    # S, K_{X,Y}, the pruned graph, the closed snake and a parsed document.
+    # Float sums round, so float weights make a metric within a tolerance
+    # only; a tolerance does not take values beyond the float range.
+    assume(kind != ("huge" if not cmp.exact else "float"))
+    weight = MAKER_WEIGHTS[kind]
+    g = data.draw(paths(weight) if path else weighted_graphs(weights={kind: weight}))
+    # the weights as the columns give them back (a near-tie chord of a huge
+    # path is Fraction(k, 1), which a graph's given edges keep)
+    g = WeightedGraph(g.n, edges_of(g.u, g.v, g.w, g.scale))
+    family = two_weights(g, cmp)
+    made = [support_graph(family), prune(g, cmp), graph_from_json(graph_to_json(g), cmp)]
+    made += [r.graph for r in (bigraph_check(family), polygon_check(family)) if r.accepted]
+    if path and g.n >= 4 and cmp.exact:
+        # a path on 4 or more vertices is no K_{X,Y}, and it closes into a polygon
+        assert len(made) == 5 and made[3] != made[0] and len(made[4].edges) == g.n
+    if cmp.exact:
+        # the document reads back as g, and every other edge weighs D_uv
+        assert made[2] == g
+        for h in made[:2] + made[3:]:
+            assert all(w == family.d(u, v) for u, v, w in h.edges)
+    for h in made:
+        assert_made_as_the_public_constructor_makes_it(h)
+
+
+def test_one_graph_round_trip_does_each_piece_of_work_once(monkeypatch):
+    # graph_from_json -> two_weights -> prune -> verify_realization: one
+    # Floyd-Warshall, one scale, two connectivity walks (the document's
+    # graph and the pruned graph); writing an exact int graph formats no
+    # number, writing a decimal one does
+    text = graph_to_json(WeightedGraph(5, [(1, 2, 3), (2, 3, 4), (1, 3, 7), (3, 4, 1), (4, 5, 2), (2, 5, 9)]))
+    counts = {"all_pairs": 0, "common_scale": 0, "_walk": 0, "format_number": 0}
+    spied = (kernel, "all_pairs"), (kernel, "common_scale"), (graph_module, "_walk"), (serialize, "format_number")
+    for module, name in spied:
+        original = getattr(module, name)
+
+        def counting(*args, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    g = graph_from_json(text)
+    family = two_weights(g)
+    pruned = prune(g)
+    assert verify_realization(pruned, family) is True
+    assert counts == {"all_pairs": 1, "common_scale": 1, "_walk": 2, "format_number": 0}
+    assert pruned.edge_pairs() == {(1, 2), (2, 3), (3, 4), (4, 5)}
+    text, dot = graph_to_json(pruned), graph_to_dot(pruned)
+    assert counts["format_number"] == 0
+    graph_to_json(WeightedGraph(2, [(1, 2, Fraction(1, 2))]))
+    assert counts["format_number"] == 1
+    # the text is still the reference's
+    assert text == json.dumps(oracles.graph_to_dict(pruned), indent=2) + "\n"
+    assert '  3 -- 4 [label="1"];' in dot

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -6,7 +7,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from metric_realize import EXACT, Cmp, GenSpec, GenerationError, WeightedGraph, classify, generate, two_weights
+from metric_realize import (
+    EXACT,
+    Cmp,
+    GenSpec,
+    GenerationError,
+    GraphError,
+    WeightedGraph,
+    classify,
+    generate,
+    two_weights,
+)
 from metric_realize.cli import run
 from metric_realize.generators import CLASS_MIN_N
 from metric_realize.serialize import (
@@ -112,6 +123,17 @@ class TestFamilyCsv:
             assert "values" not in family.__dict__
 
 
+# (u, v, w) rows with one fault each: a loop, a twin of (1, 2), a zero
+# weight and an end out of range, alone and in every order of two and of
+# three; then a vertex that is not an integer and a weight that is not a
+# number, in both orders
+STRUCTURAL_FAULTS = ((3, 3, "1"), (2, 1, "4"), (3, 4, "0"), (4, 9, "1"))
+FAULT_ORDERS = [
+    *(order for r in (1, 2, 3) for order in itertools.permutations(STRUCTURAL_FAULTS, r)),
+    *itertools.permutations(((1.5, 4, "1"), (2, 4, "x"))),
+]
+
+
 class TestGraphJson:
     def test_round_trip_preserves_exact_weights(self, fig2_graph):
         assert graph_from_json(graph_to_json(fig2_graph)) == fig2_graph
@@ -134,6 +156,30 @@ class TestGraphJson:
         doc = '{"n": 2, "edges": [{"u": 1, "v": 1, "w": "1"}]}'
         with pytest.raises(ParseError, match="self-loop"):
             graph_from_json(doc)
+
+    @pytest.mark.parametrize("faults", FAULT_ORDERS)
+    def test_the_first_fault_in_document_order_is_reported(self, faults):
+        # as the edge-by-edge loops report it: first the fields of each edge
+        # (the vertex types, then the weight's number), then per edge a
+        # loop, the range, a twin and the weight's sign
+        rows = [(1, 2, "3"), *faults, (2, 3, "5")]
+        doc = json.dumps({"n": 5, "edges": [{"u": u, "v": v, "w": w} for u, v, w in rows]})
+        with pytest.raises(ParseError) as raised:
+            graph_from_json(doc)
+        edges = []
+        try:
+            for u, v, w in rows:
+                for key, x in (("u", u), ("v", v)):
+                    if type(x) is not int:
+                        raise ValueError(f"{key} must be an integer, got {json.dumps(x)}")
+                edges.append((u, v, parse_number(w)))
+        except ValueError as exc:
+            want = f"malformed graph document: {exc}"
+        else:
+            with pytest.raises(GraphError) as loop:
+                WeightedGraph(5, edges)
+            want = str(loop.value)
+        assert str(raised.value) == want
 
     def test_dot_output_shape(self):
         g = WeightedGraph(2, [(1, 2, Fraction(1, 2))])
@@ -416,6 +462,33 @@ class TestHostileInput:
         assert out == ""
         assert err == "error: a 2-weight exceeds the float range: a path's total weight overflows float64\n"
         assert run([command, str(graph)]) == 0  # exact mode has no range
+
+    @pytest.mark.parametrize("command", ["classify", "prune", "verify"])
+    @pytest.mark.parametrize("case", ["missing", "directory", "not UTF-8"])
+    def test_an_unreadable_input_exits_2_with_one_line(self, tmp_files, tmp_path, capsys, command, case):
+        graph_path, matrix_path = tmp_files
+        if case == "missing":
+            bad, reason = tmp_path / "nonexistent", "cannot read"
+        elif case == "directory":
+            bad, reason = tmp_path, "cannot read"
+        else:
+            bad, reason = tmp_path / "latin1", "is not UTF-8 text"
+            bad.write_bytes(open(matrix_path if command == "classify" else graph_path, "rb").read() + b"\xe9\xff")
+        # the graph is read first, so verify names it even beside a good matrix
+        argv = {"classify": [str(bad)], "prune": [str(bad)], "verify": [str(bad), matrix_path]}[command]
+        assert run([command, *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {reason} {bad}" if reason == "cannot read" else f"error: {bad} {reason}")
+
+    @pytest.mark.parametrize("command", ["classify", "prune"])
+    def test_non_utf8_stdin_exits_2_with_one_line(self, capsys, monkeypatch, command):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"0,1\n\xff,0\n"), encoding="utf-8"))
+        assert run([command, "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: standard input is not UTF-8 text: invalid start byte at byte 4\n"
 
     def test_oversized_graph_document_is_input_error(self, tmp_path, capsys):
         graph = tmp_path / "big.json"

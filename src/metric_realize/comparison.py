@@ -49,16 +49,3 @@ class Cmp:
 
 EXACT = Cmp()
 
-
-def as_exact_number(value) -> Number:
-    """Normalize a value for exact mode: integral values become ints.
-
-    Plain ints are much faster than Fractions in the shortest-path and
-    enumeration loops, and generated instances are mostly integral.
-    """
-    if isinstance(value, int):
-        return value
-    frac = Fraction(value)
-    if frac.denominator == 1:
-        return frac.numerator
-    return frac

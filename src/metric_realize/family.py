@@ -54,7 +54,7 @@ class DistanceFamily:
             if v == np.inf:
                 raise FamilyError(f"infinite 2-weight at ({i},{j})")
         self.n, self.cmp = n, cmp
-        self.scaled = kernel.pair_matrix(n, values, kernel.common_scale(values.values()))
+        self.scaled = kernel.pair_matrix(n, values)
 
     @classmethod
     def _of_array(cls, scaled: "Scaled", cmp: Cmp) -> "DistanceFamily":

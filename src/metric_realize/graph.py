@@ -50,9 +50,9 @@ class WeightedGraph:
     """Labeled vertex set [n] with positively weighted undirected edges.
 
     Simple graphs only: no self-loops, no duplicate edges.  Connectivity is
-    checked on construction unless ``require_connected=False`` (used by
-    ``support_graph``, which may legitimately return a disconnected
-    structure).
+    checked on construction unless ``require_connected=False``, which lets
+    a caller build a disconnected graph (no package code passes it; S and
+    the other graphs the package makes come from ``_of_arrays``).
 
     The graph is stored as columns, one entry per edge in sorted order:
     ``u`` and ``v`` hold 0-based vertex indices (label - 1) with u < v, and
@@ -96,9 +96,9 @@ class WeightedGraph:
             _check_count(n, len(normalized))
         normalized.sort(key=lambda e: (e[0], e[1]))
         us, vs, ws = zip(*normalized) if normalized else ((), (), ())
-        scale = kernel.common_scale(ws)
+        values, scale = kernel.scale_numbers(ws)
         u, v = np.array(us, dtype=np.intp) - 1, np.array(vs, dtype=np.intp) - 1
-        self._store(n, u, v, kernel.scaled_array(ws, scale), scale)
+        self._store(n, u, v, kernel.scaled_array(values, scale), scale)
         # the view keeps each weight as it was given (a float makes the
         # column float64, but an exact weight beside it stays exact here)
         self._edges = tuple(normalized)
@@ -224,8 +224,10 @@ def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:
     definition (an edge some pair cannot avoid).  Usefulness is a property
     of the (invariant) family of 2-weights, so the result does not depend on
     any removal order; the operation is idempotent and preserves all
-    2-weights.
+    2-weights.  A one-vertex graph, which has no edge, comes back as is.
     """
+    if graph.n == 1:
+        return graph
     try:
         keep = kernel.useful(_distances(graph), graph.u, graph.v, graph.w, cmp)
     except OverflowError:

@@ -7,7 +7,8 @@ common multiple ``scale`` of their denominators and stored as int64 when the
 largest value the kernel can form fits, and otherwise as Python ints in a
 ``dtype=object`` array.  As soon as one number is a float, every number is
 stored as float64 and ``scale`` is None.  The dtype thus follows from the
-data; there is no option.
+data; there is no option.  Python numbers are scaled by ``scale_numbers``;
+documents are read already scaled (``row_matrix``, ``scaled_array``).
 
 A graph enters the kernel as its columns (``WeightedGraph``): 0-based
 vertex indices u and v, and the weights w scaled by the graph's scale.
@@ -39,7 +40,6 @@ matrix with the family entrywise (``eq``).
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -109,12 +109,13 @@ def joint_scale(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return None if a is None or b is None else math.lcm(a, b)
 
 
-def _scaled(numbers: Iterable[Number], scale: Optional[int]) -> list:
+def scale_numbers(numbers: Sequence[Number]) -> Tuple[list, Optional[int]]:
+    """Python numbers as (values, scale): the values times the LCM of their
+    denominators, or floats and None as soon as one of them is a float."""
+    scale = common_scale(numbers)
     if scale is None:
-        return [float(x) for x in numbers]
-    if scale == 1:
-        return [x.numerator for x in numbers]
-    return [x.numerator * (scale // x.denominator) for x in numbers]
+        return [float(x) for x in numbers], None
+    return [x.numerator * (scale // x.denominator) for x in numbers], scale
 
 
 def _dtype(scale: Optional[int], bound: int):
@@ -125,12 +126,10 @@ def _dtype(scale: Optional[int], bound: int):
     return np.int64 if bound <= INT64_MAX else object
 
 
-def scaled_array(numbers: Sequence[Number], scale: Optional[int]) -> np.ndarray:
-    """The 1-d array of ``numbers`` times ``scale``, a multiple of every
-    denominator: float64 when ``scale`` is None, int64 when the largest
-    fits, Python ints otherwise."""
-    nums = _scaled(numbers, scale)
-    return np.array(nums, dtype=_dtype(scale, max(nums, default=0)))
+def scaled_array(values: list, scale: Optional[int]) -> np.ndarray:
+    """The 1-d array of ``values`` already scaled by ``scale``: float64 when
+    ``scale`` is None, int64 when the largest fits, Python ints otherwise."""
+    return np.array(values, dtype=_dtype(scale, max(values, default=0)))
 
 
 def at_scale(a: np.ndarray, own: Optional[int], scale: Optional[int]) -> np.ndarray:
@@ -146,11 +145,11 @@ def at_scale(a: np.ndarray, own: Optional[int], scale: Optional[int]) -> np.ndar
     return a.astype(object) * (scale // own)
 
 
-def pair_matrix(n: int, values: Mapping[Tuple[int, int], Number], scale: Optional[int]) -> Scaled:
+def pair_matrix(n: int, values: Mapping[Tuple[int, int], Number]) -> Scaled:
     """The symmetric matrix of ``values`` (pairs (i, j) over [n]) with a zero
-    diagonal; ``scale`` must be a multiple of every value's denominator.  The
-    dtype holds the sum of any two entries."""
-    nums = _scaled(values.values(), scale)
+    diagonal, scaled by the LCM of their denominators.  The dtype holds the
+    sum of any two entries."""
+    nums, scale = scale_numbers(list(values.values()))
     dtype = _dtype(scale, 2 * max(nums, default=0))
     array = np.zeros((n, n), dtype=dtype)
     if nums:
@@ -161,15 +160,17 @@ def pair_matrix(n: int, values: Mapping[Tuple[int, int], Number], scale: Optiona
     return Scaled(array, scale)
 
 
-def row_matrix(rows: Sequence[Sequence[Number]]) -> Scaled:
-    """The matrix of ``rows``, n lists of n numbers of any sign, scaled by
-    the LCM of their denominators, in a dtype that holds the sum or the
-    difference of any two entries."""
-    cells = list(itertools.chain.from_iterable(rows))
-    scale = common_scale(cells)
-    nums = _scaled(cells, scale)
-    dtype = _dtype(scale, 2 * max(map(abs, nums)))
-    return Scaled(np.array(nums, dtype=dtype).reshape(len(rows), -1), scale)
+def row_matrix(rows: Sequence[Tuple[list, Optional[int]]]) -> Scaled:
+    """The matrix of ``rows``, n pairs (values, scale) of n scaled values of
+    any sign, at the LCM of the scales (None for float rows), in a dtype
+    that holds the sum or the difference of any two entries."""
+    scales = [s for _values, s in rows]
+    if None in scales:
+        return Scaled(np.array([values for values, _s in rows], dtype=np.float64), None)
+    scale = math.lcm(*scales)
+    lists = [values if s == scale else [x * (scale // s) for x in values] for values, s in rows]
+    bound = max(max(max(values), -min(values)) for values in lists)
+    return Scaled(np.array(lists, dtype=_dtype(scale, 2 * bound)), scale)
 
 
 @python_floats

@@ -4,6 +4,11 @@ DOT export.
 Weights travel as strings ("7", "4.5", or "7/3") so exact rationals survive
 round trips; binary floats never hit the wire in exact mode.
 
+Number text meets the kernel's scaled arrays in one reader,
+``_read_numbers`` (plain decimals by one int() each, other tokens through
+``parse_number``), and one writer, ``_write_numbers`` (the point placed in
+the scaled integer, or ``format_number``); those two are the reference.
+
 The graph document and the classify report are written here directly, with
 the layout of ``json.dumps(doc, indent=2)``: two-space indent, ASCII escapes,
 a fixed key order.  Written this way, a report costs a fraction of what the
@@ -13,14 +18,15 @@ indenting encoder, which runs in pure Python, spends on it.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from . import kernel
-from .comparison import Cmp, EXACT, Number, as_exact_number
+from .comparison import Cmp, EXACT, Number
 from .family import DistanceFamily
 from .graph import GraphError, WeightedGraph, _check_connected
 
@@ -56,7 +62,7 @@ def parse_number(token: str, cmp: Cmp = EXACT) -> Number:
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed number {token!r}") from exc
     if cmp.exact:
-        return as_exact_number(value)
+        return value.numerator if value.denominator == 1 else value
     try:
         return float(value)
     except OverflowError as exc:
@@ -91,38 +97,46 @@ def format_number(value: Number) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def parse_cell(token: str, cmp: Cmp = EXACT) -> Number:
-    """``parse_number`` with a fast path: plain ASCII integers and decimals
-    ("7", "-4.50", ".5") are read with int() and float(), without the
-    Fraction regex.  Every other token goes through ``parse_number``, so
-    values and errors are the same as its own."""
-    t = token.strip()
-    body = t[1:] if t[:1] in ("+", "-") else t
-    whole, _dot, frac = body.partition(".")
-    digits = whole + frac
-    if not (digits.isdigit() and digits.isascii() and len(t) <= PLAIN_TOKEN_MAX):
-        return parse_number(token, cmp)
-    if not cmp.exact:
-        # correctly rounded, as float(Fraction(t)) is; + 0.0 turns -0.0 into 0.0
-        return float(t) + 0.0
-    num = -int(digits) if t[0] == "-" else int(digits)
-    if not frac:
-        return num
-    value = Fraction(num, 10 ** len(frac))
-    return value.numerator if value.denominator == 1 else value
-
-
-def _parse_row(cells: List[str], cmp: Cmp) -> List[Number]:
-    """The numbers of one row: a row of plain unsigned ASCII integers (in
-    tolerance mode, also decimals) in one ``map``, any other row cell by
-    cell with ``parse_cell``."""
-    plain = "".join(cells) if cmp.exact else "".join(cells).replace(".", "")
-    if plain.isdigit() and plain.isascii() and max(map(len, cells)) <= PLAIN_TOKEN_MAX:
+def _read_numbers(tokens: List[str], cmp: Cmp) -> Tuple[list, Optional[int]]:
+    """The numbers of ``tokens`` as (values, scale), scaled by the LCM of
+    their denominators (floats and None in tolerance mode).  Plain unsigned
+    ASCII decimals ("4.50", ".5", "5.") take one int() each at 10^k, k the
+    longest fraction, reduced by g = gcd(10^k, every value) to scale
+    10^k / g; any other list goes through ``parse_number``, errors too."""
+    joined = "".join(tokens)
+    plain = joined.replace(".", "")
+    if plain.isdigit() and plain.isascii() and max(map(len, tokens)) <= PLAIN_TOKEN_MAX:
         try:
-            return list(map(int if cmp.exact else float, cells))
+            if not cmp.exact:
+                return list(map(float, tokens)), None
+            if len(plain) == len(joined):
+                return list(map(int, tokens)), 1
+            parts = [t.partition(".") for t in tokens]
+            k = max(len(frac) for _whole, _dot, frac in parts)
+            up = [10 ** (k - j) for j in range(k + 1)]
+            values = [int(whole + frac) * up[len(frac)] for whole, _dot, frac in parts]
         except ValueError:  # an empty cell or a stray point: parse_number names it
             pass
-    return [parse_cell(c, cmp) for c in cells]
+        else:
+            g = math.gcd(10**k, *values)
+            return [v // g for v in values] if g > 1 else values, 10**k // g
+    return kernel.scale_numbers([parse_number(t, cmp) for t in tokens])
+
+
+def _write_numbers(entries: np.ndarray, scale: Optional[int]) -> List[str]:
+    """The texts of 1-d ``entries`` scaled by ``scale``, as ``format_number``
+    writes their values: ``repr`` of floats (``scale`` None), and when
+    ``scale`` divides 10^k the point placed k digits into value * 10^k,
+    trailing zeros stripped."""
+    values = entries.tolist()
+    if scale is None or scale == 1:
+        return list(map(repr, values))  # floats, or ints as str() writes them
+    if pow(10, scale.bit_length(), scale):  # a prime factor other than 2 and 5
+        return [format_number(Fraction(v, scale)) for v in values]
+    k = next(k for k in range(1, scale.bit_length()) if 10**k % scale == 0)
+    up = 10**k // scale
+    digits = [str(v * up).zfill(k + 1 + (v < 0)) for v in values]
+    return [f"{d[:-k]}.{d[-k:]}".rstrip("0").rstrip(".") for d in digits]
 
 
 def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
@@ -136,12 +150,12 @@ def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
     if n < 2:
         raise ParseError(f"matrix needs at least 2 rows, got {n}")
     _check_size(n)
-    matrix: List[List[Number]] = []
+    matrix = []
     for i, row in enumerate(rows, start=1):
         cells = row.split(",")
         if len(cells) != n:
             raise ParseError(f"row {i} has {len(cells)} cells, expected {n}")
-        matrix.append(_parse_row(cells, cmp))
+        matrix.append(_read_numbers(cells, cmp))
     a, scale = kernel.row_matrix(matrix)
     diagonal_off = ~kernel.eq(np.diagonal(a), 0, scale, cmp)
     asymmetric = np.triu(~kernel.eq(a, a.T, scale, cmp), 1)
@@ -164,17 +178,19 @@ def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
 
 
 def family_to_csv(family: DistanceFamily) -> str:
-    """The n x n matrix document of the family, each pair formatted once."""
+    """The n x n matrix document of the family, each pair written once from
+    the array."""
     n = family.n
-    cells = [["0"] * n for _ in range(n)]
-    for (i, j), v in family.values.items():
-        cells[i - 1][j - 1] = cells[j - 1][i - 1] = format_number(v)
-    return "".join(",".join(row) + "\n" for row in cells)
+    a, scale = family.scaled
+    upper = np.triu_indices(n, 1)
+    cells = np.full((n, n), "0", dtype=object)
+    cells[upper] = cells.T[upper] = _write_numbers(a[upper], scale)
+    return "".join(",".join(row) + "\n" for row in cells.tolist())
 
 
 def graph_to_json(graph: WeightedGraph) -> str:
     """The graph document ``{"n": n, "edges": [{"u": u, "v": v, "w": "w"},
-    ...]}``, weights through ``format_number``, as ``json.dumps(doc,
+    ...]}``, weights through ``_write_numbers``, as ``json.dumps(doc,
     indent=2)`` writes it, plus a newline."""
     return _graph_text(graph, "") + "\n"
 
@@ -187,25 +203,20 @@ def _block(open_: str, close: str, lines: List[str], pad: str) -> str:
 
 
 def _edge_rows(graph: WeightedGraph):
-    """The graph's edges read from its columns, as (u, v, weight) rows with
-    the weight's format: "%d" for the exact weights of a scale-1 graph, and
-    "%s" of ``format_number`` for any other."""
+    """The graph's edges read from its columns, as (u, v, weight text) rows."""
     labels = (graph.u + 1).tolist(), (graph.v + 1).tolist()
-    if graph.scale == 1:
-        return zip(*labels, graph.w.tolist()), "%d"
-    return zip(*labels, map(format_number, kernel.numbers(graph.w, graph.scale))), "%s"
+    return zip(*labels, _write_numbers(graph.w, graph.scale))
 
 
 def _graph_text(graph: WeightedGraph, pad: str) -> str:
     """The graph document as indent-2 JSON whose opening brace sits on a line
-    indented by ``pad``.  ``format_number`` writes digits, signs, ".", "/"
+    indented by ``pad``.  ``_write_numbers`` writes digits, signs, ".", "/"
     and the letters of float reprs, which JSON strings hold unescaped."""
     inner = pad + "  "
     item = inner + "  "
     key = item + "  "
-    rows, weight = _edge_rows(graph)
-    edge = f'{item}{{\n{key}"u": %d,\n{key}"v": %d,\n{key}"w": "{weight}"\n{item}}}'
-    edges = _block("[", "]", [edge % row for row in rows], inner)
+    edge = f'{item}{{\n{key}"u": %d,\n{key}"v": %d,\n{key}"w": "%s"\n{item}}}'
+    edges = _block("[", "]", [edge % row for row in _edge_rows(graph)], inner)
     return _block("{", "}", [f'{inner}"n": {graph.n:d}', f'{inner}"edges": {edges}'], pad)
 
 
@@ -291,38 +302,40 @@ def graph_from_json(text: str, cmp: Cmp = EXACT) -> WeightedGraph:
 
 def _fields(items, cmp: Cmp):
     """The u, v and w columns of the document's edge list: the vertex types
-    checked in one pass, the weights read as one ``_parse_row``.  A missing
-    field or a vertex that is not an integer sends the list through the
-    edge-by-edge loop, which names the first fault in document order."""
+    checked in one pass, the weights read as one ``_read_numbers`` list
+    into (values, scale).  A missing field or a vertex that is not an
+    integer sends the list through the edge-by-edge loop, which names the
+    first fault in document order."""
     try:
         us, vs, ws = [e["u"] for e in items], [e["v"] for e in items], [e["w"] for e in items]
     except (KeyError, TypeError):
         us = vs = ws = None
     if us is None or not set(map(type, us + vs)) <= {int}:
-        rows = [(_json_int(e["u"], "u"), _json_int(e["v"], "v"), parse_cell(str(e["w"]), cmp)) for e in items]
-        return [list(column) for column in zip(*rows)] if rows else ([], [], [])
-    return us, vs, _parse_row(list(map(str, ws)), cmp)
+        # some edge failed the column pass, so this loop raises
+        for e in items:
+            _json_int(e["u"], "u"), _json_int(e["v"], "v"), parse_number(str(e["w"]), cmp)
+    return us, vs, _read_numbers(list(map(str, ws)), cmp)
 
 
-def _graph(n: int, us: List[int], vs: List[int], ws: List[Number]) -> WeightedGraph:
-    """The checked graph of a document's columns.  Numpy masks find whether
-    any edge is a self-loop, repeats an earlier one or has a nonpositive
-    weight; when one does, or a vertex or n itself is out of range,
-    ``WeightedGraph`` checks the edges one by one and names the first fault
-    in document order."""
+def _graph(n: int, us: List[int], vs: List[int], weights: Tuple[list, Optional[int]]) -> WeightedGraph:
+    """The checked graph of a document's columns, the weights as (values,
+    scale).  Numpy masks find whether any edge is a self-loop, repeats an
+    earlier one or has a nonpositive weight; when one does, or a vertex or n
+    itself is out of range, ``WeightedGraph`` checks the edges one by one and
+    names the first fault in document order."""
+    values, scale = weights
+    w = kernel.scaled_array(values, scale)
     if 1 <= n <= MAX_N and (not us or (min(min(us), min(vs)) >= 1 and max(max(us), max(vs)) <= n)):
         u, v = np.array(us, dtype=np.intp) - 1, np.array(vs, dtype=np.intp) - 1
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         order = np.argsort(lo * n + hi, kind="stable")
         lo, hi = lo[order], hi[order]
-        scale = kernel.common_scale(ws)
-        w = kernel.scaled_array(ws, scale)[order]
         repeats = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
         if not ((u == v).any() or repeats.any()) and (w > 0).all():
-            graph = WeightedGraph._of_arrays(n, lo, hi, w, scale)
+            graph = WeightedGraph._of_arrays(n, lo, hi, w[order], scale)
             _check_connected(graph)
             return graph
-    return WeightedGraph(n, zip(us, vs, ws))
+    return WeightedGraph(n, zip(us, vs, kernel.numbers(w, scale)))
 
 
 def _json_int(value, key: str) -> int:
@@ -334,11 +347,6 @@ def _json_int(value, key: str) -> int:
 
 
 def graph_to_dot(graph: WeightedGraph) -> str:
-    lines = ["graph realization {"]
-    for v in range(1, graph.n + 1):
-        lines.append(f"  {v};")
-    rows, weight = _edge_rows(graph)
-    edge = f'  %d -- %d [label="{weight}"];'
-    lines.extend(edge % row for row in rows)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines = ["graph realization {", *(f"  {v};" for v in range(1, graph.n + 1))]
+    lines += ['  %d -- %d [label="%s"];' % row for row in _edge_rows(graph)]
+    return "\n".join(lines) + "\n}\n"

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from metric_realize import (
+    EXACT,
+    Cmp,
     GraphError,
     WeightedGraph,
     prune,
@@ -167,6 +169,17 @@ class TestPrune:
             g = random_connected_graph(rng.randint(2, 9), rng)
             s = support_graph(two_weights(g))
             assert prune(g) == WeightedGraph(s.n, s.edges)
+
+    def test_a_single_vertex_is_returned_unchanged(self):
+        # no edge to prune and no 2-weight to compute, in either mode
+        g = WeightedGraph(1, [])
+        for cmp in (EXACT, Cmp(1e-9)):
+            assert prune(g, cmp) is g
+        with pytest.raises(GraphError, match="2-weights need n >= 2"):
+            two_weights(g)
+        # a disconnected graph still has no 2-weights to prune by
+        with pytest.raises(GraphError, match="connected"):
+            prune(WeightedGraph(2, [], require_connected=False))
 
 
 class TestVerifyRealization:

@@ -82,7 +82,7 @@ def test_eq_and_lt_apply_the_scalar_rule_entry_by_entry(kind, cmp, data):
         offset = data.draw(st.sampled_from(NEAR_TIES))
         tie = x * (1 + float(offset)) if isinstance(x, float) else x * (1 + offset)
         b.append(data.draw(st.sampled_from((tie, x)) | value))
-    (sa, sb), scale = kernel.row_matrix([a, b])
+    (sa, sb), scale = kernel.row_matrix([kernel.scale_numbers(a), kernel.scale_numbers(b)])
     if kind == "huge" and not cmp.exact:
         for rule in (kernel.eq, kernel.lt):
             with pytest.raises(OverflowError):
@@ -492,9 +492,11 @@ def test_graphs_made_from_arrays_equal_the_public_constructors(kind, cmp, path, 
 
 def test_one_graph_round_trip_does_each_piece_of_work_once(monkeypatch):
     # graph_from_json -> two_weights -> prune -> verify_realization: one
-    # Floyd-Warshall, one scale, two connectivity walks (the document's
-    # graph and the pruned graph); writing an exact int graph formats no
-    # number, writing a decimal one does
+    # Floyd-Warshall, two connectivity walks (the document's graph and the
+    # pruned graph), and no scale derived from Python numbers: the reader
+    # scales plain weights itself.  Writing an exact int or decimal graph
+    # formats no number through format_number; a weight whose scale is not
+    # a divisor of a power of 10 does
     text = graph_to_json(WeightedGraph(5, [(1, 2, 3), (2, 3, 4), (1, 3, 7), (3, 4, 1), (4, 5, 2), (2, 5, 9)]))
     counts = {"all_pairs": 0, "common_scale": 0, "_walk": 0, "format_number": 0}
     spied = (kernel, "all_pairs"), (kernel, "common_scale"), (graph_module, "_walk"), (serialize, "format_number")
@@ -510,12 +512,16 @@ def test_one_graph_round_trip_does_each_piece_of_work_once(monkeypatch):
     family = two_weights(g)
     pruned = prune(g)
     assert verify_realization(pruned, family) is True
-    assert counts == {"all_pairs": 1, "common_scale": 1, "_walk": 2, "format_number": 0}
+    assert counts == {"all_pairs": 1, "common_scale": 0, "_walk": 2, "format_number": 0}
     assert pruned.edge_pairs() == {(1, 2), (2, 3), (3, 4), (4, 5)}
     text, dot = graph_to_json(pruned), graph_to_dot(pruned)
     assert counts["format_number"] == 0
-    graph_to_json(WeightedGraph(2, [(1, 2, Fraction(1, 2))]))
-    assert counts["format_number"] == 1
+    decimal = graph_from_json('{"n": 3, "edges": [{"u": 1, "v": 2, "w": "0.5"}, {"u": 2, "v": 3, "w": "2.25"}]}')
+    assert decimal.scale == 4 and decimal.w.tolist() == [2, 9]
+    assert '"w": "2.25"' in graph_to_json(decimal) and '[label="0.5"]' in graph_to_dot(decimal)
+    assert counts["common_scale"] == 0 and counts["format_number"] == 0
+    thirds = graph_to_json(WeightedGraph(3, [(1, 2, Fraction(1, 3)), (2, 3, Fraction(7, 3))]))
+    assert counts["format_number"] == 2 and '"w": "7/3"' in thirds
     # the text is still the reference's
     assert text == json.dumps(oracles.graph_to_dict(pruned), indent=2) + "\n"
     assert '  3 -- 4 [label="1"];' in dot

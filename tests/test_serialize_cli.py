@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -18,10 +19,13 @@ from metric_realize import (
     generate,
     two_weights,
 )
+from metric_realize import kernel
 from metric_realize.cli import run
 from metric_realize.generators import CLASS_MIN_N
 from metric_realize.serialize import (
     ParseError,
+    _read_numbers,
+    _write_numbers,
     family_to_csv,
     format_number,
     graph_from_json,
@@ -70,6 +74,42 @@ class TestNumbers:
 
         v = parse_number("7/2", Cmp(1e-9))
         assert isinstance(v, float) and v == 3.5
+
+
+# Scales that divide a power of 10 (the point is placed) and scales that do
+# not (format_number writes "p/q" or, for integral values, the integer).
+WRITER_SCALES = (1, 2, 4, 5, 8, 16, 20, 25, 40, 100, 1000, 3, 6, 30, 7, 2**70, 10**30)
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@pytest.mark.parametrize("scale", WRITER_SCALES, ids=str)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(INT64 | st.integers(-20, 20), max_size=12), st.lists(st.integers(-(10**40), 10**40), max_size=6))
+def test_the_writer_writes_as_format_number(scale, small, wide):
+    # int64 entries and Python ints (object), with 0, multiples of the scale
+    # (integral values) and the int64 extremes among them
+    fixed = [0, 1, -1, scale if scale < 2**62 else 7, 2**63 - 1, -(2**63)]
+    entries = (np.array(fixed + small, dtype=np.int64), np.array([0, scale * 10**20 + 1, -scale] + wide, dtype=object))
+    for a in entries:
+        assert _write_numbers(a, scale) == [format_number(Fraction(v, scale)) for v in a.tolist()]
+
+
+def test_the_writer_writes_floats_as_repr():
+    a = np.array([3.0, 1e-05, 1e300, 0.1, 2.5, 5e-324, 1.7976931348623157e308, 1e16])
+    texts = _write_numbers(a, None)
+    assert texts == ["3.0", "1e-05", "1e+300", "0.1", "2.5", "5e-324", "1.7976931348623157e+308", "1e+16"]
+    assert texts == [format_number(x) for x in a.tolist()]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 10**12), min_size=1, max_size=10), st.sampled_from((1, 2, 8, 10, 40, 1000, 10**25)))
+def test_the_reader_reads_back_what_the_writer_wrote(values, scale):
+    # the written texts are plain decimals; read back they give the values
+    # reduced to the LCM of their denominators
+    texts = _write_numbers(np.array(values, dtype=object), scale)
+    read, lcm = _read_numbers(texts, EXACT)
+    assert [Fraction(v, lcm) for v in read] == [Fraction(v, scale) for v in values]
+    assert lcm == kernel.common_scale([Fraction(v, scale) for v in values])
 
 
 class TestFamilyCsv:
@@ -333,6 +373,19 @@ class TestCli:
         assert run(["prune", str(path)]) == 0
         pruned = graph_from_json(capsys.readouterr().out)
         assert pruned.edge_pairs() == {(1, 2), (2, 3)}
+
+    def test_prune_prints_a_one_vertex_document_back(self, capsys, monkeypatch):
+        import io
+
+        doc = '{"n": 1, "edges": []}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert run(["prune", "-"]) == 0
+        out, err = capsys.readouterr()
+        assert out == json.dumps(json.loads(doc), indent=2) + "\n" and err == ""
+        # a family still needs two vertices
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert run(["weights", "-"]) == 2
+        assert capsys.readouterr().err == "error: 2-weights need n >= 2\n"
 
     def test_gen_is_deterministic(self, capsys):
         assert run(["gen", "--class", "tree", "--n", "6", "--seed", "9"]) == 0

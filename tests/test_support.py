@@ -1,6 +1,6 @@
 """The support graph S and the triangle check from the kernel's min-plus
 product (``support.analyse``) against the scalar split scan in ``oracles``,
-and the layers around it on the classify path: the CSV fast path against
+and the layers around it on the classify path: the number reader against
 ``parse_number``, the cyclomatic planarity shortcut against the exhaustive
 Kuratowski search, the errors of a tolerance on values beyond the float
 range, and the parser built once per process."""
@@ -32,8 +32,9 @@ from metric_realize import (
     two_weights,
     verify_realization,
 )
+from metric_realize import kernel
 from metric_realize.cli import build_parser, run
-from metric_realize.serialize import ParseError, parse_cell, parse_family_csv, parse_number
+from metric_realize.serialize import PLAIN_TOKEN_MAX, ParseError, _read_numbers, parse_family_csv, parse_number
 
 import oracles
 from conftest import random_connected_graph, with_cmp, with_value
@@ -148,25 +149,77 @@ def test_n2_under_a_large_tolerance_keeps_the_diagonal_of_the_scan():
 
 
 # ---------------------------------------------------------------------------
-# The CSV fast path
+# The number reader
 # ---------------------------------------------------------------------------
 
 TOKENS = ("7", " 07 ", "+7", "-0", "4.50", "1_000", "٣", "1e3", "7/3", "nan", "inf", "1e400",
           ".5", "5.", "-0.0", "+.5", "", "-", ".", "1.2.3", "9" * 700, "0." + "0" * 700 + "1")
 
 
-def outcome(parse, token, cmp):
+def read_by_parse_number(tokens, cmp):
+    """The reader's reference: ``parse_number`` per token, then the kernel's
+    scale of those Python numbers."""
+    return kernel.scale_numbers([parse_number(t, cmp) for t in tokens])
+
+
+def outcome(read, tokens, cmp):
     try:
-        value = parse(token, cmp)
+        values, scale = read(tokens, cmp)
     except ParseError as exc:
         return "error", str(exc)
-    return type(value), repr(value)
+    return [(type(v), repr(v)) for v in values], scale
 
 
 @pytest.mark.parametrize("cmp", (EXACT, Cmp(1e-9)), ids=("exact", "tol"))
 @pytest.mark.parametrize("token", TOKENS)
 def test_the_fast_path_reads_every_token_as_parse_number(token, cmp):
-    assert outcome(parse_cell, token, cmp) == outcome(parse_number, token, cmp)
+    # each token alone, and after a plain decimal that sets the scale
+    for tokens in ([token], ["2.5", token]):
+        assert outcome(_read_numbers, tokens, cmp) == outcome(read_by_parse_number, tokens, cmp)
+
+
+# Plain unsigned decimals: ints, decimals with trailing zeros, ".5" and "5."
+# spellings, and lengths at PLAIN_TOKEN_MAX; and every other spelling.
+PLAIN_TOKENS = st.one_of(
+    st.integers(0, 10**20).map(str),
+    st.builds("{}.{}{}".format, st.integers(0, 10**6), st.integers(0, 10**4), st.sampled_from(("", "0", "000"))),
+    st.integers(0, 999).map(".{}".format),
+    st.integers(0, 999).map("{}.".format),
+    st.sampled_from(("0", "0.0", "9" * PLAIN_TOKEN_MAX, "0." + "0" * (PLAIN_TOKEN_MAX - 3) + "1",
+                     "1" * (PLAIN_TOKEN_MAX - 1) + ".5", "9" * (PLAIN_TOKEN_MAX + 1))),
+)
+OTHER_TOKENS = st.sampled_from(TOKENS + ("-1.5", "+2", "2E-2", "1_0.5", " 2.5", "2.5 ", "١.٥", "0/1", "3/6"))
+
+
+@settings(SETTINGS, max_examples=400)
+@given(
+    st.lists(PLAIN_TOKENS, min_size=1, max_size=8) | st.lists(PLAIN_TOKENS | OTHER_TOKENS, max_size=8),
+    st.sampled_from((EXACT, Cmp(1e-9))),
+)
+@example(["1.50", "2", ".5", "5."], EXACT)
+@example(["0.25", "1.2.3", "x"], EXACT)
+@example(["7", ""], Cmp(1e-9))
+@example(["2.5", "", "."], EXACT)
+def test_token_lists_read_as_parse_number_then_the_kernel_scale(tokens, cmp):
+    # the same values and scale (so the same LCM) or the same error
+    assert outcome(_read_numbers, tokens, cmp) == outcome(read_by_parse_number, tokens, cmp)
+
+
+def test_a_document_beyond_int64_at_10_to_the_k_reads_as_int64_at_its_lcm():
+    # at 10^2 the values pass 2^62 (and 2^63), at the LCM scale 2 twice the
+    # largest fits int64: the dtype DistanceFamily(n, values) gives
+    text = ("0,2000000000000000000.50,1500000000000000000.0\n"
+            "2000000000000000000.50,0,1000000000000000000\n"
+            "1500000000000000000.0,1000000000000000000,0\n")
+    values, scale = _read_numbers(["0", "2000000000000000000.50", "1500000000000000000.0"], EXACT)
+    assert scale == 2 and values == [0, 4 * 10**18 + 1, 3 * 10**18]
+    assert 200000000000000000050 > 2**63
+    family = parse_family_csv(text)
+    built = DistanceFamily(3, family.values).scaled
+    assert family.values[1, 2] == Fraction(4 * 10**18 + 1, 2)
+    assert family.scaled.scale == built.scale == 2
+    assert family.scaled.array.dtype == built.array.dtype == np.int64
+    assert np.array_equal(family.scaled.array, built.array)
 
 
 # Cells put into a matrix of 1s and 2s: other spellings and values, values

@@ -11,6 +11,7 @@ checks run on the family's array (``DistanceFamily.scaled``) with
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
@@ -47,14 +48,17 @@ class DistanceFamily:
         if len(values) != expected:
             raise FamilyError(f"expected {expected} pair values for n={n}, got {len(values)}")
         for (i, j), v in values.items():
-            if not (1 <= i < j <= n):
+            if not (1 <= i < j <= n and isinstance(i, numbers.Integral) and isinstance(j, numbers.Integral)):
                 raise FamilyError(f"bad pair key ({i},{j}) for n={n}")
             if not v > 0:
                 raise FamilyError(f"nonpositive 2-weight at ({i},{j}): {v}")
             if v == np.inf:
                 raise FamilyError(f"infinite 2-weight at ({i},{j})")
         self.n, self.cmp = n, cmp
-        self.scaled = kernel.pair_matrix(n, values)
+        try:
+            self.scaled = kernel.pair_matrix(n, values)
+        except OverflowError:
+            raise FamilyError(kernel._FLOAT_BESIDE_BEYOND_FLOATS) from None
 
     @classmethod
     def _of_array(cls, scaled: "Scaled", cmp: Cmp) -> "DistanceFamily":

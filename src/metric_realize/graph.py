@@ -10,11 +10,11 @@ checks the Bellman equations of the graph on the family's array
 A graph is stored as columns: 0-based vertex indices ``u`` < ``v`` in
 sorted order, and the weights ``w`` scaled by ``scale`` as the kernel scales
 a family (int64, Python ints or float64).  The kernel reads these columns.
-``WeightedGraph(n, edges)`` checks its edge tuples one by one and stores
-them so.  Graphs that the package builds from arrays it has checked (the
-support graph, K_{X,Y}, the pruned graph, the closed snake, a parsed graph
-document) come from the trusted maker ``WeightedGraph._of_arrays``, as a
-family's array comes from ``DistanceFamily._of_array``.  ``edges`` and
+One checker, ``_columns``, checks the edges of ``WeightedGraph(n, edges)``
+and of a graph document as columns.  Graphs built from checked arrays (S,
+K_{X,Y}, the pruned graph, the closed snake, a checked document) come from
+the trusted maker ``WeightedGraph._of_arrays``, as a family's array comes
+from ``DistanceFamily._of_array``.  ``edges`` and
 ``adjacency()`` are views built on first use; the scale and the result of
 the connectivity check are kept with the graph, so that no later step
 derives them again.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,18 +49,18 @@ _FLOAT_AGAINST_BEYOND_FLOATS = (
 class WeightedGraph:
     """Labeled vertex set [n] with positively weighted undirected edges.
 
-    Simple graphs only: no self-loops, no duplicate edges.  Connectivity is
-    checked on construction unless ``require_connected=False``, which lets
-    a caller build a disconnected graph (no package code passes it; S and
-    the other graphs the package makes come from ``_of_arrays``).
+    Simple graphs only, checked as columns by ``_columns``: integer ends in
+    [n], no loops, no twins, positive weights, and connectivity unless
+    ``require_connected=False`` (no package code passes it; the graphs the
+    package makes come from ``_of_arrays``).
 
     The graph is stored as columns, one entry per edge in sorted order:
     ``u`` and ``v`` hold 0-based vertex indices (label - 1) with u < v, and
     ``w`` holds the weights times ``scale``, the LCM of their denominators,
     by the kernel's rule: int64 when the largest fits, Python ints
     (``object``) otherwise, and float64 with ``scale`` None as soon as one
-    weight is a float.  ``edges`` (the sorted ``(u, v, weight)`` tuples, as
-    Python numbers) and ``adjacency()`` are views built on first use;
+    weight is a float.  ``edges`` (the sorted ``(u, v, weight)`` tuples,
+    labels as Python ints) and ``adjacency()`` are views built on first use;
     ``==``, ``hash`` and ``repr`` read ``edges``.
     """
 
@@ -71,39 +71,17 @@ class WeightedGraph:
     __slots__ = ("n", "u", "v", "w", "scale", "_connected", "_edges", "_adj", "_dist")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int, Number]], require_connected: bool = True):
-        if n < 1:
-            raise GraphError("vertex count must be >= 1")
-        normalized: List[Edge] = []
-        seen: Set[Tuple[int, int]] = set()
-        for u, v, w in edges:
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            if not (isinstance(u, numbers.Integral) and isinstance(v, numbers.Integral)):
-                # the index columns would truncate it
-                raise GraphError(f"edge ({u},{v}) has a vertex that is not an integer")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise GraphError(f"duplicate edge ({u},{v})")
-            if not w > 0:
-                raise GraphError(f"nonpositive weight on edge ({u},{v}): {w}")
-            seen.add((u, v))
-            normalized.append((u, v, w))
-        if require_connected:
-            # before anything of size n is built: n may come from a document
-            _check_count(n, len(normalized))
-        normalized.sort(key=lambda e: (e[0], e[1]))
-        us, vs, ws = zip(*normalized) if normalized else ((), (), ())
-        values, scale = kernel.scale_numbers(ws)
-        u, v = np.array(us, dtype=np.intp) - 1, np.array(vs, dtype=np.intp) - 1
-        self._store(n, u, v, kernel.scaled_array(values, scale), scale)
+        us, vs, ws = tuple(zip(*edges, strict=True)) or ((), (), ())
+        u, v, order = _columns(n, us, vs, np.array(ws, dtype=object), ws.__getitem__, require_connected)
+        ws = [ws[i] for i in order.tolist()]
+        try:
+            values, scale = kernel.scale_numbers(ws)
+        except OverflowError:
+            raise GraphError(kernel._FLOAT_BESIDE_BEYOND_FLOATS) from None
+        self._store(n, u, v, kernel.scaled_array(values, scale), scale, require_connected or None)
         # the view keeps each weight as it was given (a float makes the
         # column float64, but an exact weight beside it stays exact here)
-        self._edges = tuple(normalized)
-        if require_connected and not self.is_connected():
-            raise GraphError("graph is not connected")
+        self._edges = tuple(zip((u + 1).tolist(), (v + 1).tolist(), ws))
 
     @classmethod
     def _of_arrays(
@@ -115,13 +93,12 @@ class WeightedGraph:
         ``connected`` records what the maker knows; None leaves it to a
         walk."""
         graph = cls.__new__(cls)
-        graph._store(n, u, v, w, scale)
-        graph._connected = connected
+        graph._store(n, u, v, w, scale, connected)
         return graph
 
-    def _store(self, n, u, v, w, scale) -> None:
-        self.n, self.u, self.v, self.w, self.scale = n, u, v, w, scale
-        self._connected = self._edges = self._adj = self._dist = None
+    def _store(self, n, u, v, w, scale, connected) -> None:
+        self.n, self.u, self.v, self.w, self.scale, self._connected = n, u, v, w, scale, connected
+        self._edges = self._adj = self._dist = None
 
     @property
     def edges(self) -> Tuple[Edge, ...]:
@@ -178,17 +155,51 @@ def _walk(n: int, u: np.ndarray, v: np.ndarray) -> bool:
     return components == 1
 
 
-def _check_count(n: int, m: int) -> None:
-    if m < n - 1:
-        raise GraphError(f"{m} edges cannot connect {n} vertices; a connected graph needs at least {n - 1}")
-
-
-def _check_connected(graph: WeightedGraph) -> None:
-    """The constructor's connectivity checks, in its order, on a graph made
-    from arrays."""
-    _check_count(graph.n, len(graph.u))
-    if not graph.is_connected():
+def _check_connected(n: int, u: np.ndarray, v: np.ndarray) -> None:
+    """That the edges (u, v) join the n vertices: by count, which builds nothing of size n, then by a walk."""
+    if len(u) < n - 1:
+        raise GraphError(f"{len(u)} edges cannot connect {n} vertices; a connected graph needs at least {n - 1}")
+    if not _walk(n, u, v):
         raise GraphError("graph is not connected")
+
+
+@kernel.python_floats
+def _columns(n: int, us: Sequence, vs: Sequence, w: np.ndarray, weight: Callable, connected: bool):
+    """The checked edges ``us[i]``-``vs[i]`` on [n] as 0-based columns u < v
+    in sorted order, and that order.  ``w`` has the weights' signs, and
+    ``weight(i)`` names edge i's weight.  The first faulty edge is named by
+    its first fault: a loop, an end out of [n], an end not an integer, a
+    repeat, a weight not positive; then, if ``connected``, come the count and
+    the walk.  Labels become indices after the count: huge ones are named."""
+    if n < 1:
+        raise GraphError("vertex count must be >= 1")
+    uv, top, fraction = np.array((us, vs)), min(n, kernel.INT64_MAX), False
+    if uv.dtype.kind != "i":  # floats, bools, Fractions, ints beyond int64
+        uv, top = np.array((us, vs), dtype=object), n
+        whole = np.array([isinstance(x, numbers.Integral) for x in (*us, *vs)], dtype=bool)
+        fraction = ~whole.reshape(2, -1).all(axis=0)  # the index columns would truncate it
+    loop, out = uv[0] == uv[1], ((uv < 1) | (uv > top)).any(axis=0)
+    k = next(iter((loop | out | fraction).nonzero()[0].tolist()), len(loop))
+    # the edges ahead of those faults as lo < hi, sorted stably (a repeat follows its twin)
+    lo, hi = np.minimum(uv[0, :k], uv[1, :k]), np.maximum(uv[0, :k], uv[1, :k])
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order] - 1, hi[order] - 1
+    twins = order[1:][(lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])]
+    i = min(twins.tolist() + (~(w[:k] > 0)).nonzero()[0].tolist(), default=k)
+    if i < k:
+        a, b = sorted((us[i], vs[i]))
+        if i in twins:
+            raise GraphError(f"duplicate edge ({a},{b})")
+        raise GraphError(f"nonpositive weight on edge ({a},{b}): {weight(i)}")
+    if k < len(loop):
+        a, b = us[k], vs[k]
+        if loop[k]:
+            raise GraphError(f"self-loop at vertex {a}")
+        fault = f"out of range for n={n}" if out[k] else "has a vertex that is not an integer"
+        raise GraphError(f"edge ({a},{b}) {fault}")
+    if connected:
+        _check_connected(n, lo, hi)
+    return lo.astype(np.intp, copy=False), hi.astype(np.intp, copy=False), order
 
 
 def _distances(graph: WeightedGraph) -> kernel.Scaled:
@@ -232,11 +243,12 @@ def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:
         keep = kernel.useful(_distances(graph), graph.u, graph.v, graph.w, cmp)
     except OverflowError:
         raise GraphError(kernel.OUT_OF_FLOAT_RANGE) from None
-    pruned = WeightedGraph._of_arrays(graph.n, graph.u[keep], graph.v[keep], graph.w[keep], graph.scale)
+    u, v = graph.u[keep], graph.v[keep]
+    _check_connected(graph.n, u, v)
+    pruned = WeightedGraph._of_arrays(graph.n, u, v, graph.w[keep], graph.scale, connected=True)
     if graph._edges is not None:
         # the kept rows of the view, each weight as it was given
         pruned._edges = tuple(itertools.compress(graph._edges, keep.tolist()))
-    _check_connected(pruned)
     return pruned
 
 

@@ -54,6 +54,9 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 # take an exact value beyond the float range.
 OUT_OF_FLOAT_RANGE = "an exact value beyond the float range cannot be compared under a tolerance"
 
+# Why scaling raises OverflowError (one float makes every number float64)
+_FLOAT_BESIDE_BEYOND_FLOATS = "an exact value beyond the float range cannot stand beside a float"
+
 
 def python_floats(fn):
     """``fn`` with numpy's float overflow and invalid-operation warnings off:

@@ -28,7 +28,7 @@ import numpy as np
 from . import kernel
 from .comparison import Cmp, EXACT, Number
 from .family import DistanceFamily
-from .graph import GraphError, WeightedGraph, _check_connected
+from .graph import GraphError, WeightedGraph, _columns
 
 if TYPE_CHECKING:
     from .classify import ClassificationReport
@@ -278,34 +278,35 @@ def report_to_json(report: "ClassificationReport") -> str:
 
 def graph_from_json(text: str, cmp: Cmp = EXACT) -> WeightedGraph:
     """The graph document ``{"n": n, "edges": [{"u": u, "v": v, "w": "w"},
-    ...]}`` as a checked, connected graph.  The fields are read as columns;
-    the first fault is reported in document order, as the edge-by-edge
-    checks name it."""
+    ...]}`` as a checked, connected graph.  The fields are read as columns
+    and checked by the constructor's checker, ``graph._columns``; the first
+    fault is reported in document order."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     try:
         n = _json_int(doc["n"], "n")
-        us, vs, ws = _fields(doc["edges"], cmp)
+        us, vs, (values, scale) = _fields(doc["edges"], cmp)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed graph document: {exc}") from exc
+    w = kernel.scaled_array(values, scale)
     try:
-        graph = _graph(n, us, vs, ws)
+        u, v, order = _columns(n, us, vs, w, lambda i: kernel.numbers(w[i : i + 1], scale)[0], True)
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
     # A connected graph lists n - 1 edges, so the checks so far cost no more
     # than reading the document; the kernel's n x n matrices come later.
-    _check_size(graph.n)
-    return graph
+    _check_size(n)
+    return WeightedGraph._of_arrays(n, u, v, w[order], scale, connected=True)
 
 
 def _fields(items, cmp: Cmp):
     """The u, v and w columns of the document's edge list: the vertex types
     checked in one pass, the weights read as one ``_read_numbers`` list
-    into (values, scale).  A missing field or a vertex that is not an
-    integer sends the list through the edge-by-edge loop, which names the
-    first fault in document order."""
+    into (values, scale).  A missing field, a vertex that is not a JSON
+    integer or a malformed weight is named per edge, the first in document
+    order; the graph's own rules are the checker's."""
     try:
         us, vs, ws = [e["u"] for e in items], [e["v"] for e in items], [e["w"] for e in items]
     except (KeyError, TypeError):
@@ -315,27 +316,6 @@ def _fields(items, cmp: Cmp):
         for e in items:
             _json_int(e["u"], "u"), _json_int(e["v"], "v"), parse_number(str(e["w"]), cmp)
     return us, vs, _read_numbers(list(map(str, ws)), cmp)
-
-
-def _graph(n: int, us: List[int], vs: List[int], weights: Tuple[list, Optional[int]]) -> WeightedGraph:
-    """The checked graph of a document's columns, the weights as (values,
-    scale).  Numpy masks find whether any edge is a self-loop, repeats an
-    earlier one or has a nonpositive weight; when one does, or a vertex or n
-    itself is out of range, ``WeightedGraph`` checks the edges one by one and
-    names the first fault in document order."""
-    values, scale = weights
-    w = kernel.scaled_array(values, scale)
-    if 1 <= n <= MAX_N and (not us or (min(min(us), min(vs)) >= 1 and max(max(us), max(vs)) <= n)):
-        u, v = np.array(us, dtype=np.intp) - 1, np.array(vs, dtype=np.intp) - 1
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        order = np.argsort(lo * n + hi, kind="stable")
-        lo, hi = lo[order], hi[order]
-        repeats = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-        if not ((u == v).any() or repeats.any()) and (w > 0).all():
-            graph = WeightedGraph._of_arrays(n, lo, hi, w[order], scale)
-            _check_connected(graph)
-            return graph
-    return WeightedGraph(n, zip(us, vs, kernel.numbers(w, scale)))
 
 
 def _json_int(value, key: str) -> int:

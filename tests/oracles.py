@@ -1,8 +1,9 @@
 """Small-n brute-force realizability oracles, the exhaustive Kuratowski
 search, the scalar comparison rule, the scalar 2-weights, usefulness,
-verification, split and family-check loops, and the dict form of the
-classify report, against which the tests check the recognizers, the dense
-min-plus kernel and the report writer.
+verification, split and family-check loops, the edge-by-edge graph checks
+and the dict form of the classify report, against which the tests check the
+recognizers, the dense min-plus kernel, the graph checker and the report
+writer.
 
 Oracles enumerate candidate topologies (Prufer sequences for trees, cyclic
 orders for polygons, side assignments for bipartitions) with edge weights
@@ -15,6 +16,7 @@ Kuratowski subgraph with networkx's planarity test at every step.
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -129,6 +131,43 @@ def indecomposable_scan(family: DistanceFamily, i: int, j: int) -> bool:
     d, cmp = family.d, family.cmp
     others = (z for z in range(1, family.n + 1) if z != i and z != j)
     return all(lt(cmp, d(i, j), d(i, z) + d(z, j)) for z in others)
+
+
+# ---------------------------------------------------------------------------
+# The edge-by-edge graph checks (the reference for ``graph._columns``)
+# ---------------------------------------------------------------------------
+
+
+def edge_fault(n, edges, require_connected: bool = True) -> Optional[str]:
+    """The message ``WeightedGraph(n, edges, require_connected)`` raises for
+    a graph on [n] with the ``(u, v, w)`` edges, or None when it holds: edge
+    by edge a loop, an end out of range, an end that is not an integer, a
+    repeat of an earlier edge and a weight that is not positive; then, when
+    ``require_connected``, the edge count and a walk."""
+    if n < 1:
+        return "vertex count must be >= 1"
+    seen: Set[Tuple[int, int]] = set()
+    for u, v, w in edges:
+        if u == v:
+            return f"self-loop at vertex {u}"
+        if not (1 <= u <= n and 1 <= v <= n):
+            return f"edge ({u},{v}) out of range for n={n}"
+        if not (isinstance(u, numbers.Integral) and isinstance(v, numbers.Integral)):
+            return f"edge ({u},{v}) has a vertex that is not an integer"
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            return f"duplicate edge ({u},{v})"
+        if not w > 0:
+            return f"nonpositive weight on edge ({u},{v}): {w}"
+        seen.add((u, v))
+    if not require_connected:
+        return None
+    if len(seen) < n - 1:
+        return f"{len(seen)} edges cannot connect {n} vertices; a connected graph needs at least {n - 1}"
+    graph = nx.Graph(seen)
+    graph.add_nodes_from(range(1, n + 1))
+    return None if nx.is_connected(graph) else "graph is not connected"
 
 
 # ---------------------------------------------------------------------------

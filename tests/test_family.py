@@ -63,6 +63,19 @@ class TestDistanceFamily:
         with pytest.raises(FamilyError, match=r"at \(1,2\)"):
             DistanceFamily(3, {(1, 2): value, (1, 3): 1, (2, 3): 1}, cmp)
 
+    @pytest.mark.parametrize("key", [(1.5, 3), (2.0, 3), (Fraction(2), 3)])
+    def test_rejects_a_pair_key_that_is_not_an_integer(self, key):
+        # the array's indices would truncate (1.5, 3) to (1, 3)
+        with pytest.raises(FamilyError, match=rf"^bad pair key \({key[0]},3\) for n=3$"):
+            DistanceFamily(3, {(1, 2): 1, (1, 3): 2, key: 5})
+
+    def test_a_float_beside_an_exact_value_beyond_floats_is_named(self):
+        with pytest.raises(FamilyError, match="^an exact value beyond the float range cannot stand beside a float$"):
+            DistanceFamily(3, {(1, 2): 10**400, (1, 3): 0.5, (2, 3): 1})
+        # a fault of the pairs themselves is named first
+        with pytest.raises(FamilyError, match=r"^nonpositive 2-weight at \(2,3\): 0$"):
+            DistanceFamily(3, {(1, 2): 10**400, (1, 3): 0.5, (2, 3): 0})
+
     def test_values_and_d_read_the_array(self):
         exact = fam(3, {(1, 2): Fraction(4, 2), (1, 3): Fraction(1, 2), (2, 3): 10**400})
         assert "values" not in exact.__dict__

@@ -1,7 +1,12 @@
+import json
 import random
 from fractions import Fraction
+from math import nan
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from metric_realize import (
     EXACT,
@@ -14,7 +19,9 @@ from metric_realize import (
     verify_realization,
 )
 from metric_realize import kernel
+from metric_realize.serialize import ParseError, graph_from_json, parse_number
 
+import oracles
 from conftest import fam_of, random_connected_graph, with_value
 from oracles import without_edge
 
@@ -70,6 +77,149 @@ class TestWeightedGraph:
         g = WeightedGraph(4, [(1, 2, 1), (1, 3, 1), (1, 4, 1)])
         assert len(g.adjacency()[1]) == 3
         assert len(g.adjacency()[4]) == 1
+
+
+def graph_document(n, rows) -> str:
+    return json.dumps({"n": n, "edges": [{"u": u, "v": v, "w": w} for u, v, w in rows]})
+
+
+CHECKER_SETTINGS = settings(
+    max_examples=300, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def mostly(draw, common, rare):
+    """A draw of ``common`` about four times in five, else of ``rare``."""
+    return draw(rare if draw(st.integers(0, 4)) == 2 else common)
+
+
+# Label kinds: mostly int, else a kind the constructor takes (numpy int,
+# bool) or names (float, Fraction, and 1.5 for 1)
+LABEL_KINDS = mostly(st.just(int), st.sampled_from([np.int64, bool, float, Fraction, lambda x: x + 0.5]))
+
+
+@st.composite
+def edge_lists(draw, kinds, weight):
+    """(n, edges): a path over [n] or nothing, then drawn edges with ends
+    mostly in [n] and mostly distinct, labels of the drawn ``kinds``; some
+    edges are twins of earlier ones in either orientation, inserted anywhere."""
+    n = draw(mostly(st.integers(1, 6), st.integers(-1, 0)))
+    edges = [(i, i + 1, 1) for i in range(1, n)] if draw(st.booleans()) else []
+    inside, near = st.integers(1, max(n, 1)), st.integers(-1, n + 1)
+    for _ in range(draw(st.integers(0, 4))):
+        if edges and draw(st.integers(0, 2)) == 0:
+            u, v, _w = draw(st.sampled_from(edges))
+            if draw(st.booleans()):
+                u, v = v, u
+        else:
+            u = draw(mostly(inside, near))
+            v = draw(mostly(inside.map(lambda v: v if v != u else v % max(n, 1) + 1), near))
+            u, v = draw(kinds)(u), draw(kinds)(v)
+        edges.insert(draw(st.integers(0, len(edges))), (u, v, draw(weight)))
+    return n, edges
+
+
+class TestGraphChecker:
+    """Both doors, the constructor and the graph document, name what the
+    edge-by-edge reference ``oracles.edge_fault`` names."""
+
+    @CHECKER_SETTINGS
+    @given(
+        edge_lists(
+            LABEL_KINDS,
+            mostly(st.sampled_from([1, 2, Fraction(1, 2), 2.5]), st.sampled_from([0, -1, Fraction(-1, 3), -0.5, nan])),
+        ),
+        st.booleans(),
+    )
+    @example((4, [(1, 2, 1), (2, 3, 1), (3, 1, 1)]), True)  # enough edges, yet not connected
+    @example((3, [(np.int64(1), 2, 1), (True, 3, 2.5), (3, np.int64(2), Fraction(1, 2))]), True)
+    @example((3, [(2, 1, 1), (np.int64(2), True, 1)]), False)
+    @example((4, [(1, 4, 1), (3, 2, 1), (1, 2, 1)]), True)  # sorted by the lower end first
+    @example((1, [(1, 1.5, 1)]), False)  # 1.5 > n, though 0.5 < n as an index
+    def test_the_constructor_names_what_the_reference_names(self, graph, require_connected):
+        n, edges = graph
+        want = oracles.edge_fault(n, edges, require_connected)
+        if want is not None:
+            with pytest.raises(GraphError) as raised:
+                WeightedGraph(n, edges, require_connected)
+            assert str(raised.value) == want
+            return
+        g = WeightedGraph(n, edges, require_connected)
+        # labels as Python ints, weights as given
+        assert g.edges == tuple(sorted((int(min(u, v)), int(max(u, v)), w) for u, v, w in edges))
+        assert {type(x) for e in g.edges for x in e[:2]} <= {int}
+
+    @CHECKER_SETTINGS
+    @given(
+        edge_lists(
+            st.just(int),
+            mostly(st.sampled_from(["1", "2", "3/2", "2.5"]), st.sampled_from(["0", "-1", "-0.5"])),
+        ),
+        st.sampled_from([EXACT, Cmp(1e-9)]),
+    )
+    def test_the_reader_names_what_the_reference_names(self, graph, cmp):
+        n, rows = graph
+        rows = [(u, v, str(w)) for u, v, w in rows]
+        edges = [(u, v, parse_number(w, cmp)) for u, v, w in rows]
+        want = oracles.edge_fault(n, edges)
+        if want is not None:
+            with pytest.raises(ParseError) as raised:
+                graph_from_json(graph_document(n, rows), cmp)
+            assert str(raised.value) == want
+            return
+        g = graph_from_json(graph_document(n, rows), cmp)
+        assert g == WeightedGraph(n, edges) and g.is_connected()
+
+    @pytest.mark.parametrize(
+        "n, pairs, message",
+        [
+            (
+                10**21,
+                [(1, 2)],
+                "1 edges cannot connect 1000000000000000000000 vertices; "
+                "a connected graph needs at least 999999999999999999999",
+            ),
+            (10**21, [(1, 2), (2, 1)], "duplicate edge (1,2)"),
+            (
+                2**64,
+                [(1, 2**64)],
+                "1 edges cannot connect 18446744073709551616 vertices; "
+                "a connected graph needs at least 18446744073709551615",
+            ),
+            (2**64, [(1, 2**64 + 1)], "edge (1,18446744073709551617) out of range for n=18446744073709551616"),
+            (2**40, [(1, 2**40), (1, 2**40)], "duplicate edge (1,1099511627776)"),
+            (0, [(1, 2)], "vertex count must be >= 1"),
+            (-3, [], "vertex count must be >= 1"),
+        ],
+    )
+    def test_hostile_sizes_are_named(self, n, pairs, message):
+        # n and the labels may exceed int64: they are compared as numbers,
+        # and no index is cast before the count has passed
+        with pytest.raises(GraphError) as raised:
+            WeightedGraph(n, [(u, v, 1) for u, v in pairs])
+        assert str(raised.value) == message
+        with pytest.raises(ParseError) as raised:
+            graph_from_json(graph_document(n, [(u, v, "1") for u, v in pairs]))
+        assert str(raised.value) == message
+
+    def test_a_long_path_document_meets_the_size_limit(self):
+        rows = [(i, i + 1, "1") for i in range(1, 3000)]
+        with pytest.raises(ParseError, match="^3000 vertices exceed the limit of 2048$"):
+            graph_from_json(graph_document(3000, rows))
+        assert WeightedGraph(3000, [(u, v, 1) for u, v, _w in rows]).n == 3000
+
+    def test_a_float_beside_an_exact_value_beyond_floats_is_named(self):
+        with pytest.raises(GraphError, match="^an exact value beyond the float range cannot stand beside a float$"):
+            WeightedGraph(3, [(1, 2, 1), (2, 3, 10**400), (1, 3, 0.5)])
+        # a fault of the edges themselves is named first
+        with pytest.raises(GraphError, match="^self-loop at vertex 1$"):
+            WeightedGraph(3, [(1, 1, 1), (2, 3, 10**400), (1, 3, 0.5)])
+
+    def test_labels_read_back_as_python_ints(self):
+        g = WeightedGraph(3, [(np.int64(2), True, 1), (np.int64(3), 2, Fraction(1, 2))])
+        assert repr(g) == "WeightedGraph(n=3, edges=[(1, 2, 1), (2, 3, Fraction(1, 2))])"
+        assert {type(x) for e in g.edges for x in e[:2]} == {int}
 
 
 class TestTwoWeights:

@@ -13,7 +13,6 @@ from metric_realize import (
     Cmp,
     GenSpec,
     GenerationError,
-    GraphError,
     WeightedGraph,
     classify,
     generate,
@@ -201,7 +200,7 @@ class TestGraphJson:
     def test_the_first_fault_in_document_order_is_reported(self, faults):
         # as the edge-by-edge loops report it: first the fields of each edge
         # (the vertex types, then the weight's number), then per edge a
-        # loop, the range, a twin and the weight's sign
+        # loop, the range, a twin and the weight's sign (``oracles.edge_fault``)
         rows = [(1, 2, "3"), *faults, (2, 3, "5")]
         doc = json.dumps({"n": 5, "edges": [{"u": u, "v": v, "w": w} for u, v, w in rows]})
         with pytest.raises(ParseError) as raised:
@@ -216,9 +215,7 @@ class TestGraphJson:
         except ValueError as exc:
             want = f"malformed graph document: {exc}"
         else:
-            with pytest.raises(GraphError) as loop:
-                WeightedGraph(5, edges)
-            want = str(loop.value)
+            want = oracles.edge_fault(5, edges)
         assert str(raised.value) == want
 
     def test_dot_output_shape(self):

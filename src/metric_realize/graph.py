@@ -141,7 +141,10 @@ class WeightedGraph:
 
 def _walk(n: int, u: np.ndarray, v: np.ndarray) -> bool:
     """Whether the edges (u, v) join all n vertices into one component, by
-    union-find with path halving."""
+    union-find with path halving; fewer than n - 1 edges answer False by
+    count, before anything of size n is built."""
+    if len(u) < n - 1:
+        return False
     parent = list(range(n))
     components = n
     for a, b in zip(u.tolist(), v.tolist()):
@@ -170,7 +173,9 @@ def _columns(n: int, us: Sequence, vs: Sequence, w: np.ndarray, weight: Callable
     ``weight(i)`` names edge i's weight.  The first faulty edge is named by
     its first fault: a loop, an end out of [n], an end not an integer, a
     repeat, a weight not positive; then, if ``connected``, come the count and
-    the walk.  Labels become indices after the count: huge ones are named."""
+    the walk.  Labels become indices after the count: huge ones are named,
+    and so is a label beyond int64, the index range, which only a graph on
+    more than INT64_MAX vertices without the count can hold."""
     if n < 1:
         raise GraphError("vertex count must be >= 1")
     uv, top, fraction = np.array((us, vs)), min(n, kernel.INT64_MAX), False
@@ -199,6 +204,11 @@ def _columns(n: int, us: Sequence, vs: Sequence, w: np.ndarray, weight: Callable
         raise GraphError(f"edge ({a},{b}) {fault}")
     if connected:
         _check_connected(n, lo, hi)
+    if n > kernel.INT64_MAX:
+        beyond = order[hi >= kernel.INT64_MAX].tolist()  # label + 1 > INT64_MAX
+        if beyond:
+            i = min(beyond)
+            raise GraphError(f"edge ({us[i]},{vs[i]}) has a vertex beyond the index range 1..{kernel.INT64_MAX}")
     return lo.astype(np.intp, copy=False), hi.astype(np.intp, copy=False), order
 
 

@@ -15,11 +15,22 @@ vertex indices u and v, and the weights w scaled by the graph's scale.
 ``all_pairs``, ``useful`` and ``bellman`` read them; no entry point takes
 edge tuples.
 
-Floyd-Warshall runs in n numpy steps of n^2 each.  Every entry sees the
-same additions d_ik + d_kj in the same k order as the scalar loop, so the
-values are those of the loop, in exact and in float arithmetic.  The split
-matrix of a family (``splits``) is the same min-plus product, also in n
-steps of n^2, on a copy of the family's array that stays inside it.
+Floyd-Warshall runs in n numpy steps of n^2 each (fewer in exact mode, see
+below).  Every entry sees the same additions d_ik + d_kj in the same k
+order as the scalar loop, so the values are those of the loop, in exact and
+in float arithmetic.  The split matrix of a family (``splits``) is the same
+min-plus product, also in n steps of n^2, on a copy of the family's array
+that stays inside it.
+
+Both loops work on a private copy.  Where the dtype rule gives int64, the
+copy takes the narrowest unsigned type that holds the largest sum the loop
+forms (``_work_dtype``: twice the +inf stand-in, twice ``big``), often 16
+bits, so each step moves a quarter of the bytes; the result is widened back
+to int64 before it leaves the kernel.  Object and float64 copies stay as
+they are.  In exact mode Floyd-Warshall also skips every vertex of degree
+<= 1 as a midpoint: it lies inside no path, so the exact values do not
+change.  Float mode keeps every midpoint, so that its values stay those of
+the scalar loop addition for addition, with no argument about rounding.
 
 Two split routines stay, each for its own job.  ``splits`` covers all
 pairs, which the support graph needs.  ``useful`` covers a given edge list,
@@ -129,6 +140,15 @@ def _dtype(scale: Optional[int], bound: int):
     return np.int64 if bound <= INT64_MAX else object
 
 
+def _work_dtype(scale: Optional[int], bound: int):
+    """The dtype of the private copy a min-plus loop runs on: ``_dtype``'s,
+    with int64 narrowed to the smallest unsigned integer type that holds
+    ``bound``, the largest sum the loop forms.  The loops see no negative
+    value, and their results are widened back to ``_dtype``'s."""
+    dtype = _dtype(scale, bound)
+    return np.min_scalar_type(bound) if dtype is np.int64 else dtype
+
+
 def scaled_array(values: list, scale: Optional[int]) -> np.ndarray:
     """The 1-d array of ``values`` already scaled by ``scale``: float64 when
     ``scale`` is None, int64 when the largest fits, Python ints otherwise."""
@@ -184,16 +204,18 @@ def splits(dist: Scaled) -> np.ndarray:
     the largest value plus one (in the family's own numbers, so plus
     ``scale`` on scaled values): it keeps z = i and z = j out of every
     off-diagonal minimum, and for n = 2 it leaves the one pair below its
-    split.  The copy's dtype holds 2 * big, the largest sum."""
+    split.  The copy holds 2 * big, the largest sum, in the narrowest
+    unsigned type that does when int64 would (``_work_dtype``), and the
+    result is widened back to int64; object and float64 copies stay."""
     a, scale = dist
     top = a.max(keepdims=True).item()
     big = 2 * top + (1 if scale is None else scale)
-    d = a.astype(_dtype(scale, 2 * big))
+    d = a.astype(_work_dtype(scale, 2 * big))
     np.fill_diagonal(d, big)
     m = d[:, 0, None] + d[0]
     for z in range(1, len(d)):
         np.minimum(m, d[:, z, None] + d[z], out=m)
-    return m
+    return m.astype(_dtype(scale, 2 * big), copy=False)
 
 
 def _total(w: np.ndarray) -> int:
@@ -211,22 +233,27 @@ def all_pairs(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, scale: Option
     hold the value that stands for +inf: np.inf in float mode, and in exact
     mode the scaled weight sum plus one, a Python int that exceeds every path
     and never meets a float.  Twice that value must fit the dtype, because
-    the kernel adds two of them."""
+    the kernel adds two of them.
+
+    Exact steps run on a copy in ``_work_dtype`` (the narrowest unsigned
+    type that holds twice the stand-in, when int64 would) that is widened
+    back to int64, and skip every vertex of degree <= 1: such a vertex lies
+    inside no path, so as a midpoint it lowers no entry.  Float mode keeps
+    every step, so that each entry sees the scalar loop's additions."""
     if scale is None:
-        inf = np.inf
-        dtype = np.float64
+        inf, midpoints = np.inf, range(n)
     else:
         inf = _total(w) + 1
-        dtype = _dtype(scale, 2 * inf)
-    d = np.full((n, n), inf, dtype=dtype)
+        midpoints = np.flatnonzero(np.bincount(np.concatenate((u, v)), minlength=n) > 1).tolist()
+    d = np.full((n, n), inf, dtype=_work_dtype(scale, 2 * inf))
     np.fill_diagonal(d, 0)
     d[u, v] = w
     d[v, u] = w
     # Row k equals column k (the graph is undirected) and does not change
     # while k is the midpoint, so one step is one vectorized relaxation.
-    for k in range(n):
+    for k in midpoints:
         np.minimum(d, d[:, k, None] + d[k], out=d)
-    return Scaled(d, scale)
+    return Scaled(d.astype(_dtype(scale, 2 * inf), copy=False), scale)
 
 
 def _floats(x: np.ndarray, scale: Optional[int]) -> np.ndarray:

@@ -143,7 +143,8 @@ def edge_fault(n, edges, require_connected: bool = True) -> Optional[str]:
     a graph on [n] with the ``(u, v, w)`` edges, or None when it holds: edge
     by edge a loop, an end out of range, an end that is not an integer, a
     repeat of an earlier edge and a weight that is not positive; then, when
-    ``require_connected``, the edge count and a walk."""
+    ``require_connected``, the edge count and a walk, and otherwise a label
+    beyond int64, the index range."""
     if n < 1:
         return "vertex count must be >= 1"
     seen: Set[Tuple[int, int]] = set()
@@ -162,6 +163,10 @@ def edge_fault(n, edges, require_connected: bool = True) -> Optional[str]:
             return f"nonpositive weight on edge ({u},{v}): {w}"
         seen.add((u, v))
     if not require_connected:
+        top = 2**63 - 1
+        for u, v, _w in edges:
+            if max(u, v) > top:
+                return f"edge ({u},{v}) has a vertex beyond the index range 1..{top}"
         return None
     if len(seen) < n - 1:
         return f"{len(seen)} edges cannot connect {n} vertices; a connected graph needs at least {n - 1}"

@@ -203,6 +203,42 @@ class TestGraphChecker:
             graph_from_json(graph_document(n, [(u, v, "1") for u, v in pairs]))
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "n, pairs, message",
+        [
+            (
+                2**64,
+                [(1, 2**64)],
+                "edge (1,18446744073709551616) has a vertex beyond the index range 1..9223372036854775807",
+            ),
+            (
+                2**64,
+                [(3, 2), (2**63, 1)],
+                "edge (9223372036854775808,1) has a vertex beyond the index range 1..9223372036854775807",
+            ),
+            (
+                2**63,
+                [(2**63 - 1, 1), (2**63, 2)],
+                "edge (9223372036854775808,2) has a vertex beyond the index range 1..9223372036854775807",
+            ),
+            (2**63, [(2**63 - 1, 1)], None),
+            (10**21, [(1, 2)], None),
+        ],
+    )
+    def test_hostile_sizes_without_the_count(self, n, pairs, message):
+        # no count runs: a label beyond int64 is named where its index would
+        # overflow, and the walk answers by count before it builds n parents
+        edges = [(u, v, 1) for u, v in pairs]
+        assert oracles.edge_fault(n, edges, require_connected=False) == message
+        if message is not None:
+            with pytest.raises(GraphError) as raised:
+                WeightedGraph(n, edges, require_connected=False)
+            assert str(raised.value) == message
+            return
+        g = WeightedGraph(n, edges, require_connected=False)
+        assert g.edges == tuple(sorted((min(u, v), max(u, v), 1) for u, v in pairs))
+        assert g.is_connected() is False
+
     def test_a_long_path_document_meets_the_size_limit(self):
         rows = [(i, i + 1, "1") for i in range(1, 3000)]
         with pytest.raises(ParseError, match="^3000 vertices exceed the limit of 2048$"):

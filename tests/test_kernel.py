@@ -21,9 +21,11 @@ from metric_realize import (
     EXACT,
     Cmp,
     DistanceFamily,
+    GenSpec,
     GraphError,
     WeightedGraph,
     check_triangle,
+    generate,
     is_indecomposable,
     prune,
     support_graph,
@@ -31,7 +33,7 @@ from metric_realize import (
     verify_realization,
 )
 from metric_realize import graph as graph_module
-from metric_realize import kernel, serialize
+from metric_realize import kernel, serialize, support
 from metric_realize.bipartite import bigraph_check
 from metric_realize.polygons import polygon_check
 from metric_realize.serialize import graph_from_json, graph_to_dot, graph_to_json, parse_family_csv
@@ -290,6 +292,26 @@ def test_the_bellman_blocks_stay_small():
     assert peak < 4 * 8 * max(kernel.SPLIT_BLOCK, n * n)
 
 
+def test_the_min_plus_loops_work_in_a_narrow_copy():
+    # an exact n = 300 tree: 2 * big and twice the +inf stand-in fit 16 bits,
+    # so each loop's working arrays take a quarter of an int64 matrix, and
+    # the int64 result they are widened into dominates the peak
+    n = 300
+    g = generate(GenSpec("tree", n, 1))
+    family = two_weights(g)
+    for run, bound in (
+        (lambda: kernel.splits(family.scaled), 2),
+        (lambda: kernel.all_pairs(n, g.u, g.v, g.w, g.scale), 1.5),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 8 * n * n
+
+
 @pytest.mark.parametrize("cmp", CMPS)
 @pytest.mark.parametrize("offset", NEAR_TIES)
 @pytest.mark.parametrize("unit", (1, 1.0))
@@ -409,12 +431,78 @@ def test_two_weights_and_prune_of_one_graph_run_one_floyd_warshall(monkeypatch):
         ((HUGE, 1, 1), "object"),
         ((2**61, 1, 1), "int64"),
         ((2**62, 1, 1), "object"),  # twice the weight sum plus one exceeds int64
+        # twice the +inf stand-in, 2 * (sum + 1), just below and just above
+        # the limits of the narrow working types: 254 and 256 around 255,
+        # 65534 and 65536 around 65535, 2**32 - 2 and 2**32 around 2**32 - 1
+        ((124, 1, 1), "int64"),
+        ((125, 1, 1), "int64"),
+        ((32764, 1, 1), "int64"),
+        ((32765, 1, 1), "int64"),
+        ((2**31 - 4, 1, 1), "int64"),
+        ((2**31 - 3, 1, 1), "int64"),
     ],
 )
 def test_the_dtype_follows_the_data(weights, dtype):
-    g = WeightedGraph(4, [(1, 2, weights[0]), (2, 3, weights[1]), (3, 4, weights[2])])
-    assert kernel.all_pairs(4, g.u, g.v, g.w, g.scale).array.dtype.name == dtype
+    # vertices 5 and 6 are apart from the path and from each other: the
+    # steps add two stand-ins, the largest sum, and a wrapped one would fall
+    # below the weight sum
+    g = WeightedGraph(6, [(1, 2, weights[0]), (2, 3, weights[1]), (3, 4, weights[2])], require_connected=False)
+    assert kernel.all_pairs(6, g.u, g.v, g.w, g.scale).array.dtype.name == dtype
     assert_all_pairs_equal_the_scalar_loop(g)
+
+
+@pytest.mark.parametrize(
+    "top, dtype",
+    [
+        # 2 * big = 4 * top + 2 just below and just above 255, 65535 and
+        # 2**32 - 1, then the int64/object switch
+        (63, "int64"),
+        (64, "int64"),
+        (16383, "int64"),
+        (16384, "int64"),
+        (2**30 - 1, "int64"),
+        (2**30, "int64"),
+        (2**61 - 1, "int64"),
+        (2**61, "object"),
+    ],
+)
+def test_the_split_dtype_follows_the_data(top, dtype):
+    path = two_weights(WeightedGraph(4, [(1, 2, top - 2), (2, 3, 1), (3, 4, 1)]))
+    violated = DistanceFamily(3, {(1, 2): 1, (2, 3): 1, (1, 3): top})
+    for family in (path, violated):
+        m = kernel.splits(family.scaled)
+        assert m.dtype.name == dtype
+        # the scalar split of every pair, the diagonal raised to big
+        n, big = family.n, 2 * top + 1
+        rows = [[family.d(i, j) if i != j else big for j in range(1, n + 1)] for i in range(1, n + 1)]
+        assert m.tolist() == [[min(map(int.__add__, ri, rj)) for rj in rows] for ri in rows]
+        graph, violation, realization = oracles.support_scan(family)
+        s = support.analyse(family)
+        assert (s.graph, s.violation, s.realization) == (graph, violation, realization)
+
+
+# Graphs whose leaves are no midpoints: every vertex but the centre of a
+# star, the two ends of a path, and pendant and isolated vertices beside a
+# triangle (vertices 5 and 6 hang off it, 4, 7 and 8 are apart).
+LEAFY = {
+    "star": (6, [(1, j) for j in range(2, 7)]),
+    "path": (6, [(j, j + 1) for j in range(1, 6)]),
+    "pendants": (8, [(1, 2), (2, 3), (1, 3), (3, 5), (1, 6)]),
+}
+
+
+@pytest.mark.parametrize("unit", (3, Fraction(5, 2), 2.5))
+@pytest.mark.parametrize("name", sorted(LEAFY))
+def test_leaves_as_midpoints_change_nothing(name, unit):
+    n, pairs = LEAFY[name]
+    g = WeightedGraph(n, [(u, v, unit * (1 + i % 3)) for i, (u, v) in enumerate(pairs)], require_connected=False)
+    # the stand-in for +inf still exceeds the weight sum
+    assert_all_pairs_equal_the_scalar_loop(g)
+    if g.is_connected():
+        want = oracles.shortest_path_matrix(g)
+        for cmp in CMPS:
+            family = two_weights(g, cmp)
+            assert all(family.d(i + 1, j + 1) == want[i][j] for i in range(n) for j in range(n))
 
 
 @pytest.mark.parametrize("value, dtype", [(2**61, "int64"), (2**62, "object")])

@@ -8,7 +8,9 @@ largest value the kernel can form fits, and otherwise as Python ints in a
 ``dtype=object`` array.  As soon as one number is a float, every number is
 stored as float64 and ``scale`` is None.  The dtype thus follows from the
 data; there is no option.  Python numbers are scaled by ``scale_numbers``;
-documents are read already scaled (``row_matrix``, ``scaled_array``).
+documents are read already scaled: a matrix document in blocks of whole
+rows, merged at the LCM of their scales (``row_matrix``), and the weights of
+a graph document as one list (``scaled_array``).
 
 A graph enters the kernel as its columns (``WeightedGraph``): 0-based
 vertex indices u and v, and the weights w scaled by the graph's scale.
@@ -183,17 +185,28 @@ def pair_matrix(n: int, values: Mapping[Tuple[int, int], Number]) -> Scaled:
     return Scaled(array, scale)
 
 
-def row_matrix(rows: Sequence[Tuple[list, Optional[int]]]) -> Scaled:
-    """The matrix of ``rows``, n pairs (values, scale) of n scaled values of
-    any sign, at the LCM of the scales (None for float rows), in a dtype
-    that holds the sum or the difference of any two entries."""
-    scales = [s for _values, s in rows]
-    if None in scales:
-        return Scaled(np.array([values for values, _s in rows], dtype=np.float64), None)
-    scale = math.lcm(*scales)
-    lists = [values if s == scale else [x * (scale // s) for x in values] for values, s in rows]
-    bound = max(max(max(values), -min(values)) for values in lists)
-    return Scaled(np.array(lists, dtype=_dtype(scale, 2 * bound)), scale)
+def row_matrix(blocks: Iterable[Tuple[list, Optional[int]]], width: int) -> Scaled:
+    """The matrix of ``width`` columns whose rows are read off ``blocks``,
+    pairs (values, scale) of whole rows of scaled values of any sign, row
+    after row, at the LCM of the scales (None for float blocks), in a dtype
+    that holds the sum or the difference of any two entries.  Each block
+    becomes an array before the next is drawn, so at most one block is held
+    as Python numbers."""
+    arrays, scales, bounds = [], [], []
+    for values, scale in blocks:
+        bound = 0 if scale is None else max(max(values), -min(values))
+        arrays.append(np.array(values, dtype=_dtype(scale, bound)))
+        scales.append(scale)
+        bounds.append(bound)
+    scale = None if None in scales else math.lcm(*scales)
+    if scale is not None:
+        dtype = _dtype(scale, 2 * max(b * (scale // s) for s, b in zip(scales, bounds)))
+        for k, (s, b) in enumerate(zip(scales, bounds)):
+            arrays[k] = arrays[k].astype(dtype, copy=False)
+            if s != scale and b:  # zeros stay zeros, even where int64 cannot hold scale // s
+                arrays[k] *= scale // s
+    whole = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    return Scaled(whole.reshape(-1, width), scale)
 
 
 @python_floats

@@ -9,6 +9,13 @@ Number text meets the kernel's scaled arrays in one reader,
 ``parse_number``), and one writer, ``_write_numbers`` (the point placed in
 the scaled integer, or ``format_number``); those two are the reference.
 
+A matrix document is read in blocks of whole rows, at most ``BLOCK_CELLS``
+cells and one ``_read_numbers`` call each, after the rows are counted and
+each row's cells counted by its commas; a document errs as a cell-by-cell
+reader would, with the first fault in row order.  A valid matrix is checked
+in a fixed number of array steps, and only a failing one is searched for
+the cell to name.
+
 The graph document and the classify report are written here directly, with
 the layout of ``json.dumps(doc, indent=2)``: two-space indent, ASCII escapes,
 a fixed key order.  Written this way, a report costs a fraction of what the
@@ -42,6 +49,11 @@ MAX_N = 2048
 # within the smallest limit Python may put on int() (640 digits) and their
 # values within the float range, so no error can differ from parse_number's.
 PLAIN_TOKEN_MAX = 300
+
+# Cells per ``_read_numbers`` call when a matrix document is read: whole
+# rows, so one block for n <= 64, two rows a block at MAX_N.  A block is
+# held as Python strings and numbers only until it becomes an array.
+BLOCK_CELLS = 4096
 
 
 class ParseError(ValueError):
@@ -141,40 +153,74 @@ def _write_numbers(entries: np.ndarray, scale: Optional[int]) -> List[str]:
 
 def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
     """Parse an n x n matrix document: n comma-separated lines, zero diagonal,
-    symmetric positive off-diagonals.  Errors name the offending cell, the
-    first in row order with the diagonal cell ahead of its row.  The checks
-    run on the parsed matrix, which becomes the family's array
-    (``DistanceFamily.scaled``)."""
+    symmetric positive off-diagonals.
+
+    The rows are counted and ``MAX_N`` checked before any cell is read, and
+    each row's cells are counted by its commas.  The cells of the rows ahead
+    of the first row of the wrong length are then read in blocks of whole
+    rows, at most ``BLOCK_CELLS`` cells each, one ``_read_numbers`` call per
+    block, and merged into the family's array (``DistanceFamily.scaled``)
+    by ``kernel.row_matrix``.  So the errors and their order are those of a
+    cell-by-cell reader: a malformed cell, then the row of the wrong
+    length, then the first bad pair in row order, the diagonal cell ahead
+    of its row.  A valid matrix is checked in a fixed number of array steps;
+    only a failing one is searched for the cell to name."""
     rows = [line for line in (l.strip() for l in text.splitlines()) if line]
     n = len(rows)
     if n < 2:
         raise ParseError(f"matrix needs at least 2 rows, got {n}")
     _check_size(n)
-    matrix = []
-    for i, row in enumerate(rows, start=1):
-        cells = row.split(",")
-        if len(cells) != n:
-            raise ParseError(f"row {i} has {len(cells)} cells, expected {n}")
-        matrix.append(_read_numbers(cells, cmp))
-    a, scale = kernel.row_matrix(matrix)
+    commas = [row.count(",") for row in rows]
+    # the rows ahead of the first row of the wrong length
+    whole = next((i for i, c in enumerate(commas) if c != n - 1), n)
+    step = max(1, BLOCK_CELLS // n)
+    blocks = (
+        _read_numbers(",".join(rows[r : min(r + step, whole)]).split(","), cmp)
+        for r in range(0, whole, step)
+    )
+    if whole < n:
+        for _block in blocks:  # a malformed cell ahead of the row is named first
+            pass
+        raise ParseError(f"row {whole + 1} has {commas[whole] + 1} cells, expected {n}")
+    a, scale = kernel.row_matrix(blocks, n)
+    if not _is_family(a, scale, cmp):
+        raise ParseError(_first_fault(a, scale, cmp))
+    if not cmp.exact:
+        # The family is the upper triangle mirrored, with a zero diagonal (a
+        # tolerance admits near-zeros and near-mirrors).
+        lower = np.tril_indices(n, -1)
+        a[lower] = a.T[lower]
+        np.fill_diagonal(a, 0)
+    return DistanceFamily._of_array(kernel.Scaled(a, scale), cmp)
+
+
+def _is_family(a: np.ndarray, scale: Optional[int], cmp: Cmp) -> bool:
+    """Whether the read matrix is a family's: a zero diagonal, symmetric,
+    and positive above the diagonal, each in one array step."""
+    n = len(a)
+    if cmp.exact:
+        # symmetric with a zero diagonal, so positive off it on both sides
+        return not a.diagonal().any() and (a == a.T).all() and np.count_nonzero(a > 0) == n * (n - 1)
+    return (
+        kernel.eq(np.diagonal(a), 0, scale, cmp).all()
+        and kernel.eq(a, a.T, scale, cmp).all()
+        and (np.tri(n, dtype=bool) | (a > 0)).all()
+    )
+
+
+def _first_fault(a: np.ndarray, scale: Optional[int], cmp: Cmp) -> str:
+    """What is wrong with a matrix that ``_is_family`` refuses: the first bad
+    cell in row order, the diagonal cell ahead of its row."""
     diagonal_off = ~kernel.eq(np.diagonal(a), 0, scale, cmp)
     asymmetric = np.triu(~kernel.eq(a, a.T, scale, cmp), 1)
     nonpositive = np.triu(~(a > 0), 1)
     bad = asymmetric | nonpositive
-    bad_rows = diagonal_off | bad.any(axis=1)
-    if bad_rows.any():
-        i = int(np.argmax(bad_rows))
-        if diagonal_off[i]:
-            raise ParseError(f"nonzero diagonal at ({i + 1},{i + 1})")
-        j = int(np.argmax(bad[i]))
-        problem = "asymmetric" if asymmetric[i, j] else "nonpositive 2-weight"
-        raise ParseError(f"{problem} at ({i + 1},{j + 1})")
-    # The family is the upper triangle mirrored, with a zero diagonal (a
-    # tolerance admits near-zeros and near-mirrors).
-    lower = np.tril_indices(n, -1)
-    a[lower] = a.T[lower]
-    np.fill_diagonal(a, 0)
-    return DistanceFamily._of_array(kernel.Scaled(a, scale), cmp)
+    i = int(np.argmax(diagonal_off | bad.any(axis=1)))
+    if diagonal_off[i]:
+        return f"nonzero diagonal at ({i + 1},{i + 1})"
+    j = int(np.argmax(bad[i]))
+    problem = "asymmetric" if asymmetric[i, j] else "nonpositive 2-weight"
+    return f"{problem} at ({i + 1},{j + 1})"
 
 
 def family_to_csv(family: DistanceFamily) -> str:

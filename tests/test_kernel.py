@@ -84,7 +84,7 @@ def test_eq_and_lt_apply_the_scalar_rule_entry_by_entry(kind, cmp, data):
         offset = data.draw(st.sampled_from(NEAR_TIES))
         tie = x * (1 + float(offset)) if isinstance(x, float) else x * (1 + offset)
         b.append(data.draw(st.sampled_from((tie, x)) | value))
-    (sa, sb), scale = kernel.row_matrix([kernel.scale_numbers(a), kernel.scale_numbers(b)])
+    (sa, sb), scale = kernel.row_matrix([kernel.scale_numbers(a), kernel.scale_numbers(b)], len(a))
     if kind == "huge" and not cmp.exact:
         for rule in (kernel.eq, kernel.lt):
             with pytest.raises(OverflowError):
@@ -310,6 +310,23 @@ def test_the_min_plus_loops_work_in_a_narrow_copy():
         finally:
             tracemalloc.stop()
         assert peak < bound * 8 * n * n
+
+
+@pytest.mark.parametrize("weights, bound", (("int", 6), ("decimal", 9)))
+def test_the_matrix_document_is_read_in_blocks(weights, bound):
+    # the exact n = 300 tree document: its cells are held as Python strings
+    # and numbers one block at a time, so the peak stays a few int64
+    # matrices (reading the whole document as one block takes 10 of them
+    # on int cells and 31 on decimal ones)
+    n = 300
+    text = serialize.family_to_csv(two_weights(generate(GenSpec("tree", n, 1, weights))))
+    tracemalloc.start()
+    try:
+        parse_family_csv(text)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 8 * n * n
 
 
 @pytest.mark.parametrize("cmp", CMPS)

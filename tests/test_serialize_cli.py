@@ -568,7 +568,7 @@ class TestHostileInput:
         assert "must be an integer" in err
 
     def test_vertex_limit_is_checked_before_any_matrix(self, tmp_path, capsys, monkeypatch):
-        from metric_realize import kernel
+        from metric_realize import kernel, serialize
         from metric_realize.serialize import MAX_N
 
         def no_matrix(*args):
@@ -589,6 +589,10 @@ class TestHostileInput:
             assert capsys.readouterr().err == limit
         assert graph_from_json(path(MAX_N)).n == MAX_N
         # the rows are counted before any cell is read
+        def no_cell(*args):
+            raise AssertionError("a cell was read")
+
+        monkeypatch.setattr(serialize, "_read_numbers", no_cell)
         matrix = tmp_path / "big.csv"
         matrix.write_text("0\n" * (MAX_N + 1))
         assert run(["classify", str(matrix)]) == 2

@@ -1,7 +1,8 @@
 """The support graph S and the triangle check from the kernel's min-plus
 product (``support.analyse``) against the scalar split scan in ``oracles``,
 and the layers around it on the classify path: the number reader against
-``parse_number``, the cyclomatic planarity shortcut against the exhaustive
+``parse_number``, the matrix reader's blocks of rows against the
+cell-by-cell parser, the cyclomatic planarity shortcut against the exhaustive
 Kuratowski search, the errors of a tolerance on values beyond the float
 range, and the parser built once per process."""
 
@@ -32,7 +33,7 @@ from metric_realize import (
     two_weights,
     verify_realization,
 )
-from metric_realize import kernel
+from metric_realize import kernel, serialize
 from metric_realize.cli import build_parser, run
 from metric_realize.serialize import PLAIN_TOKEN_MAX, ParseError, _read_numbers, parse_family_csv, parse_number
 
@@ -243,6 +244,13 @@ def matrix_documents(draw):
         token = draw(CELLS)
         for a, b in zip(where[::2], where[1::2]):
             cells[a][b] = token
+    if draw(st.integers(0, 2)) == 0:
+        # a row of the wrong length, ahead of a malformed cell or behind it
+        row = cells[draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            del row[draw(st.integers(0, n - 1))]
+        else:
+            row.insert(draw(st.integers(0, n)), draw(CELLS))
     return "\n".join(",".join(row) for row in cells) + "\n"
 
 
@@ -257,6 +265,9 @@ def parsed(parse, text, cmp):
 @settings(SETTINGS, max_examples=400)
 @given(matrix_documents(), st.sampled_from((EXACT, Cmp(1e-9))))
 @example("0,1.5,7/3\n1.5,0,2.50\n7/3,2.50,0\n", EXACT)
+@example("0,x,1\n1,0,1\n1,1\n", EXACT)
+@example("0,1,1\n1,0\nx,1,0\n", EXACT)
+@example("0,1,1\n1,0,1,1\n1,1,-1\n", Cmp(1e-9))
 def test_matrix_documents_read_as_the_cell_by_cell_parser(text, cmp):
     assert parsed(parse_family_csv, text, cmp) == parsed(oracles.parse_family_csv, text, cmp)
     if not isinstance(parsed(parse_family_csv, text, cmp), tuple):
@@ -268,6 +279,69 @@ def test_matrix_documents_read_as_the_cell_by_cell_parser(text, cmp):
         assert family.scaled.scale == built.scale
         assert family.scaled.array.dtype == built.array.dtype
         assert np.array_equal(family.scaled.array, built.array)
+
+
+def block_document(n, special=None):
+    """A valid n x n matrix document, d_ij = 1 + |i - j|, with ``special``,
+    a map from 1-based pairs to cell text, written at both of each pair's
+    cells."""
+    cells = [[str(abs(i - j) + (i != j)) for j in range(n)] for i in range(n)]
+    for (i, j), token in (special or {}).items():
+        cells[i - 1][j - 1] = cells[j - 1][i - 1] = token
+    return "".join(",".join(row) + "\n" for row in cells)
+
+
+# n = 100 is 40 rows a block: rows 1-40, 41-80 and 81-100.  Each special
+# value sits alone in the first or the last block, with its mirror cell: a
+# ratio, a decimal whose scale the other blocks lack, and a value whose
+# double leaves int64.
+@pytest.mark.parametrize("cmp", (EXACT, Cmp(1e-9)), ids=("exact", "tol"))
+@pytest.mark.parametrize("pair", ((1, 2), (99, 100)), ids=("first", "last"))
+@pytest.mark.parametrize("token", ("7/3", "0.125", str(kernel.INT64_MAX // 2 + 1)))
+def test_blocks_merge_at_the_lcm_in_the_dtype_of_the_family(monkeypatch, token, pair, cmp):
+    n = 100
+    calls = []
+
+    def read(tokens, cmp):
+        calls.append(len(tokens))
+        return _read_numbers(tokens, cmp)
+
+    monkeypatch.setattr(serialize, "_read_numbers", read)
+    family = parse_family_csv(block_document(n, {pair: token}), cmp)
+    assert calls == [4000, 4000, 2000] and serialize.BLOCK_CELLS == 4096
+    assert family.values[pair] == parse_number(token, cmp)
+    built = DistanceFamily(n, family.values, cmp).scaled
+    assert family.scaled.scale == built.scale
+    assert family.scaled.array.dtype == built.array.dtype
+    assert np.array_equal(family.scaled.array, built.array)
+    if cmp.exact:
+        assert family.scaled.scale == {"7/3": 3, "0.125": 8}.get(token, 1)
+        assert family.scaled.array.dtype == (object if token.isdigit() else np.int64)
+
+
+# (malformed row, short row) across the blocks of n = 100: the first error
+# in row order is named, a malformed cell ahead of the short row's count
+@pytest.mark.parametrize("bad, short", ((45, 90), (90, 45), (85, 90), (90, 90), (3, 2)))
+def test_errors_across_blocks_come_in_the_order_of_the_cell_by_cell_parser(bad, short):
+    rows = [line.split(",") for line in block_document(100).splitlines()]
+    rows[bad - 1][bad % 100] = "x"
+    del rows[short - 1][-1]
+    text = "".join(",".join(row) + "\n" for row in rows)
+    assert parsed(parse_family_csv, text, EXACT) == parsed(oracles.parse_family_csv, text, EXACT)
+    first = min(bad, short)
+    assert parsed(parse_family_csv, text, EXACT)[1] == (
+        f"row {short} has 99 cells, expected 100" if short == first else "malformed number 'x'"
+    )
+
+
+def test_a_block_of_zeros_is_not_rescaled():
+    # rows 1-80 are zeros and rows 81-100 hold 1e-30 off the diagonal: the
+    # array is int64 at the scale 10^30, which int64 cannot hold as a factor
+    n = 100
+    tiny = "0." + "0" * 29 + "1"
+    text = "".join(",".join("0" if i < 80 or i == j else tiny for j in range(n)) + "\n" for i in range(n))
+    fault = ("error", "nonpositive 2-weight at (1,2)")
+    assert parsed(parse_family_csv, text, EXACT) == parsed(oracles.parse_family_csv, text, EXACT) == fault
 
 
 # ---------------------------------------------------------------------------

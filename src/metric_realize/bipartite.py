@@ -52,12 +52,17 @@ class Bipartition:
 
 
 def _min_pair(family: DistanceFamily) -> Tuple[int, int]:
-    """Pair (i, j), i < j, with minimal D; lexicographic tie-break (the
-    first minimum of the upper triangle in row-major order)."""
-    upper = ~np.tri(family.n, dtype=bool)
-    k = int(np.argmin(family.scaled.array[upper]))
-    i, j = np.nonzero(upper)
-    return int(i[k]) + 1, int(j[k]) + 1
+    """Pair (i, j), i < j, with minimal D, ties broken lexicographically:
+    the first off-diagonal minimum in row-major order, which lies above the
+    diagonal because the array is symmetric.  The off-diagonal entries are
+    read as a view: past its first entry, the flat array is n - 1 runs of
+    n + 1 entries, each ending on a diagonal entry, so the k-th off-diagonal
+    entry is flat entry k + k // n + 1."""
+    n = family.n
+    off = family.scaled.array.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]
+    k = int(np.argmin(off))
+    i, j = divmod(k + k // n + 1, n)
+    return i + 1, j + 1
 
 
 @kernel.python_floats
@@ -121,10 +126,16 @@ def _two_coloured(family: DistanceFamily) -> Realization:
 def _same_side(family: DistanceFamily) -> np.ndarray:
     """Per edge of S, whether the ``bipartition`` walk put both ends on one
     side (X, or not X)."""
-    x = np.zeros(family.n, dtype=bool)
-    x[[a - 1 for a in family.sides.x_side]] = True
+    x = _in_x(family)
     s = family.support.graph
     return x[s.u] == x[s.v]
+
+
+def _in_x(family: DistanceFamily) -> np.ndarray:
+    """Per vertex index, whether the ``bipartition`` walk put it in X."""
+    x = np.zeros(family.n, dtype=bool)
+    x[[a - 1 for a in family.sides.x_side]] = True
+    return x
 
 
 def _complete_bipartite(family: DistanceFamily, bp: Bipartition) -> bool:
@@ -146,12 +157,13 @@ def bigraph_check(family: DistanceFamily) -> Realization:
         # when S is K_{X,Y}, keep its verified realization, as the pruned
         # class does, so that within a tolerance the two verdicts agree
         return result
-    bp = result.witness
-    xs, ys = (np.array(sorted(side), dtype=np.intp) - 1 for side in (bp.x_side, bp.y_side))
-    x, y = np.repeat(xs, len(ys)), np.tile(ys, len(xs))
-    u, v = np.minimum(x, y), np.maximum(x, y)
-    order = np.lexsort((v, u))
-    u, v = u[order], v[order]
+    # K_{X,Y}: the pairs u < v on different sides, sorted as they come in
+    # row-major order (every vertex is in X or Y once ``_two_coloured``
+    # accepts, so "not in X" is Y)
+    x = _in_x(family)
+    u, v = np.nonzero(x[:, None] != x)
+    upper = u < v
+    u, v = u[upper], v[upper]
     d, scale = family.scaled
     # both sides are non-empty, so K_{X,Y} is connected
     graph = WeightedGraph._of_arrays(family.n, u, v, d[u, v], scale, connected=True)
@@ -161,7 +173,7 @@ def bigraph_check(family: DistanceFamily) -> Realization:
         return Realization.rejected(
             "bipartite conditions hold but the reconstruction failed verification"
         )
-    return Realization(True, graph=graph, witness=bp)
+    return Realization(True, graph=graph, witness=result.witness)
 
 
 def cobigraph_check(family: DistanceFamily) -> Realization:

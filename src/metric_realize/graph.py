@@ -122,11 +122,17 @@ class WeightedGraph:
         return frozenset(zip((self.u + 1).tolist(), (self.v + 1).tolist()))
 
     def adjacency(self) -> Dict[int, Dict[int, Number]]:
-        """Neighbour -> weight per vertex, built from ``edges`` on first use
-        and kept; callers must not change it."""
+        """Neighbour -> weight per vertex, built on first use and kept;
+        callers must not change it.  It reads the columns, or the weights of
+        ``edges`` when the constructor kept them as given, and builds no
+        ``edges`` tuples of its own."""
         if self._adj is None:
             adj: Dict[int, Dict[int, Number]] = {v: {} for v in range(1, self.n + 1)}
-            for u, v, w in self.edges:
+            if self._edges is None:
+                ws = kernel.numbers(self.w, self.scale)
+            else:
+                ws = [w for _u, _v, w in self._edges]
+            for u, v, w in zip((self.u + 1).tolist(), (self.v + 1).tolist(), ws):
                 adj[u][v] = w
                 adj[v][u] = w
             self._adj = adj

@@ -152,9 +152,11 @@ def _work_dtype(scale: Optional[int], bound: int):
 
 
 def scaled_array(values: list, scale: Optional[int]) -> np.ndarray:
-    """The 1-d array of ``values`` already scaled by ``scale``: float64 when
-    ``scale`` is None, int64 when the largest fits, Python ints otherwise."""
-    return np.array(values, dtype=_dtype(scale, max(values, default=0)))
+    """The 1-d array of ``values`` already scaled by ``scale``, of any sign:
+    float64 when ``scale`` is None, int64 when the largest magnitude fits,
+    Python ints otherwise."""
+    bound = 0 if scale is None else max(max(values, default=0), -min(values, default=0))
+    return np.array(values, dtype=_dtype(scale, bound))
 
 
 def at_scale(a: np.ndarray, own: Optional[int], scale: Optional[int]) -> np.ndarray:

@@ -19,7 +19,10 @@ the cell to name.
 The graph document and the classify report are written here directly, with
 the layout of ``json.dumps(doc, indent=2)``: two-space indent, ASCII escapes,
 a fixed key order.  Written this way, a report costs a fraction of what the
-indenting encoder, which runs in pure Python, spends on it.
+indenting encoder, which runs in pure Python, spends on it.  Each edge list,
+in a graph document, a report or DOT, is written by one ``%`` over one flat
+list of cells read from the graph's columns (``_edge_block``), not by one
+format per edge.
 """
 
 from __future__ import annotations
@@ -248,21 +251,29 @@ def _block(open_: str, close: str, lines: List[str], pad: str) -> str:
     return open_ + "\n" + ",\n".join(lines) + "\n" + pad + close
 
 
-def _edge_rows(graph: WeightedGraph):
-    """The graph's edges read from its columns, as (u, v, weight text) rows."""
-    labels = (graph.u + 1).tolist(), (graph.v + 1).tolist()
-    return zip(*labels, _write_numbers(graph.w, graph.scale))
+def _edge_block(graph: WeightedGraph, edge: str, sep: str) -> str:
+    """The graph's edges, each written by the format ``edge`` (u, v and the
+    weight text, in that order) and joined by ``sep``: one ``%`` over the
+    cells of every edge, read from the columns as one flat list."""
+    m = len(graph.u)
+    cells = [None] * (3 * m)
+    cells[0::3] = (graph.u + 1).tolist()
+    cells[1::3] = (graph.v + 1).tolist()
+    cells[2::3] = _write_numbers(graph.w, graph.scale)
+    return sep.join([edge] * m) % tuple(cells)
 
 
 def _graph_text(graph: WeightedGraph, pad: str) -> str:
     """The graph document as indent-2 JSON whose opening brace sits on a line
-    indented by ``pad``.  ``_write_numbers`` writes digits, signs, ".", "/"
-    and the letters of float reprs, which JSON strings hold unescaped."""
+    indented by ``pad``, its edge list written by ``_edge_block``.
+    ``_write_numbers`` writes digits, signs, ".", "/" and the letters of
+    float reprs, which JSON strings hold unescaped."""
     inner = pad + "  "
     item = inner + "  "
     key = item + "  "
     edge = f'{item}{{\n{key}"u": %d,\n{key}"v": %d,\n{key}"w": "%s"\n{item}}}'
-    edges = _block("[", "]", [edge % row for row in _edge_rows(graph)], inner)
+    lines = [_edge_block(graph, edge, ",\n")] if len(graph.u) else []
+    edges = _block("[", "]", lines, inner)
     return _block("{", "}", [f'{inner}"n": {graph.n:d}', f'{inner}"edges": {edges}'], pad)
 
 
@@ -374,5 +385,6 @@ def _json_int(value, key: str) -> int:
 
 def graph_to_dot(graph: WeightedGraph) -> str:
     lines = ["graph realization {", *(f"  {v};" for v in range(1, graph.n + 1))]
-    lines += ['  %d -- %d [label="%s"];' % row for row in _edge_rows(graph)]
+    if len(graph.u):
+        lines.append(_edge_block(graph, '  %d -- %d [label="%s"];', "\n"))
     return "\n".join(lines) + "\n}\n"

@@ -79,30 +79,39 @@ def analyse(family: DistanceFamily) -> Support:
     rows of the array.  S is verified once, when D is a metric: by the
     Bellman equations in exact mode, by Floyd-Warshall under a tolerance.
 
+    Pairs are read off the n x n comparisons in row-major order, with no
+    table of pair indices.  D and M are symmetric, so both comparisons are
+    too: the entries above the diagonal, in row-major order, are the pairs
+    i < j in lexicographic order, and the first true entry of either lies
+    above the diagonal.
+
     Under a tolerance an infinite float split has an infinite slack, so no
     comparison with it can hold; such a family raises FamilyError.
     """
     n, cmp = family.n, family.cmp
     a, scale = family.scaled
     m = kernel.splits(family.scaled)
-    # the pairs i < j in lexicographic order
-    rows, cols = np.triu_indices(n, 1)
-    dij, mij = a[rows, cols], m[rows, cols]
-    if not cmp.exact and scale is None and not np.isfinite(mij).all():
+    # the diagonal takes D_ii = 0, which neither comparison puts below the
+    # other, and which no float-range check or conversion trips over
+    np.fill_diagonal(m, 0)
+    if not cmp.exact and scale is None and not np.isfinite(m).all():
         raise FamilyError("a sum of two values beyond the float range cannot be compared under a tolerance")
     try:
-        below = kernel.lt(dij, mij, scale, cmp)
-        above = kernel.lt(mij, dij, scale, cmp)
+        below = kernel.lt(a, m, scale, cmp)
+        above = kernel.lt(m, a, scale, cmp)
         violation = None
         if above.any():
-            first = int(np.argmax(above))
-            i, j = int(rows[first]), int(cols[first])
+            i, j = divmod(int(np.argmax(above)), n)
             # z = i and z = j give D_ij itself, which is never below it
             z = int(np.argmax(kernel.lt(a[i] + a[j], a[i, j], scale, cmp)))
             violation = (i + 1, j + 1, z + 1)
     except OverflowError:
         raise FamilyError(kernel.OUT_OF_FLOAT_RANGE) from None
-    graph = WeightedGraph._of_arrays(n, rows[below], cols[below], dij[below], scale)
+    del m, above  # S's verification below needs room of its own at large n
+    rows, cols = np.nonzero(below)
+    upper = rows < cols
+    rows, cols = rows[upper], cols[upper]
+    graph = WeightedGraph._of_arrays(n, rows, cols, a[rows, cols], scale)
     adj = graph.adjacency()
     realization = None
     if violation is None:

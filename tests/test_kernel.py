@@ -312,6 +312,23 @@ def test_the_min_plus_loops_work_in_a_narrow_copy():
         assert peak < bound * 8 * n * n
 
 
+def test_the_support_graph_builds_no_table_of_pairs():
+    # exact S of an n = 600 tree: no n(n - 1)/2 tables of pairs or values
+    # are built, and the split matrix is gone before S is verified, so the
+    # Bellman check's blocks set the peak (2 int64 matrices; such tables,
+    # or the split matrix held through the check, add one or more).  At
+    # n = 300 the check's block alone is 3.2 int64 matrices.
+    n = 600
+    family = two_weights(generate(GenSpec("tree", n, 1)))
+    tracemalloc.start()
+    try:
+        support.analyse(family)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * n * n
+
+
 @pytest.mark.parametrize("weights, bound", (("int", 6), ("decimal", 9)))
 def test_the_matrix_document_is_read_in_blocks(weights, bound):
     # the exact n = 300 tree document: its cells are held as Python strings

@@ -550,6 +550,25 @@ class TestHostileInput:
         assert run(["weights", str(graph)]) == 2
         assert capsys.readouterr().err.startswith("error: malformed graph document")
 
+    @pytest.mark.parametrize("command", ["prune", "weights"])
+    @pytest.mark.parametrize(
+        "edges, weight",
+        [
+            ([{"u": 1, "v": 2, "w": "-100000000000000000000000"}], "-100000000000000000000000"),
+            ([{"u": 1, "v": 2, "w": -10**23}], "-100000000000000000000000"),
+            ([{"u": 1, "v": 2, "w": "1"}, {"u": 2, "v": 3, "w": str(-(2**63) - 1)}], str(-(2**63) - 1)),
+        ],
+        ids=["string", "json-integer", "beside-a-valid-edge"],
+    )
+    def test_a_weight_below_int64_is_a_nonpositive_weight(self, capsys, monkeypatch, command, edges, weight):
+        import io
+
+        doc = json.dumps({"n": len(edges) + 1, "edges": edges})
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert run([command, "-"]) == 2
+        u, v = edges[-1]["u"], edges[-1]["v"]
+        assert capsys.readouterr() == ("", f"error: nonpositive weight on edge ({u},{v}): {weight}\n")
+
     @pytest.mark.parametrize(
         "doc",
         [

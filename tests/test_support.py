@@ -34,6 +34,7 @@ from metric_realize import (
     verify_realization,
 )
 from metric_realize import kernel, serialize
+from metric_realize.bipartite import _min_pair
 from metric_realize.cli import build_parser, run
 from metric_realize.serialize import PLAIN_TOKEN_MAX, ParseError, _read_numbers, parse_family_csv, parse_number
 
@@ -70,6 +71,9 @@ def families(draw):
     n = draw(st.integers(2, 8))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     if draw(st.booleans()):
+        if draw(st.integers(0, 3)) == 0:  # every pair ties with every other
+            x = draw(value)
+            return kind, DistanceFamily(n, {p: x for p in pairs})
         return kind, DistanceFamily(n, {p: draw(value) for p in pairs})
     edges = {(draw(st.integers(1, v - 1)), v): draw(value) for v in range(2, n + 1)}
     for _ in range(draw(st.integers(0, n))):
@@ -85,6 +89,8 @@ def families(draw):
 def assert_matches_the_scan(family):
     support = family.support
     graph, violation, realization = oracles.support_scan(family)
+    # S's edges in the scan's order, the pairs i < j in lexicographic order
+    assert [(u, v) for u, v, _w in support.graph.edges] == sorted(graph.edge_pairs())
     assert support.graph == graph
     assert support.violation == violation
     assert support.realization == realization
@@ -94,13 +100,84 @@ def assert_matches_the_scan(family):
     assert violation is None or all(type(x) is int for x in support.violation)
 
 
+# Several violations, where the first pair in lexicographic order, (1, 4),
+# comes after (2, 3) in column-major order and after its mirror (3, 2) in
+# the row-major order of the lower triangle.
+SEVERAL_VIOLATIONS = {(1, 2): 1, (1, 3): 1, (1, 4): 5, (2, 3): 5, (2, 4): 1, (3, 4): 1}
+
+
+def scaled_by(values, unit):
+    return {p: v * unit for p, v in values.items()}
+
+
 @SETTINGS
 @given(families(), st.sampled_from((EXACT, Cmp(1e-9))))
+@example(("int", DistanceFamily(5, {p: 3 for p in itertools.combinations(range(1, 6), 2)})), EXACT)
+@example(("decimal", DistanceFamily(4, {p: Fraction(7, 10) for p in itertools.combinations(range(1, 5), 2)})), Cmp(1e-9))
+@example(("int", DistanceFamily(4, SEVERAL_VIOLATIONS)), EXACT)
+@example(("int", DistanceFamily(4, SEVERAL_VIOLATIONS)), Cmp(1e-9))
+@example(("decimal", DistanceFamily(4, scaled_by(SEVERAL_VIOLATIONS, Fraction(1, 10)))), EXACT)
+@example(("huge", DistanceFamily(4, scaled_by(SEVERAL_VIOLATIONS, HUGE))), EXACT)
 def test_analyse_equals_the_scalar_split_scan(drawn, cmp):
     kind, family = drawn
     if kind == "huge" and not cmp.exact:
         return  # a tolerance cannot compare them: see the range tests below
     assert_matches_the_scan(with_cmp(family, cmp))
+
+
+@SETTINGS
+@given(families(), st.sampled_from((EXACT, Cmp(1e-9))))
+@example(("int", DistanceFamily(2, {(1, 2): 4})), EXACT)
+@example(("int", DistanceFamily(6, {p: 2 for p in itertools.combinations(range(1, 7), 2)})), EXACT)
+@example(("huge", DistanceFamily(4, {p: HUGE for p in itertools.combinations(range(1, 5), 2)})), EXACT)
+def test_the_minimal_pair_is_the_first_in_lexicographic_order(drawn, cmp):
+    # off the diagonal only, also when every pair ties, and on object arrays
+    _kind, family = drawn
+    family = with_cmp(family, cmp)
+    assert _min_pair(family) == min(family.pairs(), key=lambda p: family.d(*p))
+
+
+@SETTINGS
+@given(families(), st.sampled_from((EXACT, Cmp(1e-9))))
+def test_the_bipartite_realization_joins_the_sorted_cross_pairs(drawn, cmp):
+    kind, family = drawn
+    if kind == "huge" and not cmp.exact:
+        return
+    result = bigraph_check(with_cmp(family, cmp))
+    if result.accepted:
+        bp = result.witness
+        cross = sorted((min(a, b), max(a, b)) for a in bp.x_side for b in bp.y_side)
+        assert [(u, v) for u, v, _w in result.graph.edges] == cross
+
+
+NEAR = (1.0, 1 + 1e-12, 1 - 1e-12)
+
+
+@SETTINGS
+@given(st.integers(2, 7), st.data())
+def test_every_array_that_reaches_analyse_is_symmetric(n, data):
+    # The pairs are read off analyse's comparisons in row-major order, which
+    # holds only when the family's array and its split matrix are exactly
+    # symmetric: a document whose mirror cells differ within the tolerance,
+    # float 2-weights and the family of a pair map.
+    pairs = list(itertools.combinations(range(n), 2))
+    values = {p: data.draw(st.integers(10, 40)) / 10 for p in pairs}
+    cells = [["0"] * n for _ in range(n)]
+    for (i, j), x in values.items():
+        cells[i][j] = repr(x * data.draw(st.sampled_from(NEAR)))
+        cells[j][i] = repr(x * data.draw(st.sampled_from(NEAR)))
+    text = "".join(",".join(row) + "\n" for row in cells)
+    edges = [(i + 1, j + 1, x) for (i, j), x in values.items() if data.draw(st.booleans()) or j == i + 1]
+    for family in (
+        parse_family_csv(text, Cmp(1e-9)),
+        two_weights(WeightedGraph(n, edges), Cmp(1e-9)),
+        DistanceFamily(n, {(i + 1, j + 1): x for (i, j), x in values.items()}),
+        DistanceFamily(n, {(i + 1, j + 1): Fraction(x).limit_denominator(10) for (i, j), x in values.items()}),
+    ):
+        a = family.scaled.array
+        assert np.array_equal(a, a.T)
+        m = kernel.splits(family.scaled)
+        assert np.array_equal(m, m.T)
 
 
 def noisy_paths(rng, tol):
@@ -138,6 +215,15 @@ def test_analyse_equals_the_scalar_split_scan_on_noisy_families():
 )
 def test_analyse_on_wide_values(values):
     assert_matches_the_scan(DistanceFamily(3, values))
+
+
+@pytest.mark.parametrize("unit", (1e308, 10**308), ids=("float", "exact"))
+def test_a_diagonal_split_beyond_the_float_range_is_never_compared(unit):
+    # Twice D_1z passes the float range for every z, and so does the
+    # diagonal entry of the split matrix at vertex 1; each pair's split
+    # stays in range, so the scan compares them and raises nothing.
+    values = {p: unit if p[0] == 1 else 1 for p in itertools.combinations(range(1, 5), 2)}
+    assert_matches_the_scan(DistanceFamily(4, values, Cmp(1e-9)))
 
 
 def test_n2_under_a_large_tolerance_keeps_the_diagonal_of_the_scan():

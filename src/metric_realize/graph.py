@@ -286,7 +286,7 @@ def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
     scale = kernel.joint_scale(own, graph.scale)
     if family.cmp.exact and scale is not None:
         w = kernel.at_scale(graph.w, graph.scale, scale)
-        return kernel.bellman(graph.n, graph.u, graph.v, w, kernel.at_scale(target, own, scale), scale)
+        return kernel.bellman(graph.n, graph.u, graph.v, w, kernel.at_scale(target, own, scale, 2), scale)
     # A disconnected graph has infinite 2-weights, which the tolerance rule
     # would call close to anything; it never realizes D.
     if not graph.is_connected():
@@ -294,7 +294,7 @@ def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
     try:
         w = kernel.at_scale(graph.w, graph.scale, scale)
         dist = kernel.all_pairs(graph.n, graph.u, graph.v, w, scale)
-        target = kernel.at_scale(target, own, scale)
+        target = kernel.at_scale(target, own, scale, 2)
         return bool(kernel.eq(dist.array, target, scale, family.cmp).all())
     except OverflowError:
         if family.cmp.exact:

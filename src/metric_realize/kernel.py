@@ -3,14 +3,15 @@
 Numbers live in the kernel as n x n numpy arrays; a family is one
 (``DistanceFamily.scaled``), and ``Scaled.numbers`` gives back the Python
 numbers a caller sees.  Exact numbers (int and Fraction) are multiplied by a
-common multiple ``scale`` of their denominators and stored as int64 when the
-largest value the kernel can form fits, and otherwise as Python ints in a
-``dtype=object`` array.  As soon as one number is a float, every number is
-stored as float64 and ``scale`` is None.  The dtype thus follows from the
-data; there is no option.  Python numbers are scaled by ``scale_numbers``;
-documents are read already scaled: a matrix document in blocks of whole
-rows, merged at the LCM of their scales (``row_matrix``), and the weights of
-a graph document as one list (``scaled_array``).
+common multiple ``scale`` of their denominators; one float makes every
+number a float and ``scale`` None.  One rule stores them, with no option:
+float64 when ``scale`` is None, int64 when ``factor`` (1 for graph weights,
+2 for a family's entries, whose sums the kernel forms) times the largest
+magnitude fits, Python ints (``dtype=object``) otherwise.  ``scaled_array``
+applies it to a list and ``at_scale`` to an array moved to another scale,
+as ``row_matrix`` moves a matrix document's blocks of rows to the LCM of
+their scales; the loops below give their results the dtype of their
+largest sum.
 
 A graph enters the kernel as its columns (``WeightedGraph``): 0-based
 vertex indices u and v, and the weights w scaled by the graph's scale.
@@ -151,37 +152,38 @@ def _work_dtype(scale: Optional[int], bound: int):
     return np.min_scalar_type(bound) if dtype is np.int64 else dtype
 
 
-def scaled_array(values: list, scale: Optional[int]) -> np.ndarray:
-    """The 1-d array of ``values`` already scaled by ``scale``, of any sign:
-    float64 when ``scale`` is None, int64 when the largest magnitude fits,
-    Python ints otherwise."""
-    bound = 0 if scale is None else max(max(values, default=0), -min(values, default=0))
+def scaled_array(values: list, scale: Optional[int], factor: int = 1) -> np.ndarray:
+    """The 1-d array of ``values`` already scaled by ``scale``, of any sign,
+    stored by the kernel's rule (module docstring) for ``factor``: 1 for
+    graph weights, 2 for a family's entries."""
+    bound = 0 if scale is None else factor * max(max(values, default=0), -min(values, default=0))
     return np.array(values, dtype=_dtype(scale, bound))
 
 
-def at_scale(a: np.ndarray, own: Optional[int], scale: Optional[int]) -> np.ndarray:
+def at_scale(a: np.ndarray, own: Optional[int], scale: Optional[int], factor: int = 1) -> np.ndarray:
     """Entries ``a`` scaled by ``own``, scaled by ``scale`` instead: a
     multiple of ``own``, or None for float64.  The work is done in Python
     ints, whose products are exact and whose true division rounds
     correctly, as float(Fraction) does; an exact value beyond the float
-    range raises OverflowError."""
+    range raises OverflowError.  The result is stored by the kernel's rule
+    for ``factor``, as ``scaled_array`` stores a list."""
     if scale == own:
         return a
     if scale is None:
         return np.asarray(a.astype(object) / own, dtype=np.float64)
-    return a.astype(object) * (scale // own)
+    a = a.astype(object) * (scale // own)
+    return a.astype(_dtype(scale, factor * max(a.max(initial=0), -a.min(initial=0))), copy=False)
 
 
 def pair_matrix(n: int, values: Mapping[Tuple[int, int], Number]) -> Scaled:
     """The symmetric matrix of ``values`` (pairs (i, j) over [n]) with a zero
-    diagonal, scaled by the LCM of their denominators.  The dtype holds the
-    sum of any two entries."""
+    diagonal, scaled by the LCM of their denominators and stored as a
+    family's entries (``scaled_array`` with factor 2)."""
     nums, scale = scale_numbers(list(values.values()))
-    dtype = _dtype(scale, 2 * max(nums, default=0))
-    array = np.zeros((n, n), dtype=dtype)
+    entries = scaled_array(nums, scale, 2)
+    array = np.zeros((n, n), dtype=entries.dtype)
     if nums:
         ij = np.array(list(values), dtype=np.intp) - 1
-        entries = np.array(nums, dtype=dtype)
         array[ij[:, 0], ij[:, 1]] = entries
         array[ij[:, 1], ij[:, 0]] = entries
     return Scaled(array, scale)
@@ -190,23 +192,18 @@ def pair_matrix(n: int, values: Mapping[Tuple[int, int], Number]) -> Scaled:
 def row_matrix(blocks: Iterable[Tuple[list, Optional[int]]], width: int) -> Scaled:
     """The matrix of ``width`` columns whose rows are read off ``blocks``,
     pairs (values, scale) of whole rows of scaled values of any sign, row
-    after row, at the LCM of the scales (None for float blocks), in a dtype
-    that holds the sum or the difference of any two entries.  Each block
-    becomes an array before the next is drawn, so at most one block is held
-    as Python numbers."""
-    arrays, scales, bounds = [], [], []
+    after row, at the LCM of the scales (None for float blocks), stored as
+    a family's entries.  Each block becomes an array before the next is
+    drawn, and is moved to the LCM in its place in the list: at most one
+    block is held as Python numbers, none twice, and the concatenation is
+    int64 exactly when every block is."""
+    arrays, scales = [], []
     for values, scale in blocks:
-        bound = 0 if scale is None else max(max(values), -min(values))
-        arrays.append(np.array(values, dtype=_dtype(scale, bound)))
+        arrays.append(scaled_array(values, scale, 2))
         scales.append(scale)
-        bounds.append(bound)
     scale = None if None in scales else math.lcm(*scales)
-    if scale is not None:
-        dtype = _dtype(scale, 2 * max(b * (scale // s) for s, b in zip(scales, bounds)))
-        for k, (s, b) in enumerate(zip(scales, bounds)):
-            arrays[k] = arrays[k].astype(dtype, copy=False)
-            if s != scale and b:  # zeros stay zeros, even where int64 cannot hold scale // s
-                arrays[k] *= scale // s
+    for k, s in enumerate(scales):
+        arrays[k] = at_scale(arrays[k], s, scale, 2)
     whole = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
     return Scaled(whole.reshape(-1, width), scale)
 

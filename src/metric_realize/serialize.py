@@ -189,11 +189,10 @@ def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
     if not _is_family(a, scale, cmp):
         raise ParseError(_first_fault(a, scale, cmp))
     if not cmp.exact:
-        # The family is the upper triangle mirrored, with a zero diagonal (a
-        # tolerance admits near-zeros and near-mirrors).
-        lower = np.tril_indices(n, -1)
-        a[lower] = a.T[lower]
-        np.fill_diagonal(a, 0)
+        # The family is the upper triangle mirrored (x + 0.0 is x), with a
+        # zero diagonal; a tolerance admits near-zeros and near-mirrors.
+        a = np.triu(a, 1)
+        a += a.T
     return DistanceFamily._of_array(kernel.Scaled(a, scale), cmp)
 
 

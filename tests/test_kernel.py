@@ -25,6 +25,7 @@ from metric_realize import (
     GraphError,
     WeightedGraph,
     check_triangle,
+    classify,
     generate,
     is_indecomposable,
     prune,
@@ -265,6 +266,82 @@ def test_verify_realization_of_another_graph_equals_the_scalar_comparison(pair, 
             assert type(got) is bool and got == want
 
 
+# Tolerances down to about five float64 ulps, where the rounding of a
+# comparison could decide it
+SECOND_SCALE_CMPS = (Cmp(1e-9), Cmp(1e-12), Cmp(1e-15))
+
+
+def kept_as_python_ints(at_scale):
+    """``at_scale`` with every exact array it moves kept as Python ints
+    (object dtype), on which ``kernel._floats`` rounds once, where on int64
+    it rounds the entries to float64 first and then their quotient."""
+
+    def moved(a, own, scale, factor=1):
+        out = at_scale(a, own, scale, factor)
+        return out if scale in (own, None) else out.astype(object)
+
+    return moved
+
+
+@st.composite
+def second_scale_pairs(draw, cmp):
+    """A graph g with int weights whose 2-weights reach 2**61, and h: g plus a
+    chord (u, v) at D_uv moved by 0, 1/2, 1 or 2 tolerances (whole units)
+    and by k/7, so that h and its 2-weights have scale 7."""
+    g = draw(weighted_graphs(max_n=8, weights={"wide int": st.integers(1, 2**61 // 8)}))
+    missing = sorted(set(itertools.combinations(range(1, g.n + 1), 2)) - g.edge_pairs())
+    assume(missing)
+    u, v = draw(st.sampled_from(missing))
+    d = oracles.shortest_path_matrix(g)[u - 1][v - 1]
+    shift = draw(st.sampled_from((0, 0.5, 1, 2))) * draw(st.sampled_from((1, -1)))
+    w = d + math.floor(d * cmp.tol * shift) + Fraction(draw(st.integers(1, 6)), 7)
+    return g, WeightedGraph(g.n, [*g.edges, (u, v, w)])
+
+
+@KERNEL_SETTINGS
+@given(st.sampled_from(SECOND_SCALE_CMPS), st.data())
+def test_verification_at_a_second_scale_rounds_as_on_python_ints(cmp, data):
+    # the family of one graph checked on the other: the family's array or
+    # the graph's weights are moved to scale 7, where they fit int64 up to
+    # 2**62 / 7; each verdict is the one that arrays of Python ints give
+    g, h = data.draw(second_scale_pairs(cmp))
+    for graph, family in ((h, two_weights(g, cmp)), (g, two_weights(h, cmp))):
+        got = verify_realization(graph, family)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(kernel, "at_scale", kept_as_python_ints(kernel.at_scale))
+            assert verify_realization(graph, family) is got
+
+
+def noisy_path(tol):
+    """Ten collinear exact points 1/10 apart, every tight split off by half
+    the tolerance, so that S, the path, misses D(1, 10) and is reweighted
+    from vertex 1 (``support._reweighted_tree``); D(a, b) with a > 1 moved by
+    a 70th of the tolerance, which puts a 7 into the family's scale and
+    none into the reweighted path's."""
+    unit = Fraction(str(tol))
+    return DistanceFamily(10, {
+        (a, b): Fraction(b - a, 10) - unit / 2 * (b - a - 1) + (unit / 70 if a > 1 else 0)
+        for a, b in itertools.combinations(range(1, 11), 2)
+    }, Cmp(tol))
+
+
+@pytest.mark.parametrize("cmp", SECOND_SCALE_CMPS)
+def test_classify_at_a_second_scale_reports_as_on_python_ints(cmp):
+    # the closed snake moves the reweighted path's weights to the family's
+    # scale, where they fit int64; the report is the one that arrays of
+    # Python ints give
+    family = noisy_path(cmp.tol)
+    path, scale = family.support.realization, family.scaled.scale
+    assert path not in (None, family.support.graph) and path.scale != scale
+    assert kernel.at_scale(path.w, path.scale, scale).dtype.name == "int64"
+    report = classify(family)
+    assert report.verdicts["polygon"].accepted
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernel, "at_scale", kept_as_python_ints(kernel.at_scale))
+        again = classify(noisy_path(cmp.tol))
+    assert serialize.report_to_json(again) == serialize.report_to_json(report)
+
+
 @pytest.mark.parametrize("chord", (2**62 - 2, 2**62 - 1, 2**62 + 1, 2**62 + 2, 2**63))
 def test_the_bellman_sums_leave_int64_past_its_boundary(chord):
     # D_13 = 2**62 - 1, and twice it fits int64, so the family's array is
@@ -329,14 +406,25 @@ def test_the_support_graph_builds_no_table_of_pairs():
     assert peak < 3 * 8 * n * n
 
 
-@pytest.mark.parametrize("weights, bound", (("int", 6), ("decimal", 9)))
+@pytest.mark.parametrize("weights, bound", (("int", 6), ("decimal", 9), ("sevenths", 3.5)))
 def test_the_matrix_document_is_read_in_blocks(weights, bound):
     # the exact n = 300 tree document: its cells are held as Python strings
     # and numbers one block at a time, so the peak stays a few int64
     # matrices (reading the whole document as one block takes 10 of them
-    # on int cells and 31 on decimal ones)
+    # on int cells and 31 on decimal ones).  "sevenths" is the decimal
+    # document with its (1,2)/(2,1) cells raised by 1/7 and written as p/q:
+    # the first block reads at scale 70, and every later block is moved to
+    # it in its place in the list (3.24 int64 matrices; a merge that holds
+    # the old blocks beside the moved ones takes 3.89)
     n = 300
-    text = serialize.family_to_csv(two_weights(generate(GenSpec("tree", n, 1, weights))))
+    family = two_weights(generate(GenSpec("tree", n, 1, "int" if weights == "int" else "decimal")))
+    text = serialize.family_to_csv(family)
+    if weights == "sevenths":
+        q = family.d(1, 2) + Fraction(1, 7)
+        rows = [row.split(",") for row in text.splitlines()]
+        rows[0][1] = rows[1][0] = f"{q.numerator}/{q.denominator}"
+        text = "".join(",".join(row) + "\n" for row in rows)
+        assert parse_family_csv(text).scaled.scale == 70
     tracemalloc.start()
     try:
         parse_family_csv(text)
@@ -539,7 +627,9 @@ def test_leaves_as_midpoints_change_nothing(name, unit):
             assert all(family.d(i + 1, j + 1) == want[i][j] for i in range(n) for j in range(n))
 
 
-@pytest.mark.parametrize("value, dtype", [(2**61, "int64"), (2**62, "object")])
+# (2**63 - 1) // 2 is the largest entry whose double fits int64; one more,
+# 2**62, is the smallest that does not
+@pytest.mark.parametrize("value, dtype", [(2**61, "int64"), ((2**63 - 1) // 2, "int64"), (2**62, "object")])
 def test_a_family_array_holds_the_sum_of_two_entries(value, dtype):
     # the equilateral triangle: D_13 + D_32 = 2 D_12 must not wrap around
     text = f"0,{value},{value}\n{value},0,{value}\n{value},{value},0\n"
@@ -548,6 +638,56 @@ def test_a_family_array_holds_the_sum_of_two_entries(value, dtype):
         assert family.scaled.array.dtype.name == dtype
         assert check_triangle(family).holds
         assert is_indecomposable(family, 1, 2)
+
+
+@pytest.mark.parametrize("weight, dtype", [(2**63 - 1, "int64"), (2**63, "object")])
+def test_a_graph_weight_array_holds_its_largest_weight(weight, dtype):
+    # graph weights take factor 1: the largest int64 is stored as int64,
+    # through the constructor and the graph document alike
+    text = json.dumps({"n": 2, "edges": [{"u": 1, "v": 2, "w": str(weight)}]})
+    for g in (WeightedGraph(2, [(1, 2, weight)]), graph_from_json(text)):
+        assert g.w.dtype.name == dtype
+        assert g.edges == ((1, 2, weight),)
+        assert two_weights(g).d(1, 2) == weight
+
+
+@pytest.mark.parametrize(
+    "entries, factor, dtype",
+    [
+        ([3], 1, "int64"),
+        ([-3, 2], 1, "int64"),
+        # 10 x, or twice that, just within and just beyond int64
+        ([(2**63 - 1) // 10], 1, "int64"),
+        ([(2**63 - 1) // 10 + 1], 1, "object"),
+        ([-((2**63 - 1) // 10 + 1)], 1, "object"),
+        ([(2**62 - 1) // 10], 2, "int64"),
+        ([(2**62 - 1) // 10 + 1], 2, "object"),
+    ],
+)
+def test_entries_moved_to_another_scale_are_stored_by_the_same_rule(entries, factor, dtype):
+    # at_scale(a, 1, 10): each entry times 10, int64 when factor times the
+    # largest magnitude fits, as scaled_array stores a list
+    moved = kernel.at_scale(np.array(entries), 1, 10, factor)
+    assert moved.dtype.name == dtype == kernel.scaled_array([10 * x for x in entries], 10, factor).dtype.name
+    assert moved.tolist() == [10 * x for x in entries]
+
+
+@pytest.mark.parametrize(
+    "blocks, scale, dtype",
+    [
+        # one block moved to the LCM: 2 * 2**61 fits int64, 2 * 2**62 does not
+        ([([2**60, 1], 1), ([1, 1], 2)], 2, "int64"),
+        ([([2**61, 1], 1), ([1, 1], 2)], 2, "object"),
+        # a block beyond int64 on its own makes the whole matrix object
+        ([([1, 1], 1), ([2**62, 1], 1)], 1, "object"),
+        # zeros move to a scale beyond int64 and stay int64 zeros
+        ([([0, 0], 1), ([1, 1], 10**30)], 10**30, "int64"),
+    ],
+)
+def test_blocks_at_several_scales_are_stored_by_one_rule(blocks, scale, dtype):
+    a, got = kernel.row_matrix(blocks, 2)
+    assert got == scale and a.dtype.name == dtype
+    assert a.tolist() == [[x * (scale // s) for x in values] for values, s in blocks]
 
 
 # Weights of the graphs the package makes from arrays: exact int, exact

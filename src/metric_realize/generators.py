@@ -176,36 +176,30 @@ def generate(spec: GenSpec) -> WeightedGraph:
         return WeightedGraph(n, edges)
 
     if spec.class_id == "planar":
-        import networkx as nx
-
-        edges = random_prufer_tree(n, rng)
-        g = nx.Graph(edges)
-        g.add_nodes_from(range(1, n + 1))
-        candidates = [
-            (i, j)
-            for i, j in itertools.combinations(range(1, n + 1), 2)
-            if not g.has_edge(i, j)
-        ]
-        rng.shuffle(candidates)
-        budget = rng.randint(0, 2 * n)
-        for i, j in candidates:
-            if budget == 0:
-                break
-            g.add_edge(i, j)
-            if nx.check_planarity(g)[0]:
-                budget -= 1
-            else:
-                g.remove_edge(i, j)
-        return WeightedGraph(n, [(u, v, draw(rng)) for u, v in g.edges()])
+        # A stacked triangulation: each new vertex joins the corners of a
+        # face, which splits into three.  Its edges to a face's first corner
+        # and the path 1-2-3 span it; a random share of the others is kept.
+        # A subgraph of a planar graph is planar, so nothing is tested.
+        tree, others, faces = [(1, 2), (2, 3)][: n - 1], [(1, 3)][: n - 2], [(1, 2, 3)]
+        for x in range(4, n + 1):
+            k = rng.randrange(len(faces))
+            a, b, c = faces[k]
+            faces[k] = (a, b, x)
+            faces += [(b, c, x), (a, c, x)]
+            tree.append((a, x))
+            others += [(b, x), (c, x)]
+        rng.shuffle(others)
+        pairs = tree + others[: rng.randint(0, 2 * n)]
+        labels = rng.sample(range(1, n + 1), n)
+        return WeightedGraph(n, [(labels[a - 1], labels[b - 1], draw(rng)) for a, b in pairs])
 
     if spec.class_id == "arbitrary_connected":
+        # chords drawn one pair at a time until enough new ones are in:
+        # uniform over chord sets, as a prefix of all shuffled pairs would be
         edges = set(tuple(sorted(e)) for e in random_prufer_tree(n, rng))
-        extra = rng.randint(0, n)
-        candidates = [
-            e for e in itertools.combinations(range(1, n + 1), 2) if e not in edges
-        ]
-        rng.shuffle(candidates)
-        edges.update(candidates[:extra])
+        total = len(edges) + min(rng.randint(0, n), n * (n - 1) // 2 - len(edges))
+        while len(edges) < total:
+            edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
         return WeightedGraph(n, [(u, v, draw(rng)) for u, v in sorted(edges)])
 
     raise GenerationError(f"unknown class {spec.class_id!r}")

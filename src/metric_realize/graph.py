@@ -22,7 +22,6 @@ derives them again.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from typing import Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
@@ -59,9 +58,12 @@ class WeightedGraph:
     ``w`` holds the weights times ``scale``, the LCM of their denominators,
     by the kernel's rule: int64 when the largest fits, Python ints
     (``object``) otherwise, and float64 with ``scale`` None as soon as one
-    weight is a float.  ``edges`` (the sorted ``(u, v, weight)`` tuples,
-    labels as Python ints) and ``adjacency()`` are views built on first use;
-    ``==``, ``hash`` and ``repr`` read ``edges``.
+    weight is a float.  The graph keeps no other copy of its edges:
+    ``edges`` (the sorted ``(u, v, weight)`` tuples) and ``adjacency()`` are
+    views of the columns built on first use, so they show the numbers the
+    columns hold (an np.int64 or bool weight as an int, an exact weight
+    beside a float as that float); ``==``, ``hash`` and ``repr`` read
+    ``edges``.
     """
 
     # ``_connected`` is None until a walk has decided it; the constructor's
@@ -79,9 +81,6 @@ class WeightedGraph:
         except OverflowError:
             raise GraphError(kernel._FLOAT_BESIDE_BEYOND_FLOATS) from None
         self._store(n, u, v, kernel.scaled_array(values, scale), scale, require_connected or None)
-        # the view keeps each weight as it was given (a float makes the
-        # column float64, but an exact weight beside it stays exact here)
-        self._edges = tuple(zip((u + 1).tolist(), (v + 1).tolist(), ws))
 
     @classmethod
     def _of_arrays(
@@ -123,15 +122,11 @@ class WeightedGraph:
 
     def adjacency(self) -> Dict[int, Dict[int, Number]]:
         """Neighbour -> weight per vertex, built on first use and kept;
-        callers must not change it.  It reads the columns, or the weights of
-        ``edges`` when the constructor kept them as given, and builds no
+        callers must not change it.  It reads the columns and builds no
         ``edges`` tuples of its own."""
         if self._adj is None:
             adj: Dict[int, Dict[int, Number]] = {v: {} for v in range(1, self.n + 1)}
-            if self._edges is None:
-                ws = kernel.numbers(self.w, self.scale)
-            else:
-                ws = [w for _u, _v, w in self._edges]
+            ws = kernel.numbers(self.w, self.scale)
             for u, v, w in zip((self.u + 1).tolist(), (self.v + 1).tolist(), ws):
                 adj[u][v] = w
                 adj[v][u] = w
@@ -261,11 +256,7 @@ def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:
         raise GraphError(kernel.OUT_OF_FLOAT_RANGE) from None
     u, v = graph.u[keep], graph.v[keep]
     _check_connected(graph.n, u, v)
-    pruned = WeightedGraph._of_arrays(graph.n, u, v, graph.w[keep], graph.scale, connected=True)
-    if graph._edges is not None:
-        # the kept rows of the view, each weight as it was given
-        pruned._edges = tuple(itertools.compress(graph._edges, keep.tolist()))
-    return pruned
+    return WeightedGraph._of_arrays(graph.n, u, v, graph.w[keep], graph.scale, connected=True)
 
 
 def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:

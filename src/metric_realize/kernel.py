@@ -10,8 +10,9 @@ float64 when ``scale`` is None, int64 when ``factor`` (1 for graph weights,
 magnitude fits, Python ints (``dtype=object``) otherwise.  ``scaled_array``
 applies it to a list and ``at_scale`` to an array moved to another scale,
 as ``row_matrix`` moves a matrix document's blocks of rows to the LCM of
-their scales; the loops below give their results the dtype of their
-largest sum.
+their scales.  The loops below give their results the dtype of their
+largest sum, except that ``all_pairs`` stores a result held in Python ints
+by the rule for a family's entries when the +inf stand-in is not among them.
 
 A graph enters the kernel as its columns (``WeightedGraph``): 0-based
 vertex indices u and v, and the weights w scaled by the graph's scale.
@@ -162,8 +163,9 @@ def scaled_array(values: list, scale: Optional[int], factor: int = 1) -> np.ndar
 
 def at_scale(a: np.ndarray, own: Optional[int], scale: Optional[int], factor: int = 1) -> np.ndarray:
     """Entries ``a`` scaled by ``own``, scaled by ``scale`` instead: a
-    multiple of ``own``, or None for float64.  The work is done in Python
-    ints, whose products are exact and whose true division rounds
+    multiple of ``own``, or None for float64.  An int64 array whose product
+    fits int64 for ``factor`` is multiplied in int64; other work is done in
+    Python ints, whose products are exact and whose true division rounds
     correctly, as float(Fraction) does; an exact value beyond the float
     range raises OverflowError.  The result is stored by the kernel's rule
     for ``factor``, as ``scaled_array`` stores a list."""
@@ -171,7 +173,11 @@ def at_scale(a: np.ndarray, own: Optional[int], scale: Optional[int], factor: in
         return a
     if scale is None:
         return np.asarray(a.astype(object) / own, dtype=np.float64)
-    a = a.astype(object) * (scale // own)
+    k = scale // own
+    # the floor of 1 on the magnitude keeps k itself within int64
+    if a.dtype == np.int64 and k * factor * max(int(a.max(initial=0)), -int(a.min(initial=0)), 1) <= INT64_MAX:
+        return a * k
+    a = a.astype(object) * k
     return a.astype(_dtype(scale, factor * max(a.max(initial=0), -a.min(initial=0))), copy=False)
 
 
@@ -244,8 +250,11 @@ def all_pairs(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, scale: Option
     scaled by ``scale`` (None for float64).  Pairs in different components
     hold the value that stands for +inf: np.inf in float mode, and in exact
     mode the scaled weight sum plus one, a Python int that exceeds every path
-    and never meets a float.  Twice that value must fit the dtype, because
-    the kernel adds two of them.
+    and never meets a float.  Twice that value must fit the dtype the loop
+    runs in, because the kernel adds two of them.  When that is Python ints
+    and twice the largest result fits int64 (a connected graph whose weights
+    sum beyond half of int64), the result is int64, as the family of those
+    values is stored.
 
     Exact steps run on a copy in ``_work_dtype`` (the narrowest unsigned
     type that holds twice the stand-in, when int64 would) that is widened
@@ -265,7 +274,10 @@ def all_pairs(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, scale: Option
     # while k is the midpoint, so one step is one vectorized relaxation.
     for k in midpoints:
         np.minimum(d, d[:, k, None] + d[k], out=d)
-    return Scaled(d.astype(_dtype(scale, 2 * inf), copy=False), scale)
+    dtype = _dtype(scale, 2 * inf)
+    if dtype is object:  # the stand-in needs Python ints; the values may not
+        dtype = _dtype(scale, 2 * d.max())
+    return Scaled(d.astype(dtype, copy=False), scale)
 
 
 def _floats(x: np.ndarray, scale: Optional[int]) -> np.ndarray:
@@ -353,10 +365,10 @@ def useful(dist: Scaled, u: np.ndarray, v: np.ndarray, w: np.ndarray, cmp: Cmp) 
     """Per edge (u, v) with weight w, at the scale of ``dist``, of a connected
     graph with 2-weights ``dist``: w equals D_uv and D_uv < D_uz + D_zv for
     every z outside {u, v}.  The splits are an edges x vertices array, built
-    in blocks of SPLIT_BLOCK entries."""
+    in blocks of SPLIT_BLOCK entries.  ``w`` is compared as it is: a useless
+    weight in Python ints may stand beside int64 2-weights."""
     d, scale = dist
     n = len(d)
-    w = w.astype(d.dtype)
     duv = d[u, v]
     keep = eq(w, duv, scale, cmp)
     block = max(1, SPLIT_BLOCK // n)

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
@@ -22,6 +26,7 @@ from metric_realize import (
     two_weights,
     verify_realization,
 )
+from metric_realize.generators import random_prufer_tree
 
 from oracles import brute_force_class_check, is_caterpillar_edges, is_snake_edges
 
@@ -121,6 +126,60 @@ class TestShapes:
         for _u, _v, w in g.edges:
             assert Fraction(w).limit_denominator(10) == Fraction(w)
             assert 1 <= w <= 20
+
+
+class TestConstructions:
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 10, 60, 400))
+    def test_planar_instances_are_planar_connected_and_sparse(self, n):
+        import networkx as nx
+
+        for s in range(5):
+            spec = GenSpec("planar", n, s)
+            g = generate(spec)
+            h = nx.Graph(g.edge_pairs())
+            h.add_nodes_from(range(1, n + 1))
+            assert nx.check_planarity(h)[0] and nx.is_connected(h)
+            assert n < 3 or len(g.edges) <= 3 * n - 6
+            assert generate(spec) == g
+
+    def test_planar_generation_leaves_networkx_unloaded(self):
+        import metric_realize
+
+        src = os.path.dirname(os.path.dirname(metric_realize.__file__))
+        script = (
+            "import sys\n"
+            "from metric_realize import GenSpec, generate\n"
+            "generate(GenSpec('planar', 60, 0))\n"
+            "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 30))
+    def test_arbitrary_connected_is_its_tree_plus_its_count_of_chords(self, n):
+        # the Prufer tree and the number of chords come first off the rng,
+        # the count capped at the pairs the tree leaves
+        for s in range(10):
+            spec = GenSpec("arbitrary_connected", n, s)
+            rng = spec.rng()
+            tree = {tuple(sorted(e)) for e in random_prufer_tree(n, rng)}
+            count = min(rng.randint(0, n), n * (n - 1) // 2 - (n - 1))
+            pairs = generate(spec).edge_pairs()
+            assert tree <= pairs and len(pairs) == n - 1 + count
+
+    def test_arbitrary_connected_lists_no_pairs(self):
+        # n = 2048: listing all n(n - 1)/2 pairs to pick at most n chords
+        # took about 4 x 8n^2 bytes
+        n = 2048
+        tracemalloc.start()
+        try:
+            g = generate(GenSpec("arbitrary_connected", n, 0))
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n - 1 <= len(g.edges) <= 2 * n - 1
+        assert peak < 0.25 * 8 * n * n
 
 
 class TestRoundTrips:

@@ -78,6 +78,22 @@ class TestWeightedGraph:
         assert len(g.adjacency()[1]) == 3
         assert len(g.adjacency()[4]) == 1
 
+    @pytest.mark.parametrize("weight", (np.int64(5), True))
+    def test_numpy_and_bool_weights_come_back_as_ints(self, weight):
+        # edges and adjacency() are views of the int64 column
+        g = WeightedGraph(3, [(1, 2, weight), (2, 3, 2)])
+        assert g.edges == ((1, 2, int(weight)), (2, 3, 2))
+        assert [type(w) for _u, _v, w in g.edges] == [int, int]
+        assert type(g.adjacency()[2][1]) is int
+
+    def test_an_exact_weight_beside_a_float_shows_as_its_float(self):
+        # one float makes the column float64, and the views read the column
+        g = WeightedGraph(3, [(1, 2, Fraction(1, 3)), (2, 3, 0.5)])
+        assert g.scale is None
+        assert [w for _u, _v, w in g.edges] == g.w.tolist() == [1 / 3, 0.5]
+        assert g.adjacency()[1][2] == 1 / 3
+        assert g == WeightedGraph(3, [(1, 2, 1 / 3), (2, 3, 0.5)])
+
 
 def graph_document(n, rows) -> str:
     return json.dumps({"n": n, "edges": [{"u": u, "v": v, "w": w} for u, v, w in rows]})
@@ -355,6 +371,14 @@ class TestPrune:
             g = random_connected_graph(rng.randint(2, 9), rng)
             s = support_graph(two_weights(g))
             assert prune(g) == WeightedGraph(s.n, s.edges)
+
+    @pytest.mark.parametrize("weights", ((Fraction(1, 3), 0.5, 2), (np.int64(1), Fraction(1, 2), 3)))
+    def test_the_pruned_edges_are_the_view_of_the_kept_columns(self, weights):
+        # the chord 1-3 is longer than the path 1-2-3 and goes
+        g = WeightedGraph(3, [(1, 2, weights[0]), (2, 3, weights[1]), (1, 3, weights[2])])
+        p = prune(g)
+        view = tuple(zip((p.u + 1).tolist(), (p.v + 1).tolist(), kernel.numbers(p.w, p.scale)))
+        assert p.edges == view == (g.edges[0], g.edges[2])
 
     def test_a_single_vertex_is_returned_unchanged(self):
         # no edge to prune and no 2-weight to compute, in either mode

@@ -672,6 +672,65 @@ def test_entries_moved_to_another_scale_are_stored_by_the_same_rule(entries, fac
     assert moved.tolist() == [10 * x for x in entries]
 
 
+# 7 * ((2**63 - 1) // 7) is INT64_MAX itself; 2 * 2**62 is one more
+@pytest.mark.parametrize(
+    "entries, own, scale, factor, dtype",
+    [
+        ([(2**63 - 1) // 7, 1], 1, 7, 1, "int64"),
+        ([-((2**63 - 1) // 7), 1], 3, 21, 1, "int64"),
+        ([2**62, 1], 1, 2, 1, "object"),
+        ([-(2**62), 1], 5, 10, 1, "object"),
+        ([(2**62 - 1) // 7], 1, 7, 2, "int64"),
+        ([(2**62 - 1) // 7 + 1], 1, 7, 2, "object"),
+        ([0, 0], 1, 10**30, 2, "int64"),
+    ],
+)
+def test_an_int64_move_multiplies_in_int64_while_the_product_fits(entries, own, scale, factor, dtype):
+    # the int64 path and the Python-int path (an object array) give the same
+    # values and the same dtype
+    a = np.array(entries, dtype=np.int64)
+    moved, slow = kernel.at_scale(a, own, scale, factor), kernel.at_scale(a.astype(object), own, scale, factor)
+    assert moved.dtype.name == slow.dtype.name == dtype
+    assert moved.tolist() == slow.tolist() == [x * (scale // own) for x in entries]
+
+
+def test_an_int64_move_builds_no_python_ints():
+    # the n = 300 tree's family moved from scale 1 to 7: one int64 result,
+    # where Python ints take about seven int64 matrices
+    n = 300
+    a = two_weights(generate(GenSpec("tree", n, 1))).scaled.array
+    tracemalloc.start()
+    try:
+        moved = kernel.at_scale(a, 1, 7, 2)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert moved.dtype.name == "int64" and (moved == 7 * a).all()
+    assert peak < 1.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("weight, dtype", [(2**60, "int64"), (2**61, "object")])
+def test_a_connected_graph_s_2_weights_are_stored_as_its_family(weight, dtype):
+    # the star K_{1,8}: twice the +inf stand-in, 2 (8 w + 1), is beyond
+    # int64, so the loop runs in Python ints; the largest 2-weight is 2 w,
+    # and twice it fits int64 for w = 2**60 and not for w = 2**61
+    g = WeightedGraph(9, [(1, j, weight) for j in range(2, 10)])
+    family = two_weights(g)
+    built = DistanceFamily(9, family.values)
+    assert family.scaled.array.dtype.name == built.scaled.array.dtype.name == dtype
+    assert family == built and family.d(2, 3) == 2 * weight
+    assert prune(g) == g and verify_realization(g, family) is True
+
+
+def test_a_useless_edge_beyond_int64_beside_int64_2_weights():
+    # the 2-weights of a triangle with one edge of weight 2**70 fit int64,
+    # its weights do not; pruning compares the two and drops that edge
+    g = WeightedGraph(3, [(1, 2, 1), (2, 3, 1), (1, 3, 2**70)])
+    assert g.w.dtype == object and two_weights(g).scaled.array.dtype.name == "int64"
+    for cmp in CMPS:
+        assert prune(g, cmp).edges == ((1, 2, 1), (2, 3, 1))
+
+
 @pytest.mark.parametrize(
     "blocks, scale, dtype",
     [

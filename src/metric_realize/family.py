@@ -185,7 +185,11 @@ def is_indecomposable(family: DistanceFamily, i: int, j: int) -> bool:
     """True iff D_{i,j} < D_{i,z} + D_{z,j} for every z outside {i, j}.
 
     The caller is responsible for the family satisfying the triangle
-    inequalities; that precondition is not re-verified here.
+    inequalities; that precondition is not re-verified here.  The one pair
+    is tested on two rows, O(n), and not through ``kernel.splits``, which
+    copies the n x n array on each call: ``PlanarWitness.validate`` asks
+    for the links of a witness one at a time, up to n of them, and would
+    take O(n^3).
     """
     if i == j:
         raise FamilyError("indecomposability needs i != j")

@@ -143,19 +143,24 @@ class WeightedGraph:
 def _walk(n: int, u: np.ndarray, v: np.ndarray) -> bool:
     """Whether the edges (u, v) join all n vertices into one component, by
     union-find with path halving; fewer than n - 1 edges answer False by
-    count, before anything of size n is built."""
+    count, before anything of size n is built.  The walk stops at the edge
+    that leaves one component, and uses no edge after it; it reads the
+    columns n edges at a time, so an early stop converts few of them."""
     if len(u) < n - 1:
         return False
     parent = list(range(n))
     components = n
-    for a, b in zip(u.tolist(), v.tolist()):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            components -= 1
+    for lo in range(0, len(u), n):
+        for a, b in zip(u[lo:lo + n].tolist(), v[lo:lo + n].tolist()):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[a] = b
+                components -= 1
+                if components == 1:
+                    return True
     return components == 1
 
 
@@ -247,16 +252,31 @@ def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:
     of the (invariant) family of 2-weights, so the result does not depend on
     any removal order; the operation is idempotent and preserves all
     2-weights.  A one-vertex graph, which has no edge, comes back as is.
+
+    One call of ``kernel.splits`` gives every edge's smallest split M_uv,
+    and an edge is kept when w = D_uv < M_uv, as ``support.analyse`` finds
+    S; ``lt`` is monotone in a finite split, so this is the test of every
+    z, in exact and tolerance mode.  Under a tolerance a float sum beyond
+    the float range splits no pair, and an infinite smallest split, whose
+    slack is infinite, is refused as ``analyse`` refuses it.  ``w`` is
+    compared as it is: a useless weight in Python ints may stand beside
+    int64 2-weights.
     """
     if graph.n == 1:
         return graph
+    u, v, w = graph.u, graph.v, graph.w
     try:
-        keep = kernel.useful(_distances(graph), graph.u, graph.v, graph.w, cmp)
+        dist = _distances(graph)
+        m = kernel.splits(dist, u, v)
+        if not cmp.exact and dist.scale is None and not np.isfinite(m).all():
+            raise GraphError(kernel._SUM_BEYOND_FLOATS)
+        duv = dist.array[u, v]
+        keep = kernel.eq(w, duv, dist.scale, cmp) & kernel.lt(duv, m, dist.scale, cmp)
     except OverflowError:
         raise GraphError(kernel.OUT_OF_FLOAT_RANGE) from None
-    u, v = graph.u[keep], graph.v[keep]
+    u, v = u[keep], v[keep]
     _check_connected(graph.n, u, v)
-    return WeightedGraph._of_arrays(graph.n, u, v, graph.w[keep], graph.scale, connected=True)
+    return WeightedGraph._of_arrays(graph.n, u, v, w[keep], graph.scale, connected=True)
 
 
 def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:

@@ -16,33 +16,26 @@ by the rule for a family's entries when the +inf stand-in is not among them.
 
 A graph enters the kernel as its columns (``WeightedGraph``): 0-based
 vertex indices u and v, and the weights w scaled by the graph's scale.
-``all_pairs``, ``useful`` and ``bellman`` read them; no entry point takes
-edge tuples.
+``all_pairs`` and ``bellman`` read them; no entry point takes edge tuples.
 
 Floyd-Warshall runs in n numpy steps of n^2 each (fewer in exact mode, see
 below).  Every entry sees the same additions d_ik + d_kj in the same k
 order as the scalar loop, so the values are those of the loop, in exact and
-in float arithmetic.  The split matrix of a family (``splits``) is the same
-min-plus product, also in n steps of n^2, on a copy of the family's array
-that stays inside it.
+in float arithmetic.  ``splits`` is the one split routine: for each given
+pair (u, v) it takes M_uv = min over z outside {u, v} of D_uz + D_zv, O(n)
+entries per pair in blocks of rows.  The support graph asks it for every
+pair i < j, pruning for each edge of a graph.
 
-Both loops work on a private copy.  Where the dtype rule gives int64, the
-copy takes the narrowest unsigned type that holds the largest sum the loop
-forms (``_work_dtype``: twice the +inf stand-in, twice ``big``), often 16
-bits, so each step moves a quarter of the bytes; the result is widened back
-to int64 before it leaves the kernel.  Object and float64 copies stay as
-they are.  In exact mode Floyd-Warshall also skips every vertex of degree
-<= 1 as a midpoint: it lies inside no path, so the exact values do not
-change.  Float mode keeps every midpoint, so that its values stay those of
-the scalar loop addition for addition, with no argument about rounding.
-
-Two split routines stay, each for its own job.  ``splits`` covers all
-pairs, which the support graph needs.  ``useful`` covers a given edge list,
-which pruning needs.  A pruned graph is the support graph of its 2-weights,
-but each routine is slower at the other's job (shared 2-CPU Xeon host):
-pruning through ``splits`` made the graph-to-family round trip (2-weights,
-prune, verify, n = 12-80) 7-20 % slower, and S's splits through ``useful``
-on an n = 400 tree took 138-150 ms against 127 ms.
+Both routines work on a private copy, made once per call.  Where the
+dtype rule gives int64, the copy takes the narrowest unsigned type that
+holds the largest sum the routine forms (``_work_dtype``: twice the +inf
+stand-in, twice ``big``), often 16 bits, so each step moves a quarter of
+the bytes; the result is widened back to int64 before it leaves the
+kernel.  Object and float64 copies stay as they are.  In exact mode
+Floyd-Warshall also skips every vertex of degree <= 1 as a midpoint: it
+lies inside no path, so the exact values do not change.  Float mode keeps
+every midpoint, so that its values stay those of the scalar loop addition
+for addition, with no argument about rounding.
 
 Exact verification needs no Floyd-Warshall.  ``bellman`` checks that a
 graph realizes an exact family array through the Bellman equations
@@ -69,6 +62,10 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 # take an exact value beyond the float range.
 OUT_OF_FLOAT_RANGE = "an exact value beyond the float range cannot be compared under a tolerance"
 
+# Why a tolerance comparison with an infinite float split is refused: its
+# slack is infinite too, so no comparison with it can hold.
+_SUM_BEYOND_FLOATS = "a sum of two values beyond the float range cannot be compared under a tolerance"
+
 # Why scaling raises OverflowError (one float makes every number float64)
 _FLOAT_BESIDE_BEYOND_FLOATS = "an exact value beyond the float range cannot stand beside a float"
 
@@ -80,8 +77,8 @@ def python_floats(fn):
     return np.errstate(over="ignore", invalid="ignore")(fn)
 
 
-# Entries per block of the edge-by-vertex arrays in ``useful`` and
-# ``bellman``: a few MB per temporary whatever the number of edges.
+# Entries per block of the pair-by-vertex arrays in ``splits`` and
+# ``bellman``: a few MB per temporary whatever the number of pairs.
 SPLIT_BLOCK = 1 << 18
 
 
@@ -215,24 +212,29 @@ def row_matrix(blocks: Iterable[Tuple[list, Optional[int]]], width: int) -> Scal
 
 
 @python_floats
-def splits(dist: Scaled) -> np.ndarray:
-    """The split matrix of the family matrix ``dist``: M_ij = min over z
-    outside {i, j} of D_iz + D_zj, in n numpy steps of n^2, one per midpoint
-    z.  The steps run on a copy whose diagonal is raised to ``big``, twice
-    the largest value plus one (in the family's own numbers, so plus
-    ``scale`` on scaled values): it keeps z = i and z = j out of every
-    off-diagonal minimum, and for n = 2 it leaves the one pair below its
-    split.  The copy holds 2 * big, the largest sum, in the narrowest
-    unsigned type that does when int64 would (``_work_dtype``), and the
-    result is widened back to int64; object and float64 copies stay."""
+def splits(dist: Scaled, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M_uv = min over z outside {u, v} of D_uz + D_zv for each pair of the
+    distinct 0-based indices ``u`` and ``v`` of the family matrix ``dist``,
+    as ``(d[u] + d[v]).min(axis=1)`` in blocks of SPLIT_BLOCK entries.  The
+    blocks read one copy of the matrix whose diagonal is raised to ``big``,
+    twice the largest value plus one (in the family's own numbers, so plus
+    ``scale`` on scaled values): it keeps z = u and z = v out of every
+    minimum, and for n = 2 it leaves the one pair below its split.  The copy
+    holds 2 * big, the largest sum, in the narrowest unsigned type that does
+    when int64 would (``_work_dtype``), and the result is widened back to
+    int64; object and float64 copies stay."""
     a, scale = dist
     top = a.max(keepdims=True).item()
     big = 2 * top + (1 if scale is None else scale)
     d = a.astype(_work_dtype(scale, 2 * big))
     np.fill_diagonal(d, big)
-    m = d[:, 0, None] + d[0]
-    for z in range(1, len(d)):
-        np.minimum(m, d[:, z, None] + d[z], out=m)
+    m = np.empty(len(u), dtype=d.dtype)
+    block = max(1, SPLIT_BLOCK // len(d))
+    for lo in range(0, len(u), block):
+        part = slice(lo, lo + block)
+        sums = d[u[part]]
+        sums += d[v[part]]
+        m[part] = sums.min(axis=1)
     return m.astype(_dtype(scale, 2 * big), copy=False)
 
 
@@ -358,25 +360,3 @@ def bellman(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, target: np.ndar
             return False
         first = last
     return True
-
-
-@python_floats
-def useful(dist: Scaled, u: np.ndarray, v: np.ndarray, w: np.ndarray, cmp: Cmp) -> np.ndarray:
-    """Per edge (u, v) with weight w, at the scale of ``dist``, of a connected
-    graph with 2-weights ``dist``: w equals D_uv and D_uv < D_uz + D_zv for
-    every z outside {u, v}.  The splits are an edges x vertices array, built
-    in blocks of SPLIT_BLOCK entries.  ``w`` is compared as it is: a useless
-    weight in Python ints may stand beside int64 2-weights."""
-    d, scale = dist
-    n = len(d)
-    duv = d[u, v]
-    keep = eq(w, duv, scale, cmp)
-    block = max(1, SPLIT_BLOCK // n)
-    for lo in range(0, len(u), block):
-        part = slice(lo, lo + block)
-        below = lt(duv[part, None], d[u[part]] + d[v[part]], scale, cmp)
-        rows = np.arange(len(below))
-        below[rows, u[part]] = True
-        below[rows, v[part]] = True
-        keep[part] &= below.all(axis=1)
-    return keep

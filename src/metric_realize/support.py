@@ -69,49 +69,44 @@ class Support:
 
 @kernel.python_floats
 def analyse(family: DistanceFamily) -> Support:
-    """S and the triangle check from one min-plus product on the family's
-    array (``kernel.splits``, n numpy steps of n^2): for each pair, the
-    smallest split M_ij = min over z outside {i, j} of D_iz + D_zj decides
-    both the triangle inequality (D_ij <= M_ij) and indecomposability
-    (D_ij < M_ij).  Both comparisons are monotone in the split, so they agree
-    with testing every z, in exact and tolerance mode.  The first violated
-    pair's midpoint is the first z with D_iz + D_zj < D_ij, read off the two
-    rows of the array.  S is verified once, when D is a metric: by the
-    Bellman equations in exact mode, by Floyd-Warshall under a tolerance.
-
-    Pairs are read off the n x n comparisons in row-major order, with no
-    table of pair indices.  D and M are symmetric, so both comparisons are
-    too: the entries above the diagonal, in row-major order, are the pairs
-    i < j in lexicographic order, and the first true entry of either lies
-    above the diagonal.
+    """S and the triangle check from one call of ``kernel.splits`` on every
+    pair i < j of the family's array, in row-major order, which is the
+    lexicographic order of the pairs: the smallest split M_ij = min over z
+    outside {i, j} of D_iz + D_zj decides both the triangle inequality
+    (D_ij <= M_ij) and indecomposability (D_ij < M_ij).  Both comparisons
+    are monotone in the split, so they agree with testing every z, in exact
+    and tolerance mode.  S's edges, the pairs with D < M, come out sorted;
+    the first pair with M < D is the first violation, and its midpoint is
+    the first z with D_iz + D_zj < D_ij, read off the two rows of the array.
+    No n x n split matrix is built.  S is verified once, when D is a metric:
+    by the Bellman equations in exact mode, by Floyd-Warshall under a
+    tolerance.
 
     Under a tolerance an infinite float split has an infinite slack, so no
     comparison with it can hold; such a family raises FamilyError.
     """
     n, cmp = family.n, family.cmp
     a, scale = family.scaled
-    m = kernel.splits(family.scaled)
-    # the diagonal takes D_ii = 0, which neither comparison puts below the
-    # other, and which no float-range check or conversion trips over
-    np.fill_diagonal(m, 0)
+    index = np.arange(n)
+    rows, cols = np.nonzero(index[:, None] < index)
+    m = kernel.splits(family.scaled, rows, cols)
     if not cmp.exact and scale is None and not np.isfinite(m).all():
-        raise FamilyError("a sum of two values beyond the float range cannot be compared under a tolerance")
+        raise FamilyError(kernel._SUM_BEYOND_FLOATS)
+    d = a[rows, cols]
     try:
-        below = kernel.lt(a, m, scale, cmp)
-        above = kernel.lt(m, a, scale, cmp)
+        below = kernel.lt(d, m, scale, cmp)
+        above = kernel.lt(m, d, scale, cmp)
         violation = None
         if above.any():
-            i, j = divmod(int(np.argmax(above)), n)
+            k = int(np.argmax(above))
+            i, j = int(rows[k]), int(cols[k])
             # z = i and z = j give D_ij itself, which is never below it
             z = int(np.argmax(kernel.lt(a[i] + a[j], a[i, j], scale, cmp)))
             violation = (i + 1, j + 1, z + 1)
     except OverflowError:
         raise FamilyError(kernel.OUT_OF_FLOAT_RANGE) from None
-    del m, above  # S's verification below needs room of its own at large n
-    rows, cols = np.nonzero(below)
-    upper = rows < cols
-    rows, cols = rows[upper], cols[upper]
-    graph = WeightedGraph._of_arrays(n, rows, cols, a[rows, cols], scale)
+    graph = WeightedGraph._of_arrays(n, rows[below], cols[below], d[below], scale)
+    del rows, cols, d, m, below, above  # S's verification below needs room of its own at large n
     adj = graph.adjacency()
     realization = None
     if violation is None:

@@ -240,14 +240,22 @@ def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
     return _matrix_matches(dist, family)
 
 
+def split_rows(family: DistanceFamily) -> List[List[Number]]:
+    """The family's rows, 0-indexed, with the diagonal raised to
+    2 * max D + 1, above every split: the smallest D_iz + D_zj over rows i
+    and j is the split of the pair i != j."""
+    n, d = family.n, family.d
+    big = 2 * max(family.values.values()) + 1
+    return [[d(i, j) if i != j else big for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
 def support_scan(family: DistanceFamily) -> Tuple[WeightedGraph, Optional[Tuple[int, int, int]], Optional[WeightedGraph]]:
     """S, the first triangle violation and the realization of S's shape
     (see ``metric_realize.support.Support``) by the scalar split scan: per
     pair i < j, the smallest D_iz + D_zj over rows whose diagonal is raised
     above every split, and for the first violating pair the first k."""
-    n, cmp, d = family.n, family.cmp, family.d
-    big = 2 * max(family.values.values()) + 1
-    rows = [[d(i, j) if i != j else big for j in range(1, n + 1)] for i in range(1, n + 1)]
+    n, cmp = family.n, family.cmp
+    rows = split_rows(family)
     edges = []
     violation = None
     for i in range(1, n + 1):

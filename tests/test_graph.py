@@ -18,6 +18,7 @@ from metric_realize import (
     two_weights,
     verify_realization,
 )
+from metric_realize import graph as graph_module
 from metric_realize import kernel
 from metric_realize.serialize import ParseError, graph_from_json, parse_number
 
@@ -52,6 +53,14 @@ class TestWeightedGraph:
         # the index columns would read 1.5 as vertex 1
         with pytest.raises(GraphError, match=r"edge \(1.5,2\) has a vertex that is not an integer"):
             WeightedGraph(3, [(1.5, 2, 1), (2, 3, 1)], require_connected=require_connected)
+
+    def test_the_walk_stops_once_the_graph_is_connected(self):
+        # the first two edges join the three vertices; the entries after
+        # them are out of range and the walk must not reach them
+        u, v = np.array([0, 1, 7, -9]), np.array([1, 2, 8, 5])
+        assert graph_module._walk(3, u, v) is True
+        # a graph that stays in two components walks every edge
+        assert graph_module._walk(4, np.array([0, 2, 0]), np.array([1, 3, 1])) is False
 
     def test_rejects_disconnected_by_default(self):
         with pytest.raises(GraphError):
@@ -379,6 +388,15 @@ class TestPrune:
         p = prune(g)
         view = tuple(zip((p.u + 1).tolist(), (p.v + 1).tolist(), kernel.numbers(p.w, p.scale)))
         assert p.edges == view == (g.edges[0], g.edges[2])
+
+    def test_an_infinite_float_split_is_refused_under_a_tolerance(self):
+        # the one pair of n = 2 (its split is 2 * big) and each pair of a
+        # 1e308 triangle have a split beyond the float range, whose slack
+        # is infinite; exact mode compares it and keeps every edge
+        for g in (WeightedGraph(2, [(1, 2, 1e308)]), WeightedGraph(3, [(1, 2, 1e308), (2, 3, 1e308), (1, 3, 1e308)])):
+            assert prune(g) == g
+            with pytest.raises(GraphError, match="^a sum of two values beyond the float range cannot be compared"):
+                prune(g, Cmp(1e-9))
 
     def test_a_single_vertex_is_returned_unchanged(self):
         # no edge to prune and no 2-weight to compute, in either mode

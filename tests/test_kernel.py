@@ -9,6 +9,7 @@ scalar loop raises OverflowError on them too."""
 import itertools
 import json
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -371,13 +372,14 @@ def test_the_bellman_blocks_stay_small():
 
 def test_the_min_plus_loops_work_in_a_narrow_copy():
     # an exact n = 300 tree: 2 * big and twice the +inf stand-in fit 16 bits,
-    # so each loop's working arrays take a quarter of an int64 matrix, and
-    # the int64 result they are widened into dominates the peak
+    # so each routine's working copy takes a quarter of an int64 matrix, and
+    # the 16-bit blocks of pair rows and the int64 results dominate the peak
     n = 300
     g = generate(GenSpec("tree", n, 1))
     family = two_weights(g)
+    u, v = np.triu_indices(n, 1)
     for run, bound in (
-        (lambda: kernel.splits(family.scaled), 2),
+        (lambda: kernel.splits(family.scaled, u, v), 2),
         (lambda: kernel.all_pairs(n, g.u, g.v, g.w, g.scale), 1.5),
     ):
         tracemalloc.start()
@@ -390,11 +392,15 @@ def test_the_min_plus_loops_work_in_a_narrow_copy():
 
 
 def test_the_support_graph_builds_no_table_of_pairs():
-    # exact S of an n = 600 tree: no n(n - 1)/2 tables of pairs or values
-    # are built, and the split matrix is gone before S is verified, so the
-    # Bellman check's blocks set the peak (2 int64 matrices; such tables,
-    # or the split matrix held through the check, add one or more).  At
-    # n = 300 the check's block alone is 3.2 int64 matrices.
+    # exact S of an n = 600 tree: the pairs i < j, their values and their
+    # splits are one row-major list each, gone before S is verified.  The
+    # peak, 2.1 int64 matrices, is set while they are held beside their
+    # comparisons: the two index columns of the pairs (one int64 matrix in
+    # all), the family's values at them and their int64 splits (half of
+    # one each), while the Bellman check's blocks reach 2.  Any other n x n
+    # table, such as a split matrix, or the lists held through the check,
+    # pass the bound.  At n = 300 the check's block alone is 3.2 int64
+    # matrices.
     n = 600
     family = two_weights(generate(GenSpec("tree", n, 1)))
     tracemalloc.start()
@@ -592,15 +598,76 @@ def test_the_split_dtype_follows_the_data(top, dtype):
     path = two_weights(WeightedGraph(4, [(1, 2, top - 2), (2, 3, 1), (3, 4, 1)]))
     violated = DistanceFamily(3, {(1, 2): 1, (2, 3): 1, (1, 3): top})
     for family in (path, violated):
-        m = kernel.splits(family.scaled)
+        # every ordered pair of distinct indices
+        n, big = family.n, 2 * top + 1
+        u, v = np.nonzero(~np.eye(n, dtype=bool))
+        m = kernel.splits(family.scaled, u, v)
         assert m.dtype.name == dtype
         # the scalar split of every pair, the diagonal raised to big
-        n, big = family.n, 2 * top + 1
         rows = [[family.d(i, j) if i != j else big for j in range(1, n + 1)] for i in range(1, n + 1)]
-        assert m.tolist() == [[min(map(int.__add__, ri, rj)) for rj in rows] for ri in rows]
+        assert m.tolist() == [min(map(int.__add__, rows[i], rows[j])) for i, j in zip(u.tolist(), v.tolist())]
         graph, violation, realization = oracles.support_scan(family)
         s = support.analyse(family)
         assert (s.graph, s.violation, s.realization) == (graph, violation, realization)
+
+
+# Family values by the dtype of the family's array: the scale-7 values keep
+# a denominator of 7, so the array holds them times 7
+SPLIT_VALUES = {
+    "int64": st.integers(1, 40),
+    "object": st.integers(1, 20).map(lambda k: k * HUGE),
+    "float64": st.floats(0.01, 50, allow_nan=False, allow_infinity=False),
+    "scale 7": st.integers(0, 40).map(lambda k: Fraction(7 * k + 1, 7)),
+}
+
+
+@KERNEL_SETTINGS
+@given(st.sampled_from(sorted(SPLIT_VALUES)), st.integers(2, 7), st.data())
+def test_splits_equal_the_scalar_split_of_each_pair(kind, n, data):
+    # any values, metric or not; any list of pairs of distinct indices, in
+    # any order, either orientation and with repeats; blocks of the default
+    # size, of one pair and of three
+    values = {p: data.draw(SPLIT_VALUES[kind]) for p in itertools.combinations(range(1, n + 1), 2)}
+    family = DistanceFamily(n, values)
+    a, scale = family.scaled
+    assert (a.dtype.name, scale) == {"int64": ("int64", 1), "object": ("object", 1), "float64": ("float64", None)}.get(
+        kind, ("int64", 7)
+    )
+    index = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index).filter(lambda p: p[0] != p[1]), max_size=3 * n))
+    u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    rows = oracles.split_rows(family)
+    want = [min(map(operator.add, rows[i], rows[j])) for i, j in pairs]
+    for block in (kernel.SPLIT_BLOCK, 1, 3 * n):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(kernel, "SPLIT_BLOCK", block)
+            got = kernel.splits(family.scaled, u, v)
+        assert got.shape == (len(pairs),)
+        assert family.scaled.numbers(got) == want
+
+
+@pytest.mark.parametrize("cmp", CMPS)
+def test_analyse_and_prune_make_one_working_copy(monkeypatch, cmp):
+    # each call of kernel.splits copies the n x n family array once, so S
+    # and pruning call it once each, on all their pairs; a non-metric family
+    # too, whose violation is read off the same splits
+    calls = []
+    splits = kernel.splits
+
+    def counting(dist, u, v):
+        calls.append(len(u))
+        return splits(dist, u, v)
+
+    monkeypatch.setattr(kernel, "splits", counting)
+    g = generate(GenSpec("arbitrary_connected", 30, 1))
+    support.analyse(two_weights(g, cmp))
+    assert calls == [30 * 29 // 2]
+    pruned = prune(g, cmp)
+    assert calls == [30 * 29 // 2, len(g.u)]
+    assert pruned.edge_pairs() == oracles.useful_edges(g, cmp)
+    calls.clear()
+    assert support.analyse(DistanceFamily(3, {(1, 2): 1, (2, 3): 1, (1, 3): 3}, cmp)).violation == (1, 3, 2)
+    assert calls == [3]
 
 
 # Graphs whose leaves are no midpoints: every vertex but the centre of a

@@ -23,10 +23,9 @@ from .serialize import (
     ParseError,
     family_to_csv,
     graph_from_json,
-    graph_to_dot,
-    graph_to_json,
+    graph_parts,
     parse_family_csv,
-    report_to_json,
+    report_parts,
 )
 
 EXIT_OK = 0
@@ -61,13 +60,6 @@ def _read(path: str) -> str:
         raise ParseError(f"{name} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except OSError as exc:
         raise ParseError(f"cannot read {name}: {exc.strerror or exc}") from None
-
-
-def _emit_graph(graph, fmt: str) -> None:
-    if fmt == "dot":
-        sys.stdout.write(graph_to_dot(graph))
-    else:
-        sys.stdout.write(graph_to_json(graph))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -177,7 +169,7 @@ def _dispatch(args) -> int:
         result = recognizers()[args.class_name.replace("-", "_")](family)
         if result.accepted:
             if args.command == "realize":
-                _emit_graph(result.graph, args.format)
+                sys.stdout.writelines(graph_parts(result.graph, args.format))
             else:
                 print(f"{args.class_name}: accepted")
             return EXIT_OK
@@ -187,13 +179,13 @@ def _dispatch(args) -> int:
     if args.command == "classify":
         cmp = _cmp_from_args(args)
         family = parse_family_csv(_read(args.matrix), cmp)
-        sys.stdout.write(report_to_json(classify(family)))
+        sys.stdout.writelines(report_parts(classify(family)))
         return EXIT_OK
 
     if args.command == "prune":
         cmp = _cmp_from_args(args)
         graph = graph_from_json(_read(args.graph), cmp)
-        _emit_graph(prune(graph, cmp), args.format)
+        sys.stdout.writelines(graph_parts(prune(graph, cmp), args.format))
         return EXIT_OK
 
     if args.command == "gen":
@@ -205,7 +197,7 @@ def _dispatch(args) -> int:
             lo=args.lo,
             hi=args.hi,
         )
-        _emit_graph(generate(spec), args.format)
+        sys.stdout.writelines(graph_parts(generate(spec), args.format))
         return EXIT_OK
 
     if args.command == "verify":

@@ -16,13 +16,14 @@ reader would, with the first fault in row order.  A valid matrix is checked
 in a fixed number of array steps, and only a failing one is searched for
 the cell to name.
 
-The graph document and the classify report are written here directly, with
-the layout of ``json.dumps(doc, indent=2)``: two-space indent, ASCII escapes,
-a fixed key order.  Written this way, a report costs a fraction of what the
-indenting encoder, which runs in pure Python, spends on it.  Each edge list,
-in a graph document, a report or DOT, is written by one ``%`` over one flat
-list of cells read from the graph's columns (``_edge_block``), not by one
-format per edge.
+Each document is written as one flat list of parts in document order, which
+the CLI writes part by part and ``graph_to_json`` and ``report_to_json`` join
+once: no level of nesting copies the text below it.  The layout is that of
+``json.dumps(doc, indent=2)`` (two-space indent, ASCII escapes, a fixed key
+order), at a fraction of what that pure-Python encoder spends.  Each edge
+list, in a graph document, a report or DOT, is written in blocks of at most
+``BLOCK_CELLS`` edges, one ``%`` each over the cells read from the graph's
+columns (``_edge_blocks``), not by one format per edge.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ MAX_N = 2048
 # values within the float range, so no error can differ from parse_number's.
 PLAIN_TOKEN_MAX = 300
 
-# Cells per ``_read_numbers`` call when a matrix document is read: whole
-# rows, so one block for n <= 64, two rows a block at MAX_N.  A block is
-# held as Python strings and numbers only until it becomes an array.
+# Cells per ``_read_numbers`` call when a matrix document is read (whole
+# rows: one block for n <= 64, two rows a block at MAX_N), and edges per
+# ``%`` when an edge list is written: Python objects are held a block at a time.
 BLOCK_CELLS = 4096
 
 
@@ -236,100 +237,111 @@ def family_to_csv(family: DistanceFamily) -> str:
     return "".join(",".join(row) + "\n" for row in cells.tolist())
 
 
+def graph_parts(graph: WeightedGraph, fmt: str = "json") -> List[str]:
+    """The graph document in ``fmt``, "json" (with a newline) or "dot", as parts."""
+    if fmt == "dot":
+        head = "graph realization {\n" + "".join(f"  {v};\n" for v in range(1, graph.n + 1))
+        edges = _edge_blocks(graph, '  %d -- %d [label="%s"];', "\n")
+        return [head, *edges, "\n}\n" if edges else "}\n"]
+    return [*_graph_parts(graph, ""), "\n"]
+
+
 def graph_to_json(graph: WeightedGraph) -> str:
     """The graph document ``{"n": n, "edges": [{"u": u, "v": v, "w": "w"},
     ...]}``, weights through ``_write_numbers``, as ``json.dumps(doc,
     indent=2)`` writes it, plus a newline."""
-    return _graph_text(graph, "") + "\n"
+    return "".join(graph_parts(graph))
 
 
-def _block(open_: str, close: str, lines: List[str], pad: str) -> str:
-    """A JSON object or array of the given member lines, closed at ``pad``."""
-    if not lines:
-        return open_ + close
-    return open_ + "\n" + ",\n".join(lines) + "\n" + pad + close
+def graph_to_dot(graph: WeightedGraph) -> str:
+    return "".join(graph_parts(graph, "dot"))
 
 
-def _edge_block(graph: WeightedGraph, edge: str, sep: str) -> str:
+def _edge_blocks(graph: WeightedGraph, edge: str, sep: str) -> List[str]:
     """The graph's edges, each written by the format ``edge`` (u, v and the
-    weight text, in that order) and joined by ``sep``: one ``%`` over the
-    cells of every edge, read from the columns as one flat list."""
-    m = len(graph.u)
-    cells = [None] * (3 * m)
-    cells[0::3] = (graph.u + 1).tolist()
-    cells[1::3] = (graph.v + 1).tolist()
-    cells[2::3] = _write_numbers(graph.w, graph.scale)
-    return sep.join([edge] * m) % tuple(cells)
+    weight text, in that order) and joined by ``sep``, as parts: one ``%``
+    per block of ``BLOCK_CELLS`` edges read from the columns, ``sep`` between."""
+    parts = []
+    for s in range(0, len(graph.u), BLOCK_CELLS):
+        u = graph.u[s : s + BLOCK_CELLS]
+        cells = [None] * (3 * len(u))
+        cells[0::3] = (u + 1).tolist()
+        cells[1::3] = (graph.v[s : s + BLOCK_CELLS] + 1).tolist()
+        cells[2::3] = _write_numbers(graph.w[s : s + BLOCK_CELLS], graph.scale)
+        parts += (sep, sep.join([edge] * len(u)) % tuple(cells))
+    return parts[1:]
 
 
-def _graph_text(graph: WeightedGraph, pad: str) -> str:
+def _graph_parts(graph: WeightedGraph, pad: str) -> List[str]:
     """The graph document as indent-2 JSON whose opening brace sits on a line
-    indented by ``pad``, its edge list written by ``_edge_block``.
+    indented by ``pad``, its edge list written by ``_edge_blocks``.
     ``_write_numbers`` writes digits, signs, ".", "/" and the letters of
     float reprs, which JSON strings hold unescaped."""
-    inner = pad + "  "
-    item = inner + "  "
-    key = item + "  "
+    inner, item, key = pad + "  ", pad + "    ", pad + "      "
+    head = f'{{\n{inner}"n": {graph.n:d},\n{inner}"edges": '
+    if not len(graph.u):
+        return [f"{head}[]\n{pad}}}"]
     edge = f'{item}{{\n{key}"u": %d,\n{key}"v": %d,\n{key}"w": "%s"\n{item}}}'
-    lines = [_edge_block(graph, edge, ",\n")] if len(graph.u) else []
-    edges = _block("[", "]", lines, inner)
-    return _block("{", "}", [f'{inner}"n": {graph.n:d}', f'{inner}"edges": {edges}'], pad)
+    return [head + "[\n", *_edge_blocks(graph, edge, ",\n"), f"\n{inner}]\n{pad}}}"]
 
 
-def _int_list(values, pad: str) -> str:
-    return _block("[", "]", [f"{pad}  {v:d}" for v in values], pad)
+def _json_parts(parts: List[str], value, pad: str) -> None:
+    """Append the dict, list or tuple ``value`` (str, bool and int leaves) to
+    ``parts`` as ``json.dumps(value, indent=2)`` writes it, indented by ``pad``."""
+    keyed = isinstance(value, dict)
+    if not value:
+        parts.append("{}" if keyed else "[]")
+        return
+    inner, sep = pad + "  ", "{\n" if keyed else "[\n"
+    for key, item in value.items() if keyed else enumerate(value):
+        line = f"{sep}{inner}{_string(key)}: " if keyed else sep + inner
+        if isinstance(item, (dict, list, tuple)):
+            parts.append(line)
+            _json_parts(parts, item, inner)
+        elif isinstance(item, bool):
+            parts.append(line + ("true" if item else "false"))
+        else:
+            parts.append(line + (_string(item) if isinstance(item, str) else f"{item:d}"))
+        sep = ",\n"
+    parts.append(f"\n{pad}{'}' if keyed else ']'}")
+
+
+def report_parts(report: "ClassificationReport") -> List[str]:
+    """The parts of the classify report as ``json.dumps(doc, indent=2)`` plus a
+    newline writes it: ``classes`` (per class ``accepted``, then ``reason``
+    and ``realization`` when present), ``conditions``, then ``bipartition``
+    and ``planar_witness`` when present.  A graph that several classes return
+    (S, mostly) is rendered once, told apart by identity, not by weights."""
+    graphs = {}
+    parts = ['{\n  "classes": {']
+    sep = "\n"
+    for name, r in report.verdicts.items():
+        parts.append(f'{sep}    {_string(name)}: {{\n      "accepted": {"true" if r.accepted else "false"}')
+        if r.reason:
+            parts.append(f',\n      "reason": {_string(r.reason)}')
+        if r.graph is not None:
+            if id(r.graph) not in graphs:
+                graphs[id(r.graph)] = [',\n      "realization": ', *_graph_parts(r.graph, "      ")]
+            parts += graphs[id(r.graph)]
+        parts.append("\n    }")
+        sep = ",\n"
+    rest, sides, w = {"conditions": report.condition_summary}, report.bipartition, report.planar_witness
+    if sides is not None:
+        rest["bipartition"] = {"x_side": sorted(sides.x_side), "y_side": sorted(sides.y_side)}
+    if w is not None:
+        chains = {f"{min(p)},{max(p)}": c for p, c in w.chains.items()}
+        rest["planar_witness"] = {"kind": w.kind, "hubs": w.hubs, "chains": chains}
+    parts.append("\n  }")
+    for key, value in rest.items():
+        parts.append(f",\n  {_string(key)}: ")
+        _json_parts(parts, value, "  ")
+    parts.append("\n}\n")
+    return parts
 
 
 def report_to_json(report: "ClassificationReport") -> str:
-    """The classify report as ``json.dumps(doc, indent=2)`` plus a newline
-    would write it: ``classes`` (per class ``accepted``, then ``reason`` and
-    ``realization`` when present), ``conditions``, then ``bipartition`` and
-    ``planar_witness`` when present.  A graph that several classes return
-    (S, mostly) is rendered once; graphs are told apart by identity, which
-    is cheaper than hashing their weights."""
-    graphs = {}
-    classes = []
-    for name, r in report.verdicts.items():
-        fields = [f'      "accepted": {"true" if r.accepted else "false"}']
-        if r.reason:
-            fields.append(f'      "reason": {_string(r.reason)}')
-        if r.graph is not None:
-            text = graphs.get(id(r.graph))
-            if text is None:
-                text = graphs[id(r.graph)] = _graph_text(r.graph, "      ")
-            fields.append(f'      "realization": {text}')
-        classes.append(f"    {_string(name)}: " + _block("{", "}", fields, "    "))
-    conditions = [
-        f'    {_string(name)}: {"true" if holds else "false"}'
-        for name, holds in report.condition_summary.items()
-    ]
-    members = [
-        '  "classes": ' + _block("{", "}", classes, "  "),
-        '  "conditions": ' + _block("{", "}", conditions, "  "),
-    ]
-    if report.bipartition is not None:
-        sides = [
-            f'    "x_side": {_int_list(sorted(report.bipartition.x_side), "    ")}',
-            f'    "y_side": {_int_list(sorted(report.bipartition.y_side), "    ")}',
-        ]
-        members.append('  "bipartition": ' + _block("{", "}", sides, "  "))
-    w = report.planar_witness
-    if w is not None:
-        if w.kind == "K5":
-            hubs = _int_list(w.hubs, "    ")
-        else:
-            hubs = _block("[", "]", [f"      {_int_list(h, '      ')}" for h in w.hubs], "    ")
-        chains = [
-            f"      {_string(f'{min(p)},{max(p)}')}: {_int_list(c, '      ')}"
-            for p, c in w.chains.items()
-        ]
-        witness = [
-            f'    "kind": {_string(w.kind)}',
-            f'    "hubs": {hubs}',
-            '    "chains": ' + _block("{", "}", chains, "    "),
-        ]
-        members.append('  "planar_witness": ' + _block("{", "}", witness, "  "))
-    return _block("{", "}", members, "") + "\n"
+    """The classify report, ``report_parts`` joined."""
+    return "".join(report_parts(report))
 
 
 def graph_from_json(text: str, cmp: Cmp = EXACT) -> WeightedGraph:
@@ -381,9 +393,3 @@ def _json_int(value, key: str) -> int:
         raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
     return value
 
-
-def graph_to_dot(graph: WeightedGraph) -> str:
-    lines = ["graph realization {", *(f"  {v};" for v in range(1, graph.n + 1))]
-    if len(graph.u):
-        lines.append(_edge_block(graph, '  %d -- %d [label="%s"];', "\n"))
-    return "\n".join(lines) + "\n}\n"

@@ -1,7 +1,9 @@
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from metric_realize import (
     generate,
     two_weights,
 )
-from metric_realize import kernel
+from metric_realize import kernel, serialize
 from metric_realize.cli import run
 from metric_realize.generators import CLASS_MIN_N
 from metric_realize.serialize import (
@@ -32,6 +34,7 @@ from metric_realize.serialize import (
     graph_to_json,
     parse_family_csv,
     parse_number,
+    report_parts,
     report_to_json,
 )
 
@@ -260,9 +263,24 @@ def graphs(draw):
     return WeightedGraph(n, [(u, v, draw(weight)) for u, v, _w in shape.edges])
 
 
+# The writers' block size, and blocks of 1 and 2 edges, so that the small
+# graphs here have edge lists of many blocks too.
+BLOCKS = (serialize.BLOCK_CELLS, 1, 2)
+
+
+def at_each_block(write, *args) -> list:
+    """What ``write(*args)`` returns at each block size of ``BLOCKS``."""
+    texts = []
+    for block in BLOCKS:
+        with mock.patch.object(serialize, "BLOCK_CELLS", block):
+            texts.append(write(*args))
+    return texts
+
+
 class TestReportJson:
     """``report_to_json`` prints what the indenting encoder printed for the
-    report's dict form (``oracles.report_dict``), byte for byte."""
+    report's dict form (``oracles.report_dict``), byte for byte, at every
+    block size of ``BLOCKS``."""
 
     def test_equals_the_indented_dump_on_the_acceptance_families(self, fig2_family):
         reports = [classify(fig2_family)]
@@ -276,7 +294,7 @@ class TestReportJson:
                         reports.append(classify(two_weights(graph)))
                         reports.append(classify(two_weights(graph, Cmp(1e-9))))
         for report in reports:
-            assert report_to_json(report) == indented_dump(oracles.report_dict(report))
+            assert at_each_block(report_to_json, report) == [indented_dump(oracles.report_dict(report))] * len(BLOCKS)
         # the optional members appear and are absent
         assert {r.planar_witness.kind for r in reports if r.planar_witness} == {"K5", "K33"}
         assert {r.bipartition is None for r in reports} == {True, False}
@@ -291,7 +309,7 @@ class TestReportJson:
             i, j = sorted(data.draw(st.lists(st.integers(1, graph.n), min_size=2, max_size=2, unique=True)))
             family = with_value(family, i, j, sum(family.values.values()) + 1)
         report = classify(family)
-        assert report_to_json(report) == indented_dump(oracles.report_dict(report))
+        assert at_each_block(report_to_json, report) == [indented_dump(oracles.report_dict(report))] * len(BLOCKS)
         assert report.to_dict() == oracles.report_dict(report)
 
     def test_non_ascii_reasons_are_escaped(self):
@@ -304,7 +322,35 @@ class TestReportJson:
     @given(graphs())
     @example(WeightedGraph(1, []))  # an empty edge list
     def test_graph_to_json_equals_the_indented_dump(self, graph):
-        assert graph_to_json(graph) == indented_dump(oracles.graph_to_dict(graph))
+        assert at_each_block(graph_to_json, graph) == [indented_dump(oracles.graph_to_dict(graph))] * len(BLOCKS)
+        assert at_each_block(graph_to_dot, graph) == [graph_to_dot(graph)] * len(BLOCKS)
+
+    def test_the_cli_prints_report_to_json(self, tmp_path, capsys):
+        # a tree's report holds K_{X,Y}: 35 edges here, so many blocks
+        family = two_weights(generate(GenSpec("tree", 12, 1)))
+        path = tmp_path / "t12.csv"
+        path.write_text(family_to_csv(family))
+
+        def printed():
+            assert run(["classify", str(path)]) == 0
+            return capsys.readouterr().out
+
+        assert at_each_block(printed) == [report_to_json(classify(family))] * len(BLOCKS)
+
+    def test_the_report_parts_stay_within_four_matrices(self):
+        # the parts the CLI writes for the n = 600 tree, whose report holds
+        # K_{X,Y}: the text itself is about 2.9 int64 matrices, and each edge
+        # block's cells are held only while the block is written.  Building
+        # every level of nesting as a copy of the text below it took 14.5.
+        n = 600
+        report = classify(two_weights(generate(GenSpec("tree", n, 1))))
+        tracemalloc.start()
+        try:
+            report_parts(report)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * n * n
 
 
 @pytest.fixture

@@ -1,0 +1,25 @@
+import collections
+
+import output_corpus
+
+
+def test_every_case_prints_what_the_corpus_records():
+    expected = output_corpus.flatten(output_corpus.load())
+    actual = output_corpus.flatten(output_corpus.compute())
+    changed = sorted(name for name in expected.keys() | actual.keys() if expected.get(name) != actual.get(name))
+    assert not changed, (
+        f"{len(changed)} of {len(expected)} cases print other bytes than the corpus records "
+        "(rewrite it with `PYTHONPATH=src python tests/output_corpus.py` if the change is meant):\n"
+        + "\n".join(changed)
+    )
+
+
+def test_the_corpus_covers_the_grid():
+    # 8 classes x 5 sizes x 2 weight models x 3 ranges x 3 seeds = 720 gen
+    # lines, each in JSON and DOT; weights and prune, exact and with --tol, on
+    # each; classify, exact and with --tol, on the weights CSV of each with
+    # n <= 30, less the 18 refused polygons with n = 2
+    last_commands = collections.Counter(
+        name.split(" | ")[-1].split()[0] for name in output_corpus.flatten(output_corpus.load())
+    )
+    assert last_commands == {"gen": 1440, "weights": 1440, "prune": 1440, "classify": 1116}

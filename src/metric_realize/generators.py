@@ -67,41 +67,26 @@ class GenSpec:
         )
 
 
-def _weight_sampler(spec: GenSpec, lo_tenths: int = None, hi_tenths: int = None):
-    """Weight draw on the model's grid, optionally narrowed (in tenths)."""
-    if spec.weight_kind == "int":
-        lo, hi = spec.lo, spec.hi
-        if lo_tenths is not None:
-            lo = max(lo, -(-lo_tenths // 10))
-            hi = min(hi, hi_tenths // 10)
-        return lambda rng: rng.randint(lo, hi)
-    lo_t = spec.lo * 10 if lo_tenths is None else max(spec.lo * 10, lo_tenths)
-    hi_t = spec.hi * 10 if hi_tenths is None else min(spec.hi * 10, hi_tenths)
+def _weight_sampler(spec: GenSpec, factor: int = 0):
+    """Weight draw on the model's grid: k / u for an integer k in [lo*u,
+    hi*u], u = 1 for "int" and 10 for "decimal".  A path length ``factor``
+    >= 2 raises the least k to hi*u // factor + 1, so that every edge is
+    strictly shorter than any path of ``factor`` edges; the range stays
+    nonempty, as hi*u // factor < hi*u."""
+    u = 1 if spec.weight_kind == "int" else 10
+    hi = spec.hi * u
+    lo = max(spec.lo * u, hi // factor + 1) if factor else spec.lo * u
 
     def draw(rng: random.Random) -> Number:
-        k = rng.randint(lo_t, hi_t)
-        return k // 10 if k % 10 == 0 else Fraction(k, 10)
+        k = rng.randint(lo, hi)
+        return k // u if k % u == 0 else Fraction(k, u)
 
     return draw
-
-
-def _metric_range_tenths(spec: GenSpec, factor: int) -> Tuple[int, int]:
-    """Sub-range [m, hi] (in tenths) with factor * m > hi, so that every
-    edge is strictly shorter than any path of ``factor`` edges."""
-    hi_t = spec.hi * 10
-    m = max(spec.lo * 10, hi_t // factor + 1)
-    if m > hi_t:
-        raise GenerationError(
-            f"weight range [{spec.lo},{spec.hi}] cannot support the {spec.class_id} class"
-        )
-    return m, hi_t
 
 
 def random_prufer_tree(n: int, rng: random.Random) -> List[Tuple[int, int]]:
     if n == 1:
         return []
-    if n == 2:
-        return [(1, 2)]
     seq = [rng.randint(1, n) for _ in range(n - 2)]
     return tree_from_prufer(seq, n)
 
@@ -163,12 +148,12 @@ def generate(spec: GenSpec) -> WeightedGraph:
         return WeightedGraph(n, edges)
 
     if spec.class_id == "complete":
-        narrow = _weight_sampler(spec, *_metric_range_tenths(spec, 2))
+        narrow = _weight_sampler(spec, factor=2)
         edges = [(i, j, narrow(rng)) for i, j in itertools.combinations(range(1, n + 1), 2)]
         return WeightedGraph(n, edges)
 
     if spec.class_id == "complete_bipartite":
-        narrow = _weight_sampler(spec, *_metric_range_tenths(spec, 3))
+        narrow = _weight_sampler(spec, factor=3)
         labels = rng.sample(range(1, n + 1), n)
         a = rng.randint(1, n - 1)
         x_side, y_side = labels[:a], labels[a:]

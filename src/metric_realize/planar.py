@@ -173,12 +173,10 @@ def _witness_from_kuratowski(edges: Sequence[Pair]) -> PlanarWitness:
     if kind == "K5":
         hub_tuple: tuple = tuple(sorted(hubs))
     else:
-        # in K33 the hubs joined to the smallest hub form the other triple
+        # in K33 the hubs joined to the smallest hub form the other triple,
+        # so the smallest hub is on the first
         side_b = {b for a, b in walks if a == min(hubs)}
-        a_set, b_set = sorted(hubs - side_b), sorted(side_b)
-        if min(b_set) < min(a_set):
-            a_set, b_set = b_set, a_set
-        hub_tuple = (tuple(a_set), tuple(b_set))
+        hub_tuple = (tuple(sorted(hubs - side_b)), tuple(sorted(side_b)))
     witness = PlanarWitness(kind, hub_tuple, {})
     witness.chains.update({frozenset(pair): walks[pair] for pair in witness.hub_pairs()})
     return witness

@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import pathlib
 import sys
@@ -61,19 +62,11 @@ def digest(result: Tuple[int, str, str]) -> str:
     return hashlib.sha256(json.dumps(result).encode()).hexdigest()[:16]
 
 
-def gen_lines():
-    for cls in CLASSES:
-        for n in SIZES:
-            for weights in WEIGHTS:
-                for lo, hi in RANGES:
-                    for seed in SEEDS:
-                        yield n, f"gen --class {cls} --n {n} --seed {seed} --weights {weights} --lo {lo} --hi {hi}"
-
-
 def compute() -> Dict[str, Dict[str, str]]:
     """Every case's digest, keyed as in ``output_corpus.json``."""
     corpus = {}
-    for n, gen in gen_lines():
+    for cls, n, weights, (lo, hi), seed in itertools.product(CLASSES, SIZES, WEIGHTS, RANGES, SEEDS):
+        gen = f"gen --class {cls} --n {n} --seed {seed} --weights {weights} --lo {lo} --hi {hi}"
         printed = {"": run_line(gen, ""), " --format dot": run_line(gen + " --format dot", "")}
         doc = printed[""][1]
         for line in ("weights -", "weights - --tol", "prune -", "prune - --tol"):

@@ -6,6 +6,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metric_realize import (
     GenSpec,
@@ -62,6 +64,27 @@ class TestGenSpec:
         g = generate(GenSpec("complete", 4, 0, lo=1, hi=1))
         assert {w for _u, _v, w in g.edges} == {1}
         assert prune(g) == g
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    class_id=st.sampled_from(["complete", "complete_bipartite"]),
+    n=st.integers(2, 12),
+    bounds=st.tuples(st.integers(1, 30), st.integers(1, 30)).map(sorted),
+    weight_kind=st.sampled_from(["int", "decimal"]),
+    seed=st.integers(),
+)
+def test_narrowed_ranges_give_pruned_instances_of_their_class(class_id, n, bounds, weight_kind, seed):
+    # every edge is drawn shorter than any path of 2 (complete) or 3
+    # (complete bipartite) edges, so the instance is the pruned graph that
+    # its class recognizes
+    lo, hi = bounds
+    g = generate(GenSpec(class_id, n, seed, weight_kind, lo, hi))
+    assert prune(g) == g
+    check = complete_check if class_id == "complete" else cobigraph_check
+    r = check(two_weights(g))
+    assert r.accepted, r.reason
+    assert r.graph == g
 
 
 class TestDeterminism:

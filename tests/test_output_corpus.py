@@ -18,8 +18,18 @@ def test_the_corpus_covers_the_grid():
     # 8 classes x 5 sizes x 2 weight models x 3 ranges x 3 seeds = 720 gen
     # lines, each in JSON and DOT; weights and prune, exact and with --tol, on
     # each; classify, exact and with --tol, on the weights CSV of each with
-    # n <= 30, less the 18 refused polygons with n = 2
+    # n <= 30, less the 18 refused polygons with n = 2.  On the 96 documents
+    # of seed 0 with n in {8, 30}, exact and with --tol: check, realize and
+    # realize in DOT for each of the 9 class names, prune in DOT and verify.
     last_commands = collections.Counter(
         name.split(" | ")[-1].split()[0] for name in output_corpus.flatten(output_corpus.load())
     )
-    assert last_commands == {"gen": 1440, "weights": 1440, "prune": 1440, "classify": 1116}
+    assert last_commands == {
+        "gen": 1440,
+        "weights": 1440,
+        "prune": 1440 + 96 * 2,
+        "classify": 1116,
+        "check": 96 * 2 * 9,
+        "realize": 96 * 2 * 9 * 2,
+        "verify": 96 * 2,
+    }

@@ -10,7 +10,7 @@ from typing import Dict, FrozenSet, Tuple
 import numpy as np
 
 from . import kernel
-from .family import DistanceFamily, FamilyError
+from .family import DistanceFamily
 from .graph import WeightedGraph, verify_realization
 from .realization import Realization
 
@@ -76,20 +76,15 @@ def bipartition(family: DistanceFamily) -> Bipartition:
     makes D_{x,.} strictly increase along them, so they are simple.  When S
     realizes D the last link of a shortest S-path to v is tight, so every
     vertex is placed, and the sides 2-colour S exactly when S is bipartite.
-    Under a tolerance, exact sums D_{x,u} + D_{u,v} beyond the float range
-    raise FamilyError, as values beyond it do in ``DistanceFamily.support``.
     """
     x, y = _min_pair(family)
     adj = family.support.adj
-    d, scale = family.scaled
+    d = family.scaled.array
     dx = d[x - 1]
     order = [v + 1 for v in sorted(range(family.n), key=dx.tolist().__getitem__)]
     rank = {v: k for k, v in enumerate(order)}
     # tight[u - 1][v - 1]: D_{x,u} + D_{u,v} = D_{x,v}
-    try:
-        tight = kernel.eq(dx[:, None] + d, dx, scale, family.cmp).tolist()
-    except OverflowError:
-        raise FamilyError(kernel.OUT_OF_FLOAT_RANGE) from None
+    tight = kernel.eq(dx[:, None] + d, dx, family.cmp).tolist()
     side = {x: 0}
     chains: Dict[int, Tuple[int, ...]] = {x: ()}
     for v in order[1:]:

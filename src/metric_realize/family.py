@@ -39,6 +39,8 @@ class DistanceFamily:
     ``values`` maps ``(i, j)`` with ``i < j`` to a positive finite number.
     The family keeps only its n x n array ``scaled`` (``kernel.pair_matrix``,
     diagonal 0), which every decision reads; ``values`` and ``d`` are views.
+    Under a tolerance it holds the correctly rounded floats of exact
+    numbers, as ``parse_family_csv`` reads them (``_compared``).
     """
 
     def __init__(self, n: int, values: Dict[Tuple[int, int], Number], cmp: Cmp = EXACT):
@@ -56,16 +58,17 @@ class DistanceFamily:
                 raise FamilyError(f"infinite 2-weight at ({i},{j})")
         self.n, self.cmp = n, cmp
         try:
-            self.scaled = kernel.pair_matrix(n, values)
+            scaled = kernel.pair_matrix(n, values)
         except OverflowError:
             raise FamilyError(kernel._FLOAT_BESIDE_BEYOND_FLOATS) from None
+        self.scaled = _compared(scaled, cmp)
 
     @classmethod
     def _of_array(cls, scaled: "Scaled", cmp: Cmp) -> "DistanceFamily":
         """The family of a checked array that its maker built (symmetric, zero
         diagonal, positive finite entries, a dtype that holds any sum of two)."""
         family = cls.__new__(cls)
-        family.n, family.cmp, family.scaled = len(scaled.array), cmp, scaled
+        family.n, family.cmp, family.scaled = len(scaled.array), cmp, _compared(scaled, cmp)
         return family
 
     def __eq__(self, other) -> bool:
@@ -111,6 +114,21 @@ class DistanceFamily:
         return bipartition(self)
 
 
+def _compared(scaled: "Scaled", cmp: Cmp) -> "Scaled":
+    """The array as ``cmp`` compares it: float64 under a tolerance, where an
+    exact value beyond the float range, or one that rounds to 0 (which the
+    CSV reader refuses as nonpositive), raises FamilyError."""
+    if cmp.exact or scaled.scale is None:
+        return scaled
+    try:
+        a = kernel.at_scale(scaled.array, scaled.scale, None, 2)
+    except OverflowError:
+        raise FamilyError(kernel.OUT_OF_FLOAT_RANGE) from None
+    if np.count_nonzero(a) < a.size - len(a):
+        raise FamilyError("an exact value that rounds to 0 in float64 cannot be compared under a tolerance")
+    return kernel.Scaled(a, None)
+
+
 @dataclass
 class PairPredicateReport:
     """Verdict of a family-wide predicate plus a capped list of violations."""
@@ -124,13 +142,8 @@ class PairPredicateReport:
 
 def _report(violations: Iterator[tuple], max_violations: int) -> PairPredicateReport:
     """The report of the first ``max_violations`` (at least 1) of
-    ``violations``; the rest are never computed.  Under a tolerance, sums
-    of exact values beyond the float range raise FamilyError, as they do in
-    ``DistanceFamily.support``."""
-    try:
-        found = list(itertools.islice(violations, max(1, max_violations)))
-    except OverflowError:
-        raise FamilyError(kernel.OUT_OF_FLOAT_RANGE) from None
+    ``violations``; the rest are never computed."""
+    found = list(itertools.islice(violations, max(1, max_violations)))
     return PairPredicateReport(not found, found)
 
 
@@ -145,11 +158,11 @@ def check_triangle(family: DistanceFamily, max_violations: int = MAX_VIOLATIONS)
 
 
 def _triangle_violations(family: DistanceFamily) -> Iterator[tuple]:
-    d, scale = family.scaled
+    d = family.scaled.array
     for i in range(family.n - 1):
         # rows j > i, columns k: D_ik + D_kj < D_ij; k = i and k = j give
         # D_ij itself, which is never below it
-        short = kernel.lt(d[i] + d[i + 1 :], d[i, i + 1 :, None], scale, family.cmp)
+        short = kernel.lt(d[i] + d[i + 1 :], d[i, i + 1 :, None], family.cmp)
         for j, k in zip(*(ix.tolist() for ix in np.nonzero(short))):
             yield (i + 1, i + j + 2, k + 1)
 
@@ -163,7 +176,7 @@ def check_four_point(family: DistanceFamily, max_violations: int = MAX_VIOLATION
 
 
 def _four_point_violations(family: DistanceFamily) -> Iterator[tuple]:
-    d, scale = family.scaled
+    d = family.scaled.array
     upper = ~np.tri(family.n, dtype=bool)
     for i, j in itertools.combinations(range(family.n - 2), 2):
         # the pairings D_ij + D_kh, D_ik + D_jh and D_ih + D_jk over the
@@ -175,7 +188,7 @@ def _four_point_violations(family: DistanceFamily) -> Iterator[tuple]:
         # of the three would give them
         low, high = np.minimum(x, y), np.maximum(x, y)
         middle, top = np.maximum(low, np.minimum(high, z)), np.maximum(high, z)
-        bad = ~kernel.eq(middle, top, scale, family.cmp) & upper[rest, rest]
+        bad = ~kernel.eq(middle, top, family.cmp) & upper[rest, rest]
         for k, h in zip(*(ix.tolist() for ix in np.nonzero(bad))):
             yield (i + 1, j + 1, j + k + 2, j + h + 2)
 
@@ -195,8 +208,8 @@ def is_indecomposable(family: DistanceFamily, i: int, j: int) -> bool:
         raise FamilyError("indecomposability needs i != j")
     if not (1 <= i <= family.n and 1 <= j <= family.n):
         raise FamilyError(f"index out of range: ({i},{j})")
-    d, scale = family.scaled
-    below = kernel.lt(d[i - 1, j - 1], d[i - 1] + d[j - 1], scale, family.cmp)
+    d = family.scaled.array
+    below = kernel.lt(d[i - 1, j - 1], d[i - 1] + d[j - 1], family.cmp)
     below[[i - 1, j - 1]] = True
     return bool(below.all())
 
@@ -214,14 +227,13 @@ def check_median(family: DistanceFamily, max_violations: int = MAX_VIOLATIONS) -
 
 
 def _median_violations(family: DistanceFamily) -> Iterator[tuple]:
-    d, scale = family.scaled
-    cmp = family.cmp
+    d, cmp = family.scaled.array, family.cmp
     for a, b in itertools.combinations(range(family.n - 1), 2):
         # the m on the a-b geodesic, then per c > b those also on a-c and b-c
-        m = np.nonzero(kernel.eq(d[a, b], d[a] + d[b], scale, cmp))[0]
+        m = np.nonzero(kernel.eq(d[a, b], d[a] + d[b], cmp))[0]
         dc = d[b + 1 :, m]
-        on_ac = kernel.eq(d[a, b + 1 :, None], d[a, m] + dc, scale, cmp)
-        on_bc = kernel.eq(d[b, b + 1 :, None], d[b, m] + dc, scale, cmp)
+        on_ac = kernel.eq(d[a, b + 1 :, None], d[a, m] + dc, cmp)
+        on_bc = kernel.eq(d[b, b + 1 :, None], d[b, m] + dc, cmp)
         count = np.minimum((on_ac & on_bc).sum(axis=1), 2)
         for c in np.nonzero(count != 1)[0].tolist():
             yield (a + 1, b + 1, b + c + 2, int(count[c]))

@@ -22,6 +22,7 @@ derives them again.
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
@@ -256,27 +257,30 @@ def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:
     One call of ``kernel.splits`` gives every edge's smallest split M_uv,
     and an edge is kept when w = D_uv < M_uv, as ``support.analyse`` finds
     S; ``lt`` is monotone in a finite split, so this is the test of every
-    z, in exact and tolerance mode.  Under a tolerance a float sum beyond
-    the float range splits no pair, and an infinite smallest split, whose
-    slack is infinite, is refused as ``analyse`` refuses it.  ``w`` is
-    compared as it is: a useless weight in Python ints may stand beside
-    int64 2-weights.
+    z, in exact and tolerance mode.  A tolerance compares the weights and
+    the 2-weights in float64, converted once, and refuses an infinite
+    smallest split as ``analyse`` does; the kept edges keep their weights.
+    In exact mode a useless weight in Python ints may stand beside int64
+    2-weights.
     """
     if graph.n == 1:
         return graph
     u, v, w = graph.u, graph.v, graph.w
-    try:
-        dist = _distances(graph)
-        m = kernel.splits(dist, u, v)
-        if not cmp.exact and dist.scale is None and not np.isfinite(m).all():
-            raise GraphError(kernel._SUM_BEYOND_FLOATS)
-        duv = dist.array[u, v]
-        keep = kernel.eq(w, duv, dist.scale, cmp) & kernel.lt(duv, m, dist.scale, cmp)
-    except OverflowError:
-        raise GraphError(kernel.OUT_OF_FLOAT_RANGE) from None
+    dist = _distances(graph)
+    if not cmp.exact:
+        try:
+            w = kernel.at_scale(w, graph.scale, None)
+            dist = kernel.Scaled(kernel.at_scale(dist.array, dist.scale, None, 2), None)
+        except OverflowError:
+            raise GraphError(kernel.OUT_OF_FLOAT_RANGE) from None
+    m = kernel.splits(dist, u, v)
+    if not cmp.exact and not np.isfinite(m).all():
+        raise GraphError(kernel._SUM_BEYOND_FLOATS)
+    duv = dist.array[u, v]
+    keep = kernel.eq(w, duv, cmp) & kernel.lt(duv, m, cmp)
     u, v = u[keep], v[keep]
     _check_connected(graph.n, u, v)
-    return WeightedGraph._of_arrays(graph.n, u, v, w[keep], graph.scale, connected=True)
+    return WeightedGraph._of_arrays(graph.n, u, v, graph.w[keep], graph.scale, connected=True)
 
 
 def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
@@ -286,31 +290,29 @@ def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
     In exact mode with exact weights this is the Bellman check
     (``kernel.bellman``) on the family's array, O(n * m) and no
     Floyd-Warshall: D_ij = min over the neighbours u of i of w_iu + D_uj.
-    It also rules out a disconnected graph.  Under a tolerance, or with a
-    float on either side, the graph's 2-weights are computed here afresh
-    (not taken from the ones ``two_weights`` or ``prune`` kept with it) and
-    compared entrywise: near-ties within a tolerance do not chain along a
-    path, and float sums round."""
+    It also rules out a disconnected graph.  Under a tolerance (a float64
+    family) or with a float weight, the graph's 2-weights are computed here
+    afresh in float64 (not taken from the ones ``two_weights`` or ``prune``
+    kept with it) and compared entrywise: near-ties within a tolerance do
+    not chain along a path, and float sums round."""
     if graph.n != family.n:
         raise GraphError(f"size mismatch: graph n={graph.n}, family n={family.n}")
     target, own = family.scaled
-    scale = kernel.joint_scale(own, graph.scale)
-    if family.cmp.exact and scale is not None:
+    if own is not None and graph.scale is not None:  # exact numbers, so exact mode
+        scale = math.lcm(own, graph.scale)
         w = kernel.at_scale(graph.w, graph.scale, scale)
         return kernel.bellman(graph.n, graph.u, graph.v, w, kernel.at_scale(target, own, scale, 2), scale)
-    # A disconnected graph has infinite 2-weights, which the tolerance rule
-    # would call close to anything; it never realizes D.
-    if not graph.is_connected():
+    if not graph.is_connected():  # it never realizes D
         return False
     try:
-        w = kernel.at_scale(graph.w, graph.scale, scale)
-        dist = kernel.all_pairs(graph.n, graph.u, graph.v, w, scale)
-        target = kernel.at_scale(target, own, scale, 2)
-        return bool(kernel.eq(dist.array, target, scale, family.cmp).all())
+        w = kernel.at_scale(graph.w, graph.scale, None)
+        target = kernel.at_scale(target, own, None, 2)
     except OverflowError:
         if family.cmp.exact:
             raise GraphError(_FLOAT_AGAINST_BEYOND_FLOATS) from None
         raise GraphError(kernel.OUT_OF_FLOAT_RANGE) from None
+    dist = kernel.all_pairs(graph.n, graph.u, graph.v, w, None)
+    return bool(kernel.eq(dist.array, target, family.cmp).all())
 
 
 def support_graph(family: DistanceFamily) -> WeightedGraph:

@@ -10,9 +10,11 @@ float64 when ``scale`` is None, int64 when ``factor`` (1 for graph weights,
 magnitude fits, Python ints (``dtype=object``) otherwise.  ``scaled_array``
 applies it to a list and ``at_scale`` to an array moved to another scale,
 as ``row_matrix`` moves a matrix document's blocks of rows to the LCM of
-their scales.  The loops below give their results the dtype of their
-largest sum, except that ``all_pairs`` stores a result held in Python ints
-by the rule for a family's entries when the +inf stand-in is not among them.
+their scales, or to float64 (scale None), correctly rounded: a tolerance
+compares float64 arrays only (``eq``, ``lt``).  The loops below give their
+results the dtype of their largest sum, except that ``all_pairs`` stores a
+result held in Python ints by the rule for a family's entries when the +inf
+stand-in is not among them.
 
 A graph enters the kernel as its columns (``WeightedGraph``): 0-based
 vertex indices u and v, and the weights w scaled by the graph's scale.
@@ -58,12 +60,13 @@ from .comparison import Cmp, Number
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
-# Why a tolerance comparison raises OverflowError: the float rule cannot
-# take an exact value beyond the float range.
+FLOAT_MAX = float(np.finfo(np.float64).max)  # the cap on the magnitude in ``_slack``
+
+# Why an exact value is refused under a tolerance: it has no float64 value.
 OUT_OF_FLOAT_RANGE = "an exact value beyond the float range cannot be compared under a tolerance"
 
-# Why a tolerance comparison with an infinite float split is refused: its
-# slack is infinite too, so no comparison with it can hold.
+# Why an infinite float split is refused under a tolerance: the sum it
+# stands for has no float64 value.
 _SUM_BEYOND_FLOATS = "a sum of two values beyond the float range cannot be compared under a tolerance"
 
 # Why scaling raises OverflowError (one float makes every number float64)
@@ -119,11 +122,6 @@ def common_scale(numbers: Iterable[Number]) -> Optional[int]:
     return scale
 
 
-def joint_scale(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    """A scale that serves two sets of numbers."""
-    return None if a is None or b is None else math.lcm(a, b)
-
-
 def scale_numbers(numbers: Sequence[Number]) -> Tuple[list, Optional[int]]:
     """Python numbers as (values, scale): the values times the LCM of their
     denominators, or floats and None as soon as one of them is a float."""
@@ -163,12 +161,15 @@ def at_scale(a: np.ndarray, own: Optional[int], scale: Optional[int], factor: in
     multiple of ``own``, or None for float64.  An int64 array whose product
     fits int64 for ``factor`` is multiplied in int64; other work is done in
     Python ints, whose products are exact and whose true division rounds
-    correctly, as float(Fraction) does; an exact value beyond the float
-    range raises OverflowError.  The result is stored by the kernel's rule
-    for ``factor``, as ``scaled_array`` stores a list."""
+    correctly, as float(Fraction) does, and so does one numpy division of
+    ints up to 2^53, which float64 holds exactly.  An exact value beyond
+    the float range raises OverflowError.  The result is stored by the
+    kernel's rule for ``factor``, as ``scaled_array`` stores a list."""
     if scale == own:
         return a
     if scale is None:
+        if a.dtype == np.int64 and max(own, int(a.max(initial=0)), -int(a.min(initial=0))) <= 2**53:
+            return a / own
         return np.asarray(a.astype(object) / own, dtype=np.float64)
     k = scale // own
     # the floor of 1 on the magnitude keeps k itself within int64
@@ -282,37 +283,31 @@ def all_pairs(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, scale: Option
     return Scaled(d.astype(dtype, copy=False), scale)
 
 
-def _floats(x: np.ndarray, scale: Optional[int]) -> np.ndarray:
-    """float64 values of scaled entries (Python's true division on object)."""
-    if scale is None:
-        return x
-    return np.asarray(x / scale, dtype=np.float64)
-
-
-def _slack(a: np.ndarray, b: np.ndarray, scale: Optional[int], tol: float) -> np.ndarray:
-    """tol * max(1, |a|, |b|) in float64, the maximum taken on the scaled values."""
-    return tol * np.maximum(1.0, _floats(np.maximum(np.abs(a), np.abs(b)), scale))
+def _slack(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """tol * max(1, |a|, |b|), the magnitude capped at FLOAT_MAX, which
+    changes the slack of no finite operands."""
+    return tol * np.minimum(np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0), FLOAT_MAX)
 
 
 @python_floats
-def eq(a: np.ndarray, b: np.ndarray, scale: Optional[int], cmp: Cmp) -> np.ndarray:
-    """a = b entrywise on scaled arrays: exactly in exact mode, and under a
-    tolerance by the relative rule |a - b| <= tol * max(1, |a|, |b|) in
-    float64, with the difference taken on the scaled values first.  The
-    floor of 1 keeps small values from meeting a vanishing threshold."""
+def eq(a: np.ndarray, b: np.ndarray, cmp: Cmp) -> np.ndarray:
+    """a = b entrywise: exactly in exact mode (arrays at one scale), and on
+    float64 arrays under a tolerance by the relative rule
+    |a - b| <= tol * max(1, |a|, |b|).  The floor of 1 keeps small values
+    from meeting a vanishing threshold, and the cap of the magnitude at
+    FLOAT_MAX keeps an infinite sum from a finite value."""
     if cmp.exact:
         return a == b
-    return np.abs(_floats(a - b, scale)) <= _slack(a, b, scale, cmp.tol)
+    return np.abs(a - b) <= _slack(a, b, cmp.tol)
 
 
 @python_floats
-def lt(a: np.ndarray, b: np.ndarray, scale: Optional[int], cmp: Cmp) -> np.ndarray:
-    """a < b entrywise on scaled arrays: exactly in exact mode, and under a
-    tolerance when the gap b - a exceeds the slack of ``eq``,
-    tol * max(1, |a|, |b|)."""
+def lt(a: np.ndarray, b: np.ndarray, cmp: Cmp) -> np.ndarray:
+    """a < b entrywise: exactly in exact mode, and under a tolerance when
+    the gap b - a exceeds the slack of ``eq``."""
     if cmp.exact:
         return a < b
-    return _floats(b - a, scale) > _slack(a, b, scale, cmp.tol)
+    return b - a > _slack(a, b, cmp.tol)
 
 
 def bellman(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, target: np.ndarray, scale: int) -> bool:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernel
 from .family import DistanceFamily
 from .graph import WeightedGraph, verify_realization
 from .realization import InternalInconsistencyError, Realization
@@ -50,15 +49,13 @@ def polygon_check(family: DistanceFamily) -> Realization:
     snake = snake_check(family)
     if snake.accepted:
         a, b = sorted(v - 1 for v, nbrs in family.support.adj.items() if len(nbrs) == 1)
-        path, (d, own) = snake.graph, family.scaled
-        # S's scale is the family's, but a reweighted tree (within a
-        # tolerance) has its own
-        scale = kernel.joint_scale(path.scale, own)
-        w = np.append(kernel.at_scale(path.w, path.scale, scale), kernel.at_scale(d[a, b : b + 1], own, scale))
+        # the path, S or S reweighted within a tolerance, has the family's scale
+        path = snake.graph
+        w = np.append(path.w, family.scaled.array[a, b])
         u, v = np.append(path.u, a), np.append(path.v, b)
         order = np.lexsort((v, u))
         # a path closed by an edge between its ends is connected
-        graph = WeightedGraph._of_arrays(family.n, u[order], v[order], w[order], scale, connected=True)
+        graph = WeightedGraph._of_arrays(family.n, u[order], v[order], w[order], path.scale, connected=True)
         # The closing edge weighs D_ends = d_S(ends), so in exact mode no
         # 2-weight changes; within a tolerance, paths through it may fall short.
         if not family.cmp.exact and not verify_realization(graph, family):

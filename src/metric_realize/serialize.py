@@ -187,8 +187,8 @@ def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
             pass
         raise ParseError(f"row {whole + 1} has {commas[whole] + 1} cells, expected {n}")
     a, scale = kernel.row_matrix(blocks, n)
-    if not _is_family(a, scale, cmp):
-        raise ParseError(_first_fault(a, scale, cmp))
+    if not _is_family(a, cmp):
+        raise ParseError(_first_fault(a, cmp))
     if not cmp.exact:
         # The family is the upper triangle mirrored (x + 0.0 is x), with a
         # zero diagonal; a tolerance admits near-zeros and near-mirrors.
@@ -197,7 +197,7 @@ def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
     return DistanceFamily._of_array(kernel.Scaled(a, scale), cmp)
 
 
-def _is_family(a: np.ndarray, scale: Optional[int], cmp: Cmp) -> bool:
+def _is_family(a: np.ndarray, cmp: Cmp) -> bool:
     """Whether the read matrix is a family's: a zero diagonal, symmetric,
     and positive above the diagonal, each in one array step."""
     n = len(a)
@@ -205,17 +205,17 @@ def _is_family(a: np.ndarray, scale: Optional[int], cmp: Cmp) -> bool:
         # symmetric with a zero diagonal, so positive off it on both sides
         return not a.diagonal().any() and (a == a.T).all() and np.count_nonzero(a > 0) == n * (n - 1)
     return (
-        kernel.eq(np.diagonal(a), 0, scale, cmp).all()
-        and kernel.eq(a, a.T, scale, cmp).all()
+        kernel.eq(np.diagonal(a), 0, cmp).all()
+        and kernel.eq(a, a.T, cmp).all()
         and (np.tri(n, dtype=bool) | (a > 0)).all()
     )
 
 
-def _first_fault(a: np.ndarray, scale: Optional[int], cmp: Cmp) -> str:
+def _first_fault(a: np.ndarray, cmp: Cmp) -> str:
     """What is wrong with a matrix that ``_is_family`` refuses: the first bad
     cell in row order, the diagonal cell ahead of its row."""
-    diagonal_off = ~kernel.eq(np.diagonal(a), 0, scale, cmp)
-    asymmetric = np.triu(~kernel.eq(a, a.T, scale, cmp), 1)
+    diagonal_off = ~kernel.eq(np.diagonal(a), 0, cmp)
+    asymmetric = np.triu(~kernel.eq(a, a.T, cmp), 1)
     nonpositive = np.triu(~(a > 0), 1)
     bad = asymmetric | nonpositive
     i = int(np.argmax(diagonal_off | bad.any(axis=1)))

@@ -82,29 +82,26 @@ def analyse(family: DistanceFamily) -> Support:
     by the Bellman equations in exact mode, by Floyd-Warshall under a
     tolerance.
 
-    Under a tolerance an infinite float split has an infinite slack, so no
-    comparison with it can hold; such a family raises FamilyError.
+    Under a tolerance an infinite float split stands for a sum that has no
+    float64 value; such a family raises FamilyError.
     """
     n, cmp = family.n, family.cmp
     a, scale = family.scaled
     index = np.arange(n)
     rows, cols = np.nonzero(index[:, None] < index)
     m = kernel.splits(family.scaled, rows, cols)
-    if not cmp.exact and scale is None and not np.isfinite(m).all():
+    if not cmp.exact and not np.isfinite(m).all():
         raise FamilyError(kernel._SUM_BEYOND_FLOATS)
     d = a[rows, cols]
-    try:
-        below = kernel.lt(d, m, scale, cmp)
-        above = kernel.lt(m, d, scale, cmp)
-        violation = None
-        if above.any():
-            k = int(np.argmax(above))
-            i, j = int(rows[k]), int(cols[k])
-            # z = i and z = j give D_ij itself, which is never below it
-            z = int(np.argmax(kernel.lt(a[i] + a[j], a[i, j], scale, cmp)))
-            violation = (i + 1, j + 1, z + 1)
-    except OverflowError:
-        raise FamilyError(kernel.OUT_OF_FLOAT_RANGE) from None
+    below = kernel.lt(d, m, cmp)
+    above = kernel.lt(m, d, cmp)
+    violation = None
+    if above.any():
+        k = int(np.argmax(above))
+        i, j = int(rows[k]), int(cols[k])
+        # z = i and z = j give D_ij itself, which is never below it
+        z = int(np.argmax(kernel.lt(a[i] + a[j], a[i, j], cmp)))
+        violation = (i + 1, j + 1, z + 1)
     graph = WeightedGraph._of_arrays(n, rows[below], cols[below], d[below], scale)
     del rows, cols, d, m, below, above  # S's verification below needs room of its own at large n
     adj = graph.adjacency()

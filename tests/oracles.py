@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import numbers
 import operator
+import sys
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
@@ -49,11 +50,12 @@ class SizeGuardError(ValueError):
 
 
 def _slack(cmp: Cmp, a: Number, b: Number) -> float:
-    return cmp.tol * max(1.0, abs(a), abs(b))
+    return cmp.tol * min(max(1.0, abs(a), abs(b)), sys.float_info.max)
 
 
 def eq(cmp: Cmp, a: Number, b: Number) -> bool:
-    """a = b: exactly, or within the relative tolerance tol * max(1, |a|, |b|)."""
+    """a = b: exactly, or within the relative tolerance tol * max(1, |a|, |b|),
+    the magnitude capped at the largest float."""
     if cmp.exact:
         return a == b
     return abs(a - b) <= _slack(cmp, a, b)
@@ -231,9 +233,7 @@ def without_edge(graph: WeightedGraph, u: int, v: int) -> WeightedGraph:
 
 def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
     """Every pair compared under the family's cmp mode.  A disconnected
-    graph, one with an infinite scalar 2-weight, realizes nothing: the
-    tolerance rule would give that entry an infinite slack and call it
-    close to anything."""
+    graph, one with an infinite scalar 2-weight, realizes nothing."""
     dist = shortest_path_matrix(graph)
     if any(float("inf") in row for row in dist):
         return False

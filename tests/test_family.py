@@ -1,6 +1,7 @@
 """Distance families, the four family checks and the support graph; the
 array checks against the scalar scans in ``oracles``."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -24,6 +25,8 @@ from metric_realize import (
     support_graph,
     two_weights,
 )
+from metric_realize import kernel
+from metric_realize.serialize import family_to_csv, parse_family_csv, report_to_json
 
 import oracles
 from conftest import fam, fam_of, random_connected_graph, with_cmp
@@ -424,16 +427,17 @@ NOISE = (0.0, 1e-12, -1e-12, 7e-10, -7e-10, 1e-8, -1e-8)
 @st.composite
 def checked_families(draw):
     """A family of ``test_support.families`` (int, decimal, beyond-int64 and
-    beyond-float values; metric or not) as it is, exactly or under TOL, or
-    as floats, exactly, under TOL, or with NOISE under TOL.  Values beyond
-    the float range stay exact: a tolerance cannot compare them."""
+    beyond-float values; metric or not) as it is, exactly or under TOL
+    (which holds their floats), or as floats exactly, or with NOISE under
+    TOL.  Values beyond the float range stay exact: a tolerance refuses
+    them."""
     kind, family = draw(families())
-    modes = ("exact",) if kind == "huge" else ("exact", "tol", "float", "float tol", "noisy")
+    modes = ("exact",) if kind == "huge" else ("exact", "tol", "float", "noisy")
     mode = draw(st.sampled_from(modes))
     if mode == "exact":
         return family  # with the array that two_weights kept, if it made the family
     values = family.values
-    if mode in ("float", "float tol"):
+    if mode == "float":
         values = {p: float(v) for p, v in values.items()}
     elif mode == "noisy":
         values = {p: float(v) * (1 + draw(st.sampled_from(NOISE))) for p, v in values.items()}
@@ -456,9 +460,74 @@ def test_the_array_checks_equal_the_scalar_scans(family, cap):
 
 
 @pytest.mark.parametrize("check", (check_triangle, check_four_point, check_median, classify))
-def test_the_checks_under_a_tolerance_reject_sums_beyond_the_float_range(check):
+def test_the_checks_under_a_tolerance_decide_sums_beyond_the_float_range_as_exact_mode_does(check):
     # K_{3,3} of weight 5e307: every value fits a float, but the sums of two
-    # same-side values (2 * 1e308) that the checks compare do not
+    # same-side values (2 * 1e308) that the checks compare are inf, which is
+    # within no tolerance of a finite value
     g = WeightedGraph(6, [(a, b, 5 * 10**307) for a in (1, 2, 3) for b in (4, 5, 6)])
-    with pytest.raises(FamilyError, match="beyond the float range"):
-        check(two_weights(g, Cmp(1e-9)))
+    got, want = check(two_weights(g, Cmp(1e-9))), check(two_weights(g))
+    if check is classify:
+        got, want = (
+            ({k: (r.accepted, r.reason) for k, r in report.verdicts.items()}, report.condition_summary, report.bipartition)
+            for report in (got, want)
+        )
+    else:
+        assert not want.holds or check is check_triangle
+    assert got == want
+
+
+# Exact values whose tolerance family is the one the command line reads for
+# them: ints, decimals, ratios p/q, values whose scaled ints pass 2^53 (no
+# exact float64 value) within int64, and ints beyond int64.
+EXACT_VALUES = {
+    "int": st.integers(1, 20),
+    "decimal": st.integers(1, 400).map(lambda k: Fraction(k, 20)),
+    "ratio": st.builds(Fraction, st.integers(1, 60), st.integers(1, 13)),
+    "past 2^53": st.builds(Fraction, st.integers(2**53 + 1, 2**59), st.sampled_from((1, 3))),
+    "beyond int64": st.integers(2**63, 2**70),
+}
+
+
+@st.composite
+def exact_graphs(draw):
+    """A connected graph with exact weights of one kind, and either its
+    2-weights or arbitrary values of that kind (mostly not a metric)."""
+    value = EXACT_VALUES[draw(st.sampled_from(sorted(EXACT_VALUES)))]
+    n = draw(st.integers(2, 7))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = {(draw(st.integers(1, v - 1)), v): draw(value) for v in range(2, n + 1)}
+    for _ in range(draw(st.integers(0, n))):
+        edges[draw(st.sampled_from(pairs))] = draw(value)
+    g = WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+    values = two_weights(g).values if draw(st.booleans()) else {p: draw(value) for p in pairs}
+    return g, values
+
+
+@settings(SETTINGS, max_examples=150)
+@given(exact_graphs())
+def test_a_tolerance_family_of_exact_numbers_is_the_family_the_command_line_reads(drawn):
+    g, values = drawn
+    family = DistanceFamily(g.n, values, TOL)
+    read = parse_family_csv(family_to_csv(DistanceFamily(g.n, values)), TOL)
+    assert family.scaled.scale is read.scaled.scale is None
+    assert family.scaled.array.dtype.name == read.scaled.array.dtype.name == "float64"
+    assert family.scaled.array.tobytes() == read.scaled.array.tobytes()
+    assert report_to_json(classify(family)) == report_to_json(classify(read))
+    # two_weights under a tolerance holds the correctly rounded exact
+    # 2-weights, and with prune and exact two_weights on one graph it runs
+    # one Floyd-Warshall
+    g = WeightedGraph(g.n, g.edges)
+    runs = []
+    all_pairs = kernel.all_pairs
+
+    def counting(*args):
+        runs.append(args)
+        return all_pairs(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernel, "all_pairs", counting)
+        tolerant, pruned, exact = two_weights(g, TOL), prune(g, TOL), two_weights(g)
+    assert len(runs) == 1
+    assert tolerant.values == {p: float(v) for p, v in exact.values.items()}
+    assert tolerant.scaled.array.tobytes() == DistanceFamily(g.n, exact.values, TOL).scaled.array.tobytes()
+    assert pruned.scale == g.scale and set(pruned.edges) <= set(g.edges)

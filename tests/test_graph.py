@@ -391,8 +391,8 @@ class TestPrune:
 
     def test_an_infinite_float_split_is_refused_under_a_tolerance(self):
         # the one pair of n = 2 (its split is 2 * big) and each pair of a
-        # 1e308 triangle have a split beyond the float range, whose slack
-        # is infinite; exact mode compares it and keeps every edge
+        # 1e308 triangle have a split beyond the float range, which is
+        # refused; exact mode compares it and keeps every edge
         for g in (WeightedGraph(2, [(1, 2, 1e308)]), WeightedGraph(3, [(1, 2, 1e308), (2, 3, 1e308), (1, 3, 1e308)])):
             assert prune(g) == g
             with pytest.raises(GraphError, match="^a sum of two values beyond the float range cannot be compared"):

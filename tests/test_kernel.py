@@ -3,8 +3,8 @@ comparison rule entry by entry, and 2-weights, pruning and verification on
 int, Fraction and float weights and on weights whose sums leave int64
 (object dtype), connected or not, exactly and under ``Cmp(1e-9)``.  Results
 are Python numbers and a Python bool.  Values beyond the float range
-(10**400) run in exact mode only: a tolerance compares floats, and the
-scalar loop raises OverflowError on them too."""
+(10**400) run in exact mode only: a tolerance compares floats, and refuses
+an exact value that has none."""
 
 import itertools
 import json
@@ -87,16 +87,38 @@ def test_eq_and_lt_apply_the_scalar_rule_entry_by_entry(kind, cmp, data):
         tie = x * (1 + float(offset)) if isinstance(x, float) else x * (1 + offset)
         b.append(data.draw(st.sampled_from((tie, x)) | value))
     (sa, sb), scale = kernel.row_matrix([kernel.scale_numbers(a), kernel.scale_numbers(b)], len(a))
-    if kind == "huge" and not cmp.exact:
-        for rule in (kernel.eq, kernel.lt):
+    if not cmp.exact:
+        # a tolerance compares the correctly rounded floats, as a family
+        # holds them; an exact value beyond the float range has none
+        if kind == "huge":
             with pytest.raises(OverflowError):
-                rule(sa, sb, scale, cmp)
-        with pytest.raises(OverflowError):
-            oracles.eq(cmp, a[0], b[0])
-        return
-    assert kernel.eq(sa, sb, scale, cmp).tolist() == [oracles.eq(cmp, x, y) for x, y in zip(a, b)]
-    assert kernel.lt(sa, sb, scale, cmp).tolist() == [oracles.lt(cmp, x, y) for x, y in zip(a, b)]
-    assert kernel.lt(sb, sa, scale, cmp).tolist() == [oracles.lt(cmp, y, x) for x, y in zip(a, b)]
+                kernel.at_scale(sa, scale, None)
+            return
+        sa, sb = (kernel.at_scale(x, scale, None) for x in (sa, sb))
+        a, b = [float(x) for x in a], [float(y) for y in b]
+    assert kernel.eq(sa, sb, cmp).tolist() == [oracles.eq(cmp, x, y) for x, y in zip(a, b)]
+    assert kernel.lt(sa, sb, cmp).tolist() == [oracles.lt(cmp, x, y) for x, y in zip(a, b)]
+    assert kernel.lt(sb, sa, cmp).tolist() == [oracles.lt(cmp, y, x) for x, y in zip(a, b)]
+
+
+BIG = 1e308
+INF = float("inf")
+
+
+@pytest.mark.parametrize("finite", (0.0, 1.0, BIG, -BIG))
+@pytest.mark.parametrize("infinite", (INF, -INF))
+def test_an_infinite_sum_is_within_no_tolerance_of_a_finite_value(infinite, finite):
+    # the slack's magnitude is capped at the largest float, so an infinite
+    # operand keeps a finite slack; near the cap finite values keep theirs
+    cmp = Cmp(1e-9)
+    x, y = np.array([infinite, finite]), np.array([finite, infinite])
+    assert kernel.eq(x, y, cmp).tolist() == [False, False]
+    assert kernel.lt(x, y, cmp).tolist() == [infinite < 0, infinite > 0]
+    for a, b in ((infinite, finite), (finite, infinite)):
+        assert oracles.eq(cmp, a, b) is False and oracles.lt(cmp, a, b) is (a < b)
+    near, far = np.array([BIG * (1 - 1e-12), BIG * (1 - 1e-8)]), np.array([BIG, BIG])
+    assert kernel.eq(near, far, cmp).tolist() == [True, False]
+    assert kernel.lt(near, far, cmp).tolist() == [False, True]
 
 
 def comparable(g, cmp):
@@ -272,18 +294,6 @@ def test_verify_realization_of_another_graph_equals_the_scalar_comparison(pair, 
 SECOND_SCALE_CMPS = (Cmp(1e-9), Cmp(1e-12), Cmp(1e-15))
 
 
-def kept_as_python_ints(at_scale):
-    """``at_scale`` with every exact array it moves kept as Python ints
-    (object dtype), on which ``kernel._floats`` rounds once, where on int64
-    it rounds the entries to float64 first and then their quotient."""
-
-    def moved(a, own, scale, factor=1):
-        out = at_scale(a, own, scale, factor)
-        return out if scale in (own, None) else out.astype(object)
-
-    return moved
-
-
 @st.composite
 def second_scale_pairs(draw, cmp):
     """A graph g with int weights whose 2-weights reach 2**61, and h: g plus a
@@ -302,45 +312,48 @@ def second_scale_pairs(draw, cmp):
 @KERNEL_SETTINGS
 @given(st.sampled_from(SECOND_SCALE_CMPS), st.data())
 def test_verification_at_a_second_scale_rounds_as_on_python_ints(cmp, data):
-    # the family of one graph checked on the other: the family's array or
-    # the graph's weights are moved to scale 7, where they fit int64 up to
-    # 2**62 / 7; each verdict is the one that arrays of Python ints give
+    # the family of one graph checked on the other under a tolerance: the
+    # 2-weights, at scale 1 or 7 and up to 2**61, and the graph's weights
+    # are compared as the floats that Python's true division of ints gives
     g, h = data.draw(second_scale_pairs(cmp))
-    for graph, family in ((h, two_weights(g, cmp)), (g, two_weights(h, cmp))):
-        got = verify_realization(graph, family)
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(kernel, "at_scale", kept_as_python_ints(kernel.at_scale))
-            assert verify_realization(graph, family) is got
+    for graph, other in ((h, g), (g, h)):
+        family = two_weights(other, cmp)
+        floats = {p: float(v) for p, v in two_weights(other).values.items()}
+        assert family.values == floats
+        rounded = WeightedGraph(graph.n, [(u, v, float(w)) for u, v, w in graph.edges])
+        assert verify_realization(graph, family) is verify_realization(rounded, DistanceFamily(graph.n, floats, cmp))
 
 
 def noisy_path(tol):
-    """Ten collinear exact points 1/10 apart, every tight split off by half
-    the tolerance, so that S, the path, misses D(1, 10) and is reweighted
-    from vertex 1 (``support._reweighted_tree``); D(a, b) with a > 1 moved by
-    a 70th of the tolerance, which puts a 7 into the family's scale and
-    none into the reweighted path's."""
+    """The exact values of ten collinear points 1/10 apart, every tight
+    split off by half the tolerance, so that S, the path, misses D(1, 10)
+    and is reweighted from vertex 1 (``support._reweighted_tree``); D(a, b)
+    with a > 1 moved by a 70th of the tolerance, which puts a 7 into their
+    scale."""
     unit = Fraction(str(tol))
-    return DistanceFamily(10, {
+    return {
         (a, b): Fraction(b - a, 10) - unit / 2 * (b - a - 1) + (unit / 70 if a > 1 else 0)
         for a, b in itertools.combinations(range(1, 11), 2)
-    }, Cmp(tol))
+    }
 
 
 @pytest.mark.parametrize("cmp", SECOND_SCALE_CMPS)
 def test_classify_at_a_second_scale_reports_as_on_python_ints(cmp):
-    # the closed snake moves the reweighted path's weights to the family's
-    # scale, where they fit int64; the report is the one that arrays of
-    # Python ints give
-    family = noisy_path(cmp.tol)
-    path, scale = family.support.realization, family.scaled.scale
-    assert path not in (None, family.support.graph) and path.scale != scale
-    assert kernel.at_scale(path.w, path.scale, scale).dtype.name == "int64"
+    # the Fractions, at a scale with a 7 in it, are moved to float64 as
+    # Python's true division of ints rounds them: S is reweighted and the
+    # snake closed in float64, and the report is that of the family of
+    # those floats and of the family read from the exact matrix document
+    values = noisy_path(cmp.tol)
+    family = DistanceFamily(10, values, cmp)
+    floats = {p: float(v) for p, v in values.items()}
+    assert family.scaled.scale is None and family.values == floats
+    path = family.support.realization
+    assert path not in (None, family.support.graph) and path.scale is None
     report = classify(family)
     assert report.verdicts["polygon"].accepted
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(kernel, "at_scale", kept_as_python_ints(kernel.at_scale))
-        again = classify(noisy_path(cmp.tol))
-    assert serialize.report_to_json(again) == serialize.report_to_json(report)
+    read = parse_family_csv(serialize.family_to_csv(DistanceFamily(10, values)), cmp)
+    texts = {serialize.report_to_json(classify(f)) for f in (DistanceFamily(10, floats, cmp), read)}
+    assert texts == {serialize.report_to_json(report)}
 
 
 @pytest.mark.parametrize("chord", (2**62 - 2, 2**62 - 1, 2**62 + 1, 2**62 + 2, 2**63))
@@ -527,7 +540,8 @@ def test_two_weights_and_prune_of_one_graph_run_one_floyd_warshall(monkeypatch):
     # the kept 2-weights give what a fresh graph computes
     fresh = WeightedGraph(g.n, g.edges)
     assert pruned == prune(fresh) and pruned.edge_pairs() == {(1, 2), (2, 3), (3, 4)}
-    assert two_weights(g).values == family.values == two_weights(fresh, Cmp(1e-9)).values
+    assert two_weights(g).values == family.values
+    assert two_weights(fresh, Cmp(1e-9)).values == {p: float(v) for p, v in family.values.items()}
     # exact verification is the Bellman check on the family's array: no
     # Floyd-Warshall and no connectivity walk
     runs.clear()
@@ -543,11 +557,11 @@ def test_two_weights_and_prune_of_one_graph_run_one_floyd_warshall(monkeypatch):
     assert verify_realization(g, family) is True
     assert runs == [] and walks == []
     # under a tolerance each verification computes the 2-weights of the graph
-    # it checks afresh
+    # it checks afresh, on its weights in float64
     tolerant = two_weights(g, Cmp(1e-9))
     assert verify_realization(pruned, tolerant) is True
     assert verify_realization(g, tolerant) is True
-    assert runs == [pruned.edges, g.edges]
+    assert runs == [tuple((u, v, float(w)) for u, v, w in h.edges) for h in (pruned, g)]
 
 
 @pytest.mark.parametrize(

@@ -131,8 +131,13 @@ def test_analyse_equals_the_scalar_split_scan(drawn, cmp):
 @example(("int", DistanceFamily(6, {p: 2 for p in itertools.combinations(range(1, 7), 2)})), EXACT)
 @example(("huge", DistanceFamily(4, {p: HUGE for p in itertools.combinations(range(1, 5), 2)})), EXACT)
 def test_the_minimal_pair_is_the_first_in_lexicographic_order(drawn, cmp):
-    # off the diagonal only, also when every pair ties, and on object arrays
-    _kind, family = drawn
+    # off the diagonal only, also when every pair ties, and on object arrays;
+    # a tolerance refuses values beyond the float range when the family is made
+    kind, family = drawn
+    if kind == "huge" and not cmp.exact:
+        with pytest.raises(FamilyError, match=RANGE):
+            with_cmp(family, cmp)
+        return
     family = with_cmp(family, cmp)
     assert _min_pair(family) == min(family.pairs(), key=lambda p: family.d(*p))
 
@@ -471,6 +476,31 @@ def test_planar_verdict_equals_the_exhaustive_search_when_m_is_at_most_n_plus_4(
     assert seen == {(True, True), (False, True), (False, False)}
 
 
+def test_an_infinite_sum_is_never_within_tolerance_of_a_finite_value(tmp_path, capsys):
+    # K_{3,3} of weight 5e307 on the sides {1,2,3} and {4,5,6}: the
+    # four-point pairings of two same-side pairs, 1e308 + 1e308, are inf,
+    # and those of two cross pairs are 1e308; --tol prints the exact verdict
+    k33 = tmp_path / "k33.csv"
+    k33.write_text("".join(
+        ",".join("0" if i == j else "1e308" if (i < 3) == (j < 3) else "5e307" for j in range(6)) + "\n"
+        for i in range(6)
+    ))
+    for mode in ([], ["--tol"]):
+        assert run(["classify", str(k33), *mode]) == 0
+        assert '"four_point": false' in capsys.readouterr().out
+    # the path 1-2-3 of weights 1e308, whose D_13 is 2e308 (inf in float64),
+    # does not realize D_13 = 1.5e308 in either mode
+    g = tmp_path / "g.json"
+    g.write_text('{"n": 3, "edges": [{"u": 1, "v": 2, "w": "1e308"}, {"u": 2, "v": 3, "w": "1e308"}]}')
+    m = tmp_path / "m.csv"
+    m.write_text("0,1e308,1.5e308\n1e308,0,1e308\n1.5e308,1e308,0\n")
+    for mode in ([], ["--tol"]):
+        assert run(["verify", str(g), str(m), *mode]) == 1
+        assert capsys.readouterr() == ("mismatch: the graph does not realize the matrix\n", "")
+    # and its 2-weights have no float64 value
+    assert run(["weights", str(g), "--tol"]) == 2
+
+
 # ---------------------------------------------------------------------------
 # A tolerance meets exact values beyond the float range
 # ---------------------------------------------------------------------------
@@ -482,19 +512,37 @@ TOL = Cmp(1e-9)
 
 
 def test_support_under_a_tolerance_rejects_values_beyond_the_float_range():
-    family = two_weights(PATH, TOL)
+    # the family is refused when it is made, before S is looked for
     with pytest.raises(FamilyError, match=RANGE):
-        family.support
+        two_weights(PATH, TOL)
+    with pytest.raises(FamilyError, match=RANGE):
+        DistanceFamily(3, two_weights(PATH).values, TOL)
 
 
-def test_the_bipartition_walk_under_a_tolerance_rejects_sums_beyond_the_float_range():
+def test_the_bipartition_walk_under_a_tolerance_decides_sums_beyond_the_float_range():
     # K_{3,3}: every split is at most 3 * 5e307, but the walk's same-side
-    # sums D_xu + D_uv reach 2e308; planarity reads the walk's sides too
-    family = two_weights(WeightedGraph(6, [(a, b, 5 * 10**307) for a in (1, 2, 3) for b in (4, 5, 6)]), TOL)
+    # sums D_xu + D_uv reach 2e308, inf in float64, which is within no
+    # tolerance of a finite D_xv; the walk, and the checks that read its
+    # sides, decide as in exact mode
+    g = WeightedGraph(6, [(a, b, 5 * 10**307) for a in (1, 2, 3) for b in (4, 5, 6)])
+    family, exact = two_weights(g, TOL), two_weights(g)
     assert family.support.realization is not None
-    for check in (bipartition, bigraph_check, planar_check):
-        with pytest.raises(FamilyError, match=RANGE):
-            check(family)
+    assert bipartition(family) == bipartition(exact)
+    for check in (bigraph_check, planar_check):
+        got, want = check(family), check(exact)
+        assert (got.accepted, got.reason, got.witness) == (want.accepted, want.reason, want.witness)
+        assert got.graph is None or got.graph.edge_pairs() == want.graph.edge_pairs()
+
+
+def test_a_tolerance_rejects_a_positive_value_that_rounds_to_0():
+    # as the matrix reader refuses the 0.0 that 1/10^400 reads as
+    tiny = Fraction(1, 10**400)
+    with pytest.raises(FamilyError, match="rounds to 0"):
+        DistanceFamily(3, {(1, 2): tiny, (1, 3): 1, (2, 3): 1}, TOL)
+    with pytest.raises(FamilyError, match="rounds to 0"):
+        two_weights(WeightedGraph(2, [(1, 2, tiny)]), TOL)
+    with pytest.raises(ParseError, match="nonpositive"):
+        parse_family_csv(f"0,1/{10**400}\n1/{10**400},0\n", TOL)
 
 
 def test_pruning_under_a_tolerance_rejects_values_beyond_the_float_range():
@@ -503,8 +551,10 @@ def test_pruning_under_a_tolerance_rejects_values_beyond_the_float_range():
 
 
 def test_verification_under_a_tolerance_rejects_values_beyond_the_float_range():
-    with pytest.raises(GraphError, match=RANGE):
-        verify_realization(PATH, two_weights(PATH, TOL))
+    # the family of PATH is refused when it is made; PATH's weights when
+    # they are compared with a family
+    with pytest.raises(FamilyError, match=RANGE):
+        two_weights(PATH, TOL)
     small = two_weights(WeightedGraph(3, [(1, 2, 1), (2, 3, 1)]), TOL)
     with pytest.raises(GraphError, match=RANGE):
         verify_realization(WeightedGraph(3, [(1, 2, HUGE), (2, 3, 1)]), small)
@@ -545,7 +595,7 @@ def test_repeated_runs_share_one_parser_and_keep_their_outputs(tmp_path, capsys)
 
 @pytest.mark.filterwarnings("error")
 def test_float_overflow_in_the_kernel_prints_no_warning(tmp_path, capsys):
-    # the splits 1e308 + 1e308 are inf, which no tolerance can compare
+    # the splits 1e308 + 1e308 are inf, which a tolerance refuses
     metric = tmp_path / "m.csv"
     metric.write_text("0,1e308,1e308\n1e308,0,1e308\n1e308,1e308,0\n")
     assert run(["classify", str(metric), "--tol"]) == 2
@@ -579,8 +629,8 @@ def test_float_overflow_in_the_kernel_prints_no_warning(tmp_path, capsys):
 
 
 def test_a_tolerance_rejects_infinite_splits_in_one_line(tmp_path, capsys):
-    # the split of the one pair of n = 2 is D_12 + 2 D_12 + 1, inf; its slack
-    # would be inf too, so no comparison with it could hold
+    # the split of the one pair of n = 2 is D_12 + 2 D_12 + 1, inf: a sum
+    # with no float64 value, which a tolerance refuses
     pair = tmp_path / "pair.csv"
     pair.write_text("0,1e308\n1e308,0\n")
     assert run(["classify", str(pair), "--tol"]) == 2

@@ -171,7 +171,9 @@ def _triangle_violations(family: DistanceFamily) -> Iterator[tuple]:
 def check_four_point(family: DistanceFamily, max_violations: int = MAX_VIOLATIONS) -> PairPredicateReport:
     """Check that for all distinct i,j,k,h the maximum of the three pairings
     {D_{i,j}+D_{k,h}, D_{i,k}+D_{j,h}, D_{i,h}+D_{k,j}} is attained at least
-    twice.  Violations are the quadruples i < j < k < h in lexicographic order."""
+    twice.  Violations are the quadruples i < j < k < h in lexicographic order.
+    Under a tolerance a middle pairing of inf, two sums beyond the float
+    range that cannot be ordered, raises FamilyError when the scan meets it."""
     return _report(_four_point_violations(family), max_violations)
 
 
@@ -190,6 +192,8 @@ def _four_point_violations(family: DistanceFamily) -> Iterator[tuple]:
         middle, top = np.maximum(low, np.minimum(high, z)), np.maximum(high, z)
         bad = ~kernel.eq(middle, top, family.cmp) & upper[rest, rest]
         for k, h in zip(*(ix.tolist() for ix in np.nonzero(bad))):
+            if middle[k, h] == np.inf:  # inf - inf is nan, never within tolerance
+                raise FamilyError(kernel._SUM_BEYOND_FLOATS)
             yield (i + 1, j + 1, j + k + 2, j + h + 2)
 
 

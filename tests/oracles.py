@@ -16,6 +16,7 @@ Kuratowski subgraph with networkx's planarity test at every step.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import operator
 import sys
@@ -97,6 +98,8 @@ def four_point_scan(family: DistanceFamily, max_violations: int) -> PairPredicat
     for i, j, k, h in itertools.combinations(range(1, family.n + 1), 4):
         sums = sorted((d(i, j) + d(k, h), d(i, k) + d(j, h), d(i, h) + d(j, k)))
         if not eq(cmp, sums[1], sums[2]):
+            if sums[1] == math.inf:  # two sums beyond the float range
+                raise FamilyError("a sum of two values beyond the float range cannot be compared under a tolerance")
             violations.append((i, j, k, h))
             if len(violations) >= max_violations:
                 return PairPredicateReport(False, violations)

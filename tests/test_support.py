@@ -27,6 +27,7 @@ from metric_realize import (
     check_four_point,
     check_median,
     check_triangle,
+    classify,
     is_indecomposable,
     planar_check,
     prune,
@@ -605,7 +606,9 @@ def test_float_overflow_in_the_kernel_prints_no_warning(tmp_path, capsys):
     rows = (",".join("0" if i == j else "1e308" for j in range(4)) for i in range(4))
     k4 = parse_family_csv("\n".join(rows), TOL)
     assert check_triangle(k4) == oracles.triangle_scan(k4, 32)
-    assert check_four_point(k4) == oracles.four_point_scan(k4, 32)
+    for four_point in (check_four_point, oracles.four_point_scan):
+        with pytest.raises(FamilyError, match=SUM_BEYOND_FLOATS):
+            four_point(k4, 32)
     assert check_median(k4) == oracles.median_scan(k4, 32)
     assert is_indecomposable(k4, 1, 2) is oracles.indecomposable_scan(k4, 1, 2)
     with pytest.raises(FamilyError, match=SUM_BEYOND_FLOATS):
@@ -626,6 +629,29 @@ def test_float_overflow_in_the_kernel_prints_no_warning(tmp_path, capsys):
     mirror.write_text("0,1e308\n-1e308,0\n")
     assert run(["classify", str(mirror), "--tol"]) == 2
     assert capsys.readouterr().err == "error: asymmetric at (1,2)\n"
+
+
+def test_a_tolerance_refuses_a_four_point_middle_pairing_beyond_the_float_range(tmp_path, capsys):
+    # a star of centre 1 with the leaf 2 at distance 1 and the leaves 3..6
+    # at 8.5e307: every split is finite, but the three pairings of four
+    # leaves are 1.7e308 + 1.7e308, inf in float64, and two infinite sums
+    # cannot be ordered; exact mode finds the four-point condition
+    leaf = 85 * 10**306
+    g = WeightedGraph(6, [(1, 2, 1)] + [(1, j, leaf) for j in range(3, 7)])
+    assert check_four_point(two_weights(g)).holds
+    star = two_weights(g, TOL)
+    assert star.support.violation is None
+    for four_point in (check_four_point, oracles.four_point_scan):
+        with pytest.raises(FamilyError, match=SUM_BEYOND_FLOATS):
+            four_point(star, 32)
+    with pytest.raises(FamilyError, match=SUM_BEYOND_FLOATS):
+        classify(star)
+    csv = tmp_path / "star.csv"
+    csv.write_text(serialize.family_to_csv(two_weights(g)))
+    assert run(["classify", str(csv)]) == 0
+    assert '"four_point": true' in capsys.readouterr().out
+    assert run(["classify", str(csv), "--tol"]) == 2
+    assert capsys.readouterr() == ("", f"error: {SUM_BEYOND_FLOATS}\n")
 
 
 def test_a_tolerance_rejects_infinite_splits_in_one_line(tmp_path, capsys):

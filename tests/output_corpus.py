@@ -16,11 +16,16 @@ the SHA-256 of the last stage's exit code, stdout and stderr.  The cases:
   ``--tol``: ``check`` and ``realize`` in JSON and DOT for every class name
   on the exact ``weights`` CSV, ``prune - --format dot``, and ``verify
   p.json -`` of the ``weights`` CSV, where p.json holds what ``prune -``
-  prints for the document in the same mode.
+  prints for the document in the same mode;
+- on each named document of DOCUMENTS (the documents that the CI smoke step
+  writes with ``printf``, the K_3 and the triangle of weight 1e308, and the
+  tree with n = 300), each exact and with ``--tol``: ``classify`` and
+  ``check --class snake`` on a matrix, ``weights`` and ``prune`` on a graph.
 
-``tests/output_corpus.json`` maps each ``gen`` command line to the digests
-of its pipelines, keyed by the rest of the pipeline ("" for the ``gen``
-line itself); a case is named by the two joined.  To rewrite it after a
+``tests/output_corpus.json`` maps each ``gen`` command line, or
+``doc:<name>`` for a named document, to the digests of its pipelines, keyed
+by the rest of the pipeline ("" for the ``gen`` line itself); a case is
+named by the two joined.  To rewrite it after a
 deliberate change of output:
 
     PYTHONPATH=src python tests/output_corpus.py
@@ -36,7 +41,7 @@ import json
 import pathlib
 import sys
 import tempfile
-from typing import Dict, Tuple
+from typing import Dict, Tuple, Union
 
 from metric_realize.cli import CLASS_NAMES, run
 from metric_realize.generators import CLASS_MIN_N
@@ -52,12 +57,47 @@ CLASSIFY_MAX_N = 30
 DETAIL_SIZES = (8, 30)
 MODES = ("", " --tol")
 
+# The named documents, by file name; a ``gen`` line stands for what it prints.
+DOCUMENTS = {
+    "mix.csv": b"0,1.5,7/3\n1.5,0,2.50\n7/3,2.50,0\n",
+    "violation.csv": b"0,1,5\n1,0,1\n5,1,0\n",
+    "k33.csv": b"".join(
+        b",".join(b"0" if a == b else b"1e308" if a // 3 == b // 3 else b"5e307" for b in range(6)) + b"\n"
+        for a in range(6)
+    ),
+    "far.csv": b"0,1e308,1.5e308\n1e308,0,1e308\n1.5e308,1e308,0\n",
+    "huge.csv": b"0,1e308\n1e308,0\n",
+    "k3-1e308.csv": b"0,1e308,1e308\n1e308,0,1e308\n1e308,1e308,0\n",
+    "empty.csv": b"0,1.5\n,0\n",
+    "dots.csv": b"0,1.2.3\n1.2.3,0\n",
+    "latin1.csv": b"0,1\n\xff,0\n",
+    "short-row.csv": b"0,x,1\n1,0,1\n1,1\n",
+    "narrow.csv": b"0,16383,32766\n16383,0,16383\n32766,16383,0\n",
+    "wide.csv": b"0,32767,65535\n32767,0,32768\n65535,32768,0\n",
+    "one.json": b'{"n": 1, "edges": []}',
+    "far.json": b'{"n": 3, "edges": [{"u": 1, "v": 2, "w": "1e308"}, {"u": 2, "v": 3, "w": "1e308"}]}',
+    "triangle-1e308.json": (
+        b'{"n": 3, "edges": [{"u": 1, "v": 2, "w": "1e308"}, {"u": 2, "v": 3, "w": "1e308"}, '
+        b'{"u": 1, "v": 3, "w": "1e308"}]}'
+    ),
+    "huge_n.json": b'{"n": 18446744073709551616, "edges": [{"u": 1, "v": 18446744073709551616, "w": "1"}]}',
+    "loop.json": b'{"n": 2, "edges": [{"u": 1, "v": 1, "w": "1"}, {"u": 1, "v": 2, "w": "1"}]}',
+    "twin.json": b'{"n": 2, "edges": [{"u": 1, "v": 2, "w": "1"}, {"u": 2, "v": 1, "w": "1"}]}',
+    "below.json": b'{"n": 2, "edges": [{"u": 1, "v": 2, "w": "-100000000000000000000000"}]}',
+    "narrow.json": b'{"n": 3, "edges": [{"u": 1, "v": 2, "w": "16383"}, {"u": 2, "v": 3, "w": "16383"}]}',
+    "wide.json": b'{"n": 3, "edges": [{"u": 1, "v": 2, "w": "32767"}, {"u": 2, "v": 3, "w": "32768"}]}',
+    "tree-300.json": "gen --class tree --n 300 --seed 1",
+}
+DOCUMENT_LINES = {".csv": ("classify -", "check --class snake -"), ".json": ("weights -", "prune -")}
 
-def run_line(line: str, stdin: str) -> Tuple[int, str, str]:
-    """Exit code, stdout and stderr of ``metric-realize <line>`` on ``stdin``."""
+
+def run_line(line: str, stdin: Union[str, bytes]) -> Tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``metric-realize <line>`` on ``stdin``,
+    which bytes that are not UTF-8 reach as they are."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
+    data = stdin if isinstance(stdin, bytes) else stdin.encode()
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(line.split())
@@ -97,6 +137,11 @@ def compute() -> Dict[str, Dict[str, str]]:
                         line.replace("p.json", str(pruned)), printed[" | weights -" + mode][1]
                     )
             corpus[gen] = {tail: digest(result) for tail, result in printed.items()}
+    for name, doc in DOCUMENTS.items():
+        if isinstance(doc, str):
+            doc = run_line(doc, "")[1]
+        lines = DOCUMENT_LINES[pathlib.Path(name).suffix]
+        corpus["doc:" + name] = {f" | {line}{mode}": digest(run_line(line + mode, doc)) for line in lines for mode in MODES}
     return corpus
 
 

@@ -5,7 +5,7 @@ as tests on the support graph S, including bipartition recovery as a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
@@ -76,21 +76,26 @@ def bipartition(family: DistanceFamily) -> Bipartition:
     makes D_{x,.} strictly increase along them, so they are simple.  When S
     realizes D the last link of a shortest S-path to v is tight, so every
     vertex is placed, and the sides 2-colour S exactly when S is bipartite.
+    One ``kernel.eq`` call tests tightness on S's 2m links, each edge both
+    ways; nothing of size n^2 is built.
     """
     x, y = _min_pair(family)
-    adj = family.support.adj
-    d = family.scaled.array
+    s, d = family.support.graph, family.scaled.array
     dx = d[x - 1]
     order = [v + 1 for v in sorted(range(family.n), key=dx.tolist().__getitem__)]
     rank = {v: k for k, v in enumerate(order)}
-    # tight[u - 1][v - 1]: D_{x,u} + D_{u,v} = D_{x,v}
-    tight = kernel.eq(dx[:, None] + d, dx, family.cmp).tolist()
+    # S's links u -> v, both ways, and the tight ones: D_{x,u} + D_{u,v} = D_{x,v}
+    src, dst = np.concatenate((s.u, s.v)), np.concatenate((s.v, s.u))
+    tight = kernel.eq(dx[src] + d[src, dst], dx[dst], family.cmp)
+    parents: Dict[int, List[int]] = {}  # each vertex's tight in-neighbours
+    for u, v in zip((src[tight] + 1).tolist(), (dst[tight] + 1).tolist()):
+        parents.setdefault(v, []).append(u)
     side = {x: 0}
     chains: Dict[int, Tuple[int, ...]] = {x: ()}
     for v in order[1:]:
-        parents = [u for u in adj[v] if u in side and tight[u - 1][v - 1]]
-        if parents:
-            u = min(parents, key=rank.__getitem__)
+        placed = [u for u in parents.get(v, ()) if u in side]
+        if placed:
+            u = min(placed, key=rank.__getitem__)
             side[v] = side[u] ^ 1
             chains[v] = chains[u] + (u,) if u != x else ()
     x_witnesses, y_witnesses = ({v: c for v, c in chains.items() if side[v] == p} for p in (0, 1))

@@ -28,6 +28,10 @@ if TYPE_CHECKING:
 
 MAX_VIOLATIONS = 32
 
+# Why a four-point middle pairing of inf is refused under a tolerance: two
+# sums beyond the float range have no order.
+_SUM_BEYOND_FLOATS = "a sum of two values beyond the float range cannot be compared under a tolerance"
+
 
 class FamilyError(ValueError):
     """Raised for structurally invalid families or indices."""
@@ -193,7 +197,7 @@ def _four_point_violations(family: DistanceFamily) -> Iterator[tuple]:
         bad = ~kernel.eq(middle, top, family.cmp) & upper[rest, rest]
         for k, h in zip(*(ix.tolist() for ix in np.nonzero(bad))):
             if middle[k, h] == np.inf:  # inf - inf is nan, never within tolerance
-                raise FamilyError(kernel._SUM_BEYOND_FLOATS)
+                raise FamilyError(_SUM_BEYOND_FLOATS)
             yield (i + 1, j + 1, j + k + 2, j + h + 2)
 
 

@@ -256,12 +256,11 @@ def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:
 
     One call of ``kernel.splits`` gives every edge's smallest split M_uv,
     and an edge is kept when w = D_uv < M_uv, as ``support.analyse`` finds
-    S; ``lt`` is monotone in a finite split, so this is the test of every
-    z, in exact and tolerance mode.  A tolerance compares the weights and
-    the 2-weights in float64, converted once, and refuses an infinite
-    smallest split as ``analyse`` does; the kept edges keep their weights.
-    In exact mode a useless weight in Python ints may stand beside int64
-    2-weights.
+    S; ``lt`` is monotone in the split, an infinite one included, so this
+    is the test of every z, in exact and tolerance mode.  A tolerance
+    compares the weights and the 2-weights in float64, converted once; the
+    kept edges keep their weights.  In exact mode a useless weight in
+    Python ints may stand beside int64 2-weights.
     """
     if graph.n == 1:
         return graph
@@ -274,8 +273,6 @@ def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:
         except OverflowError:
             raise GraphError(kernel.OUT_OF_FLOAT_RANGE) from None
     m = kernel.splits(dist, u, v)
-    if not cmp.exact and not np.isfinite(m).all():
-        raise GraphError(kernel._SUM_BEYOND_FLOATS)
     duv = dist.array[u, v]
     keep = kernel.eq(w, duv, cmp) & kernel.lt(duv, m, cmp)
     u, v = u[keep], v[keep]

@@ -65,10 +65,6 @@ FLOAT_MAX = float(np.finfo(np.float64).max)  # the cap on the magnitude in ``_sl
 # Why an exact value is refused under a tolerance: it has no float64 value.
 OUT_OF_FLOAT_RANGE = "an exact value beyond the float range cannot be compared under a tolerance"
 
-# Why an infinite float split is refused under a tolerance: the sum it
-# stands for has no float64 value.
-_SUM_BEYOND_FLOATS = "a sum of two values beyond the float range cannot be compared under a tolerance"
-
 # Why scaling raises OverflowError (one float makes every number float64)
 _FLOAT_BESIDE_BEYOND_FLOATS = "an exact value beyond the float range cannot stand beside a float"
 

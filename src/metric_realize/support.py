@@ -25,7 +25,7 @@ import numpy as np
 
 from . import kernel
 from .comparison import Number
-from .family import DistanceFamily, FamilyError
+from .family import DistanceFamily
 from .graph import WeightedGraph, verify_realization
 from .realization import InternalInconsistencyError, Realization
 
@@ -75,23 +75,19 @@ def analyse(family: DistanceFamily) -> Support:
     outside {i, j} of D_iz + D_zj decides both the triangle inequality
     (D_ij <= M_ij) and indecomposability (D_ij < M_ij).  Both comparisons
     are monotone in the split, so they agree with testing every z, in exact
-    and tolerance mode.  S's edges, the pairs with D < M, come out sorted;
-    the first pair with M < D is the first violation, and its midpoint is
-    the first z with D_iz + D_zj < D_ij, read off the two rows of the array.
-    No n x n split matrix is built.  S is verified once, when D is a metric:
-    by the Bellman equations in exact mode, by Floyd-Warshall under a
-    tolerance.
-
-    Under a tolerance an infinite float split stands for a sum that has no
-    float64 value; such a family raises FamilyError.
+    and tolerance mode, where an infinite split (a sum beyond the float
+    range) is above every D_ij, as the exact split is.  S's edges, the
+    pairs with D < M, come out sorted; the first pair with M < D is the
+    first violation, and its midpoint is the first z with D_iz + D_zj <
+    D_ij, read off the two rows of the array.  No n x n split matrix is
+    built.  S is verified once, when D is a metric: by the Bellman
+    equations in exact mode, by Floyd-Warshall under a tolerance.
     """
     n, cmp = family.n, family.cmp
     a, scale = family.scaled
     index = np.arange(n)
     rows, cols = np.nonzero(index[:, None] < index)
     m = kernel.splits(family.scaled, rows, cols)
-    if not cmp.exact and not np.isfinite(m).all():
-        raise FamilyError(kernel._SUM_BEYOND_FLOATS)
     d = a[rows, cols]
     below = kernel.lt(d, m, cmp)
     above = kernel.lt(m, d, cmp)

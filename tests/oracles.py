@@ -1,9 +1,9 @@
 """Small-n brute-force realizability oracles, the exhaustive Kuratowski
 search, the scalar comparison rule, the scalar 2-weights, usefulness,
-verification, split and family-check loops, the edge-by-edge graph checks
-and the dict form of the classify report, against which the tests check the
-recognizers, the dense min-plus kernel, the graph checker and the report
-writer.
+verification, split and family-check loops, the bipartition walk, the
+edge-by-edge graph checks and the dict form of the classify report, against
+which the tests check the recognizers, the dense min-plus kernel, the graph
+checker and the report writer.
 
 Oracles enumerate candidate topologies (Prufer sequences for trees, cyclic
 orders for polygons, side assignments for bipartitions) with edge weights
@@ -26,6 +26,7 @@ import networkx as nx
 
 from metric_realize import (
     EXACT,
+    Bipartition,
     Cmp,
     DistanceFamily,
     FamilyError,
@@ -298,6 +299,28 @@ def reweighted_tree(family: DistanceFamily, adj: Dict[int, Dict[int, Number]]) -
         return None
     graph = WeightedGraph(family.n, edges)
     return graph if verify_realization(graph, family) else None
+
+
+def bipartition_walk(family: DistanceFamily) -> Bipartition:
+    """``bipartite.bipartition`` by scalar lookups: from x of the first pair
+    of minimal D, per vertex v in increasing D_{x,.} order, the neighbours u
+    in the scanned S that are already placed and have D_xu + D_uv = D_xv
+    (``eq``); the one of lowest rank is v's parent, and v lands on the side
+    opposite it."""
+    d, cmp = family.d, family.cmp
+    x, y = min(family.pairs(), key=lambda p: d(*p))
+    adj = support_scan(family)[0].adjacency()
+    order = sorted(range(1, family.n + 1), key=lambda v: d(x, v))
+    rank = {v: k for k, v in enumerate(order)}
+    side, chains = {x: 0}, {x: ()}
+    for v in order[1:]:
+        parents = [u for u in adj[v] if u in side and eq(cmp, d(x, u) + d(u, v), d(x, v))]
+        if parents:
+            u = min(parents, key=rank.__getitem__)
+            side[v] = side[u] ^ 1
+            chains[v] = chains[u] + (u,) if u != x else ()
+    x_chains, y_chains = ({v: c for v, c in chains.items() if side[v] == p} for p in (0, 1))
+    return Bipartition((x, y), frozenset(x_chains), frozenset(y_chains), x_chains, y_chains)
 
 
 def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:

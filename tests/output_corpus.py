@@ -61,9 +61,9 @@ MODES = ("", " --tol")
 DOCUMENTS = {
     "mix.csv": b"0,1.5,7/3\n1.5,0,2.50\n7/3,2.50,0\n",
     "violation.csv": b"0,1,5\n1,0,1\n5,1,0\n",
-    "k33.csv": b"".join(
-        b",".join(b"0" if a == b else b"1e308" if a // 3 == b // 3 else b"5e307" for b in range(6)) + b"\n"
-        for a in range(6)
+    "k33.csv": (
+        b"0,1e308,1e308,5e307,5e307,5e307\n1e308,0,1e308,5e307,5e307,5e307\n1e308,1e308,0,5e307,5e307,5e307\n"
+        b"5e307,5e307,5e307,0,1e308,1e308\n5e307,5e307,5e307,1e308,0,1e308\n5e307,5e307,5e307,1e308,1e308,0\n"
     ),
     "far.csv": b"0,1e308,1.5e308\n1e308,0,1e308\n1.5e308,1e308,0\n",
     "huge.csv": b"0,1e308\n1e308,0\n",

@@ -389,14 +389,16 @@ class TestPrune:
         view = tuple(zip((p.u + 1).tolist(), (p.v + 1).tolist(), kernel.numbers(p.w, p.scale)))
         assert p.edges == view == (g.edges[0], g.edges[2])
 
-    def test_an_infinite_float_split_is_refused_under_a_tolerance(self):
+    def test_an_infinite_float_split_keeps_its_edge_under_a_tolerance(self):
         # the one pair of n = 2 (its split is 2 * big) and each pair of a
-        # 1e308 triangle have a split beyond the float range, which is
-        # refused; exact mode compares it and keeps every edge
+        # 1e308 triangle have a split beyond the float range, inf in
+        # float64, which lies above every 2-weight: a tolerance keeps every
+        # edge, as exact mode and the scalar usefulness test do
+        tol = Cmp(1e-9)
         for g in (WeightedGraph(2, [(1, 2, 1e308)]), WeightedGraph(3, [(1, 2, 1e308), (2, 3, 1e308), (1, 3, 1e308)])):
             assert prune(g) == g
-            with pytest.raises(GraphError, match="^a sum of two values beyond the float range cannot be compared"):
-                prune(g, Cmp(1e-9))
+            assert prune(g, tol) == g
+            assert prune(g, tol).edge_pairs() == oracles.useful_edges(g, tol) == g.edge_pairs()
 
     def test_a_single_vertex_is_returned_unchanged(self):
         # no edge to prune and no 2-weight to compute, in either mode

@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from metric_realize import (
     Cmp,
     DistanceFamily,
     GenSpec,
     bigraph_check,
+    bipartition,
     caterpillar_check,
     cobigraph_check,
     complete_check,
@@ -19,6 +22,7 @@ from metric_realize import (
 )
 from metric_realize.generators import CLASS_MIN_N
 
+import oracles
 from conftest import with_value
 from paper_criteria import CRITERIA
 
@@ -116,3 +120,36 @@ def test_noisy_float_verdicts_are_verified_and_follow_the_criteria():
             assert report.verdicts[class_id].accepted == r.accepted
             accepted[class_id] += r.accepted
     assert all(accepted.values()), accepted
+
+
+@st.composite
+def walked_families(draw, tol=1e-9):
+    """Two-weights of a generated instance of any class at n <= 10, half of
+    them with one entry moved by 1: exact, as floats under ``tol``, or as
+    floats with errors inside it (shrunk by c tolerances per extra edge on
+    their S path, or relative noise of at most 0.45 tolerances)."""
+    class_id = draw(st.sampled_from(sorted(CLASS_MIN_N)))
+    n = draw(st.integers(max(2, CLASS_MIN_N[class_id]), 10))
+    kind = draw(st.sampled_from(("int", "decimal")))
+    f = two_weights(generate(GenSpec(class_id, n, draw(st.integers(0, 10**6)), weight_kind=kind)))
+    if draw(st.booleans()):
+        i, j = draw(st.sampled_from(list(f.pairs())))
+        f = with_value(f, i, j, max(1, f.d(i, j) + draw(st.sampled_from((-1, 1)))))
+    mode = draw(st.sampled_from(("exact", "tol", "hops", "noise")))
+    if mode == "exact":
+        return f
+    base = {p: float(v) for p, v in f.values.items()}
+    if mode == "hops":
+        h, c = hops(f), draw(st.sampled_from((0.5, 0.9)))
+        base = {p: v - c * tol * max(1.0, v) * (h[p] - 1) for p, v in base.items()}
+    elif mode == "noise":
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        base = {p: v * (1 + rng.uniform(-0.45, 0.45) * tol) for p, v in base.items()}
+    return DistanceFamily(n, base, Cmp(tol))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(walked_families())
+def test_the_bipartition_walk_matches_its_scalar_reference(f):
+    # sides and chains alike
+    assert bipartition(f) == oracles.bipartition_walk(f)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from metric_realize import (
@@ -596,13 +596,14 @@ def test_repeated_runs_share_one_parser_and_keep_their_outputs(tmp_path, capsys)
 
 @pytest.mark.filterwarnings("error")
 def test_float_overflow_in_the_kernel_prints_no_warning(tmp_path, capsys):
-    # the splits 1e308 + 1e308 are inf, which a tolerance refuses
+    # the splits 1e308 + 1e308 are inf, above every D: S is K_3
     metric = tmp_path / "m.csv"
     metric.write_text("0,1e308,1e308\n1e308,0,1e308\n1e308,1e308,0\n")
-    assert run(["classify", str(metric), "--tol"]) == 2
-    assert capsys.readouterr() == ("", f"error: {SUM_BEYOND_FLOATS}\n")
+    assert run(["classify", str(metric), "--tol"]) == 0
+    assert capsys.readouterr().err == ""
     # the four family checks form them too, as in the scalar scans; the
-    # bipartition walk reads S, which rejects them
+    # bipartition walk forms them on S's links, where an infinite sum is
+    # never tight with a finite D, so every vertex but 1 hangs off 1
     rows = (",".join("0" if i == j else "1e308" for j in range(4)) for i in range(4))
     k4 = parse_family_csv("\n".join(rows), TOL)
     assert check_triangle(k4) == oracles.triangle_scan(k4, 32)
@@ -611,8 +612,8 @@ def test_float_overflow_in_the_kernel_prints_no_warning(tmp_path, capsys):
             four_point(k4, 32)
     assert check_median(k4) == oracles.median_scan(k4, 32)
     assert is_indecomposable(k4, 1, 2) is oracles.indecomposable_scan(k4, 1, 2)
-    with pytest.raises(FamilyError, match=SUM_BEYOND_FLOATS):
-        bipartition(k4)
+    sides = bipartition(k4)
+    assert (sides.x_side, sides.y_side) == ({1}, {2, 3, 4})
     # a path whose 2-weights verify S, though Floyd-Warshall forms D_13 + D_31
     path = tmp_path / "path.csv"
     w = ["0", "5.9e307", "1.18e308", "1.77e308"]
@@ -654,17 +655,68 @@ def test_a_tolerance_refuses_a_four_point_middle_pairing_beyond_the_float_range(
     assert capsys.readouterr() == ("", f"error: {SUM_BEYOND_FLOATS}\n")
 
 
-def test_a_tolerance_rejects_infinite_splits_in_one_line(tmp_path, capsys):
-    # the split of the one pair of n = 2 is D_12 + 2 D_12 + 1, inf: a sum
-    # with no float64 value, which a tolerance refuses
+def test_a_tolerance_decides_infinite_splits_by_the_comparison_rule(tmp_path, capsys):
+    # the split of the one pair of n = 2 is D_12 + 2 D_12 + 1, inf in
+    # float64, which lies above D_12 as the exact split does
     pair = tmp_path / "pair.csv"
     pair.write_text("0,1e308\n1e308,0\n")
-    assert run(["classify", str(pair), "--tol"]) == 2
-    assert capsys.readouterr() == ("", f"error: {SUM_BEYOND_FLOATS}\n")
     # exact mode reads the integer 10**308, whose sums stay exact: a snake and K_2
     assert run(["classify", str(pair)]) == 0
     accepted = capsys.readouterr().out
     assert '"snake": {\n      "accepted": true' in accepted
     assert '"complete": {\n      "accepted": true' in accepted
-    with pytest.raises(FamilyError, match=SUM_BEYOND_FLOATS):
-        DistanceFamily(3, {(1, 2): 1e308, (1, 3): 1e308, (2, 3): 1}, TOL).support
+    assert run(["classify", str(pair), "--tol"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line for line in out.splitlines() if '"accepted"' in line] == [
+        line for line in accepted.splitlines() if '"accepted"' in line
+    ]
+    # the split of (2,3) is inf and those of (1,2) and (1,3) are 1e308 + 1,
+    # 1e308 in float64: S is the one edge (2,3), as in the scalar scan
+    family = DistanceFamily(3, {(1, 2): 1e308, (1, 3): 1e308, (2, 3): 1}, TOL)
+    assert family.support.graph.edge_pairs() == {(2, 3)}
+    assert_matches_the_scan(family)
+
+
+@st.composite
+def graphs_near_the_float_range(draw):
+    """A connected graph with n <= 7 and weights k * 10^307 whose 2-weights
+    stay at or below 17 * 10^307, 1.7e308 in float64: every 2-weight has a
+    float value, but a sum of two may not.  A complete graph with every k
+    at least 9 has only infinite float splits; lower and fewer weights mix
+    finite and infinite ones."""
+    n = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        pairs = set(itertools.combinations(range(1, n + 1), 2))
+    else:
+        pairs = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+        chords = [p for p in itertools.combinations(range(1, n + 1), 2) if p not in pairs]
+        pairs.update(draw(st.lists(st.sampled_from(chords), unique=True)) if chords else ())
+    k = st.integers(draw(st.sampled_from((1, 5, 9))), 17)
+    g = WeightedGraph(n, [(u, v, draw(k) * 10**307) for u, v in sorted(pairs)])
+    assume(max(two_weights(g).values.values()) <= 17 * 10**307)
+    return g
+
+
+@SETTINGS
+@given(graphs_near_the_float_range())
+def test_a_tolerance_near_the_float_range_decides_as_exact_mode(g):
+    # the exact 2-weights read under a tolerance: S and the useful edges are
+    # those of the scalar scans, and the report is exact mode's, unless the
+    # four-point check meets a middle pairing of inf, which it refuses
+    exact = two_weights(g)
+    family = parse_family_csv(serialize.family_to_csv(exact), TOL)
+    assert_matches_the_scan(family)
+    assert prune(g, TOL).edge_pairs() == oracles.useful_edges(g, TOL)
+    try:
+        got = oracles.report_dict(classify(family))
+    except FamilyError as exc:
+        assert str(exc) == SUM_BEYOND_FLOATS
+        with pytest.raises(FamilyError, match=SUM_BEYOND_FLOATS):
+            check_four_point(family, max_violations=g.n**4)
+        return
+    want = oracles.report_dict(classify(exact))
+    for report in (got, want):
+        for entry in report["classes"].values():
+            entry.pop("realization", None)
+    assert got == want

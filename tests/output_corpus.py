@@ -20,10 +20,18 @@ the SHA-256 of the last stage's exit code, stdout and stderr.  The cases:
 - on each named document of DOCUMENTS (the documents that the CI smoke step
   writes with ``printf``, the K_3 and the triangle of weight 1e308, and the
   tree with n = 300), each exact and with ``--tol``: ``classify`` and
-  ``check --class snake`` on a matrix, ``weights`` and ``prune`` on a graph.
+  ``check --class snake`` on a matrix, ``weights`` and ``prune`` on a graph;
+- the same on each hostile document of FUZZ_DOCUMENTS, built from the fuzz
+  of ``tests/test_cli_fuzz.py`` with no draw: per token of its ``HOSTILE``,
+  a 3 x 3 matrix with the token in cells (1,2) and (2,1) and a 2-vertex
+  graph with the token as its weight, and one document per hostile shape
+  (a short row, an extra row, MAX_N + 1 rows, a missing key, a non-integer
+  vertex, n = -1 and n = 2^64).
 
 ``tests/output_corpus.json`` maps each ``gen`` command line, or
-``doc:<name>`` for a named document, to the digests of its pipelines, keyed
+``doc:<name>`` for a named document and ``fuzz:<name>`` for a hostile one,
+with ``cell-<k>`` and ``weight-<k>`` for the k-th ``HOSTILE`` token, to the
+digests of its pipelines, keyed
 by the rest of the pipeline ("" for the ``gen`` line itself); a case is
 named by the two joined.  To rewrite it after a
 deliberate change of output:
@@ -45,6 +53,8 @@ from typing import Dict, Tuple, Union
 
 from metric_realize.cli import CLASS_NAMES, run
 from metric_realize.generators import CLASS_MIN_N
+from metric_realize.serialize import MAX_N
+from test_cli_fuzz import HOSTILE
 
 PATH = pathlib.Path(__file__).with_name("output_corpus.json")
 
@@ -87,6 +97,28 @@ DOCUMENTS = {
     "narrow.json": b'{"n": 3, "edges": [{"u": 1, "v": 2, "w": "16383"}, {"u": 2, "v": 3, "w": "16383"}]}',
     "wide.json": b'{"n": 3, "edges": [{"u": 1, "v": 2, "w": "32767"}, {"u": 2, "v": 3, "w": "32768"}]}',
     "tree-300.json": "gen --class tree --n 300 --seed 1",
+}
+
+
+def _matrix(cells: str) -> bytes:
+    """A 3 x 3 matrix of unit distances with ``cells`` in (1,2) and (2,1)."""
+    return f"0,{cells},1\n{cells},0,1\n1,1,0\n".encode()
+
+
+def _graph(n, edge) -> bytes:
+    return json.dumps({"n": n, "edges": [edge]}).encode()
+
+
+FUZZ_DOCUMENTS = {
+    **{f"cell-{k}.csv": _matrix(token) for k, token in enumerate(HOSTILE)},
+    **{f"weight-{k}.json": _graph(2, {"u": 1, "v": 2, "w": token}) for k, token in enumerate(HOSTILE)},
+    "short-row.csv": b"0,1,1\n1,0\n1,1,0\n",
+    "extra-row.csv": _matrix("1") + b"1,1,1\n",
+    "above-max-n.csv": _matrix("1") + b"0\n" * (MAX_N + 1 - 3),
+    "missing-key.json": _graph(2, {"u": 1, "v": 2}),
+    "non-integer-vertex.json": _graph(2, {"u": 1.5, "v": 2, "w": "1"}),
+    "n-negative.json": _graph(-1, {"u": 1, "v": 2, "w": "1"}),
+    "n-2^64.json": _graph(2**64, {"u": 1, "v": 2, "w": "1"}),
 }
 DOCUMENT_LINES = {".csv": ("classify -", "check --class snake -"), ".json": ("weights -", "prune -")}
 
@@ -137,11 +169,12 @@ def compute() -> Dict[str, Dict[str, str]]:
                         line.replace("p.json", str(pruned)), printed[" | weights -" + mode][1]
                     )
             corpus[gen] = {tail: digest(result) for tail, result in printed.items()}
-    for name, doc in DOCUMENTS.items():
+    named = [("doc:" + name, doc) for name, doc in DOCUMENTS.items()]
+    for key, doc in named + [("fuzz:" + name, doc) for name, doc in FUZZ_DOCUMENTS.items()]:
         if isinstance(doc, str):
             doc = run_line(doc, "")[1]
-        lines = DOCUMENT_LINES[pathlib.Path(name).suffix]
-        corpus["doc:" + name] = {f" | {line}{mode}": digest(run_line(line + mode, doc)) for line in lines for mode in MODES}
+        lines = DOCUMENT_LINES[pathlib.Path(key).suffix]
+        corpus[key] = {f" | {line}{mode}": digest(run_line(line + mode, doc)) for line in lines for mode in MODES}
     return corpus
 
 

@@ -16,8 +16,8 @@ from .realization import Realization
 
 
 def complete_check(family: DistanceFamily) -> Realization:
-    """Decide realizability by a pruned complete graph: S must be K_n, and
-    S is the realization.
+    """Decide realizability by a pruned complete graph: S must be K_n
+    (n(n - 1)/2 edges), and S is the realization.
 
     The tests compare this with the paper's criterion, every entry
     indecomposable (``is_indecomposable``).
@@ -26,10 +26,11 @@ def complete_check(family: DistanceFamily) -> Realization:
     failed = support.rejection()
     if failed is not None:
         return failed
-    for i, j in family.pairs():  # stops at the first non-edge, after at most m pairs
-        if j not in support.adj[i]:
-            return Realization.rejected(f"entry ({i},{j}) is decomposable")
-    return Realization.ok(support.realization)
+    if len(support.graph.u) == family.n * (family.n - 1) // 2:
+        return Realization.ok(support.realization)
+    adj = support.graph.adjacency()
+    i, j = next((i, j) for i, j in family.pairs() if j not in adj[i])  # the first missing pair
+    return Realization.rejected(f"entry ({i},{j}) is decomposable")
 
 
 @dataclass
@@ -187,6 +188,6 @@ def cobigraph_check(family: DistanceFamily) -> Realization:
     result = _two_coloured(family)
     if not result or _complete_bipartite(family, result.witness):
         return result
-    bp, adj = result.witness, family.support.adj
+    bp, adj = result.witness, family.support.graph.adjacency()
     a, b = next((a, b) for a in sorted(bp.x_side) for b in sorted(bp.y_side) if b not in adj[a])
     return Realization.rejected(f"cross entry ({a},{b}) is decomposable")

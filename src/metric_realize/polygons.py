@@ -6,7 +6,7 @@ import numpy as np
 
 from .family import DistanceFamily
 from .graph import WeightedGraph, verify_realization
-from .realization import InternalInconsistencyError, Realization
+from .realization import Realization
 from .trees import snake_check
 
 
@@ -26,7 +26,7 @@ def pruned_polygon_check(family: DistanceFamily) -> Realization:
     failed = support.rejection()
     if failed is not None:
         return failed
-    for v, nbrs in support.adj.items():
+    for v, nbrs in support.graph.adjacency().items():
         if len(nbrs) != 2:
             return Realization.rejected(
                 f"vertex {v} has degree {len(nbrs)} in the support graph "
@@ -39,7 +39,8 @@ def polygon_check(family: DistanceFamily) -> Realization:
     """Decide polygonlike: pruned polygon, or a snake closed into a cycle.
 
     The snake branch closes the path with an edge between its endpoints of
-    weight exactly D_{endpoints} (the minimal valid closure weight).
+    weight exactly D_{endpoints} (the minimal valid closure weight).  Within
+    a tolerance, a closed snake that fails verification is rejected.
     """
     if family.n < 3:
         return Realization.rejected("a polygon needs n >= 3")
@@ -48,7 +49,7 @@ def polygon_check(family: DistanceFamily) -> Realization:
         return pruned
     snake = snake_check(family)
     if snake.accepted:
-        a, b = sorted(v - 1 for v, nbrs in family.support.adj.items() if len(nbrs) == 1)
+        a, b = sorted(v - 1 for v, nbrs in family.support.graph.adjacency().items() if len(nbrs) == 1)
         # the path, S or S reweighted within a tolerance, has the family's scale
         path = snake.graph
         w = np.append(path.w, family.scaled.array[a, b])
@@ -59,7 +60,7 @@ def polygon_check(family: DistanceFamily) -> Realization:
         # The closing edge weighs D_ends = d_S(ends), so in exact mode no
         # 2-weight changes; within a tolerance, paths through it may fall short.
         if not family.cmp.exact and not verify_realization(graph, family):
-            raise InternalInconsistencyError("snake closure failed verification")
+            return Realization.rejected("snake conditions hold but the closed snake failed verification")
         return Realization.ok(graph)
     return Realization.rejected(
         f"neither pruned polygon ({pruned.reason}) nor snake ({snake.reason})"

@@ -13,18 +13,18 @@ by ``verify_realization`` (a disconnected S never realizes D), and the
 the bipartite classes and the planarity counts read.  In exact mode that
 verification is the Bellman check on the family's array
 (``kernel.bellman``, O(n * m) for the m edges of S), so exact ``classify``
-runs no Floyd-Warshall.
+runs no Floyd-Warshall.  S is kept once, as its graph; a class test that
+decides by the edge count never builds the graph's adjacency view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import kernel
-from .comparison import Number
 from .family import DistanceFamily
 from .graph import WeightedGraph, verify_realization
 from .realization import InternalInconsistencyError, Realization
@@ -32,8 +32,8 @@ from .realization import InternalInconsistencyError, Realization
 
 @dataclass(frozen=True)
 class Support:
-    """S with its adjacency, the family's first triangle violation (or None)
-    and the graph of S's shape that realizes the family (or None).
+    """S as its graph, the family's first triangle violation (or None) and
+    the graph of S's shape that realizes the family (or None).
 
     That graph is S itself whenever S realizes D, which always holds in
     exact mode once the triangle inequalities do.  In tolerance mode
@@ -43,7 +43,6 @@ class Support:
     """
 
     graph: WeightedGraph
-    adj: Dict[int, Dict[int, Number]]
     violation: Optional[Tuple[int, int, int]]
     realization: Optional[WeightedGraph]
     exact: bool
@@ -100,31 +99,28 @@ def analyse(family: DistanceFamily) -> Support:
         violation = (i + 1, j + 1, z + 1)
     graph = WeightedGraph._of_arrays(n, rows[below], cols[below], d[below], scale)
     del rows, cols, d, m, below, above  # S's verification below needs room of its own at large n
-    adj = graph.adjacency()
     realization = None
     if violation is None:
         if verify_realization(graph, family):
             realization = graph
         elif not cmp.exact and len(graph.u) == n - 1:
-            realization = _reweighted_tree(family, adj)
-    return Support(graph, adj, violation, realization, cmp.exact)
+            realization = _reweighted_tree(family, graph)
+    return Support(graph, violation, realization, cmp.exact)
 
 
-def _reweighted_tree(family: DistanceFamily, adj: Dict[int, Dict[int, Number]]) -> Optional[WeightedGraph]:
-    """The tree S with each edge weighted by the step in D_{x,.} along it,
-    x the first vertex of the lexicographically first pair of maximal D;
-    None when S is not connected, a step is not positive or the tree fails
-    verification."""
-    x = int(np.argmax(family.scaled.array.max(axis=1))) + 1  # the first row holding the largest D
-    dx = family.scaled.numbers(family.scaled.array[x - 1])
-    edges, stack, seen = [], [x], {x}
-    while stack:
-        u = stack.pop()
-        for v in adj[u].keys() - seen:
-            edges.append((u, v, dx[v - 1] - dx[u - 1]))
-            seen.add(v)
-            stack.append(v)
-    if len(seen) < family.n or not all(w > 0 for _u, _v, w in edges):
+def _reweighted_tree(family: DistanceFamily, s: WeightedGraph) -> Optional[WeightedGraph]:
+    """S, of n - 1 edges, with each edge weighted by the step in D_{x,.}
+    along it, x the first row holding the largest D; None unless the steps
+    rise away from x along a tree that verifies.  The far end of an edge is
+    its end of larger D_{x,.}.  With no tie at an edge and no vertex the far
+    end of two edges, each vertex but x (D_xx = 0) has one parent of smaller
+    D_{x,.}, and parents lead to x: the edges span a tree rooted at x, which
+    a cycle or a disconnected part fails."""
+    a = family.scaled.array
+    dx = a[int(np.argmax(a.max(axis=1)))]
+    du, dv = dx[s.u], dx[s.v]
+    far = np.where(du < dv, s.v, s.u)
+    if (du == dv).any() or np.bincount(far, minlength=family.n).max() > 1:
         return None
-    graph = WeightedGraph(family.n, edges)
+    graph = WeightedGraph._of_arrays(family.n, s.u, s.v, np.abs(du - dv), s.scale, connected=True)
     return graph if verify_realization(graph, family) else None

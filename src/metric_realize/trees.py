@@ -38,7 +38,7 @@ def snake_check(family: DistanceFamily) -> Realization:
     failed = _not_a_tree(support)
     if failed is not None:
         return failed
-    for v, nbrs in support.adj.items():
+    for v, nbrs in support.graph.adjacency().items():
         if len(nbrs) > 2:
             return Realization.rejected(
                 f"vertex {v} has degree {len(nbrs)} in the support graph "
@@ -62,7 +62,7 @@ def caterpillar_check(family: DistanceFamily) -> Realization:
     failed = _not_a_tree(support)
     if failed is not None:
         return failed
-    adj = support.adj
+    adj = support.graph.adjacency()
     for v, nbrs in adj.items():
         inner = sorted(u for u in nbrs if len(adj[u]) >= 2)
         if len(nbrs) >= 2 and len(inner) > 2:

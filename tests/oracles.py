@@ -284,8 +284,10 @@ def support_scan(family: DistanceFamily) -> Tuple[WeightedGraph, Optional[Tuple[
 
 def reweighted_tree(family: DistanceFamily, adj: Dict[int, Dict[int, Number]]) -> Optional[WeightedGraph]:
     """``support._reweighted_tree`` by scalar lookups: the tree S with each
-    edge weighted by the step in D_{x,.} along it, x the first vertex of
-    the lexicographically first pair of maximal D."""
+    edge weighted by the step in D_{x,.} along a walk from x, x the first
+    vertex of the lexicographically first pair of maximal D; None when the
+    walk misses a vertex, a step is not positive or the tree fails
+    verification."""
     d = family.d
     x = max(family.pairs(), key=lambda p: d(*p))[0]
     edges, stack, seen = [], [x], {x}
@@ -295,7 +297,7 @@ def reweighted_tree(family: DistanceFamily, adj: Dict[int, Dict[int, Number]]) -
             edges.append((u, v, d(x, v) - d(x, u)))
             seen.add(v)
             stack.append(v)
-    if not all(w > 0 for _u, _v, w in edges):
+    if len(seen) < family.n or not all(w > 0 for _u, _v, w in edges):
         return None
     graph = WeightedGraph(family.n, edges)
     return graph if verify_realization(graph, family) else None

@@ -67,7 +67,7 @@ def test_criteria_agree_with_recognizers(mode):
 
 def hops(family):
     """Edges on a shortest path of S between each pair (fewest on ties)."""
-    n, adj = family.n, family.support.adj
+    n, adj = family.n, family.support.graph.adjacency()
     inf = (float("inf"), 0)
     best = [[(0, 0) if i == j else inf for j in range(n + 1)] for i in range(n + 1)]
     for u, nbrs in adj.items():

@@ -1,17 +1,26 @@
+import io
 import itertools
 import random
+import sys
 
 import pytest
 
 from metric_realize import (
+    Cmp,
+    DistanceFamily,
     FamilyError,
     WeightedGraph,
+    classify,
     polygon_check,
     prune,
     pruned_polygon_check,
+    snake_check,
     two_weights,
     verify_realization,
 )
+from metric_realize import polygons
+from metric_realize.cli import run
+from metric_realize.serialize import family_to_csv
 
 from conftest import fam, fam_of
 from oracles import brute_force_class_check
@@ -105,6 +114,14 @@ class TestPrunedPolygon:
         assert count > 50
 
 
+def noisy_snake(tol=1e-9, at=(0.0, 0.1, 0.3, 0.6, 1.0)):
+    """Collinear points whose tight splits are off by half the tolerance: a
+    snake under ``Cmp(tol)``, which the polygon check closes into a cycle."""
+    n = len(at)
+    pairs = itertools.combinations(range(n), 2)
+    return DistanceFamily(n, {(a + 1, b + 1): at[b] - at[a] - tol / 2 * (b - a - 1) for a, b in pairs}, Cmp(tol))
+
+
 class TestPolygon:
     def test_dominated_cycle_accepted_via_snake_closure(self):
         g = cycle_graph([1, 1, 1, 10])
@@ -131,6 +148,21 @@ class TestPolygon:
         r = polygon_check(f)
         assert not r.accepted
         assert "neither" in r.reason
+
+    def test_a_closed_snake_that_fails_verification_is_a_rejection(self, monkeypatch, capsys):
+        assert snake_check(noisy_snake()).accepted and polygon_check(noisy_snake()).accepted
+        # the closed snake is the one graph of n edges that the check verifies
+        verify = polygons.verify_realization
+        monkeypatch.setattr(polygons, "verify_realization", lambda g, f: len(g.u) != g.n and verify(g, f))
+        reason = "snake conditions hold but the closed snake failed verification"
+        r = polygon_check(noisy_snake())
+        assert not r.accepted and r.reason == reason
+        verdict = classify(noisy_snake()).verdicts["polygon"]
+        assert not verdict.accepted and verdict.reason == reason
+        monkeypatch.setattr(sys, "stdin", io.StringIO(family_to_csv(noisy_snake())))
+        assert run(["check", "--class", "polygon", "-", "--tol"]) == 1
+        out, err = capsys.readouterr()
+        assert reason in out and err == ""
 
     def test_agrees_with_oracle_on_mixed_input(self):
         rng = random.Random(94)

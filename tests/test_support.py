@@ -34,7 +34,7 @@ from metric_realize import (
     two_weights,
     verify_realization,
 )
-from metric_realize import kernel, serialize
+from metric_realize import kernel, serialize, support
 from metric_realize.bipartite import _min_pair
 from metric_realize.cli import build_parser, run
 from metric_realize.serialize import PLAIN_TOKEN_MAX, ParseError, _read_numbers, parse_family_csv, parse_number
@@ -209,6 +209,49 @@ def test_analyse_equals_the_scalar_split_scan_on_noisy_families():
         reweighted += family.support.realization not in (None, family.support.graph)
     assert decided  # some S miss D within the tolerance
     assert reweighted  # and some are reweighted
+
+
+@st.composite
+def reweighting_cases(draw):
+    """A float family under ``Cmp(1e-9)`` and a graph S of n - 1 edges, n
+    2-9: a random tree, or (n >= 4) a tree on all but one vertex plus a
+    chord, which leaves a cycle and an isolated vertex.  The family is the
+    2-weights of a random tree on [n] with each entry moved by at most a
+    quarter tolerance (S's tree, at times), or values from {1, 2, 3}, whose
+    rows tie."""
+    n = draw(st.integers(2, 9))
+    label = draw(st.permutations(range(1, n + 1)))
+    tree = [(label[draw(st.integers(0, k - 1))], label[k], draw(st.integers(1, 5)) / 10) for k in range(1, n)]
+    edges = tree
+    if n >= 4 and draw(st.booleans()):
+        pairs = {tuple(sorted(e[:2])) for e in tree[:-1]}
+        chords = [p for p in itertools.combinations(sorted(label[:-1]), 2) if p not in pairs]
+        edges = tree[:-1] + [(*draw(st.sampled_from(chords)), 1.0)]
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    if draw(st.booleans()):
+        values = {p: float(draw(st.sampled_from((1, 2, 3)))) for p in pairs}
+    else:
+        metric = tree if draw(st.booleans()) else random_connected_graph(n, random.Random(draw(st.integers(0, 99))), 0).edges
+        d = two_weights(WeightedGraph(n, metric)).d
+        values = {p: d(*p) * (1 + draw(st.integers(-1, 1)) * 2.5e-10) for p in pairs}
+    # S need not be connected, so it is built from sorted columns u < v
+    u, v = np.array(sorted((min(a, b) - 1, max(a, b) - 1) for a, b, _w in edges)).T
+    return DistanceFamily(n, values, Cmp(1e-9)), WeightedGraph._of_arrays(n, u, v, np.ones(n - 1), None)
+
+
+def test_the_array_reweighting_equals_the_walk_from_x():
+    rebuilt = []
+
+    @SETTINGS
+    @given(reweighting_cases())
+    def check(case):
+        family, s = case
+        got = support._reweighted_tree(family, s)
+        assert got == oracles.reweighted_tree(family, s.adjacency())
+        rebuilt.append(got is not None)
+
+    check()
+    assert any(rebuilt)
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ def complete_check(family: DistanceFamily) -> Realization:
     if len(support.graph.u) == family.n * (family.n - 1) // 2:
         return Realization.ok(support.realization)
     adj = support.graph.adjacency()
-    i, j = next((i, j) for i, j in family.pairs() if j not in adj[i])  # the first missing pair
+    i, j = next((i, j) for i, j in family.pairs() if j not in adj[i])
     return Realization.rejected(f"entry ({i},{j}) is decomposable")
 
 

@@ -224,8 +224,8 @@ def reweighting_cases(draw):
     tree = [(label[draw(st.integers(0, k - 1))], label[k], draw(st.integers(1, 5)) / 10) for k in range(1, n)]
     edges = tree
     if n >= 4 and draw(st.booleans()):
-        pairs = {tuple(sorted(e[:2])) for e in tree[:-1]}
-        chords = [p for p in itertools.combinations(sorted(label[:-1]), 2) if p not in pairs]
+        taken = {tuple(sorted(e[:2])) for e in tree[:-1]}
+        chords = [p for p in itertools.combinations(sorted(label[:-1]), 2) if p not in taken]
         edges = tree[:-1] + [(*draw(st.sampled_from(chords)), 1.0)]
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     if draw(st.booleans()):

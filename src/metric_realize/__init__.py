@@ -34,7 +34,7 @@ from .graph import (
 )
 from .planar import PlanarWitness, planar_check
 from .polygons import polygon_check, pruned_polygon_check
-from .realization import InternalInconsistencyError, Realization
+from .realization import Realization
 from .trees import caterpillar_check, snake_check, tree_check
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "GenSpec",
     "GenerationError",
     "GraphError",
-    "InternalInconsistencyError",
     "PairPredicateReport",
     "PlanarWitness",
     "Realization",

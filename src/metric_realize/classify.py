@@ -10,7 +10,7 @@ from .bipartite import Bipartition, bigraph_check, cobigraph_check, complete_che
 from .family import DistanceFamily, check_four_point, check_median
 from .planar import PlanarWitness, planar_check
 from .polygons import polygon_check, pruned_polygon_check
-from .realization import InternalInconsistencyError, Realization
+from .realization import Realization
 from .trees import caterpillar_check, snake_check, tree_check
 
 
@@ -71,17 +71,9 @@ class ClassificationReport:
         return json.loads(report_to_json(self))
 
 
-def _run(check: Callable[[DistanceFamily], Realization], family: DistanceFamily) -> Realization:
-    try:
-        return check(family)
-    except InternalInconsistencyError as exc:
-        return Realization.rejected(f"internal inconsistency: {exc}")
-
-
 def classify(family: DistanceFamily) -> ClassificationReport:
     """Run the condition checks and every recognizer on the family's one
-    support graph; individual recognizer errors become per-class
-    diagnostics rather than failures.
+    support graph.
 
     The four-point and median conditions hold when S is a tree (the paper's
     tree theorem); otherwise each is checked once, up to its first violation.
@@ -94,7 +86,7 @@ def classify(family: DistanceFamily) -> ClassificationReport:
         "four_point": tree or check_four_point(family, max_violations=1).holds,
         "median": tree or check_median(family, max_violations=1).holds,
     }
-    verdicts = {name: _run(check, family) for name, check in recognizers().items()}
+    verdicts = {name: check(family) for name, check in recognizers().items()}
     bipartition = verdicts["bipartite"].witness
     planar_witness = verdicts["planar"].witness
     return ClassificationReport(verdicts, conditions, bipartition, planar_witness)

@@ -18,7 +18,6 @@ from .comparison import Cmp, DEFAULT_TOL, EXACT
 from .family import FamilyError
 from .generators import GenSpec, GenerationError, generate
 from .graph import GraphError, prune, two_weights, verify_realization
-from .realization import InternalInconsistencyError
 from .serialize import (
     ParseError,
     family_to_csv,
@@ -150,9 +149,6 @@ def run(argv=None) -> int:
         return _dispatch(args)
     except (ParseError, FamilyError, GraphError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except InternalInconsistencyError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

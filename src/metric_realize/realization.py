@@ -8,14 +8,6 @@ from typing import Optional
 from .graph import WeightedGraph
 
 
-class InternalInconsistencyError(RuntimeError):
-    """A recognizer's positive verdict contradicted its own reconstruction.
-
-    This cannot happen for valid input in exact mode; it signals either a
-    malformed family slipping past a precondition or a library bug.
-    """
-
-
 @dataclass
 class Realization:
     """Outcome of a recognizer: a realizing graph or a rejection reason.

@@ -7,14 +7,14 @@ the shape of S.  ``DistanceFamily.support`` memoises :func:`analyse`, which
 finds S and the triangle check with the dense min-plus kernel
 (``metric_realize.kernel``) on the family's array, not with a loop over
 pairs and midpoints.  Each other fact about S is derived once: the midpoint
-of the first triangle violation from two rows of that array, connectivity
-by ``verify_realization`` (a disconnected S never realizes D), and the
-2-colouring by the ``bipartition`` walk (``DistanceFamily.sides``), which
-the bipartite classes and the planarity counts read.  In exact mode that
-verification is the Bellman check on the family's array
-(``kernel.bellman``, O(n * m) for the m edges of S), so exact ``classify``
-runs no Floyd-Warshall.  S is kept once, as its graph; a class test that
-decides by the edge count never builds the graph's adjacency view.
+of the first triangle violation from two rows of that array, whether S
+realizes D, and the 2-colouring by the ``bipartition`` walk
+(``DistanceFamily.sides``), which the bipartite classes and the planarity
+counts read.  On exact numbers the split scan that finds S proves that S
+realizes D, so exact ``classify`` runs no verification; float numbers
+verify S by ``verify_realization``.  S is kept once, as its graph; a class
+test that decides by the edge count never builds the graph's adjacency
+view.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import kernel
 from .family import DistanceFamily
 from .graph import WeightedGraph, verify_realization
-from .realization import InternalInconsistencyError, Realization
+from .realization import Realization
 
 
 @dataclass(frozen=True)
@@ -35,28 +35,25 @@ class Support:
     """S as its graph, the family's first triangle violation (or None) and
     the graph of S's shape that realizes the family (or None).
 
-    That graph is S itself whenever S realizes D, which always holds in
-    exact mode once the triangle inequalities do.  In tolerance mode
-    near-ties within the tolerance can add up along S until S misses D;
-    a tree S is then reweighted from one end of a longest pair (as the
-    paper rebuilds a snake), and kept when that verifies.
+    That graph is S itself whenever S realizes D, which always holds on
+    exact numbers once the triangle inequalities do.  On floats, near-ties
+    within a tolerance, or rounded sums, can add up along S until S misses
+    D; under a tolerance a tree S is then reweighted from one end of a
+    longest pair (as the paper rebuilds a snake), and kept when that
+    verifies.
     """
 
     graph: WeightedGraph
     violation: Optional[Tuple[int, int, int]]
     realization: Optional[WeightedGraph]
-    exact: bool
 
     def rejection(self) -> Optional[Realization]:
         """The verdict shared by every class when S cannot decide it: a
-        triangle violation rejects, and so does an S that misses the family
-        in tolerance mode; in exact mode that is an internal inconsistency.
-        None when S decides."""
+        triangle violation rejects, and so does an S that misses the family,
+        which only float numbers allow.  None when S decides."""
         if self.violation is not None:
             return Realization.rejected(f"triangle violation at {self.violation}")
         if self.realization is None:
-            if self.exact:
-                raise InternalInconsistencyError("support graph failed verification")
             return Realization.rejected(
                 "the support graph does not realize the family within the tolerance"
             )
@@ -79,8 +76,17 @@ def analyse(family: DistanceFamily) -> Support:
     pairs with D < M, come out sorted; the first pair with M < D is the
     first violation, and its midpoint is the first z with D_iz + D_zj <
     D_ij, read off the two rows of the array.  No n x n split matrix is
-    built.  S is verified once, when D is a metric: by the Bellman
-    equations in exact mode, by Floyd-Warshall under a tolerance.
+    built.
+
+    On exact numbers with no violation, the scan is the proof that S
+    realizes D.  It showed D_ij <= M_ij for every pair, and (i, j) in S iff
+    D_ij < M_ij.  Every path from i to j weighs at least D_ij, by the
+    triangle inequalities.  S has a path of weight D_ij, by induction on
+    D_ij: a pair in S is an edge, and any other pair has D_ij = D_iz + D_zj
+    with both terms positive and smaller.  So S realizes D and is
+    connected.  Float sums round, so the induction does not hold bit for
+    bit: a float64 array (tolerance mode, or floats under ``EXACT``, which
+    only the library builds) verifies S by ``verify_realization``.
     """
     n, cmp = family.n, family.cmp
     a, scale = family.scaled
@@ -98,14 +104,14 @@ def analyse(family: DistanceFamily) -> Support:
         z = int(np.argmax(kernel.lt(a[i] + a[j], a[i, j], cmp)))
         violation = (i + 1, j + 1, z + 1)
     graph = WeightedGraph._of_arrays(n, rows[below], cols[below], d[below], scale)
-    del rows, cols, d, m, below, above  # S's verification below needs room of its own at large n
+    del rows, cols, d, m, below, above  # a float S's verification below needs room of its own at large n
     realization = None
     if violation is None:
-        if verify_realization(graph, family):
+        if scale is not None or verify_realization(graph, family):
             realization = graph
         elif not cmp.exact and len(graph.u) == n - 1:
             realization = _reweighted_tree(family, graph)
-    return Support(graph, violation, realization, cmp.exact)
+    return Support(graph, violation, realization)
 
 
 def _reweighted_tree(family: DistanceFamily, s: WeightedGraph) -> Optional[WeightedGraph]:

@@ -15,17 +15,21 @@ from metric_realize import (
     Cmp,
     DistanceFamily,
     FamilyError,
+    GenSpec,
     WeightedGraph,
     check_four_point,
     check_median,
     check_triangle,
     classify,
+    generate,
     is_indecomposable,
     prune,
     support_graph,
     two_weights,
+    verify_realization,
 )
 from metric_realize import kernel
+from metric_realize.generators import CLASS_MIN_N
 from metric_realize.serialize import family_to_csv, parse_family_csv, report_to_json
 
 import oracles
@@ -416,6 +420,44 @@ class TestToleranceSupport:
                 assert verify_realization(r.graph, f), name
             else:
                 assert r.reason, name
+
+
+class TestExactSupport:
+    """On exact numbers the split scan proves that S realizes D; floats
+    under EXACT are verified, and an S that misses D rejects every class."""
+
+    def test_floats_under_exact_that_miss_by_an_ulp_reject_cleanly(self):
+        import metric_realize
+
+        g = WeightedGraph(5, [(1, 2, 0.2), (1, 3, 0.1), (1, 4, 0.2), (2, 3, 0.1), (2, 5, 0.3)])
+        f = two_weights(g, EXACT)
+        # (1, 2) ties with 1-3-2, and S's path 4-1-3-2-5 sums to one ulp
+        # above d(4, 5) = 0.7
+        assert f.support.graph.edge_pairs() == {(1, 3), (1, 4), (2, 3), (2, 5)}
+        assert f.support.violation is None and f.support.realization is None
+        for name in NINE_RECOGNIZERS:
+            r = getattr(metric_realize, name)(f)
+            assert not r.accepted and r.reason, name
+        assert f.support.rejection().reason == (
+            "the support graph does not realize the family within the tolerance"
+        )
+        report = classify(f)
+        assert report.accepted_classes() == []
+        assert not any("internal inconsistency" in r.reason for r in report.verdicts.values())
+
+    @pytest.mark.parametrize("class_id", sorted(CLASS_MIN_N))
+    def test_exact_classify_runs_no_bellman_check(self, class_id, monkeypatch):
+        def no_bellman(*args):
+            raise AssertionError("kernel.bellman called")
+
+        family = two_weights(generate(GenSpec(class_id, 12, 1)))
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "bellman", no_bellman)
+            report = classify(family)
+        assert family.support.realization is family.support.graph
+        assert report.accepted_classes()
+        for r in report.verdicts.values():
+            assert not r.accepted or verify_realization(r.graph, family)
 
 
 TOL = Cmp(1e-9)

@@ -95,6 +95,9 @@ def assert_matches_the_scan(family):
     assert support.graph == graph
     assert support.violation == violation
     assert support.realization == realization
+    if violation is None and family.scaled.scale is not None:
+        # the scan alone proves that an exact S realizes D; Bellman agrees
+        assert verify_realization(support.graph, family)
     for u, v, w in support.graph.edges:
         assert type(u) is int and type(v) is int
         assert type(w) in (int, Fraction, float)

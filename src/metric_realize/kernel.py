@@ -155,14 +155,18 @@ def scaled_array(values: list, scale: Optional[int], factor: int = 1) -> np.ndar
 def at_scale(a: np.ndarray, own: Optional[int], scale: Optional[int], factor: int = 1) -> np.ndarray:
     """Entries ``a`` scaled by ``own``, scaled by ``scale`` instead: a
     multiple of ``own``, or None for float64.  An int64 array whose product
-    fits int64 for ``factor`` is multiplied in int64; other work is done in
-    Python ints, whose products are exact and whose true division rounds
-    correctly, as float(Fraction) does; an exact value beyond the float
-    range raises OverflowError.  The result is stored by the kernel's rule
-    for ``factor``, as ``scaled_array`` stores a list."""
+    fits int64 for ``factor`` is multiplied in int64, and one whose entries
+    and ``own`` are at most 2^53 in magnitude is divided in float64: both
+    operands are then exact doubles, and IEEE division rounds correctly.
+    Other work is done in Python ints, whose products are exact and whose
+    true division rounds correctly, as float(Fraction) does; an exact value
+    beyond the float range raises OverflowError.  The result is stored by
+    the kernel's rule for ``factor``, as ``scaled_array`` stores a list."""
     if scale == own:
         return a
     if scale is None:
+        if a.dtype == np.int64 and max(own, int(a.max(initial=0)), -int(a.min(initial=0))) <= 2**53:
+            return a / own
         return np.asarray(a.astype(object) / own, dtype=np.float64)
     k = scale // own
     # the floor of 1 on the magnitude keeps k itself within int64

@@ -117,7 +117,7 @@ def _planar(edges: Sequence[Pair], bipartite: bool) -> bool:
     planarity; there m > 3v - 6 (smoothing may break bipartiteness) means
     non-planar, v <= 5 or m <= 8 planar, and three degree-3 vertices with
     one neighbour set span a K33.  networkx's left-right test runs on the
-    graph only when none of these rules decides.
+    reduction only when none of these rules decides.
     """
     vertices = {x for edge in edges for x in edge}
     m, v = len(edges), len(vertices)
@@ -138,10 +138,11 @@ def _planar(edges: Sequence[Pair], bipartite: bool) -> bool:
     import networkx as nx
 
     g = nx.Graph()
-    # in label order, as S's own graph: the left-right test's depth-first
+    # the reduction, in label order: the left-right test's depth-first
     # search follows the node order, and its running time with it
-    g.add_nodes_from(sorted(vertices))
-    g.add_edges_from(edges)
+    nodes = sorted(adj)
+    g.add_nodes_from(nodes)
+    g.add_edges_from((x, y) for x in nodes for y in sorted(adj[x]) if x < y)
     return nx.check_planarity(g)[0]
 
 

@@ -9,12 +9,15 @@ Number text meets the kernel's scaled arrays in one reader,
 ``parse_number``), and one writer, ``_write_numbers`` (the point placed in
 the scaled integer, or ``format_number``); those two are the reference.
 
-A matrix document is read in blocks of whole rows, at most ``BLOCK_CELLS``
-cells and one ``_read_numbers`` call each, after the rows are counted and
-each row's cells counted by its commas; a document errs as a cell-by-cell
-reader would, with the first fault in row order.  A valid matrix is checked
-in a fixed number of array steps, and only a failing one is searched for
-the cell to name.
+A matrix document's rows are counted and each row's cells counted by its
+commas.  In exact mode a document of plain unsigned ASCII integers below
+10^18 is then read by one ``np.fromstring`` behind C-level guards
+(``_read_ints``); any other is read in blocks of whole rows, at most
+``BLOCK_CELLS`` cells and one ``_read_numbers`` call each.  Either way a
+document errs as a cell-by-cell reader would, with the first fault in row
+order.  A valid matrix is checked in a fixed number of array steps, and
+only a failing one is searched for the cell to name.  The matrix writer
+works in blocks of whole rows too.
 
 Each document is written as one flat list of parts in document order, which
 the CLI writes part by part and ``graph_to_json`` and ``report_to_json`` join
@@ -155,16 +158,53 @@ def _write_numbers(entries: np.ndarray, scale: Optional[int]) -> List[str]:
     return [f"{d[:-k]}.{d[-k:]}".rstrip("0").rstrip(".") for d in digits]
 
 
+# Deletes the digits and commas, all that a plain-int document holds.
+_NOT_PLAIN_INT = str.maketrans("", "", "0123456789,")
+
+
+def _read_ints(rows: List[str], n: int) -> Optional[kernel.Scaled]:
+    """The family array of ``rows``, n cells each, when every cell is a
+    plain unsigned ASCII integer below 10^18, read by one ``np.fromstring``:
+    int64 at scale 1, as ``kernel.row_matrix`` stores those values (twice
+    10^18 fits int64).  None for any other document, which the block reader
+    then reads.
+
+    ``np.fromstring`` is laxer than the reference reader: it reads "+1" and
+    " 1", warns or raises on an empty cell (by numpy version), and clamps a
+    value beyond int64 without an error.  So the body it reads has passed
+    guards of one C-level scan each: only digits and commas, no empty cell,
+    and no run of ``PLAIN_TOKEN_MAX - 17`` zeros, which a cell longer than
+    ``PLAIN_TOKEN_MAX`` characters holds when its value is below 10^18
+    (the block reader hands such a cell to ``parse_number``); and after the
+    read, n^2 values below 10^18."""
+    body = ",".join(rows)
+    if (
+        body.translate(_NOT_PLAIN_INT)
+        or ",," in body
+        or body[0] == ","
+        or body[-1] == ","
+        or "0" * (PLAIN_TOKEN_MAX - 17) in body
+    ):
+        return None
+    a = np.fromstring(body, dtype=np.int64, sep=",")
+    if a.size != n * n or a.max() >= 10**18:
+        return None
+    return kernel.Scaled(a.reshape(n, n), 1)
+
+
 def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
     """Parse an n x n matrix document: n comma-separated lines, zero diagonal,
     symmetric positive off-diagonals.
 
     The rows are counted and ``MAX_N`` checked before any cell is read, and
-    each row's cells are counted by its commas.  The cells of the rows ahead
-    of the first row of the wrong length are then read in blocks of whole
-    rows, at most ``BLOCK_CELLS`` cells each, one ``_read_numbers`` call per
-    block, and merged into the family's array (``DistanceFamily.scaled``)
-    by ``kernel.row_matrix``.  So the errors and their order are those of a
+    each row's cells are counted by its commas.  In exact mode a document of
+    n cells a row is offered to ``_read_ints``, which reads plain integers
+    below 10^18 into the array that the blocks would make; such a document
+    holds no malformed cell.  Otherwise the cells of the rows ahead of the
+    first row of the wrong length are read in blocks of whole rows, at most
+    ``BLOCK_CELLS`` cells each, one ``_read_numbers`` call per block, and
+    merged into the family's array (``DistanceFamily.scaled``) by
+    ``kernel.row_matrix``.  So the errors and their order are those of a
     cell-by-cell reader: a malformed cell, then the row of the wrong
     length, then the first bad pair in row order, the diagonal cell ahead
     of its row.  A valid matrix is checked in a fixed number of array steps;
@@ -177,16 +217,19 @@ def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
     commas = [row.count(",") for row in rows]
     # the rows ahead of the first row of the wrong length
     whole = next((i for i, c in enumerate(commas) if c != n - 1), n)
-    step = max(1, BLOCK_CELLS // n)
-    blocks = (
-        _read_numbers(",".join(rows[r : min(r + step, whole)]).split(","), cmp)
-        for r in range(0, whole, step)
-    )
-    if whole < n:
-        for _block in blocks:  # a malformed cell ahead of the row is named first
-            pass
-        raise ParseError(f"row {whole + 1} has {commas[whole] + 1} cells, expected {n}")
-    a, scale = kernel.row_matrix(blocks, n)
+    read = _read_ints(rows, n) if cmp.exact and whole == n else None
+    if read is None:
+        step = max(1, BLOCK_CELLS // n)
+        blocks = (
+            _read_numbers(",".join(rows[r : min(r + step, whole)]).split(","), cmp)
+            for r in range(0, whole, step)
+        )
+        if whole < n:
+            for _block in blocks:  # a malformed cell ahead of the row is named first
+                pass
+            raise ParseError(f"row {whole + 1} has {commas[whole] + 1} cells, expected {n}")
+        read = kernel.row_matrix(blocks, n)
+    a, scale = read
     if not _is_family(a, cmp):
         raise ParseError(_first_fault(a, cmp))
     if not cmp.exact:
@@ -227,14 +270,27 @@ def _first_fault(a: np.ndarray, cmp: Cmp) -> str:
 
 
 def family_to_csv(family: DistanceFamily) -> str:
-    """The n x n matrix document of the family, each pair written once from
-    the array."""
+    """The n x n matrix document of the family, written from its array in
+    blocks of whole rows, at most ``BLOCK_CELLS`` cells each (one
+    ``_write_numbers`` call per block), the diagonal cells as "0".
+
+    Each pair is written from both of its cells, which hold the same value
+    bit for bit: the reader checks an exact array for symmetry and mirrors
+    one read under a tolerance, ``kernel.pair_matrix`` writes both sides,
+    and Floyd-Warshall forms d_ik + d_kj and d_jk + d_ki, equal because
+    float addition commutes."""
     n = family.n
     a, scale = family.scaled
-    upper = np.triu_indices(n, 1)
-    cells = np.full((n, n), "0", dtype=object)
-    cells[upper] = cells.T[upper] = _write_numbers(a[upper], scale)
-    return "".join(",".join(row) + "\n" for row in cells.tolist())
+    step = max(1, BLOCK_CELLS // n)
+    lines = []
+    for r in range(0, n, step):
+        block = a[r : r + step]
+        cells = _write_numbers(block.ravel(), scale)
+        for k in range(len(block)):
+            cells[k * (n + 1) + r] = "0"  # the cell (r + k, r + k)
+            lines.append(",".join(cells[k * n : (k + 1) * n]))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def graph_parts(graph: WeightedGraph, fmt: str = "json") -> List[str]:

@@ -1,9 +1,10 @@
 """Small-n brute-force realizability oracles, the exhaustive Kuratowski
 search, the scalar comparison rule, the scalar 2-weights, usefulness,
 verification, split and family-check loops, the bipartition walk, the
-edge-by-edge graph checks and the dict form of the classify report, against
-which the tests check the recognizers, the dense min-plus kernel, the graph
-checker and the report writer.
+edge-by-edge graph checks, the matrix document written cell by cell and
+the dict form of the classify report, against which the tests check the
+recognizers, the dense min-plus kernel, the graph checker, the matrix
+writer and the report writer.
 
 Oracles enumerate candidate topologies (Prufer sequences for trees, cyclic
 orders for polygons, side assignments for bipartitions) with edge weights
@@ -352,6 +353,18 @@ def parse_family_csv(text: str, cmp: Cmp = EXACT) -> DistanceFamily:
                 raise ParseError(f"nonpositive 2-weight at ({i},{j})")
             values[(i, j)] = a
     return DistanceFamily(n, values, cmp)
+
+
+def family_to_csv(family) -> str:
+    """The matrix document written cell by cell from the family's values by
+    ``format_number``, each pair's text at both of its cells (the reference
+    for ``serialize.family_to_csv``)."""
+    from metric_realize.serialize import format_number
+
+    cells = [["0"] * family.n for _ in range(family.n)]
+    for (i, j), value in family.values.items():
+        cells[i - 1][j - 1] = cells[j - 1][i - 1] = format_number(value)
+    return "".join(",".join(row) + "\n" for row in cells)
 
 
 def graph_to_dict(graph) -> dict:

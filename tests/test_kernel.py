@@ -790,6 +790,28 @@ def test_an_int64_move_builds_no_python_ints():
     assert peak < 1.5 * 8 * n * n
 
 
+# scales up to 2^53, and entries up to 2^53 in magnitude: exact doubles
+FLOAT_MOVE_SCALES = (1, 3, 7, 10, 30, 1000, 2**20 + 7, 10**15 + 37, 2**53)
+
+
+@pytest.mark.parametrize("own", FLOAT_MOVE_SCALES)
+def test_a_float_move_of_int64_entries_rounds_as_python_ints_do(own):
+    rng = np.random.default_rng(own % 2**32)
+    near = [2**53 - k for k in range(40)] + [2**52 + k for k in range(40)] + [own, own - 1, own // 2 + 1]
+    entries = [0, 1, *near, *(-x for x in near), *rng.integers(-(2**53), 2**53, 2000, endpoint=True).tolist()]
+    moved = kernel.at_scale(np.array(entries, dtype=np.int64), own, None, 2)
+    assert moved.dtype == np.float64
+    assert list(map(float.hex, moved.tolist())) == [float.hex(x / own) for x in entries]
+
+
+@pytest.mark.parametrize("entry, own", [(2**53 + 1, 3), (-(2**53) - 1, 7), (1, 2**53 + 1), (2**52 + 1, 2**53 + 3)])
+def test_a_float_move_past_2_53_divides_in_python_ints(entry, own):
+    # the float64 division of these operands rounds twice, and differs
+    a = np.array([0, entry], dtype=np.int64)
+    assert float(entry) / float(own) != entry / own
+    assert kernel.at_scale(a, own, None).tolist() == [0.0, entry / own]
+
+
 @pytest.mark.parametrize("weight, dtype", [(2**60, "int64"), (2**61, "object")])
 def test_a_connected_graph_s_2_weights_are_stored_as_its_family(weight, dtype):
     # the star K_{1,8}: twice the +inf stand-in, 2 (8 w + 1), is beyond

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -351,6 +352,164 @@ class TestReportJson:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 8 * n * n
+
+
+def by_blocks(text: str, cmp: Cmp = EXACT):
+    """``parse_family_csv`` with the plain-int route off: the block reader."""
+    with mock.patch.object(serialize, "_read_ints", lambda rows, n: None):
+        return parse_family_csv(text, cmp)
+
+
+def read_as(parse, text: str, cmp: Cmp = EXACT):
+    """The dtype, scale and entries of the array ``parse`` reads, or its error."""
+    try:
+        family = parse(text, cmp)
+    except ParseError as exc:
+        return "error", str(exc)
+    a, scale = family.scaled
+    return a.dtype.name, scale, a.tolist()
+
+
+def parsed_values(parse, text: str, cmp: Cmp = EXACT):
+    """The family's values that ``parse`` reads, or its error."""
+    try:
+        return parse(text, cmp).values
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+def with_cell(token) -> str:
+    """The unit triangle with ``token`` at both cells of the pair (1, 2)."""
+    return f"0,{token},1\n{token},0,1\n1,1,0\n"
+
+
+# Documents the int route reads, and documents it leaves to the block
+# reader: spellings np.fromstring would read or refuse otherwise, values
+# from 10^18 on (np.fromstring clamps beyond int64), empty cells, and cells
+# past PLAIN_TOKEN_MAX characters, which go to parse_number.
+INT_ROUTE = {
+    "leading zeros": with_cell("007"),
+    "below 10^18": with_cell(10**18 - 1),
+    "282 zeros": with_cell("0" * 282 + "1"),
+}
+BLOCK_ROUTE = {
+    "plus": with_cell("+1"),
+    "space": with_cell(" 1"),
+    "10^18": with_cell(10**18),
+    "int64 max": with_cell(2**63 - 1),
+    "2^63": with_cell(2**63),
+    "10^19": with_cell(10**19),
+    "point": with_cell("1.5"),
+    "empty cell": "0,,1\n1,0,1\n1,1,0\n",
+    "leading comma": ",1,1\n1,0,1\n1,1,0\n",
+    "trailing comma": "0,1,1\n1,0,1\n1,1,\n",
+    "283 zeros": with_cell("0" * 283 + "1"),
+    "400 digits": with_cell("0" * 399 + "1"),
+    "4301 digits": with_cell("0" * 4300 + "1"),
+}
+ROUTES = {**INT_ROUTE, **BLOCK_ROUTE}
+
+
+class TestPlainIntRoute:
+    """A matrix document of plain unsigned ASCII integers below 10^18 is
+    read by one ``np.fromstring``; it and every other document read as the
+    block reader reads them, with the same errors."""
+
+    @pytest.mark.parametrize("case", ROUTES)
+    def test_each_guard_case_reads_as_the_block_reader(self, case):
+        text = ROUTES[case]
+        assert read_as(parse_family_csv, text) == read_as(by_blocks, text)
+        assert parsed_values(parse_family_csv, text) == parsed_values(oracles.parse_family_csv, text)
+
+    def test_the_guard_cases_read_as_their_values(self):
+        assert parse_family_csv(ROUTES["400 digits"]).d(1, 2) == 1
+        assert parse_family_csv(ROUTES["283 zeros"]).d(1, 2) == 1
+        assert parse_family_csv(ROUTES["282 zeros"]).d(1, 2) == 1
+        assert parse_family_csv(ROUTES["below 10^18"]).scaled.array.dtype == np.int64
+        assert parse_family_csv(ROUTES["10^18"]).scaled.array.dtype == np.int64
+        assert parse_family_csv(ROUTES["int64 max"]).scaled.array.dtype == object
+        with pytest.raises(ParseError, match="malformed number '0000"):
+            parse_family_csv(ROUTES["4301 digits"])
+        for case in ("empty cell", "leading comma", "trailing comma"):
+            with pytest.raises(ParseError, match="malformed number ''"):
+                parse_family_csv(ROUTES[case])
+
+    def test_only_the_block_route_reads_cells_one_by_one(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(tokens, cmp):
+            raise Reached
+
+        monkeypatch.setattr(serialize, "_read_numbers", reached)
+        for case, text in INT_ROUTE.items():
+            assert parse_family_csv(text).d(1, 2) == int(text.split(",")[1]), case
+        assert parse_family_csv(family_to_csv(two_weights(generate(GenSpec("tree", 70, 1))))).n == 70
+        for case, text in BLOCK_ROUTE.items():
+            with pytest.raises(Reached):
+                parse_family_csv(text)
+            with pytest.raises(Reached):
+                parse_family_csv(text, Cmp(1e-9))
+        with pytest.raises(Reached):
+            parse_family_csv(INT_ROUTE["leading zeros"], Cmp(1e-9))
+
+    def test_the_int_route_raises_no_warning(self):
+        texts = [*INT_ROUTE.values(), family_to_csv(two_weights(generate(GenSpec("tree", 100, 1))))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for text in texts:
+                parse_family_csv(text)
+
+    @settings(WRITER_SETTINGS, max_examples=300)
+    @given(st.data())
+    def test_int_matrices_read_as_the_block_reader(self, data):
+        # values past 10^18 and 2^62 (Python ints in the family), symmetric
+        # or not, a zero diagonal or not, cells with leading zeros
+        n = data.draw(st.integers(2, 6))
+        value = st.integers(0, 20) | st.integers(0, 2**62) | st.sampled_from((10**18 - 1, 10**18))
+        a = [[data.draw(value) for _ in range(n)] for _ in range(n)]
+        if data.draw(st.booleans()):
+            a = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        if data.draw(st.booleans()):
+            for i in range(n):
+                a[i][i] = 0
+        pad = st.sampled_from(("", "", "", "0", "000"))
+        text = "".join(",".join(data.draw(pad) + str(v) for v in row) + "\n" for row in a)
+        assert read_as(parse_family_csv, text) == read_as(by_blocks, text)
+
+
+class TestMatrixWriter:
+    """``family_to_csv`` writes whole rows a block at a time, each cell as
+    the cell-by-cell writer in ``oracles`` does."""
+
+    @WRITER_SETTINGS
+    @given(graphs(), st.booleans())
+    def test_each_cell_is_written_as_format_number(self, graph, tolerance):
+        cmp = Cmp(1e-9) if tolerance or any(isinstance(w, float) for *_e, w in graph.edges) else EXACT
+        family = two_weights(graph, cmp)
+        # one block; blocks of one row; and 13 // n rows a block, the last
+        # one shorter at n = 4 and 5
+        texts = []
+        for block in (serialize.BLOCK_CELLS, 1, 13):
+            with mock.patch.object(serialize, "BLOCK_CELLS", block):
+                texts.append(family_to_csv(family))
+        assert texts == [oracles.family_to_csv(family)] * 3
+
+    @pytest.mark.parametrize("kind", ("int", "decimal"))
+    @pytest.mark.parametrize("cmp", (EXACT, Cmp(1e-9)), ids=("exact", "tol"))
+    def test_the_writer_holds_one_block_beyond_its_text(self, kind, cmp):
+        # the n = 512 tree: 8 rows a block.  Filling an n x n array of cell
+        # strings took 7.6 to 12 int64 matrices beyond the text.
+        n = 512
+        family = two_weights(generate(GenSpec("tree", n, 1, kind)), cmp)
+        tracemalloc.start()
+        try:
+            text = family_to_csv(family)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - len(text) < 2 * 8 * n * n
+        assert text == oracles.family_to_csv(family)
 
 
 @pytest.fixture

@@ -5,14 +5,15 @@ as tests on the support graph S, including bipartition recovery as a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
 from . import kernel
 from .family import DistanceFamily
-from .graph import WeightedGraph, verify_realization
+from .graph import WeightedGraph
 from .realization import Realization
+from .support import realizes
 
 
 def complete_check(family: DistanceFamily) -> Realization:
@@ -103,40 +104,30 @@ def bipartition(family: DistanceFamily) -> Bipartition:
     return Bipartition((x, y), frozenset(x_witnesses), frozenset(y_witnesses), x_witnesses, y_witnesses)
 
 
-def _two_coloured(family: DistanceFamily) -> Realization:
-    """Accept, with S's realization and the ``bipartition`` as witness, when
-    every edge of S crosses the recovered sides."""
+def _two_coloured(family: DistanceFamily) -> Tuple[Realization, Optional[np.ndarray]]:
+    """``DistanceFamily.sides``: the verdict that both bipartite classes share
+    and, on acceptance, X's membership per vertex index, built once.  It
+    accepts, with S's realization and the ``bipartition`` walk as witness,
+    when the walk covers every vertex and every edge of S crosses the sides."""
     support = family.support
     failed = support.rejection()
     if failed is not None:
-        return failed
-    bp = family.sides
+        return failed, None
+    bp = bipartition(family)
     gap = set(range(1, family.n + 1)) - bp.x_side - bp.y_side
     if gap:  # only within a tolerance, see ``bipartition``
-        return Realization.rejected(f"cover gap: {sorted(gap)} in neither side")
+        return Realization.rejected(f"cover gap: {sorted(gap)} in neither side"), None
+    x = np.zeros(family.n, dtype=bool)
+    x[[a - 1 for a in bp.x_side]] = True
     # Every same-side pair splits through the other side iff no edge of S
     # (an indecomposable pair) joins two vertices of one side.
-    same = _same_side(family)
+    s = support.graph
+    same = x[s.u] == x[s.v]
     if same.any():
         k = int(np.argmax(same))  # the first such edge in sorted order
-        a, b = int(support.graph.u[k]) + 1, int(support.graph.v[k]) + 1
-        return Realization.rejected(f"same-side pair ({a},{b}) is an edge of the support graph")
-    return Realization(True, graph=support.realization, witness=bp)
-
-
-def _same_side(family: DistanceFamily) -> np.ndarray:
-    """Per edge of S, whether the ``bipartition`` walk put both ends on one
-    side (X, or not X)."""
-    x = _in_x(family)
-    s = family.support.graph
-    return x[s.u] == x[s.v]
-
-
-def _in_x(family: DistanceFamily) -> np.ndarray:
-    """Per vertex index, whether the ``bipartition`` walk put it in X."""
-    x = np.zeros(family.n, dtype=bool)
-    x[[a - 1 for a in family.sides.x_side]] = True
-    return x
+        a, b = int(s.u[k]) + 1, int(s.v[k]) + 1
+        return Realization.rejected(f"same-side pair ({a},{b}) is an edge of the support graph"), None
+    return Realization(True, graph=support.realization, witness=bp), x
 
 
 def _complete_bipartite(family: DistanceFamily, bp: Bipartition) -> bool:
@@ -153,27 +144,22 @@ def bigraph_check(family: DistanceFamily) -> Realization:
     The tests compare this with the paper's criterion: every same-side pair
     splits through a vertex of the other side.
     """
-    result = _two_coloured(family)
+    result, x = family.sides
     if not result or _complete_bipartite(family, result.witness):
         # when S is K_{X,Y}, keep its verified realization, as the pruned
         # class does, so that within a tolerance the two verdicts agree
         return result
     # K_{X,Y}: the pairs u < v on different sides, sorted as they come in
-    # row-major order (every vertex is in X or Y once ``_two_coloured``
-    # accepts, so "not in X" is Y)
-    x = _in_x(family)
+    # row-major order (every vertex is in X or Y once the sides accept, so
+    # "not in X" is Y)
     u, v = np.nonzero(x[:, None] != x)
     upper = u < v
     u, v = u[upper], v[upper]
     d, scale = family.scaled
     # both sides are non-empty, so K_{X,Y} is connected
     graph = WeightedGraph._of_arrays(family.n, u, v, d[u, v], scale, connected=True)
-    # Each added cross edge weighs D_ab = d_S(a, b), so in exact mode no
-    # 2-weight changes; within a tolerance, paths through it may fall short.
-    if not family.cmp.exact and not verify_realization(graph, family):
-        return Realization.rejected(
-            "bipartite conditions hold but the reconstruction failed verification"
-        )
+    if not realizes(graph, family):
+        return Realization.rejected("bipartite conditions hold but the reconstruction failed verification")
     return Realization(True, graph=graph, witness=result.witness)
 
 
@@ -185,7 +171,7 @@ def cobigraph_check(family: DistanceFamily) -> Realization:
     The tests compare this with the paper's criterion: bipartite, and every
     cross pair indecomposable.
     """
-    result = _two_coloured(family)
+    result, _ = family.sides
     if not result or _complete_bipartite(family, result.witness):
         return result
     bp, adj = result.witness, family.support.graph.adjacency()

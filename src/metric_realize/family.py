@@ -14,7 +14,7 @@ import itertools
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from . import kernel
 from .comparison import EXACT, Cmp, Number
 
 if TYPE_CHECKING:
-    from .bipartite import Bipartition
     from .kernel import Scaled
+    from .realization import Realization
     from .support import Support
 
 MAX_VIOLATIONS = 32
@@ -109,13 +109,15 @@ class DistanceFamily:
         return analyse(self)
 
     @cached_property
-    def sides(self) -> "Bipartition":
-        """The 2-colouring of S that ``bipartite.bipartition`` walks, computed
-        on first use and kept with the family, so that both bipartite
-        checks read one walk."""
-        from .bipartite import bipartition
+    def sides(self) -> "Tuple[Realization, Optional[np.ndarray]]":
+        """The verdict that both bipartite classes share on S's 2-colouring by
+        the ``bipartite.bipartition`` walk, and on acceptance X's membership
+        per vertex index (else None); computed on first use and kept with the
+        family, so that one walk and one side check serve the bipartite
+        classes and the planarity counts."""
+        from .bipartite import _two_coloured
 
-        return bipartition(self)
+        return _two_coloured(self)
 
 
 def _compared(scaled: "Scaled", cmp: Cmp) -> "Scaled":

@@ -9,7 +9,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from .bipartite import _same_side
 from .family import DistanceFamily, FamilyError, is_indecomposable
 from .realization import Realization
 
@@ -252,9 +251,11 @@ def planar_check(family: DistanceFamily) -> Realization:
     if len(s.u) - family.n + 1 <= 3:
         return Realization.ok(support.realization)
     edges = list(zip((s.u + 1).tolist(), (s.v + 1).tolist()))
-    # S is 2-coloured when every edge crosses the sides of the bipartition
-    # walk, and the walk 2-colours every bipartite S that realizes D
-    bipartite = not _same_side(family).any()
+    # S is 2-coloured when the bipartite classes' shared verdict accepts,
+    # and the walk 2-colours every bipartite S that realizes D.  A walk that
+    # leaves a vertex out (within a tolerance only) clears the flag, which
+    # only forgoes Euler's 2v - 4 shortcut: ``_planar`` decides exactly.
+    bipartite = family.sides[0].accepted
     if _planar(edges, bipartite):
         return Realization.ok(support.realization)
     witness = _witness_from_kuratowski(_kuratowski_subgraph(edges, family.n, bipartite))

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .family import DistanceFamily
-from .graph import WeightedGraph, verify_realization
+from .graph import WeightedGraph
 from .realization import Realization
+from .support import realizes
 from .trees import snake_check
 
 
@@ -39,8 +40,8 @@ def polygon_check(family: DistanceFamily) -> Realization:
     """Decide polygonlike: pruned polygon, or a snake closed into a cycle.
 
     The snake branch closes the path with an edge between its endpoints of
-    weight exactly D_{endpoints} (the minimal valid closure weight).  Within
-    a tolerance, a closed snake that fails verification is rejected.
+    weight exactly D_{endpoints} (the minimal valid closure weight).  On a
+    float64 array, a closed snake that fails verification is rejected.
     """
     if family.n < 3:
         return Realization.rejected("a polygon needs n >= 3")
@@ -57,9 +58,7 @@ def polygon_check(family: DistanceFamily) -> Realization:
         order = np.lexsort((v, u))
         # a path closed by an edge between its ends is connected
         graph = WeightedGraph._of_arrays(family.n, u[order], v[order], w[order], path.scale, connected=True)
-        # The closing edge weighs D_ends = d_S(ends), so in exact mode no
-        # 2-weight changes; within a tolerance, paths through it may fall short.
-        if not family.cmp.exact and not verify_realization(graph, family):
+        if not realizes(graph, family):
             return Realization.rejected("snake conditions hold but the closed snake failed verification")
         return Realization.ok(graph)
     return Realization.rejected(

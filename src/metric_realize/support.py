@@ -8,13 +8,13 @@ finds S and the triangle check with the dense min-plus kernel
 (``metric_realize.kernel``) on the family's array, not with a loop over
 pairs and midpoints.  Each other fact about S is derived once: the midpoint
 of the first triangle violation from two rows of that array, whether S
-realizes D, and the 2-colouring by the ``bipartition`` walk
-(``DistanceFamily.sides``), which the bipartite classes and the planarity
-counts read.  On exact numbers the split scan that finds S proves that S
-realizes D, so exact ``classify`` runs no verification; float numbers
-verify S by ``verify_realization``.  S is kept once, as its graph; a class
-test that decides by the edge count never builds the graph's adjacency
-view.
+realizes D, and the bipartite classes' shared verdict on S's 2-colouring
+(``DistanceFamily.sides``), which the planarity counts also read.  One rule,
+:func:`realizes`, re-checks a graph rebuilt from S: on exact numbers the
+split scan proves that S realizes D, so exact ``classify`` runs no
+verification; float arrays are verified.  S is kept once, as its graph; a
+class test that decides by the edge count never builds the graph's
+adjacency view.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ def analyse(family: DistanceFamily) -> Support:
     D_ij: a pair in S is an edge, and any other pair has D_ij = D_iz + D_zj
     with both terms positive and smaller.  So S realizes D and is
     connected.  Float sums round, so the induction does not hold bit for
-    bit: a float64 array (tolerance mode, or floats under ``EXACT``, which
-    only the library builds) verifies S by ``verify_realization``.
+    bit: on a float64 array S is verified (``realizes``).
     """
     n, cmp = family.n, family.cmp
     a, scale = family.scaled
@@ -107,11 +106,22 @@ def analyse(family: DistanceFamily) -> Support:
     del rows, cols, d, m, below, above  # a float S's verification below needs room of its own at large n
     realization = None
     if violation is None:
-        if scale is not None or verify_realization(graph, family):
+        if realizes(graph, family):
             realization = graph
         elif not cmp.exact and len(graph.u) == n - 1:
             realization = _reweighted_tree(family, graph)
     return Support(graph, violation, realization)
+
+
+def realizes(graph: WeightedGraph, family: DistanceFamily) -> bool:
+    """Whether a graph rebuilt from S realizes the family.  A float64 array
+    (tolerance mode, or floats under ``EXACT``, which only the library
+    builds) is checked by ``verify_realization``: float sums round, and
+    paths through a rebuilt edge may fall short.  An exact array is
+    certified: S by the split scan (``analyse``), and every edge (a, b)
+    added to S because it weighs D_ab = d_S(a, b), so that no 2-weight
+    changes."""
+    return family.scaled.scale is not None or verify_realization(graph, family)
 
 
 def _reweighted_tree(family: DistanceFamily, s: WeightedGraph) -> Optional[WeightedGraph]:

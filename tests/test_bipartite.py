@@ -1,8 +1,13 @@
+import io
 import itertools
+import json
 import random
+import sys
 from fractions import Fraction
 
 from metric_realize import (
+    Cmp,
+    DistanceFamily,
     WeightedGraph,
     bigraph_check,
     bipartition,
@@ -15,6 +20,8 @@ from metric_realize import (
     verify_realization,
 )
 from metric_realize.bipartite import _min_pair
+from metric_realize.cli import run
+from metric_realize.serialize import family_to_csv, parse_family_csv
 
 from conftest import fam, fam_of, random_connected_graph
 from oracles import brute_force_class_check
@@ -191,6 +198,53 @@ class TestBigraph:
             assert bigraph_check(f).accepted == brute_force_class_check(
                 f, "complete_bipartite"
             )
+
+
+    def test_a_cover_gap_rejects_both_classes_alike(self, monkeypatch, capsys):
+        # D_12 = D_23 = D_34 = 1, D_24 = 2, D_13 = 2 + 1.8t, D_14 = 3 - 2.7t
+        # under the tolerance t = 1e-6: S is the path 1-2-3-4, and vertex 4's
+        # one tight test, D_13 + D_34 = D_14, fails by 4.5t against a slack of 3t
+        f = parse_family_csv(COVER_GAP, Cmp(1e-6))
+        assert f.support.graph.edge_pairs() == {(1, 2), (2, 3), (3, 4)}
+        bp = bipartition(f)
+        gap = set(range(1, 5)) - bp.x_side - bp.y_side
+        assert gap == {4}
+        reason = f"cover gap: {sorted(gap)} in neither side"
+        for check in (bigraph_check, cobigraph_check):
+            r = check(f)
+            assert not r.accepted and r.reason == reason
+        report = classify(f)
+        assert report.accepted_classes() == ["snake", "caterpillar", "tree", "polygon", "planar"]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(COVER_GAP))
+        assert run(["classify", "-", "--tol", "1e-6"]) == 0
+        out, err = capsys.readouterr()
+        classes = json.loads(out)["classes"]
+        assert classes["bipartite"]["reason"] == classes["pruned_bipartite"]["reason"] == reason
+        assert err == ""
+
+    def test_a_reconstruction_that_fails_verification_is_a_rejection(self, monkeypatch, capsys):
+        # under Cmp(1e-15), S is the path 1-4-2-3, kept reweighted from
+        # vertex 1; K_{X,Y} on {1, 2} and {3, 4} weighs its edges by D, and
+        # its path 3-2-4 falls short of D_34 by more than the tolerance
+        f = DistanceFamily(4, SHORT_CROSS_PATH, Cmp(1e-15))
+        assert f.support.graph.edge_pairs() == {(1, 4), (2, 3), (2, 4)}
+        assert cobigraph_check(f).reason == "cross entry (1,3) is decomposable"
+        reason = "bipartite conditions hold but the reconstruction failed verification"
+        r = bigraph_check(f)
+        assert not r.accepted and r.reason == reason
+        verdict = classify(f).verdicts["bipartite"]
+        assert not verdict.accepted and verdict.reason == reason
+        monkeypatch.setattr(sys, "stdin", io.StringIO(family_to_csv(f)))
+        assert run(["check", "--class", "bipartite", "-", "--tol", "1e-15"]) == 1
+        out, err = capsys.readouterr()
+        assert reason in out and err == ""
+
+
+COVER_GAP = "0,1,2.0000018,2.9999973\n1,0,1,2\n2.0000018,1,0,1\n2.9999973,2,1,0\n"
+SHORT_CROSS_PATH = {
+    (1, 2): 0.8000000000000002, (1, 3): 1.0000000000000007, (1, 4): 0.6999999999999997,
+    (2, 3): 0.19999999999999984, (2, 4): 0.09999999999999998, (3, 4): 0.3000000000000004,
+}
 
 
 class TestCobigraph:

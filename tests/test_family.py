@@ -17,18 +17,23 @@ from metric_realize import (
     FamilyError,
     GenSpec,
     WeightedGraph,
+    bigraph_check,
     check_four_point,
     check_median,
     check_triangle,
     classify,
+    cobigraph_check,
     generate,
     is_indecomposable,
+    planar_check,
+    polygon_check,
     prune,
     support_graph,
     two_weights,
     verify_realization,
 )
 from metric_realize import kernel
+from metric_realize import support as support_module
 from metric_realize.generators import CLASS_MIN_N
 from metric_realize.serialize import family_to_csv, parse_family_csv, report_to_json
 
@@ -365,6 +370,35 @@ class TestOnePassSupport:
                     assert report.bipartition == bipartition(f)
 
 
+    def test_one_side_check_per_classify(self, monkeypatch):
+        # the bipartite classes and the planarity counts read one verdict
+        # kept with the family: one walk of S and one check of S's edges
+        # against its sides, which checking the classes again repeats not
+        from metric_realize import bipartite as bipartite_module
+
+        walks, side_checks = [], []
+        for name, calls in (("bipartition", walks), ("_two_coloured", side_checks)):
+            monkeypatch.setattr(bipartite_module, name, _spy(getattr(bipartite_module, name), calls))
+        for class_id in sorted(CLASS_MIN_N):
+            f = two_weights(generate(GenSpec(class_id, 12, 5)))
+            walks.clear()
+            side_checks.clear()
+            classify(f)
+            for check in (bigraph_check, cobigraph_check, planar_check):
+                check(f)
+            assert walks == side_checks == [f], class_id
+
+
+def _spy(function, calls):
+    """``function``, recording the first argument of each call in ``calls``."""
+
+    def spy(*args):
+        calls.append(args[0])
+        return function(*args)
+
+    return spy
+
+
 NINE_RECOGNIZERS = (
     "snake_check", "caterpillar_check", "tree_check",
     "pruned_polygon_check", "polygon_check", "complete_check",
@@ -458,6 +492,20 @@ class TestExactSupport:
         assert report.accepted_classes()
         for r in report.verdicts.values():
             assert not r.accepted or verify_realization(r.graph, family)
+
+
+    def test_floats_under_exact_verify_the_graphs_rebuilt_from_s(self, monkeypatch):
+        # a float array is verified wherever S is rebuilt: the dyadic path
+        # 1-2-3-4-5 (its sums are exact floats), its closed snake and its
+        # K_{X,Y} on {1, 3, 5} and {2, 4} all reach ``verify_realization``
+        f = two_weights(WeightedGraph(5, [(1, 2, 0.5), (2, 3, 0.25), (3, 4, 1.5), (4, 5, 0.75)]), EXACT)
+        assert f.scaled.scale is None  # a float64 array
+        verified = []
+        monkeypatch.setattr(support_module, "verify_realization", _spy(support_module.verify_realization, verified))
+        polygon, bipartite = polygon_check(f), bigraph_check(f)
+        assert polygon.accepted and bipartite.accepted
+        assert verified == [f.support.graph, polygon.graph, bipartite.graph]
+        assert len(polygon.graph.u) == 5 and len(bipartite.graph.u) == 6
 
 
 TOL = Cmp(1e-9)

@@ -18,7 +18,7 @@ from metric_realize import (
     two_weights,
     verify_realization,
 )
-from metric_realize import polygons
+from metric_realize import support
 from metric_realize.cli import run
 from metric_realize.serialize import family_to_csv
 
@@ -152,8 +152,8 @@ class TestPolygon:
     def test_a_closed_snake_that_fails_verification_is_a_rejection(self, monkeypatch, capsys):
         assert snake_check(noisy_snake()).accepted and polygon_check(noisy_snake()).accepted
         # the closed snake is the one graph of n edges that the check verifies
-        verify = polygons.verify_realization
-        monkeypatch.setattr(polygons, "verify_realization", lambda g, f: len(g.u) != g.n and verify(g, f))
+        verify = support.verify_realization
+        monkeypatch.setattr(support, "verify_realization", lambda g, f: len(g.u) != g.n and verify(g, f))
         reason = "snake conditions hold but the closed snake failed verification"
         r = polygon_check(noisy_snake())
         assert not r.accepted and r.reason == reason

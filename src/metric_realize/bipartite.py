@@ -11,9 +11,8 @@ import numpy as np
 
 from . import kernel
 from .family import DistanceFamily
-from .graph import WeightedGraph
 from .realization import Realization
-from .support import realizes
+from .support import rebuild
 
 
 def complete_check(family: DistanceFamily) -> Realization:
@@ -139,7 +138,8 @@ def bigraph_check(family: DistanceFamily) -> Realization:
     """Decide bipartite realizability: S must be 2-coloured by the sides
     that ``bipartition`` recovers, which the accepted verdict carries as its
     witness.  The realization is the complete bipartite graph on those sides
-    with the cross 2-weights as weights.
+    with the cross 2-weights as weights, bar S's edges, which keep S's
+    realization's weights (``support.rebuild``).
 
     The tests compare this with the paper's criterion: every same-side pair
     splits through a vertex of the other side.
@@ -154,11 +154,8 @@ def bigraph_check(family: DistanceFamily) -> Realization:
     # "not in X" is Y)
     u, v = np.nonzero(x[:, None] != x)
     upper = u < v
-    u, v = u[upper], v[upper]
-    d, scale = family.scaled
-    # both sides are non-empty, so K_{X,Y} is connected
-    graph = WeightedGraph._of_arrays(family.n, u, v, d[u, v], scale, connected=True)
-    if not realizes(graph, family):
+    graph = rebuild(family, u[upper], v[upper])
+    if graph is None:
         return Realization.rejected("bipartite conditions hold but the reconstruction failed verification")
     return Realization(True, graph=graph, witness=result.witness)
 

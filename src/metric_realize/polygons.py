@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .family import DistanceFamily
-from .graph import WeightedGraph
 from .realization import Realization
-from .support import realizes
+from .support import rebuild
 from .trees import snake_check
 
 
@@ -39,9 +38,9 @@ def pruned_polygon_check(family: DistanceFamily) -> Realization:
 def polygon_check(family: DistanceFamily) -> Realization:
     """Decide polygonlike: pruned polygon, or a snake closed into a cycle.
 
-    The snake branch closes the path with an edge between its endpoints of
-    weight exactly D_{endpoints} (the minimal valid closure weight).  On a
-    float64 array, a closed snake that fails verification is rejected.
+    The snake branch closes the path, S's realization, with an edge between
+    its endpoints of weight exactly D_{endpoints} (the minimal valid closure
+    weight); a closed snake that fails verification is rejected.
     """
     if family.n < 3:
         return Realization.rejected("a polygon needs n >= 3")
@@ -50,15 +49,12 @@ def polygon_check(family: DistanceFamily) -> Realization:
         return pruned
     snake = snake_check(family)
     if snake.accepted:
-        a, b = sorted(v - 1 for v, nbrs in family.support.graph.adjacency().items() if len(nbrs) == 1)
-        # the path, S or S reweighted within a tolerance, has the family's scale
-        path = snake.graph
-        w = np.append(path.w, family.scaled.array[a, b])
+        path = family.support.graph
+        a, b = sorted(v - 1 for v, nbrs in path.adjacency().items() if len(nbrs) == 1)
         u, v = np.append(path.u, a), np.append(path.v, b)
         order = np.lexsort((v, u))
-        # a path closed by an edge between its ends is connected
-        graph = WeightedGraph._of_arrays(family.n, u[order], v[order], w[order], path.scale, connected=True)
-        if not realizes(graph, family):
+        graph = rebuild(family, u[order], v[order])
+        if graph is None:
             return Realization.rejected("snake conditions hold but the closed snake failed verification")
         return Realization.ok(graph)
     return Realization.rejected(

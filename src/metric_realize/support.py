@@ -9,12 +9,12 @@ finds S and the triangle check with the dense min-plus kernel
 pairs and midpoints.  Each other fact about S is derived once: the midpoint
 of the first triangle violation from two rows of that array, whether S
 realizes D, and the bipartite classes' shared verdict on S's 2-colouring
-(``DistanceFamily.sides``), which the planarity counts also read.  One rule,
-:func:`realizes`, re-checks a graph rebuilt from S: on exact numbers the
-split scan proves that S realizes D, so exact ``classify`` runs no
-verification; float arrays are verified.  S is kept once, as its graph; a
-class test that decides by the edge count never builds the graph's
-adjacency view.
+(``DistanceFamily.sides``), which the planarity counts also read.  One
+maker, :func:`rebuild`, weighs and checks the graphs that add pairs of D to
+S: on exact numbers the split scan proves that S realizes D, so exact
+``classify`` runs no verification; float arrays are verified.  S is kept
+once, as its graph; a class test that decides by the edge count never
+builds the graph's adjacency view.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def analyse(family: DistanceFamily) -> Support:
     D_ij: a pair in S is an edge, and any other pair has D_ij = D_iz + D_zj
     with both terms positive and smaller.  So S realizes D and is
     connected.  Float sums round, so the induction does not hold bit for
-    bit: on a float64 array S is verified (``realizes``).
+    bit: on a float64 array S is verified.
     """
     n, cmp = family.n, family.cmp
     a, scale = family.scaled
@@ -106,22 +106,28 @@ def analyse(family: DistanceFamily) -> Support:
     del rows, cols, d, m, below, above  # a float S's verification below needs room of its own at large n
     realization = None
     if violation is None:
-        if realizes(graph, family):
+        if scale is not None or verify_realization(graph, family):
             realization = graph
         elif not cmp.exact and len(graph.u) == n - 1:
             realization = _reweighted_tree(family, graph)
     return Support(graph, violation, realization)
 
 
-def realizes(graph: WeightedGraph, family: DistanceFamily) -> bool:
-    """Whether a graph rebuilt from S realizes the family.  A float64 array
-    (tolerance mode, or floats under ``EXACT``, which only the library
-    builds) is checked by ``verify_realization``: float sums round, and
-    paths through a rebuilt edge may fall short.  An exact array is
-    certified: S by the split scan (``analyse``), and every edge (a, b)
-    added to S because it weighs D_ab = d_S(a, b), so that no 2-weight
-    changes."""
-    return family.scaled.scale is not None or verify_realization(graph, family)
+def rebuild(family: DistanceFamily, u: np.ndarray, v: np.ndarray) -> Optional[WeightedGraph]:
+    """The graph on the sorted 0-based pairs u < v, which hold S, each pair
+    weighing D_uv but S's edges, which keep the weights of S's realization
+    (D's own unless a tolerance reweighted S); None unless it realizes the
+    family.  An exact array is certified: S by the split scan, and an added
+    pair (a, b) weighs D_ab = d_S(a, b), which changes no 2-weight.  A
+    float64 array (tolerance mode, or floats under ``EXACT``) is verified:
+    float sums round, and a path through an added pair may fall short."""
+    d, scale = family.scaled
+    w, s, r = d[u, v], family.support.graph, family.support.realization
+    if r is not s:
+        w[np.searchsorted(u * family.n + v, s.u * family.n + s.v)] = r.w
+    # the pairs hold S, which is connected as it has a realization
+    graph = WeightedGraph._of_arrays(family.n, u, v, w, scale, connected=True)
+    return graph if scale is not None or verify_realization(graph, family) else None
 
 
 def _reweighted_tree(family: DistanceFamily, s: WeightedGraph) -> Optional[WeightedGraph]:

@@ -19,6 +19,7 @@ from metric_realize import (
     two_weights,
     verify_realization,
 )
+from metric_realize import support
 from metric_realize.bipartite import _min_pair
 from metric_realize.cli import run
 from metric_realize.serialize import family_to_csv, parse_family_csv
@@ -222,18 +223,41 @@ class TestBigraph:
         assert classes["bipartite"]["reason"] == classes["pruned_bipartite"]["reason"] == reason
         assert err == ""
 
-    def test_a_reconstruction_that_fails_verification_is_a_rejection(self, monkeypatch, capsys):
-        # under Cmp(1e-15), S is the path 1-4-2-3, kept reweighted from
-        # vertex 1; K_{X,Y} on {1, 2} and {3, 4} weighs its edges by D, and
-        # its path 3-2-4 falls short of D_34 by more than the tolerance
+    def test_k_xy_keeps_the_weights_of_s_s_reweighted_realization(self, monkeypatch, capsys):
+        # under Cmp(1e-15), S is the path 1-4-2-3, whose D weights fall
+        # short of D_13 by more than the tolerance, so S is kept reweighted
+        # from vertex 1; K_{X,Y} on {1, 2} and {3, 4} holds that path, and
+        # verifies because S's edges keep the reweighted weights
         f = DistanceFamily(4, SHORT_CROSS_PATH, Cmp(1e-15))
         assert f.support.graph.edge_pairs() == {(1, 4), (2, 3), (2, 4)}
+        assert f.support.realization is not f.support.graph
         assert cobigraph_check(f).reason == "cross entry (1,3) is decomposable"
+        r = bigraph_check(f)
+        assert r.accepted and r.graph.edge_pairs() == {(1, 3), (1, 4), (2, 3), (2, 4)}
+        on_s = tuple(e for e in r.graph.edges if (e[0], e[1]) in f.support.graph.edge_pairs())
+        assert on_s == f.support.realization.edges
+        assert r.graph.adjacency()[1][3] == SHORT_CROSS_PATH[(1, 3)]
+        assert verify_realization(r.graph, f)
+        report = classify(f)
+        assert report.accepted_classes() == ["snake", "caterpillar", "tree", "polygon", "bipartite", "planar"]
+        assert report.verdicts["bipartite"].graph == r.graph
+        monkeypatch.setattr(sys, "stdin", io.StringIO(family_to_csv(f)))
+        assert run(["check", "--class", "bipartite", "-", "--tol", "1e-15"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "bipartite: accepted\n" and err == ""
+
+    def test_a_k_xy_that_fails_verification_is_a_rejection(self, monkeypatch, capsys):
+        f = DistanceFamily(4, SHORT_CROSS_PATH, Cmp(1e-15))
+        # the graphs of n edges that the check verifies are K_{2,2} and the
+        # closed snake 1-4-2-3-1, here the same graph; S has n - 1 edges
+        verify = support.verify_realization
+        monkeypatch.setattr(support, "verify_realization", lambda g, f: len(g.u) != g.n and verify(g, f))
         reason = "bipartite conditions hold but the reconstruction failed verification"
         r = bigraph_check(f)
         assert not r.accepted and r.reason == reason
-        verdict = classify(f).verdicts["bipartite"]
-        assert not verdict.accepted and verdict.reason == reason
+        report = classify(f)
+        assert report.verdicts["bipartite"].reason == reason
+        assert report.accepted_classes() == ["snake", "caterpillar", "tree", "planar"]
         monkeypatch.setattr(sys, "stdin", io.StringIO(family_to_csv(f)))
         assert run(["check", "--class", "bipartite", "-", "--tol", "1e-15"]) == 1
         out, err = capsys.readouterr()

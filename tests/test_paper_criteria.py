@@ -1,7 +1,8 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from metric_realize import (
@@ -25,6 +26,7 @@ from metric_realize.generators import CLASS_MIN_N
 import oracles
 from conftest import with_value
 from paper_criteria import CRITERIA
+from test_bipartite import SHORT_CROSS_PATH
 
 RECOGNIZERS = {
     "snake": snake_check,
@@ -153,3 +155,37 @@ def walked_families(draw, tol=1e-9):
 def test_the_bipartition_walk_matches_its_scalar_reference(f):
     # sides and chains alike
     assert bipartition(f) == oracles.bipartition_walk(f)
+
+
+@st.composite
+def reweighted_snakes(draw, tol=1e-9):
+    """Points on a line from vertex 1, an end, at steps of k/64, as floats
+    under ``tol``: vertex 1's row is exact and every other entry is raised
+    by 0.9 tolerances.  S is the path, whose own weights then miss D_1j by
+    more than the tolerance once three or more edges lead from 1 to j, so
+    S's realization is S reweighted from vertex 1 (n >= 4)."""
+    n = draw(st.integers(4, 10))
+    steps = draw(st.lists(st.integers(1, 40), min_size=n - 1, max_size=n - 1))
+    labels = [1] + draw(st.permutations(range(2, n + 1)))
+    at = dict(zip(labels, itertools.accumulate([0.0] + [k / 64 for k in steps])))
+    values = {}
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        v = abs(at[i] - at[j])
+        values[(i, j)] = v if i == 1 else v + 0.9 * tol * max(1.0, v)
+    return DistanceFamily(n, values, Cmp(tol))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(walked_families(), reweighted_snakes()))
+@example(DistanceFamily(4, SHORT_CROSS_PATH, Cmp(1e-15)))
+def test_graphs_rebuilt_from_s_keep_its_realization_and_weigh_the_other_pairs_by_d(f):
+    # the closed snake and K_{X,Y} hold S's realization bit for bit, also
+    # where a tolerance reweighted S, and every pair they add weighs D
+    for check in (polygon_check, bigraph_check):
+        r = check(f)
+        if r.accepted:
+            s = {(a, b): w for a, b, w in f.support.realization.edges}
+            for a, b, w in r.graph.edges:
+                expected = s.pop((a, b), f.d(a, b))
+                assert w == expected and type(w) is type(expected), (check.__name__, a, b, f.values)
+            assert not s, (check.__name__, s)

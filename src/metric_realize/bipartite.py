@@ -146,8 +146,8 @@ def bigraph_check(family: DistanceFamily) -> Realization:
     """
     result, x = family.sides
     if not result or _complete_bipartite(family, result.witness):
-        # when S is K_{X,Y}, keep its verified realization, as the pruned
-        # class does, so that within a tolerance the two verdicts agree
+        # when S is K_{X,Y}, reuse the cached verdict on S, as the pruned
+        # class does: one graph, no second verification, rendered once
         return result
     # K_{X,Y}: the pairs u < v on different sides, sorted as they come in
     # row-major order (every vertex is in X or Y once the sides accept, so

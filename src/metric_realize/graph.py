@@ -10,14 +10,16 @@ checks the Bellman equations of the graph on the family's array
 A graph is stored as columns: 0-based vertex indices ``u`` < ``v`` in
 sorted order, and the weights ``w`` scaled by ``scale`` as the kernel scales
 a family (int64, Python ints or float64).  The kernel reads these columns.
-One checker, ``_columns``, checks the edges of ``WeightedGraph(n, edges)``
-and of a graph document as columns.  Graphs built from checked arrays (S,
-K_{X,Y}, the pruned graph, the closed snake, a checked document) come from
-the trusted maker ``WeightedGraph._of_arrays``, as a family's array comes
-from ``DistanceFamily._of_array``.  ``edges`` and
-``adjacency()`` are views built on first use; the scale and the result of
-the connectivity check are kept with the graph, so that no later step
-derives them again.
+A graph is connected, as a 2-weight needs.  One checker, ``_columns``,
+checks the edges of ``WeightedGraph(n, edges)`` and of a graph document as
+columns, the count and the walk included.  Graphs built from checked arrays
+(S, K_{X,Y}, the pruned graph, the closed snake, a checked document) come
+from the trusted maker ``WeightedGraph._of_arrays``, as a family's array
+comes from ``DistanceFamily._of_array``; only S, which a triangle violation
+or a float S that misses D can leave disconnected, is walked on demand.
+``edges`` and ``adjacency()`` are views built on first use; the scale and
+the result of the connectivity check are kept with the graph, so that no
+later step derives them again.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ _FLOAT_AGAINST_BEYOND_FLOATS = (
 class WeightedGraph:
     """Labeled vertex set [n] with positively weighted undirected edges.
 
-    Simple graphs only, checked as columns by ``_columns``: integer ends in
-    [n], no loops, no twins, positive weights, and connectivity unless
-    ``require_connected=False`` (no package code passes it; the graphs the
-    package makes come from ``_of_arrays``).
+    Simple connected graphs only, checked as columns by ``_columns``:
+    integer ends in [n], no loops, no twins, positive weights, then the edge
+    count and a walk.  The graphs the package makes come from
+    ``_of_arrays``.
 
     The graph is stored as columns, one entry per edge in sorted order:
     ``u`` and ``v`` hold 0-based vertex indices (label - 1) with u < v, and
@@ -73,15 +75,15 @@ class WeightedGraph:
     # change after construction, so neither do they.
     __slots__ = ("n", "u", "v", "w", "scale", "_connected", "_edges", "_adj", "_dist")
 
-    def __init__(self, n: int, edges: Iterable[Tuple[int, int, Number]], require_connected: bool = True):
+    def __init__(self, n: int, edges: Iterable[Tuple[int, int, Number]]):
         us, vs, ws = tuple(zip(*edges, strict=True)) or ((), (), ())
-        u, v, order = _columns(n, us, vs, np.array(ws, dtype=object), ws.__getitem__, require_connected)
+        u, v, order = _columns(n, us, vs, np.array(ws, dtype=object), ws.__getitem__)
         ws = [ws[i] for i in order.tolist()]
         try:
             values, scale = kernel.scale_numbers(ws)
         except OverflowError:
             raise GraphError(kernel._FLOAT_BESIDE_BEYOND_FLOATS) from None
-        self._store(n, u, v, kernel.scaled_array(values, scale), scale, require_connected or None)
+        self._store(n, u, v, kernel.scaled_array(values, scale), scale, True)
 
     @classmethod
     def _of_arrays(
@@ -143,12 +145,10 @@ class WeightedGraph:
 
 def _walk(n: int, u: np.ndarray, v: np.ndarray) -> bool:
     """Whether the edges (u, v) join all n vertices into one component, by
-    union-find with path halving; fewer than n - 1 edges answer False by
-    count, before anything of size n is built.  The walk stops at the edge
-    that leaves one component, and uses no edge after it; it reads the
+    union-find with path halving over n parents; a graph from outside is
+    counted first, so n is at most its edges + 1.  The walk stops at the
+    edge that leaves one component, and uses no edge after it; it reads the
     columns n edges at a time, so an early stop converts few of them."""
-    if len(u) < n - 1:
-        return False
     parent = list(range(n))
     components = n
     for lo in range(0, len(u), n):
@@ -174,15 +174,14 @@ def _check_connected(n: int, u: np.ndarray, v: np.ndarray) -> None:
 
 
 @kernel.python_floats
-def _columns(n: int, us: Sequence, vs: Sequence, w: np.ndarray, weight: Callable, connected: bool):
-    """The checked edges ``us[i]``-``vs[i]`` on [n] as 0-based columns u < v
-    in sorted order, and that order.  ``w`` has the weights' signs, and
-    ``weight(i)`` names edge i's weight.  The first faulty edge is named by
-    its first fault: a loop, an end out of [n], an end not an integer, a
-    repeat, a weight not positive; then, if ``connected``, come the count and
-    the walk.  Labels become indices after the count: huge ones are named,
-    and so is a label beyond int64, the index range, which only a graph on
-    more than INT64_MAX vertices without the count can hold."""
+def _columns(n: int, us: Sequence, vs: Sequence, w: np.ndarray, weight: Callable):
+    """The checked edges ``us[i]``-``vs[i]`` of a connected graph on [n] as
+    0-based columns u < v in sorted order, and that order.  ``w`` has the
+    weights' signs, and ``weight(i)`` names edge i's weight.  The first
+    faulty edge is named by its first fault: a loop, an end out of [n], an
+    end not an integer, a repeat, a weight not positive; then come the count
+    and the walk.  A graph past the count has n <= edges + 1, so its labels
+    fit int64 when they become indices."""
     if n < 1:
         raise GraphError("vertex count must be >= 1")
     uv, top, fraction = np.array((us, vs)), min(n, kernel.INT64_MAX), False
@@ -209,13 +208,7 @@ def _columns(n: int, us: Sequence, vs: Sequence, w: np.ndarray, weight: Callable
             raise GraphError(f"self-loop at vertex {a}")
         fault = f"out of range for n={n}" if out[k] else "has a vertex that is not an integer"
         raise GraphError(f"edge ({a},{b}) {fault}")
-    if connected:
-        _check_connected(n, lo, hi)
-    if n > kernel.INT64_MAX:
-        beyond = order[hi >= kernel.INT64_MAX].tolist()  # label + 1 > INT64_MAX
-        if beyond:
-            i = min(beyond)
-            raise GraphError(f"edge ({us[i]},{vs[i]}) has a vertex beyond the index range 1..{kernel.INT64_MAX}")
+    _check_connected(n, lo, hi)
     return lo.astype(np.intp, copy=False), hi.astype(np.intp, copy=False), order
 
 
@@ -261,6 +254,11 @@ def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:
     compares the weights and the 2-weights in float64, converted once; the
     kept edges keep their weights.  In exact mode a useless weight in
     Python ints may stand beside int64 2-weights.
+
+    Exact numbers need no walk: the kept edges are S of the 2-weights (an
+    indecomposable pair's shortest path is one edge), which the split scan
+    proves connected (``support.analyse``).  A float64 array, float weights
+    or a tolerance, is walked: sums round and near-ties do not chain.
     """
     if graph.n == 1:
         return graph
@@ -276,7 +274,8 @@ def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:
     duv = dist.array[u, v]
     keep = kernel.eq(w, duv, cmp) & kernel.lt(duv, m, cmp)
     u, v = u[keep], v[keep]
-    _check_connected(graph.n, u, v)
+    if dist.scale is None:
+        _check_connected(graph.n, u, v)
     return WeightedGraph._of_arrays(graph.n, u, v, graph.w[keep], graph.scale, connected=True)
 
 

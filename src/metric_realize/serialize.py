@@ -412,7 +412,7 @@ def graph_from_json(text: str, cmp: Cmp = EXACT) -> WeightedGraph:
         raise ParseError(f"malformed graph document: {exc}") from exc
     w = kernel.scaled_array(values, scale)
     try:
-        u, v, order = _columns(n, us, vs, w, lambda i: kernel.numbers(w[i : i + 1], scale)[0], True)
+        u, v, order = _columns(n, us, vs, w, lambda i: kernel.numbers(w[i : i + 1], scale)[0])
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
     # A connected graph lists n - 1 edges, so the checks so far cost no more

@@ -4,7 +4,9 @@ verification, split and family-check loops, the bipartition walk, the
 edge-by-edge graph checks, the matrix document written cell by cell and
 the dict form of the classify report, against which the tests check the
 recognizers, the dense min-plus kernel, the graph checker, the matrix
-writer and the report writer.
+writer and the report writer; and ``any_graph``, a graph connected or not,
+for the tests that need a disconnected one (the package takes connected
+graphs only).
 
 Oracles enumerate candidate topologies (Prufer sequences for trees, cyclic
 orders for polygons, side assignments for bipartitions) with edge weights
@@ -24,6 +26,7 @@ import sys
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from metric_realize import (
     EXACT,
@@ -36,6 +39,7 @@ from metric_realize import (
     WeightedGraph,
     support_graph,
 )
+from metric_realize import kernel
 from metric_realize.comparison import Number
 from metric_realize.generators import tree_from_prufer
 
@@ -141,17 +145,17 @@ def indecomposable_scan(family: DistanceFamily, i: int, j: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The edge-by-edge graph checks (the reference for ``graph._columns``)
+# The edge-by-edge graph checks (the reference for ``graph._columns``) and
+# the graphs, connected or not, that the tests build past them
 # ---------------------------------------------------------------------------
 
 
-def edge_fault(n, edges, require_connected: bool = True) -> Optional[str]:
-    """The message ``WeightedGraph(n, edges, require_connected)`` raises for
-    a graph on [n] with the ``(u, v, w)`` edges, or None when it holds: edge
-    by edge a loop, an end out of range, an end that is not an integer, a
-    repeat of an earlier edge and a weight that is not positive; then, when
-    ``require_connected``, the edge count and a walk, and otherwise a label
-    beyond int64, the index range."""
+def edge_fault(n, edges) -> Optional[str]:
+    """The message ``WeightedGraph(n, edges)`` raises for a graph on [n]
+    with the ``(u, v, w)`` edges, or None when it holds: edge by edge a
+    loop, an end out of range, an end that is not an integer, a repeat of an
+    earlier edge and a weight that is not positive; then the edge count and
+    a walk."""
     if n < 1:
         return "vertex count must be >= 1"
     seen: Set[Tuple[int, int]] = set()
@@ -169,17 +173,23 @@ def edge_fault(n, edges, require_connected: bool = True) -> Optional[str]:
         if not w > 0:
             return f"nonpositive weight on edge ({u},{v}): {w}"
         seen.add((u, v))
-    if not require_connected:
-        top = 2**63 - 1
-        for u, v, _w in edges:
-            if max(u, v) > top:
-                return f"edge ({u},{v}) has a vertex beyond the index range 1..{top}"
-        return None
     if len(seen) < n - 1:
         return f"{len(seen)} edges cannot connect {n} vertices; a connected graph needs at least {n - 1}"
     graph = nx.Graph(seen)
     graph.add_nodes_from(range(1, n + 1))
     return None if nx.is_connected(graph) else "graph is not connected"
+
+
+def any_graph(n: int, edges) -> WeightedGraph:
+    """The graph on [n] with the valid ``(u, v, w)`` edges, connected or
+    not, for the tests that need a disconnected one: the columns that
+    ``WeightedGraph(n, edges)`` would store, given to the trusted maker
+    ``WeightedGraph._of_arrays``, which leaves connectivity to a walk."""
+    edges = sorted((int(min(u, v)), int(max(u, v)), w) for u, v, w in edges)
+    u = np.array([e[0] for e in edges], dtype=np.intp) - 1
+    v = np.array([e[1] for e in edges], dtype=np.intp) - 1
+    values, scale = kernel.scale_numbers([w for *_e, w in edges])
+    return WeightedGraph._of_arrays(n, u, v, kernel.scaled_array(values, scale), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +243,7 @@ def without_edge(graph: WeightedGraph, u: int, v: int) -> WeightedGraph:
     """``graph`` less its edge (u, v), u < v, connected or not."""
     kept = [e for e in graph.edges if e[:2] != (u, v)]
     assert len(kept) < len(graph.edges), f"no edge ({u},{v})"
-    return WeightedGraph(graph.n, kept, require_connected=False)
+    return any_graph(graph.n, kept)
 
 
 def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
@@ -273,7 +283,7 @@ def support_scan(family: DistanceFamily) -> Tuple[WeightedGraph, Optional[Tuple[
             elif violation is None and lt(cmp, split, dij):
                 k = next(k for k in range(1, n + 1) if lt(cmp, row[k - 1] + rows[k - 1][j - 1], dij))
                 violation = (i, j, k)
-    graph = WeightedGraph(n, edges, require_connected=False)
+    graph = any_graph(n, edges)
     realization = None
     if violation is None and graph.is_connected():
         if verify_realization(graph, family):
@@ -705,7 +715,7 @@ def _bigraphlike_brute(family: DistanceFamily, pruned: bool = False) -> bool:
             if not y_side:
                 continue
             edges = [(a, b, family.d(a, b)) for a in sorted(x_side) for b in y_side]
-            graph = WeightedGraph(n, edges, require_connected=False)
+            graph = any_graph(n, edges)
             if not graph.is_connected():
                 continue
             if not _matrix_matches(shortest_path_matrix(graph), family):

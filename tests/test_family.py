@@ -243,9 +243,7 @@ class TestSupportGraph:
         rng = random.Random(99)
         for _ in range(40):
             g = prune(random_connected_graph(rng.randint(2, 9), rng))
-            assert support_graph(two_weights(g)) == WeightedGraph(
-                g.n, g.edges, require_connected=False
-            )
+            assert support_graph(two_weights(g)) == WeightedGraph(g.n, g.edges)
 
 
 class TestToleranceMode:

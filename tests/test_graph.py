@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from metric_realize import (
     EXACT,
     Cmp,
+    GenSpec,
     GraphError,
     WeightedGraph,
+    generate,
     prune,
     support_graph,
     two_weights,
@@ -20,6 +22,7 @@ from metric_realize import (
 )
 from metric_realize import graph as graph_module
 from metric_realize import kernel
+from metric_realize.generators import CLASS_MIN_N
 from metric_realize.serialize import ParseError, graph_from_json, parse_number
 
 import oracles
@@ -48,11 +51,10 @@ class TestWeightedGraph:
         with pytest.raises(GraphError):
             WeightedGraph(2, [(1, 3, 1)])
 
-    @pytest.mark.parametrize("require_connected", (True, False))
-    def test_rejects_a_vertex_that_is_not_an_integer(self, require_connected):
+    def test_rejects_a_vertex_that_is_not_an_integer(self):
         # the index columns would read 1.5 as vertex 1
         with pytest.raises(GraphError, match=r"edge \(1.5,2\) has a vertex that is not an integer"):
-            WeightedGraph(3, [(1.5, 2, 1), (2, 3, 1)], require_connected=require_connected)
+            WeightedGraph(3, [(1.5, 2, 1), (2, 3, 1)])
 
     def test_the_walk_stops_once_the_graph_is_connected(self):
         # the first two edges join the three vertices; the entries after
@@ -71,10 +73,11 @@ class TestWeightedGraph:
         # decides before anything of size n is built
         with pytest.raises(GraphError, match="1 edges cannot connect 10000 vertices"):
             WeightedGraph(10_000, [(1, 2, 1)])
-        assert WeightedGraph(10_000, [(1, 2, 1)], require_connected=False).n == 10_000
+        # the walk itself, which counts nothing, still answers False
+        assert oracles.any_graph(10_000, [(1, 2, 1)]).is_connected() is False
 
-    def test_disconnected_allowed_when_asked(self):
-        g = WeightedGraph(4, [(1, 2, 1), (3, 4, 1)], require_connected=False)
+    def test_is_connected_walks_a_disconnected_graph(self):
+        g = oracles.any_graph(4, [(1, 2, 1), (3, 4, 1)])
         assert not g.is_connected()
 
     def test_weight_lookup(self):
@@ -155,22 +158,21 @@ class TestGraphChecker:
             LABEL_KINDS,
             mostly(st.sampled_from([1, 2, Fraction(1, 2), 2.5]), st.sampled_from([0, -1, Fraction(-1, 3), -0.5, nan])),
         ),
-        st.booleans(),
     )
-    @example((4, [(1, 2, 1), (2, 3, 1), (3, 1, 1)]), True)  # enough edges, yet not connected
-    @example((3, [(np.int64(1), 2, 1), (True, 3, 2.5), (3, np.int64(2), Fraction(1, 2))]), True)
-    @example((3, [(2, 1, 1), (np.int64(2), True, 1)]), False)
-    @example((4, [(1, 4, 1), (3, 2, 1), (1, 2, 1)]), True)  # sorted by the lower end first
-    @example((1, [(1, 1.5, 1)]), False)  # 1.5 > n, though 0.5 < n as an index
-    def test_the_constructor_names_what_the_reference_names(self, graph, require_connected):
+    @example((4, [(1, 2, 1), (2, 3, 1), (3, 1, 1)]))  # enough edges, yet not connected
+    @example((3, [(np.int64(1), 2, 1), (True, 3, 2.5), (3, np.int64(2), Fraction(1, 2))]))
+    @example((3, [(2, 1, 1), (np.int64(2), True, 1)]))
+    @example((4, [(1, 4, 1), (3, 2, 1), (1, 2, 1)]))  # sorted by the lower end first
+    @example((1, [(1, 1.5, 1)]))  # 1.5 > n, though 0.5 < n as an index
+    def test_the_constructor_names_what_the_reference_names(self, graph):
         n, edges = graph
-        want = oracles.edge_fault(n, edges, require_connected)
+        want = oracles.edge_fault(n, edges)
         if want is not None:
             with pytest.raises(GraphError) as raised:
-                WeightedGraph(n, edges, require_connected)
+                WeightedGraph(n, edges)
             assert str(raised.value) == want
             return
-        g = WeightedGraph(n, edges, require_connected)
+        g = WeightedGraph(n, edges)
         # labels as Python ints, weights as given
         assert g.edges == tuple(sorted((int(min(u, v)), int(max(u, v)), w) for u, v, w in edges))
         assert {type(x) for e in g.edges for x in e[:2]} <= {int}
@@ -216,53 +218,43 @@ class TestGraphChecker:
             (2**40, [(1, 2**40), (1, 2**40)], "duplicate edge (1,1099511627776)"),
             (0, [(1, 2)], "vertex count must be >= 1"),
             (-3, [], "vertex count must be >= 1"),
+            # labels at and beyond the int64 index range meet the count first
+            (
+                2**64,
+                [(3, 2), (2**63, 1)],
+                "2 edges cannot connect 18446744073709551616 vertices; "
+                "a connected graph needs at least 18446744073709551615",
+            ),
+            (
+                2**63,
+                [(2**63 - 1, 1), (2**63, 2)],
+                "2 edges cannot connect 9223372036854775808 vertices; "
+                "a connected graph needs at least 9223372036854775807",
+            ),
+            (
+                2**63,
+                [(2**63 - 1, 1)],
+                "1 edges cannot connect 9223372036854775808 vertices; "
+                "a connected graph needs at least 9223372036854775807",
+            ),
+            (
+                10**21,
+                [(1, 2), (10**21, 3)],
+                "2 edges cannot connect 1000000000000000000000 vertices; "
+                "a connected graph needs at least 999999999999999999999",
+            ),
         ],
     )
     def test_hostile_sizes_are_named(self, n, pairs, message):
         # n and the labels may exceed int64: they are compared as numbers,
         # and no index is cast before the count has passed
+        assert oracles.edge_fault(n, [(u, v, 1) for u, v in pairs]) == message
         with pytest.raises(GraphError) as raised:
             WeightedGraph(n, [(u, v, 1) for u, v in pairs])
         assert str(raised.value) == message
         with pytest.raises(ParseError) as raised:
             graph_from_json(graph_document(n, [(u, v, "1") for u, v in pairs]))
         assert str(raised.value) == message
-
-    @pytest.mark.parametrize(
-        "n, pairs, message",
-        [
-            (
-                2**64,
-                [(1, 2**64)],
-                "edge (1,18446744073709551616) has a vertex beyond the index range 1..9223372036854775807",
-            ),
-            (
-                2**64,
-                [(3, 2), (2**63, 1)],
-                "edge (9223372036854775808,1) has a vertex beyond the index range 1..9223372036854775807",
-            ),
-            (
-                2**63,
-                [(2**63 - 1, 1), (2**63, 2)],
-                "edge (9223372036854775808,2) has a vertex beyond the index range 1..9223372036854775807",
-            ),
-            (2**63, [(2**63 - 1, 1)], None),
-            (10**21, [(1, 2)], None),
-        ],
-    )
-    def test_hostile_sizes_without_the_count(self, n, pairs, message):
-        # no count runs: a label beyond int64 is named where its index would
-        # overflow, and the walk answers by count before it builds n parents
-        edges = [(u, v, 1) for u, v in pairs]
-        assert oracles.edge_fault(n, edges, require_connected=False) == message
-        if message is not None:
-            with pytest.raises(GraphError) as raised:
-                WeightedGraph(n, edges, require_connected=False)
-            assert str(raised.value) == message
-            return
-        g = WeightedGraph(n, edges, require_connected=False)
-        assert g.edges == tuple(sorted((min(u, v), max(u, v), 1) for u, v in pairs))
-        assert g.is_connected() is False
 
     def test_a_long_path_document_meets_the_size_limit(self):
         rows = [(i, i + 1, "1") for i in range(1, 3000)]
@@ -301,7 +293,7 @@ class TestTwoWeights:
         f = two_weights(WeightedGraph(3, [(1, 2, big), (2, 3, big)]))
         assert (f.d(1, 2), f.d(1, 3)) == (big, 2 * big)
         # apart: big + 1, the exact stand-in for +inf, exceeds every path
-        apart = WeightedGraph(3, [(1, 2, big)], require_connected=False)
+        apart = oracles.any_graph(3, [(1, 2, big)])
         dist = kernel.all_pairs(3, apart.u, apart.v, apart.w, apart.scale)
         assert dist.array.tolist() == [[0, big, big + 1], [big, 0, big + 1], [big + 1, big + 1, 0]]
 
@@ -400,6 +392,31 @@ class TestPrune:
             assert prune(g, tol) == g
             assert prune(g, tol).edge_pairs() == oracles.useful_edges(g, tol) == g.edge_pairs()
 
+    @pytest.mark.parametrize("kind", ("int", "decimal"))
+    def test_exact_pruning_is_certified_and_tolerance_pruning_walks(self, monkeypatch, kind):
+        # an exact pruned graph is S of its 2-weights, which the split scan
+        # proves connected, so no walk runs; a tolerance walks the kept edges
+        walk, walks = graph_module._walk, []
+
+        def refuse(*args):
+            raise AssertionError("exact pruning walked its graph")
+
+        def counting(*args):
+            walks.append(args[0])
+            return walk(*args)
+
+        for c in sorted(CLASS_MIN_N):
+            g = generate(GenSpec(c, 12, 1, kind))
+            with monkeypatch.context() as m:
+                m.setattr(graph_module, "_walk", refuse)
+                p = prune(g)
+                assert p.is_connected()
+            assert p == support_graph(two_weights(g)) and p.edge_pairs() == oracles.useful_edges(g)
+            with monkeypatch.context() as m:
+                m.setattr(graph_module, "_walk", counting)
+                assert prune(g, Cmp(1e-9)) == p
+        assert walks == [12] * len(CLASS_MIN_N)
+
     def test_a_single_vertex_is_returned_unchanged(self):
         # no edge to prune and no 2-weight to compute, in either mode
         g = WeightedGraph(1, [])
@@ -409,7 +426,7 @@ class TestPrune:
             two_weights(g)
         # a disconnected graph still has no 2-weights to prune by
         with pytest.raises(GraphError, match="connected"):
-            prune(WeightedGraph(2, [], require_connected=False))
+            prune(oracles.any_graph(2, []))
 
 
 class TestVerifyRealization:

@@ -143,12 +143,13 @@ def weighted_graphs(draw, connected=True, max_n=8, n=None, weights=WEIGHTS):
         edges[(u, v)] = draw(weight)
     for _ in range(draw(st.integers(0, 2))):
         u, v = draw(pair)
-        g = WeightedGraph(n, [(a, b, w) for (a, b), w in edges.items()], require_connected=False)
+        g = oracles.any_graph(n, [(a, b, w) for (a, b), w in edges.items()])
         d = oracles.shortest_path_matrix(g)[u - 1][v - 1]
         offset = draw(st.sampled_from(NEAR_TIES))
         if d != float("inf"):
             edges[(u, v)] = d * (1 + float(offset)) if isinstance(d, float) else d * (1 + offset)
-    return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()], require_connected=connected)
+    edges = [(u, v, w) for (u, v), w in edges.items()]
+    return WeightedGraph(n, edges) if connected else oracles.any_graph(n, edges)
 
 
 def edges_of(u, v, w, scale):
@@ -259,7 +260,7 @@ def graph_pairs(draw):
         return g, WeightedGraph(n, [*g.edges, (u, v, w)])
     if shape == "isolated":
         x = draw(st.integers(1, n))
-        return g, WeightedGraph(n, [e for e in g.edges if x not in e[:2]], require_connected=False)
+        return g, oracles.any_graph(n, [e for e in g.edges if x not in e[:2]])
     if shape == "unrelated":
         return g, draw(weighted_graphs(connected=False, n=n, weights=PAIR_WEIGHTS))
     u, v, _w = draw(st.sampled_from(g.edges))
@@ -468,7 +469,7 @@ def test_a_chord_at_the_tolerance_boundary(unit, offset, cmp):
 @pytest.mark.parametrize("cmp", CMPS)
 def test_a_disconnected_graph_never_realizes_a_family(cmp):
     family = two_weights(WeightedGraph(3, [(1, 2, 1.0), (2, 3, 1.0)]), cmp)
-    apart = WeightedGraph(3, [(1, 2, 1.0)], require_connected=False)
+    apart = oracles.any_graph(3, [(1, 2, 1.0)])
     assert verify_realization(apart, family) is False
 
 
@@ -588,7 +589,7 @@ def test_the_dtype_follows_the_data(weights, dtype):
     # vertices 5 and 6 are apart from the path and from each other: the
     # steps add two stand-ins, the largest sum, and a wrapped one would fall
     # below the weight sum
-    g = WeightedGraph(6, [(1, 2, weights[0]), (2, 3, weights[1]), (3, 4, weights[2])], require_connected=False)
+    g = oracles.any_graph(6, [(1, 2, weights[0]), (2, 3, weights[1]), (3, 4, weights[2])])
     assert kernel.all_pairs(6, g.u, g.v, g.w, g.scale).array.dtype.name == dtype
     assert_all_pairs_equal_the_scalar_loop(g)
 
@@ -698,7 +699,7 @@ LEAFY = {
 @pytest.mark.parametrize("name", sorted(LEAFY))
 def test_leaves_as_midpoints_change_nothing(name, unit):
     n, pairs = LEAFY[name]
-    g = WeightedGraph(n, [(u, v, unit * (1 + i % 3)) for i, (u, v) in enumerate(pairs)], require_connected=False)
+    g = oracles.any_graph(n, [(u, v, unit * (1 + i % 3)) for i, (u, v) in enumerate(pairs)])
     # the stand-in for +inf still exceeds the weight sum
     assert_all_pairs_equal_the_scalar_loop(g)
     if g.is_connected():
@@ -874,10 +875,12 @@ def paths(draw, weight):
 
 
 def assert_made_as_the_public_constructor_makes_it(h):
-    """The graph equals the public constructor's graph of its edges, and its
-    view holds what that graph's columns hold: labels and weights as Python
-    ints, Fractions and floats, of the same types, in the same order."""
-    public = WeightedGraph(h.n, h.edges, require_connected=False)
+    """The graph equals the public constructor's graph of its edges (a
+    disconnected one, which a float S can be, the same columns from
+    ``oracles.any_graph``), and its view holds what that graph's columns
+    hold: labels and weights as Python ints, Fractions and floats, of the
+    same types, in the same order."""
+    public = WeightedGraph(h.n, h.edges) if h.is_connected() else oracles.any_graph(h.n, h.edges)
     assert h == public and hash(h) == hash(public) and repr(h) == repr(public)
     columns = edges_of(public.u, public.v, public.w, public.scale)
     assert [tuple(map(type, e)) for e in h.edges] == [tuple(map(type, e)) for e in columns]
@@ -916,8 +919,9 @@ def test_graphs_made_from_arrays_equal_the_public_constructors(kind, cmp, path, 
 
 def test_one_graph_round_trip_does_each_piece_of_work_once(monkeypatch):
     # graph_from_json -> two_weights -> prune -> verify_realization: one
-    # Floyd-Warshall, two connectivity walks (the document's graph and the
-    # pruned graph), and no scale derived from Python numbers: the reader
+    # Floyd-Warshall, one connectivity walk (the document's graph; the
+    # exact pruned graph is S of its 2-weights, which the split scan
+    # certifies connected), and no scale derived from Python numbers: the reader
     # scales plain weights itself.  Writing an exact int or decimal graph
     # formats no number through format_number; a weight whose scale is not
     # a divisor of a power of 10 does
@@ -936,7 +940,7 @@ def test_one_graph_round_trip_does_each_piece_of_work_once(monkeypatch):
     family = two_weights(g)
     pruned = prune(g)
     assert verify_realization(pruned, family) is True
-    assert counts == {"all_pairs": 1, "common_scale": 0, "_walk": 2, "format_number": 0}
+    assert counts == {"all_pairs": 1, "common_scale": 0, "_walk": 1, "format_number": 0}
     assert pruned.edge_pairs() == {(1, 2), (2, 3), (3, 4), (4, 5)}
     text, dot = graph_to_json(pruned), graph_to_dot(pruned)
     assert counts["format_number"] == 0

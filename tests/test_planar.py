@@ -23,7 +23,7 @@ from metric_realize.generators import CLASS_MIN_N
 from metric_realize.planar import _kuratowski_subgraph, _planar
 
 from conftest import fam, random_connected_graph
-from oracles import SizeGuardError, kuratowski_deletion_pass, subdivision_witness_search
+from oracles import SizeGuardError, any_graph, kuratowski_deletion_pass, subdivision_witness_search
 
 
 def unit_family(n, pairs):
@@ -448,7 +448,7 @@ class TestPlanarCounts:
             if self.left_right(pairs):
                 continue
             seen += 1
-            graph = WeightedGraph(n, [(u, v, 1) for u, v in pairs], require_connected=False)
+            graph = any_graph(n, [(u, v, 1) for u, v in pairs])
             bipartite = nx.is_bipartite(nx.Graph(pairs))
             assert _kuratowski_subgraph(pairs, n, bipartite) == kuratowski_deletion_pass(graph)
         assert seen > 40

@@ -1,6 +1,6 @@
 """Recognizers for pruned complete graphs and (complete) bipartite graphs,
-as tests on the support graph S, including bipartition recovery as a
-2-colouring of S along tight chains of indecomposable links."""
+as tests on the support graph S, including bipartition recovery as S's
+2-colouring along chains of indecomposable links."""
 
 from __future__ import annotations
 
@@ -35,14 +35,14 @@ def complete_check(family: DistanceFamily) -> Realization:
 
 @dataclass
 class Bipartition:
-    """Recovered sides X and Y with the tight chains that placed each vertex.
+    """Recovered sides X and Y with the chains that placed each vertex.
 
-    The base pair (x, y) attains the minimal 2-weight.  A vertex lands in
-    ``x_side`` via a tight chain with an even number of indecomposable links
-    from x (the empty chain for x itself) and in ``y_side`` via an odd one
-    (a single indecomposable link for direct partners of x).  Witness chains
-    list the intermediate vertices only.  A vertex that no tight chain
-    reaches is in neither side; that happens only within a tolerance.
+    The base pair (x, y) attains the minimal 2-weight.  A chain is an S-path
+    from x, tight (its links add up to D_{x,v}) when S realizes D.  A vertex
+    lands in ``x_side`` via a chain with an even number of indecomposable
+    links from x (the empty chain for x itself) and in ``y_side`` via an odd
+    one (a single indecomposable link for direct partners of x).  Witness
+    chains list the intermediate vertices only.
     """
 
     base_pair: Tuple[int, int]
@@ -71,14 +71,13 @@ def bipartition(family: DistanceFamily) -> Bipartition:
     """Recover the two sides of a would-be bipartite realization.
 
     A parity walk over the vertices in increasing D_{x,.} order: each vertex
-    v takes as parent its first tight S-neighbour u already placed, one with
-    D_{x,u} + D_{u,v} = D_{x,v}, and lands on the side opposite u.  Parent
-    chains are thus tight chains of indecomposable links from x; tightness
-    makes D_{x,.} strictly increase along them, so they are simple.  When S
-    realizes D the last link of a shortest S-path to v is tight, so every
-    vertex is placed, and the sides 2-colour S exactly when S is bipartite.
-    One ``kernel.eq`` call tests tightness on S's 2m links, each edge both
-    ways; nothing of size n^2 is built.
+    v takes as parent its first tight S-neighbour u already placed (D_{x,u}
+    + D_{u,v} = D_{x,v}), else its first placed S-neighbour, and lands on the
+    side opposite u; one with neither waits for a later pass.  Parent chains
+    are S-paths from x that reach every vertex of a connected S, so the sides
+    2-colour S exactly when S is bipartite; when S realizes D they are tight,
+    as the last link of a shortest S-path is.  One ``kernel.eq`` call tests
+    tightness on S's 2m links.
     """
     x, y = _min_pair(family)
     s, d = family.support.graph, family.scaled.array
@@ -93,29 +92,30 @@ def bipartition(family: DistanceFamily) -> Bipartition:
         parents.setdefault(v, []).append(u)
     side = {x: 0}
     chains: Dict[int, Tuple[int, ...]] = {x: ()}
-    for v in order[1:]:
-        placed = [u for u in parents.get(v, ()) if u in side]
-        if placed:
+    waiting = order[1:]
+    while waiting:
+        left = []
+        for v in waiting:
+            placed = [u for u in parents.get(v, ()) if u in side] or [u for u in s.adjacency()[v] if u in side]
+            if not placed:
+                left.append(v)
+                continue
             u = min(placed, key=rank.__getitem__)
             side[v] = side[u] ^ 1
             chains[v] = chains[u] + (u,) if u != x else ()
+        waiting = left if len(left) < len(waiting) else []  # a pass that places none: S is disconnected
     x_witnesses, y_witnesses = ({v: c for v, c in chains.items() if side[v] == p} for p in (0, 1))
     return Bipartition((x, y), frozenset(x_witnesses), frozenset(y_witnesses), x_witnesses, y_witnesses)
 
 
-def _two_coloured(family: DistanceFamily) -> Tuple[Realization, Optional[np.ndarray]]:
-    """``DistanceFamily.sides``: the verdict that both bipartite classes share
-    and, on acceptance, X's membership per vertex index, built once.  It
-    accepts, with S's realization and the ``bipartition`` walk as witness,
-    when the walk covers every vertex and every edge of S crosses the sides."""
+def _two_coloured(family: DistanceFamily) -> Tuple[Optional[Realization], Optional[Bipartition], Optional[np.ndarray]]:
+    """``DistanceFamily.sides``, on S's shape alone: a triangle violation, a
+    disconnected S (S's own rejection) or an edge of S in one side rejects;
+    else None, the ``bipartition`` walk and X's membership per vertex index."""
     support = family.support
-    failed = support.rejection()
-    if failed is not None:
-        return failed, None
-    bp = bipartition(family)
-    gap = set(range(1, family.n + 1)) - bp.x_side - bp.y_side
-    if gap:  # only within a tolerance, see ``bipartition``
-        return Realization.rejected(f"cover gap: {sorted(gap)} in neither side"), None
+    bp = bipartition(family) if support.violation is None else None
+    if bp is None or len(bp.x_side) + len(bp.y_side) < family.n:  # the walk spans a connected S
+        return support.rejection(), None, None
     x = np.zeros(family.n, dtype=bool)
     x[[a - 1 for a in bp.x_side]] = True
     # Every same-side pair splits through the other side iff no edge of S
@@ -125,30 +125,28 @@ def _two_coloured(family: DistanceFamily) -> Tuple[Realization, Optional[np.ndar
     if same.any():
         k = int(np.argmax(same))  # the first such edge in sorted order
         a, b = int(s.u[k]) + 1, int(s.v[k]) + 1
-        return Realization.rejected(f"same-side pair ({a},{b}) is an edge of the support graph"), None
-    return Realization(True, graph=support.realization, witness=bp), x
-
-
-def _complete_bipartite(family: DistanceFamily, bp: Bipartition) -> bool:
-    """Is S, whose every edge crosses the sides, all of K_{X,Y}?"""
-    return len(family.support.graph.u) == len(bp.x_side) * len(bp.y_side)
+        return Realization.rejected(f"same-side pair ({a},{b}) is an edge of the support graph"), None, None
+    return None, bp, x
 
 
 def bigraph_check(family: DistanceFamily) -> Realization:
     """Decide bipartite realizability: S must be 2-coloured by the sides
     that ``bipartition`` recovers, which the accepted verdict carries as its
-    witness.  The realization is the complete bipartite graph on those sides
-    with the cross 2-weights as weights, bar S's edges, which keep S's
-    realization's weights (``support.rebuild``).
+    witness.  The realization is K_{X,Y} on those sides with the cross
+    2-weights as weights, bar S's edges, which keep the weights of S's
+    realization if any (``support.rebuild``), and its own check is the one
+    numeric test: an S that misses D within a tolerance does not reject.
 
     The tests compare this with the paper's criterion: every same-side pair
     splits through a vertex of the other side.
     """
-    result, x = family.sides
-    if not result or _complete_bipartite(family, result.witness):
-        # when S is K_{X,Y}, reuse the cached verdict on S, as the pruned
-        # class does: one graph, no second verification, rendered once
-        return result
+    failed, bp, x = family.sides
+    if failed is not None:
+        return failed
+    s, realization = family.support.graph, family.support.realization
+    if realization is not None and len(s.u) == len(bp.x_side) * len(bp.y_side):
+        # S is all of K_{X,Y}: one graph with the pruned class, verified and rendered once
+        return Realization(True, graph=realization, witness=bp)
     # K_{X,Y}: the pairs u < v on different sides, sorted as they come in
     # row-major order (every vertex is in X or Y once the sides accept, so
     # "not in X" is Y)
@@ -157,20 +155,24 @@ def bigraph_check(family: DistanceFamily) -> Realization:
     graph = rebuild(family, u[upper], v[upper])
     if graph is None:
         return Realization.rejected("bipartite conditions hold but the reconstruction failed verification")
-    return Realization(True, graph=graph, witness=result.witness)
+    return Realization(True, graph=graph, witness=bp)
 
 
 def cobigraph_check(family: DistanceFamily) -> Realization:
     """Decide realizability by a *pruned* complete bipartite graph: S must
-    be 2-coloured by the recovered sides and join every cross pair; S is the
-    realization, and the sides are the witness.
+    realize D, be 2-coloured by the recovered sides and join every cross
+    pair; S is the realization, and the sides are the witness.
 
     The tests compare this with the paper's criterion: bipartite, and every
     cross pair indecomposable.
     """
-    result, _ = family.sides
-    if not result or _complete_bipartite(family, result.witness):
-        return result
-    bp, adj = result.witness, family.support.graph.adjacency()
+    failed = family.support.rejection()  # S is the realization: it must realize D
+    failed, bp, _ = family.sides if failed is None else (failed, None, None)
+    if failed is not None:
+        return failed
+    s = family.support.graph
+    if len(s.u) == len(bp.x_side) * len(bp.y_side):  # S is K_{X,Y}
+        return Realization(True, graph=family.support.realization, witness=bp)
+    adj = s.adjacency()
     a, b = next((a, b) for a in sorted(bp.x_side) for b in sorted(bp.y_side) if b not in adj[a])
     return Realization.rejected(f"cross entry ({a},{b}) is decomposable")

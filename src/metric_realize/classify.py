@@ -36,6 +36,7 @@ CONTAINMENTS = (
     ("snake", "caterpillar"),
     ("caterpillar", "tree"),
     ("tree", "planar"),
+    ("tree", "bipartite"),
     ("pruned_polygon", "polygon"),
     ("polygon", "planar"),
     ("pruned_bipartite", "bipartite"),

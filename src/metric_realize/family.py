@@ -22,6 +22,7 @@ from . import kernel
 from .comparison import EXACT, Cmp, Number
 
 if TYPE_CHECKING:
+    from .bipartite import Bipartition
     from .kernel import Scaled
     from .realization import Realization
     from .support import Support
@@ -109,12 +110,11 @@ class DistanceFamily:
         return analyse(self)
 
     @cached_property
-    def sides(self) -> "Tuple[Realization, Optional[np.ndarray]]":
-        """The verdict that both bipartite classes share on S's 2-colouring by
-        the ``bipartite.bipartition`` walk, and on acceptance X's membership
-        per vertex index (else None); computed on first use and kept with the
-        family, so that one walk and one side check serve the bipartite
-        classes and the planarity counts."""
+    def sides(self) -> "Tuple[Optional[Realization], Optional[Bipartition], Optional[np.ndarray]]":
+        """The bipartite classes' shared verdict on S's shape, a rejection or
+        None, then the sides and X's membership (``bipartite._two_coloured``);
+        computed on first use and kept with the family, so that one walk and
+        one side check serve the bipartite classes and the planarity counts."""
         from .bipartite import _two_coloured
 
         return _two_coloured(self)

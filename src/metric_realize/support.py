@@ -8,8 +8,8 @@ finds S and the triangle check with the dense min-plus kernel
 (``metric_realize.kernel``) on the family's array, not with a loop over
 pairs and midpoints.  Each other fact about S is derived once: the midpoint
 of the first triangle violation from two rows of that array, whether S
-realizes D, and the bipartite classes' shared verdict on S's 2-colouring
-(``DistanceFamily.sides``), which the planarity counts also read.  One
+realizes D, and the bipartite classes' verdict on S's 2-colouring, which
+reads S's shape alone (``DistanceFamily.sides``, read by planarity).  One
 maker, :func:`rebuild`, weighs and checks the graphs that add pairs of D to
 S: on exact numbers the split scan proves that S realizes D, so exact
 ``classify`` runs no verification; float arrays are verified.  S is kept
@@ -48,7 +48,7 @@ class Support:
     realization: Optional[WeightedGraph]
 
     def rejection(self) -> Optional[Realization]:
-        """The verdict shared by every class when S cannot decide it: a
+        """The verdict shared by every class that needs S's realization: a
         triangle violation rejects, and so does an S that misses the family,
         which only float numbers allow.  None when S decides."""
         if self.violation is not None:
@@ -116,16 +116,16 @@ def analyse(family: DistanceFamily) -> Support:
 def rebuild(family: DistanceFamily, u: np.ndarray, v: np.ndarray) -> Optional[WeightedGraph]:
     """The graph on the sorted 0-based pairs u < v, which hold S, each pair
     weighing D_uv but S's edges, which keep the weights of S's realization
-    (D's own unless a tolerance reweighted S); None unless it realizes the
-    family.  An exact array is certified: S by the split scan, and an added
-    pair (a, b) weighs D_ab = d_S(a, b), which changes no 2-weight.  A
-    float64 array (tolerance mode, or floats under ``EXACT``) is verified:
-    float sums round, and a path through an added pair may fall short."""
+    if S has one; None unless it realizes the family.  An exact array is
+    certified: S by the split scan, and an added pair (a, b) weighs D_ab =
+    d_S(a, b), which changes no 2-weight.  A float64 array (tolerance mode,
+    or floats under ``EXACT``) is verified: float sums round, and a path
+    through an added pair may fall short."""
     d, scale = family.scaled
     w, s, r = d[u, v], family.support.graph, family.support.realization
-    if r is not s:
+    if r is not None and r is not s:
         w[np.searchsorted(u * family.n + v, s.u * family.n + s.v)] = r.w
-    # the pairs hold S, which is connected as it has a realization
+    # the pairs hold S, connected: it has a realization, or the sides' walk spans it
     graph = WeightedGraph._of_arrays(family.n, u, v, w, scale, connected=True)
     return graph if scale is not None or verify_realization(graph, family) else None
 

@@ -317,21 +317,32 @@ def reweighted_tree(family: DistanceFamily, adj: Dict[int, Dict[int, Number]]) -
 def bipartition_walk(family: DistanceFamily) -> Bipartition:
     """``bipartite.bipartition`` by scalar lookups: from x of the first pair
     of minimal D, per vertex v in increasing D_{x,.} order, the neighbours u
-    in the scanned S that are already placed and have D_xu + D_uv = D_xv
-    (``eq``); the one of lowest rank is v's parent, and v lands on the side
-    opposite it."""
+    in the scanned S that are already placed; v's parent is the one of
+    lowest rank among those with D_xu + D_uv = D_xv (``eq``), or among them
+    all when none is, and v lands on the side opposite it.  A vertex with no
+    placed neighbour waits, and the vertices left are passed over again, in
+    the same order, until a pass places none."""
     d, cmp = family.d, family.cmp
     x, y = min(family.pairs(), key=lambda p: d(*p))
     adj = support_scan(family)[0].adjacency()
     order = sorted(range(1, family.n + 1), key=lambda v: d(x, v))
     rank = {v: k for k, v in enumerate(order)}
     side, chains = {x: 0}, {x: ()}
-    for v in order[1:]:
-        parents = [u for u in adj[v] if u in side and eq(cmp, d(x, u) + d(u, v), d(x, v))]
-        if parents:
-            u = min(parents, key=rank.__getitem__)
-            side[v] = side[u] ^ 1
-            chains[v] = chains[u] + (u,) if u != x else ()
+    waiting = order[1:]
+    while waiting:
+        left = []
+        for v in waiting:
+            placed = [u for u in adj[v] if u in side]
+            tight = [u for u in placed if eq(cmp, d(x, u) + d(u, v), d(x, v))]
+            if placed:
+                u = min(tight or placed, key=rank.__getitem__)
+                side[v] = side[u] ^ 1
+                chains[v] = chains[u] + (u,) if u != x else ()
+            else:
+                left.append(v)
+        if len(left) == len(waiting):
+            break
+        waiting = left
     x_chains, y_chains = ({v: c for v, c in chains.items() if side[v] == p} for p in (0, 1))
     return Bipartition((x, y), frozenset(x_chains), frozenset(y_chains), x_chains, y_chains)
 

@@ -16,7 +16,6 @@ from metric_realize import (
     DistanceFamily,
     FamilyError,
     WeightedGraph,
-    bipartition,
     check_four_point,
     check_median,
     check_triangle,
@@ -25,7 +24,7 @@ from metric_realize import (
 from metric_realize.bipartite import _min_pair
 from metric_realize.comparison import Number
 
-from oracles import eq, le
+from oracles import bipartition_walk, eq, le
 
 
 def indecomposable_partners(family: DistanceFamily, i: int) -> List[int]:
@@ -216,11 +215,12 @@ def complete_condition(family):
 
 
 def bipartite_condition(family):
-    """The recovered sides partition [n] with the base partner on the Y
-    side, and every same-side pair splits through a vertex of the other side."""
+    """The sides that the scalar bipartition walk recovers partition [n]
+    with the base partner on the Y side, and every same-side pair splits
+    through a vertex of the other side."""
     if not triangle(family):
         return False
-    bp = bipartition(family)
+    bp = bipartition_walk(family)
     if bp.x_side & bp.y_side or len(bp.x_side | bp.y_side) != family.n:
         return False
     if bp.base_pair[1] not in bp.y_side:
@@ -237,7 +237,7 @@ def pruned_bipartite_condition(family):
     """Bipartite, and every cross pair indecomposable."""
     if not bipartite_condition(family):
         return False
-    bp = bipartition(family)
+    bp = bipartition_walk(family)
     return all(is_indecomposable(family, a, b) for a in bp.x_side for b in bp.y_side)
 
 

@@ -5,6 +5,8 @@ import random
 import sys
 from fractions import Fraction
 
+import pytest
+
 from metric_realize import (
     Cmp,
     DistanceFamily,
@@ -22,7 +24,7 @@ from metric_realize import (
 from metric_realize import support
 from metric_realize.bipartite import _min_pair
 from metric_realize.cli import run
-from metric_realize.serialize import family_to_csv, parse_family_csv
+from metric_realize.serialize import family_to_csv, graph_from_json, parse_family_csv
 
 from conftest import fam, fam_of, random_connected_graph
 from oracles import brute_force_class_check
@@ -201,27 +203,24 @@ class TestBigraph:
             )
 
 
-    def test_a_cover_gap_rejects_both_classes_alike(self, monkeypatch, capsys):
+    def test_a_path_whose_tight_test_fails_is_bipartite(self):
         # D_12 = D_23 = D_34 = 1, D_24 = 2, D_13 = 2 + 1.8t, D_14 = 3 - 2.7t
         # under the tolerance t = 1e-6: S is the path 1-2-3-4, and vertex 4's
-        # one tight test, D_13 + D_34 = D_14, fails by 4.5t against a slack of 3t
+        # one tight test, D_13 + D_34 = D_14, fails by 4.5t against a slack
+        # of 3t, so 4 takes its placed S-neighbour 3 as parent all the same
         f = parse_family_csv(COVER_GAP, Cmp(1e-6))
         assert f.support.graph.edge_pairs() == {(1, 2), (2, 3), (3, 4)}
         bp = bipartition(f)
-        gap = set(range(1, 5)) - bp.x_side - bp.y_side
-        assert gap == {4}
-        reason = f"cover gap: {sorted(gap)} in neither side"
-        for check in (bigraph_check, cobigraph_check):
-            r = check(f)
-            assert not r.accepted and r.reason == reason
+        assert (bp.x_side, bp.y_side) == ({1, 3}, {2, 4})
+        assert bp.x_witnesses == {1: (), 3: (2,)} and bp.y_witnesses == {2: (), 4: (2, 3)}
+        r = bigraph_check(f)
+        assert r.accepted and r.witness == bp
+        assert r.graph.edge_pairs() == {(1, 2), (1, 4), (2, 3), (3, 4)}
+        assert verify_realization(r.graph, f)
+        assert cobigraph_check(f).reason == "cross entry (1,4) is decomposable"
         report = classify(f)
-        assert report.accepted_classes() == ["snake", "caterpillar", "tree", "polygon", "planar"]
-        monkeypatch.setattr(sys, "stdin", io.StringIO(COVER_GAP))
-        assert run(["classify", "-", "--tol", "1e-6"]) == 0
-        out, err = capsys.readouterr()
-        classes = json.loads(out)["classes"]
-        assert classes["bipartite"]["reason"] == classes["pruned_bipartite"]["reason"] == reason
-        assert err == ""
+        assert report.accepted_classes() == ["snake", "caterpillar", "tree", "polygon", "bipartite", "planar"]
+        assert report.lattice_violations() == []
 
     def test_k_xy_keeps_the_weights_of_s_s_reweighted_realization(self, monkeypatch, capsys):
         # under Cmp(1e-15), S is the path 1-4-2-3, whose D weights fall
@@ -265,10 +264,54 @@ class TestBigraph:
 
 
 COVER_GAP = "0,1,2.0000018,2.9999973\n1,0,1,2\n2.0000018,1,0,1\n2.9999973,2,1,0\n"
+# under --tol 1e-9 S is the path 4-2-3-5-1, which misses D and which no
+# reweighting from one end of a longest pair makes realize it
+UNREWEIGHTED_PATH = (
+    "0,10.2999999897,7.999999996,16.1999999757,2.4\n"
+    "10.2999999897,0,2.3,5.9,7.89999999605\n"
+    "7.999999996,2.3,0,8.199999995899999,5.6\n"
+    "16.1999999757,5.9,8.199999995899999,0,13.799999986200001\n"
+    "2.4,7.89999999605,5.6,13.799999986200001,0\n"
+)
 SHORT_CROSS_PATH = {
     (1, 2): 0.8000000000000002, (1, 3): 1.0000000000000007, (1, 4): 0.6999999999999997,
     (2, 3): 0.19999999999999984, (2, 4): 0.09999999999999998, (3, 4): 0.3000000000000004,
 }
+
+MISSES_D = "the support graph does not realize the family within the tolerance"
+
+
+@pytest.mark.parametrize(
+    "text, tol, sides, reasons",
+    [
+        (COVER_GAP, "1e-6", {"x_side": [1, 3], "y_side": [2, 4]}, {
+            "snake": None, "caterpillar": None, "tree": None,
+            "pruned_polygon": "vertex 1 has degree 1 in the support graph (neighbours [2]); a polygon needs 2",
+            "polygon": None, "complete": "entry (1,3) is decomposable",
+            "pruned_bipartite": "cross entry (1,4) is decomposable", "planar": None,
+        }),
+        (UNREWEIGHTED_PATH, "1e-9", {"x_side": [2, 5], "y_side": [1, 3, 4]}, {
+            **dict.fromkeys(("snake", "caterpillar", "tree", "pruned_polygon", "complete"), MISSES_D),
+            "polygon": f"neither pruned polygon ({MISSES_D}) nor snake ({MISSES_D})",
+            "pruned_bipartite": MISSES_D, "planar": MISSES_D,
+        }),
+    ],
+    ids=["tight-test-fails", "unreweighted-path"],
+)
+def test_a_2_colourable_s_within_a_tolerance_is_bipartite_in_the_cli(monkeypatch, capsys, text, tol, sides, reasons):
+    # K_{X,Y} decides the bipartite class alone: every other class keeps the
+    # verdict that S's shape (or S missing D) gives it
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(["classify", "-", "--tol", tol]) == 0
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    bipartite = doc["classes"].pop("bipartite")
+    assert bipartite["accepted"] is True and "reason" not in bipartite
+    assert {c: v.get("reason") for c, v in doc["classes"].items()} == reasons
+    assert doc["bipartition"] == sides and err == ""
+    cmp = Cmp(float(tol))
+    graph = graph_from_json(json.dumps(bipartite["realization"]), cmp)
+    assert verify_realization(graph, parse_family_csv(text, cmp))
 
 
 class TestCobigraph:

@@ -456,9 +456,10 @@ class TestToleranceSupport:
 
 class TestExactSupport:
     """On exact numbers the split scan proves that S realizes D; floats
-    under EXACT are verified, and an S that misses D rejects every class."""
+    under EXACT are verified, and an S that misses D rejects every class
+    but bipartite, which K_{X,Y}'s own check decides."""
 
-    def test_floats_under_exact_that_miss_by_an_ulp_reject_cleanly(self):
+    def test_floats_under_exact_that_miss_by_an_ulp_reject_cleanly_bar_bipartite(self):
         import metric_realize
 
         g = WeightedGraph(5, [(1, 2, 0.2), (1, 3, 0.1), (1, 4, 0.2), (2, 3, 0.1), (2, 5, 0.3)])
@@ -467,15 +468,22 @@ class TestExactSupport:
         # above d(4, 5) = 0.7
         assert f.support.graph.edge_pairs() == {(1, 3), (1, 4), (2, 3), (2, 5)}
         assert f.support.violation is None and f.support.realization is None
-        for name in NINE_RECOGNIZERS:
-            r = getattr(metric_realize, name)(f)
-            assert not r.accepted and r.reason, name
         assert f.support.rejection().reason == (
             "the support graph does not realize the family within the tolerance"
         )
+        # S's shape is a path, so the sides accept, and K_{X,Y} weighed by D,
+        # whose own check is the one numeric test, passes it
+        for name in NINE_RECOGNIZERS:
+            r = getattr(metric_realize, name)(f)
+            if name == "bigraph_check":
+                assert r.accepted and verify_realization(r.graph, f)
+                assert (r.witness.x_side, r.witness.y_side) == ({1, 2}, {3, 4, 5})
+                assert all(w == f.d(a, b) for a, b, w in r.graph.edges)
+            else:
+                assert not r.accepted and r.reason, name
         report = classify(f)
-        assert report.accepted_classes() == []
-        assert not any("internal inconsistency" in r.reason for r in report.verdicts.values())
+        assert report.accepted_classes() == ["bipartite"]
+        assert not any("internal inconsistency" in (r.reason or "") for r in report.verdicts.values())
 
     @pytest.mark.parametrize("class_id", sorted(CLASS_MIN_N))
     def test_exact_classify_runs_no_bellman_check(self, class_id, monkeypatch):

@@ -22,11 +22,12 @@ from metric_realize import (
     two_weights,
 )
 from metric_realize.generators import CLASS_MIN_N
+from metric_realize.serialize import parse_family_csv
 
 import oracles
 from conftest import with_value
 from paper_criteria import CRITERIA
-from test_bipartite import SHORT_CROSS_PATH
+from test_bipartite import COVER_GAP, SHORT_CROSS_PATH, UNREWEIGHTED_PATH
 
 RECOGNIZERS = {
     "snake": snake_check,
@@ -102,12 +103,13 @@ def noisy_families(rng, tol):
             )
 
 
-def test_noisy_float_verdicts_are_verified_and_follow_the_criteria():
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_noisy_float_verdicts_are_verified_and_follow_the_criteria(tol):
     from metric_realize import classify, verify_realization
 
     rng = random.Random(77)
     accepted = {c: 0 for c in CRITERIA}
-    for f in noisy_families(rng, 1e-9):
+    for f in noisy_families(rng, tol):
         report = classify(f)
         assert report.lattice_violations() == [], f.values
         for class_id, criterion in CRITERIA.items():
@@ -117,7 +119,9 @@ def test_noisy_float_verdicts_are_verified_and_follow_the_criteria():
             elif criterion(f):
                 # the shape of S never contradicts the criterion; only an S
                 # that misses D within the tolerance (errors adding up along
-                # it) rejects a family the criterion accepts
+                # it) rejects a family the criterion accepts, and never as
+                # bipartite, which K_{X,Y}'s own check decides
+                assert class_id != "bipartite", (r.reason, f.values)
                 assert f.support.realization is None, (class_id, r.reason, f.values)
             assert report.verdicts[class_id].accepted == r.accepted
             accepted[class_id] += r.accepted
@@ -152,6 +156,7 @@ def walked_families(draw, tol=1e-9):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
 @given(walked_families())
+@example(parse_family_csv(COVER_GAP, Cmp(1e-6)))
 def test_the_bipartition_walk_matches_its_scalar_reference(f):
     # sides and chains alike
     assert bipartition(f) == oracles.bipartition_walk(f)
@@ -178,13 +183,16 @@ def reweighted_snakes(draw, tol=1e-9):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(walked_families(), reweighted_snakes()))
 @example(DistanceFamily(4, SHORT_CROSS_PATH, Cmp(1e-15)))
+@example(parse_family_csv(UNREWEIGHTED_PATH, Cmp(1e-9)))
 def test_graphs_rebuilt_from_s_keep_its_realization_and_weigh_the_other_pairs_by_d(f):
     # the closed snake and K_{X,Y} hold S's realization bit for bit, also
-    # where a tolerance reweighted S, and every pair they add weighs D
+    # where a tolerance reweighted S, and every pair they add weighs D; when
+    # S has no realization, K_{X,Y} weighs every pair by D
     for check in (polygon_check, bigraph_check):
         r = check(f)
         if r.accepted:
-            s = {(a, b): w for a, b, w in f.support.realization.edges}
+            realization = f.support.realization
+            s = {(a, b): w for a, b, w in realization.edges} if realization is not None else {}
             for a, b, w in r.graph.edges:
                 expected = s.pop((a, b), f.d(a, b))
                 assert w == expected and type(w) is type(expected), (check.__name__, a, b, f.values)

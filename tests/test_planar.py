@@ -407,9 +407,9 @@ class TestPlanarCounts:
 
     @pytest.mark.parametrize("cmp", [EXACT, Cmp(1e-9)], ids=["exact", "tol"])
     def test_the_flag_planar_check_passes_is_the_bipartition_walks(self, monkeypatch, cmp):
-        # the flag comes from the sides of ``family.sides``: it must never
-        # call a non-bipartite S bipartite, and in exact mode, where S
-        # realizes D, it must call every bipartite S bipartite
+        # the flag comes from ``family.sides``, a verdict on S's shape: it
+        # calls S bipartite exactly when S is, in exact mode and within a
+        # tolerance alike
         flags = []
 
         def recorded(edges, bipartite):
@@ -427,11 +427,7 @@ class TestPlanarCounts:
             if not flags:  # settled before the planarity test
                 continue
             want = nx.is_bipartite(nx.Graph(list(support_graph(f).edge_pairs())))
-            assert set(flags) == {flags[0]}
-            if cmp.exact:
-                assert flags[0] == want, (class_id, n, seed, kind)
-            else:
-                assert want or not flags[0], (class_id, n, seed, kind)
+            assert flags == [want] * len(flags), (class_id, n, seed, kind)
             seen[want] += 1
         assert seen[True] > 40 and seen[False] > 100, seen
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import kernel
 from .family import DistanceFamily
+from .graph import support_graph
 from .realization import Realization
 from .support import rebuild
 
@@ -73,14 +74,15 @@ def bipartition(family: DistanceFamily) -> Bipartition:
     A parity walk over the vertices in increasing D_{x,.} order: each vertex
     v takes as parent its first tight S-neighbour u already placed (D_{x,u}
     + D_{u,v} = D_{x,v}), else its first placed S-neighbour, and lands on the
-    side opposite u; one with neither waits for a later pass.  Parent chains
-    are S-paths from x that reach every vertex of a connected S, so the sides
-    2-colour S exactly when S is bipartite; when S realizes D they are tight,
-    as the last link of a shortest S-path is.  One ``kernel.eq`` call tests
-    tightness on S's 2m links.
+    side opposite u; one with neither waits for a later pass.  S is
+    connected (``support_graph``, which raises when S is no graph), so each
+    pass places a vertex, and parent chains are S-paths from x that reach
+    every vertex: the sides 2-colour S exactly when S is bipartite; when S
+    realizes D they are tight, as the last link of a shortest S-path is.
+    One ``kernel.eq`` call tests tightness on S's 2m links.
     """
+    s, d = support_graph(family), family.scaled.array
     x, y = _min_pair(family)
-    s, d = family.support.graph, family.scaled.array
     dx = d[x - 1]
     order = [v + 1 for v in sorted(range(family.n), key=dx.tolist().__getitem__)]
     rank = {v: k for k, v in enumerate(order)}
@@ -103,19 +105,19 @@ def bipartition(family: DistanceFamily) -> Bipartition:
             u = min(placed, key=rank.__getitem__)
             side[v] = side[u] ^ 1
             chains[v] = chains[u] + (u,) if u != x else ()
-        waiting = left if len(left) < len(waiting) else []  # a pass that places none: S is disconnected
+        waiting = left
     x_witnesses, y_witnesses = ({v: c for v, c in chains.items() if side[v] == p} for p in (0, 1))
     return Bipartition((x, y), frozenset(x_witnesses), frozenset(y_witnesses), x_witnesses, y_witnesses)
 
 
 def _two_coloured(family: DistanceFamily) -> Tuple[Optional[Realization], Optional[Bipartition], Optional[np.ndarray]]:
-    """``DistanceFamily.sides``, on S's shape alone: a triangle violation, a
-    disconnected S (S's own rejection) or an edge of S in one side rejects;
-    else None, the ``bipartition`` walk and X's membership per vertex index."""
+    """``DistanceFamily.sides``, on S's shape alone: no S (S's own
+    rejection) or an edge of S in one side rejects; else None, the
+    ``bipartition`` walk and X's membership per vertex index."""
     support = family.support
-    bp = bipartition(family) if support.violation is None else None
-    if bp is None or len(bp.x_side) + len(bp.y_side) < family.n:  # the walk spans a connected S
+    if support.graph is None:
         return support.rejection(), None, None
+    bp = bipartition(family)
     x = np.zeros(family.n, dtype=bool)
     x[[a - 1 for a in bp.x_side]] = True
     # Every same-side pair splits through the other side iff no edge of S

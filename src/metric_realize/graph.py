@@ -15,11 +15,11 @@ checks the edges of ``WeightedGraph(n, edges)`` and of a graph document as
 columns, the count and the walk included.  Graphs built from checked arrays
 (S, K_{X,Y}, the pruned graph, the closed snake, a checked document) come
 from the trusted maker ``WeightedGraph._of_arrays``, as a family's array
-comes from ``DistanceFamily._of_array``; only S, which a triangle violation
-or a float S that misses D can leave disconnected, is walked on demand.
-``edges`` and ``adjacency()`` are views built on first use; the scale and
-the result of the connectivity check are kept with the graph, so that no
-later step derives them again.
+comes from ``DistanceFamily._of_array``; each maker knows its graph
+connected (``support.analyse`` keeps no S that is not), so a graph has no
+connectivity state.  ``edges`` and ``adjacency()`` are views built on first
+use; the scale is kept with the graph, so that no later step derives it
+again.
 """
 
 from __future__ import annotations
@@ -69,11 +69,10 @@ class WeightedGraph:
     ``edges``.
     """
 
-    # ``_connected`` is None until a walk has decided it; the constructor's
-    # check records True.  ``_dist`` keeps the 2-weights once ``two_weights``
-    # or ``prune`` has computed them (``_distances``).  The graph does not
-    # change after construction, so neither do they.
-    __slots__ = ("n", "u", "v", "w", "scale", "_connected", "_edges", "_adj", "_dist")
+    # ``_dist`` keeps the 2-weights once ``two_weights`` or ``prune`` has
+    # computed them (``_distances``).  The graph does not change after
+    # construction, so neither do they.
+    __slots__ = ("n", "u", "v", "w", "scale", "_edges", "_adj", "_dist")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int, Number]]):
         us, vs, ws = tuple(zip(*edges, strict=True)) or ((), (), ())
@@ -83,23 +82,20 @@ class WeightedGraph:
             values, scale = kernel.scale_numbers(ws)
         except OverflowError:
             raise GraphError(kernel._FLOAT_BESIDE_BEYOND_FLOATS) from None
-        self._store(n, u, v, kernel.scaled_array(values, scale), scale, True)
+        self._store(n, u, v, kernel.scaled_array(values, scale), scale)
 
     @classmethod
-    def _of_arrays(
-        cls, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, scale: Optional[int], connected: Optional[bool] = None
-    ) -> "WeightedGraph":
+    def _of_arrays(cls, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, scale: Optional[int]) -> "WeightedGraph":
         """The graph of checked columns that its maker built: 0-based indices
-        u < v in sorted order without repeats, positive weights ``w`` times
-        ``scale`` (int64 or object; float64 when ``scale`` is None).
-        ``connected`` records what the maker knows; None leaves it to a
-        walk."""
+        u < v in sorted order without repeats that join the n vertices,
+        positive weights ``w`` times ``scale`` (int64 or object; float64 when
+        ``scale`` is None)."""
         graph = cls.__new__(cls)
-        graph._store(n, u, v, w, scale, connected)
+        graph._store(n, u, v, w, scale)
         return graph
 
-    def _store(self, n, u, v, w, scale, connected) -> None:
-        self.n, self.u, self.v, self.w, self.scale, self._connected = n, u, v, w, scale, connected
+    def _store(self, n, u, v, w, scale) -> None:
+        self.n, self.u, self.v, self.w, self.scale = n, u, v, w, scale
         self._edges = self._adj = self._dist = None
 
     @property
@@ -135,12 +131,6 @@ class WeightedGraph:
                 adj[v][u] = w
             self._adj = adj
         return self._adj
-
-    def is_connected(self) -> bool:
-        """Whether the graph is connected, walked once and then recorded."""
-        if self._connected is None:
-            self._connected = _walk(self.n, self.u, self.v)
-        return self._connected
 
 
 def _walk(n: int, u: np.ndarray, v: np.ndarray) -> bool:
@@ -215,15 +205,12 @@ def _columns(n: int, us: Sequence, vs: Sequence, w: np.ndarray, weight: Callable
 def _distances(graph: WeightedGraph) -> kernel.Scaled:
     """The graph's 2-weights from the kernel, computed on first use and kept
     with the graph, so that ``two_weights`` and ``prune`` on one graph run
-    one Floyd-Warshall; the graph must be connected (a check the
-    constructor has recorded is not walked again), and in float mode every
-    2-weight finite.  Nothing writes to the kept array."""
+    one Floyd-Warshall; in float mode every 2-weight must be finite.
+    Nothing writes to the kept array."""
     if graph._dist is not None:
         return graph._dist
     if graph.n < 2:
         raise GraphError("2-weights need n >= 2")
-    if not graph.is_connected():
-        raise GraphError("2-weights are only defined for connected graphs")
     dist = kernel.all_pairs(graph.n, graph.u, graph.v, graph.w, graph.scale)
     if dist.scale is None and not np.isfinite(dist.array).all():
         raise GraphError("a 2-weight exceeds the float range: a path's total weight overflows float64")
@@ -276,7 +263,7 @@ def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:
     u, v = u[keep], v[keep]
     if dist.scale is None:
         _check_connected(graph.n, u, v)
-    return WeightedGraph._of_arrays(graph.n, u, v, graph.w[keep], graph.scale, connected=True)
+    return WeightedGraph._of_arrays(graph.n, u, v, graph.w[keep], graph.scale)
 
 
 def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
@@ -286,11 +273,11 @@ def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
     In exact mode with exact weights this is the Bellman check
     (``kernel.bellman``) on the family's array, O(n * m) and no
     Floyd-Warshall: D_ij = min over the neighbours u of i of w_iu + D_uj.
-    It also rules out a disconnected graph.  Under a tolerance (a float64
-    family) or with a float weight, the graph's 2-weights are computed here
-    afresh in float64 (not taken from the ones ``two_weights`` or ``prune``
-    kept with it) and compared entrywise: near-ties within a tolerance do
-    not chain along a path, and float sums round."""
+    Under a tolerance (a float64 family) or with a float weight, the graph's
+    2-weights are computed here afresh in float64 (not taken from the ones
+    ``two_weights`` or ``prune`` kept with it) and compared entrywise:
+    near-ties within a tolerance do not chain along a path, and float sums
+    round."""
     if graph.n != family.n:
         raise GraphError(f"size mismatch: graph n={graph.n}, family n={family.n}")
     target, own = family.scaled
@@ -298,8 +285,6 @@ def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
         scale = math.lcm(own, graph.scale)
         w = kernel.at_scale(graph.w, graph.scale, scale)
         return kernel.bellman(graph.n, graph.u, graph.v, w, kernel.at_scale(target, own, scale, 2), scale)
-    if not graph.is_connected():  # it never realizes D
-        return False
     try:
         w = kernel.at_scale(graph.w, graph.scale, None)
         target = kernel.at_scale(target, own, None, 2)
@@ -316,10 +301,10 @@ def support_graph(family: DistanceFamily) -> WeightedGraph:
 
     Each edge carries the family value of its pair: an indecomposable entry
     forces an edge of exactly that weight in any pruned realization.  Raises
-    FamilyError when the triangle inequalities fail.  The graph is computed
-    once per family (``DistanceFamily.support``).
+    FamilyError with S's rejection when S is no graph (``support.Support``).
+    The graph is computed once per family (``DistanceFamily.support``).
     """
     support = family.support
-    if support.violation is not None:
-        raise FamilyError(f"triangle violation at {support.violation}")
+    if support.graph is None:
+        raise FamilyError(support.rejection().reason)
     return support.graph

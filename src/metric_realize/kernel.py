@@ -292,7 +292,7 @@ def eq(a: np.ndarray, b: np.ndarray, cmp: Cmp) -> np.ndarray:
     float64 arrays under a tolerance by the relative rule
     |a - b| <= tol * max(1, |a|, |b|).  The floor of 1 keeps small values
     from meeting a vanishing threshold, and the cap of the magnitude at
-    FLOAT_MAX keeps an infinite sum from a finite value."""
+    FLOAT_MAX keeps an infinite sum from a finite value for tol <= 1."""
     if cmp.exact:
         return a == b
     return np.abs(a - b) <= _slack(a, b, cmp.tol)

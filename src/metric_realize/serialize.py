@@ -418,7 +418,7 @@ def graph_from_json(text: str, cmp: Cmp = EXACT) -> WeightedGraph:
     # A connected graph lists n - 1 edges, so the checks so far cost no more
     # than reading the document; the kernel's n x n matrices come later.
     _check_size(n)
-    return WeightedGraph._of_arrays(n, u, v, w[order], scale, connected=True)
+    return WeightedGraph._of_arrays(n, u, v, w[order], scale)
 
 
 def _fields(items, cmp: Cmp):

@@ -26,31 +26,32 @@ import numpy as np
 
 from . import kernel
 from .family import DistanceFamily
-from .graph import WeightedGraph, verify_realization
+from .graph import WeightedGraph, _walk, verify_realization
 from .realization import Realization
 
 
 @dataclass(frozen=True)
 class Support:
-    """S as its graph, the family's first triangle violation (or None) and
-    the graph of S's shape that realizes the family (or None).
+    """S as its graph, the family's first triangle violation and the graph
+    of S's shape that realizes the family, each of them or None.
 
-    That graph is S itself whenever S realizes D, which always holds on
-    exact numbers once the triangle inequalities do.  On floats, near-ties
-    within a tolerance, or rounded sums, can add up along S until S misses
-    D; under a tolerance a tree S is then reweighted from one end of a
-    longest pair (as the paper rebuilds a snake), and kept when that
-    verifies.
+    S is a graph, so connected, or None: under a violation, or when near-ties
+    within a tolerance split it.  The realization is S itself whenever S
+    realizes D, which always holds on exact numbers once the triangle
+    inequalities do.  On floats, near-ties within a tolerance, or rounded
+    sums, can add up along S until S misses D; under a tolerance a tree S is
+    then reweighted from one end of a longest pair (as the paper rebuilds a
+    snake), and kept when that verifies.
     """
 
-    graph: WeightedGraph
+    graph: Optional[WeightedGraph]
     violation: Optional[Tuple[int, int, int]]
     realization: Optional[WeightedGraph]
 
     def rejection(self) -> Optional[Realization]:
         """The verdict shared by every class that needs S's realization: a
-        triangle violation rejects, and so does an S that misses the family,
-        which only float numbers allow.  None when S decides."""
+        triangle violation rejects, and so does a float S that misses the
+        family or is no graph.  None when S decides."""
         if self.violation is not None:
             return Realization.rejected(f"triangle violation at {self.violation}")
         if self.realization is None:
@@ -85,7 +86,9 @@ def analyse(family: DistanceFamily) -> Support:
     D_ij: a pair in S is an edge, and any other pair has D_ij = D_iz + D_zj
     with both terms positive and smaller.  So S realizes D and is
     connected.  Float sums round, so the induction does not hold bit for
-    bit: on a float64 array S is verified.
+    bit: a float64 S is kept only when a walk finds it connected, and then
+    verified (above a tolerance of 1, ``kernel.eq`` takes the infinite
+    2-weights of a disconnected S as equal to any D).  A violation keeps no S.
     """
     n, cmp = family.n, family.cmp
     a, scale = family.scaled
@@ -95,22 +98,20 @@ def analyse(family: DistanceFamily) -> Support:
     d = a[rows, cols]
     below = kernel.lt(d, m, cmp)
     above = kernel.lt(m, d, cmp)
-    violation = None
     if above.any():
         k = int(np.argmax(above))
         i, j = int(rows[k]), int(cols[k])
         # z = i and z = j give D_ij itself, which is never below it
         z = int(np.argmax(kernel.lt(a[i] + a[j], a[i, j], cmp)))
-        violation = (i + 1, j + 1, z + 1)
+        return Support(None, (i + 1, j + 1, z + 1), None)
     graph = WeightedGraph._of_arrays(n, rows[below], cols[below], d[below], scale)
     del rows, cols, d, m, below, above  # a float S's verification below needs room of its own at large n
-    realization = None
-    if violation is None:
-        if scale is not None or verify_realization(graph, family):
-            realization = graph
-        elif not cmp.exact and len(graph.u) == n - 1:
-            realization = _reweighted_tree(family, graph)
-    return Support(graph, violation, realization)
+    if scale is None and not _walk(n, graph.u, graph.v):  # near-ties or rounded sums split a float S
+        return Support(None, None, None)
+    realization = graph if scale is not None or verify_realization(graph, family) else None
+    if realization is None and not cmp.exact and len(graph.u) == n - 1:
+        realization = _reweighted_tree(family, graph)
+    return Support(graph, None, realization)
 
 
 def rebuild(family: DistanceFamily, u: np.ndarray, v: np.ndarray) -> Optional[WeightedGraph]:
@@ -125,8 +126,7 @@ def rebuild(family: DistanceFamily, u: np.ndarray, v: np.ndarray) -> Optional[We
     w, s, r = d[u, v], family.support.graph, family.support.realization
     if r is not None and r is not s:
         w[np.searchsorted(u * family.n + v, s.u * family.n + s.v)] = r.w
-    # the pairs hold S, connected: it has a realization, or the sides' walk spans it
-    graph = WeightedGraph._of_arrays(family.n, u, v, w, scale, connected=True)
+    graph = WeightedGraph._of_arrays(family.n, u, v, w, scale)  # it holds S, which is connected
     return graph if scale is not None or verify_realization(graph, family) else None
 
 
@@ -144,5 +144,5 @@ def _reweighted_tree(family: DistanceFamily, s: WeightedGraph) -> Optional[Weigh
     far = np.where(du < dv, s.v, s.u)
     if (du == dv).any() or np.bincount(far, minlength=family.n).max() > 1:
         return None
-    graph = WeightedGraph._of_arrays(family.n, s.u, s.v, np.abs(du - dv), s.scale, connected=True)
+    graph = WeightedGraph._of_arrays(family.n, s.u, s.v, np.abs(du - dv), s.scale)
     return graph if verify_realization(graph, family) else None

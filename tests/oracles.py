@@ -4,9 +4,10 @@ verification, split and family-check loops, the bipartition walk, the
 edge-by-edge graph checks, the matrix document written cell by cell and
 the dict form of the classify report, against which the tests check the
 recognizers, the dense min-plus kernel, the graph checker, the matrix
-writer and the report writer; and ``any_graph``, a graph connected or not,
-for the tests that need a disconnected one (the package takes connected
-graphs only).
+writer and the report writer; ``is_connected``, the connectivity reference
+(a package graph is connected by contract); and ``any_graph``, a graph
+connected or not, for the kernel tests that feed a disconnected one's
+columns to ``kernel.all_pairs`` and ``kernel.bellman``.
 
 Oracles enumerate candidate topologies (Prufer sequences for trees, cyclic
 orders for polygons, side assignments for bipartitions) with edge weights
@@ -180,11 +181,20 @@ def edge_fault(n, edges) -> Optional[str]:
     return None if nx.is_connected(graph) else "graph is not connected"
 
 
+def is_connected(graph: WeightedGraph) -> bool:
+    """Whether the graph's columns join its n vertices, by networkx."""
+    h = nx.Graph(zip(graph.u.tolist(), graph.v.tolist()))
+    h.add_nodes_from(range(graph.n))
+    return nx.is_connected(h)
+
+
 def any_graph(n: int, edges) -> WeightedGraph:
     """The graph on [n] with the valid ``(u, v, w)`` edges, connected or
-    not, for the tests that need a disconnected one: the columns that
-    ``WeightedGraph(n, edges)`` would store, given to the trusted maker
-    ``WeightedGraph._of_arrays``, which leaves connectivity to a walk."""
+    not: the columns that ``WeightedGraph(n, edges)`` would store, given to
+    the trusted maker ``WeightedGraph._of_arrays``, which checks nothing.
+    The package makes no disconnected graph; the kernel tests give one's
+    columns to ``kernel.all_pairs`` and, through ``verify_realization``, to
+    ``kernel.bellman``."""
     edges = sorted((int(min(u, v)), int(max(u, v)), w) for u, v, w in edges)
     u = np.array([e[0] for e in edges], dtype=np.intp) - 1
     v = np.array([e[1] for e in edges], dtype=np.intp) - 1
@@ -264,11 +274,11 @@ def split_rows(family: DistanceFamily) -> List[List[Number]]:
     return [[d(i, j) if i != j else big for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
-def support_scan(family: DistanceFamily) -> Tuple[WeightedGraph, Optional[Tuple[int, int, int]], Optional[WeightedGraph]]:
-    """S, the first triangle violation and the realization of S's shape
-    (see ``metric_realize.support.Support``) by the scalar split scan: per
-    pair i < j, the smallest D_iz + D_zj over rows whose diagonal is raised
-    above every split, and for the first violating pair the first k."""
+def split_scan(family: DistanceFamily) -> Tuple[List[Tuple[int, int, Number]], Optional[Tuple[int, int, int]]]:
+    """The scalar split scan: per pair i < j, the smallest D_iz + D_zj over
+    rows whose diagonal is raised above every split; the pairs below their
+    split as ``(i, j, D_ij)`` edges, and for the first pair above it the
+    first k with D_ik + D_kj < D_ij."""
     n, cmp = family.n, family.cmp
     rows = split_rows(family)
     edges = []
@@ -283,13 +293,24 @@ def support_scan(family: DistanceFamily) -> Tuple[WeightedGraph, Optional[Tuple[
             elif violation is None and lt(cmp, split, dij):
                 k = next(k for k in range(1, n + 1) if lt(cmp, row[k - 1] + rows[k - 1][j - 1], dij))
                 violation = (i, j, k)
-    graph = any_graph(n, edges)
+    return edges, violation
+
+
+def support_scan(
+    family: DistanceFamily,
+) -> Tuple[Optional[WeightedGraph], Optional[Tuple[int, int, int]], Optional[WeightedGraph]]:
+    """S, the first triangle violation and the realization of S's shape
+    (see ``metric_realize.support.Support``) from ``split_scan``: S is None
+    under a violation and when its edges leave it disconnected."""
+    edges, violation = split_scan(family)
+    graph = any_graph(family.n, edges)
+    if violation is not None or not is_connected(graph):
+        return None, violation, None
     realization = None
-    if violation is None and graph.is_connected():
-        if verify_realization(graph, family):
-            realization = graph
-        elif not cmp.exact and len(edges) == n - 1:
-            realization = reweighted_tree(family, graph.adjacency())
+    if verify_realization(graph, family):
+        realization = graph
+    elif not family.cmp.exact and len(edges) == family.n - 1:
+        realization = reweighted_tree(family, graph.adjacency())
     return graph, violation, realization
 
 
@@ -317,14 +338,17 @@ def reweighted_tree(family: DistanceFamily, adj: Dict[int, Dict[int, Number]]) -
 def bipartition_walk(family: DistanceFamily) -> Bipartition:
     """``bipartite.bipartition`` by scalar lookups: from x of the first pair
     of minimal D, per vertex v in increasing D_{x,.} order, the neighbours u
-    in the scanned S that are already placed; v's parent is the one of
+    in the scan's edges that are already placed; v's parent is the one of
     lowest rank among those with D_xu + D_uv = D_xv (``eq``), or among them
     all when none is, and v lands on the side opposite it.  A vertex with no
     placed neighbour waits, and the vertices left are passed over again, in
-    the same order, until a pass places none."""
+    the same order, until a pass places none.  The scan's edges need not
+    join [n], so the paper's bipartite criterion reads the walk whether or
+    not the package keeps S; where it keeps S, ``bipartition`` equals the
+    walk."""
     d, cmp = family.d, family.cmp
     x, y = min(family.pairs(), key=lambda p: d(*p))
-    adj = support_scan(family)[0].adjacency()
+    adj = any_graph(family.n, split_scan(family)[0]).adjacency()
     order = sorted(range(1, family.n + 1), key=lambda v: d(x, v))
     rank = {v: k for k, v in enumerate(order)}
     side, chains = {x: 0}, {x: ()}
@@ -699,7 +723,7 @@ def _all_edges_needed(graph: WeightedGraph) -> bool:
     base = shortest_path_matrix(graph)
     for u, v, _w in graph.edges:
         reduced = without_edge(graph, u, v)
-        if not reduced.is_connected():
+        if not is_connected(reduced):
             continue
         alt = shortest_path_matrix(reduced)
         if alt == base:
@@ -727,7 +751,7 @@ def _bigraphlike_brute(family: DistanceFamily, pruned: bool = False) -> bool:
                 continue
             edges = [(a, b, family.d(a, b)) for a in sorted(x_side) for b in y_side]
             graph = any_graph(n, edges)
-            if not graph.is_connected():
+            if not is_connected(graph):
                 continue
             if not _matrix_matches(shortest_path_matrix(graph), family):
                 continue

@@ -283,9 +283,12 @@ class TestOnePassSupport:
             support = f.support
             triangle = check_triangle(f, max_violations=1)
             assert support.violation == (None if triangle.holds else triangle.violations[0])
-            assert support.graph.edge_pairs() == {
-                (i, j) for i, j in f.pairs() if is_indecomposable(f, i, j)
-            }
+            indecomposable = [(i, j, f.d(i, j)) for i, j in f.pairs() if is_indecomposable(f, i, j)]
+            # S is a graph, so connected, or None
+            connected = oracles.is_connected(oracles.any_graph(n, indecomposable))
+            assert (support.graph is None) == (not triangle.holds or not connected)
+            if support.graph is not None:
+                assert support.graph.edge_pairs() == {(i, j) for i, j, _w in indecomposable}
 
     def test_computed_once_per_family(self, fig2_family, monkeypatch):
         import metric_realize
@@ -411,11 +414,16 @@ class TestToleranceSupport:
     def test_disconnected_support_rejects_cleanly(self):
         import metric_realize
 
-        # 2 and 3 within tolerance of coinciding: S is the single edge (2, 3)
+        # 2 and 3 within tolerance of coinciding: the only indecomposable
+        # pair is (2, 3), so S is disconnected, and no graph
         f = fam(3, {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1e-10}, Cmp(1e-9))
-        assert f.support.violation is None
-        assert f.support.graph.edge_pairs() == {(2, 3)}
-        assert f.support.realization is None
+        assert [e[:2] for e in oracles.split_scan(f)[0]] == [(2, 3)]
+        assert f.support == support_module.Support(None, None, None)
+        reason = "the support graph does not realize the family within the tolerance"
+        for public in (metric_realize.support_graph, metric_realize.bipartition):
+            with pytest.raises(FamilyError) as raised:
+                public(f)
+            assert str(raised.value) == reason
         for name in NINE_RECOGNIZERS:
             r = getattr(metric_realize, name)(f)
             assert not r.accepted and r.reason, name

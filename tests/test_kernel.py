@@ -547,13 +547,13 @@ def test_two_weights_and_prune_of_one_graph_run_one_floyd_warshall(monkeypatch):
     # Floyd-Warshall and no connectivity walk
     runs.clear()
     walks = []
-    is_connected = WeightedGraph.is_connected
+    walk = graph_module._walk
 
-    def walking(graph):
-        walks.append(graph)
-        return is_connected(graph)
+    def walking(*args):
+        walks.append(args)
+        return walk(*args)
 
-    monkeypatch.setattr(WeightedGraph, "is_connected", walking)
+    monkeypatch.setattr(graph_module, "_walk", walking)
     assert verify_realization(pruned, family) is True
     assert verify_realization(g, family) is True
     assert runs == [] and walks == []
@@ -702,7 +702,7 @@ def test_leaves_as_midpoints_change_nothing(name, unit):
     g = oracles.any_graph(n, [(u, v, unit * (1 + i % 3)) for i, (u, v) in enumerate(pairs)])
     # the stand-in for +inf still exceeds the weight sum
     assert_all_pairs_equal_the_scalar_loop(g)
-    if g.is_connected():
+    if oracles.is_connected(g):
         want = oracles.shortest_path_matrix(g)
         for cmp in CMPS:
             family = two_weights(g, cmp)
@@ -875,12 +875,10 @@ def paths(draw, weight):
 
 
 def assert_made_as_the_public_constructor_makes_it(h):
-    """The graph equals the public constructor's graph of its edges (a
-    disconnected one, which a float S can be, the same columns from
-    ``oracles.any_graph``), and its view holds what that graph's columns
-    hold: labels and weights as Python ints, Fractions and floats, of the
-    same types, in the same order."""
-    public = WeightedGraph(h.n, h.edges) if h.is_connected() else oracles.any_graph(h.n, h.edges)
+    """The graph equals the public constructor's graph of its edges, and its
+    view holds what that graph's columns hold: labels and weights as Python
+    ints, Fractions and floats, of the same types, in the same order."""
+    public = WeightedGraph(h.n, h.edges)
     assert h == public and hash(h) == hash(public) and repr(h) == repr(public)
     columns = edges_of(public.u, public.v, public.w, public.scale)
     assert [tuple(map(type, e)) for e in h.edges] == [tuple(map(type, e)) for e in columns]

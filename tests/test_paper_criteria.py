@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from metric_realize import (
     Cmp,
     DistanceFamily,
+    FamilyError,
     GenSpec,
     bigraph_check,
     bipartition,
@@ -69,13 +70,12 @@ def test_criteria_agree_with_recognizers(mode):
 
 
 def hops(family):
-    """Edges on a shortest path of S between each pair (fewest on ties)."""
-    n, adj = family.n, family.support.graph.adjacency()
-    inf = (float("inf"), 0)
+    """Edges on a shortest path of S between each pair (fewest on ties), S
+    the scan's pairs below their split, a violation or not."""
+    n, inf = family.n, (float("inf"), 0)
     best = [[(0, 0) if i == j else inf for j in range(n + 1)] for i in range(n + 1)]
-    for u, nbrs in adj.items():
-        for v, w in nbrs.items():
-            best[u][v] = (w, 1)
+    for u, v, w in oracles.split_scan(family)[0]:
+        best[u][v] = best[v][u] = (w, 1)
     for k in range(1, n + 1):
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -158,7 +158,12 @@ def walked_families(draw, tol=1e-9):
 @given(walked_families())
 @example(parse_family_csv(COVER_GAP, Cmp(1e-6)))
 def test_the_bipartition_walk_matches_its_scalar_reference(f):
-    # sides and chains alike
+    # sides and chains alike, where the scan keeps S; else S's rejection
+    if oracles.support_scan(f)[0] is None:
+        with pytest.raises(FamilyError) as raised:
+            bipartition(f)
+        assert str(raised.value) == f.support.rejection().reason
+        return
     assert bipartition(f) == oracles.bipartition_walk(f)
 
 

@@ -31,6 +31,7 @@ from metric_realize import (
     is_indecomposable,
     planar_check,
     prune,
+    support_graph,
     two_weights,
     verify_realization,
 )
@@ -90,18 +91,20 @@ def families(draw):
 def assert_matches_the_scan(family):
     support = family.support
     graph, violation, realization = oracles.support_scan(family)
-    # S's edges in the scan's order, the pairs i < j in lexicographic order
-    assert [(u, v) for u, v, _w in support.graph.edges] == sorted(graph.edge_pairs())
     assert support.graph == graph
     assert support.violation == violation
     assert support.realization == realization
-    if violation is None and family.scaled.scale is not None:
+    assert violation is None or all(type(x) is int for x in support.violation)
+    if graph is None:
+        return
+    # S's edges in the scan's order, the pairs i < j in lexicographic order
+    assert [(u, v) for u, v, _w in support.graph.edges] == sorted(graph.edge_pairs())
+    if family.scaled.scale is not None:
         # the scan alone proves that an exact S realizes D; Bellman agrees
         assert verify_realization(support.graph, family)
     for u, v, w in support.graph.edges:
         assert type(u) is int and type(v) is int
         assert type(w) in (int, Fraction, float)
-    assert violation is None or all(type(x) is int for x in support.violation)
 
 
 # Several violations, where the first pair in lexicographic order, (1, 4),
@@ -240,6 +243,72 @@ def reweighting_cases(draw):
     # S need not be connected, so it is built from sorted columns u < v
     u, v = np.array(sorted((min(a, b) - 1, max(a, b) - 1) for a, b, _w in edges)).T
     return DistanceFamily(n, values, Cmp(1e-9)), WeightedGraph._of_arrays(n, u, v, np.ones(n - 1), None)
+
+
+# 2 and 3 within tolerance of coinciding: the scan keeps the one pair (2, 3)
+APART = DistanceFamily(3, {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1e-10}, Cmp(1e-9))
+
+
+def assert_s_is_a_graph_or_none(family):
+    """S is None exactly where the scalar scan finds a violation or leaves
+    S disconnected, and connected otherwise; ``support_graph`` and
+    ``bipartition`` raise S's rejection exactly where S is None; and every
+    realization that ``classify`` returns, and its pruned graph, is
+    connected.  Returns whether S is None with no violation."""
+    edges, violation = oracles.split_scan(family)
+    apart = violation is None and not oracles.is_connected(oracles.any_graph(family.n, edges))
+    s = family.support.graph
+    assert (s is None) == (violation is not None or apart)
+    for public in (support_graph, bipartition):
+        if s is None:
+            with pytest.raises(FamilyError) as raised:
+                public(family)
+            assert str(raised.value) == family.support.rejection().reason
+        else:
+            public(family)
+    assert s is None or (oracles.is_connected(s) and support_graph(family) is s)
+    for r in classify(family).verdicts.values():
+        if r.accepted:
+            assert oracles.is_connected(r.graph) and oracles.is_connected(prune(r.graph, family.cmp))
+    return apart
+
+
+@SETTINGS
+@given(families(), st.sampled_from((EXACT, Cmp(1e-9), Cmp(2))))
+@example(("int", DistanceFamily(4, SEVERAL_VIOLATIONS)), EXACT)
+@example(("decimal", APART), Cmp(1e-9))
+def test_s_is_a_connected_graph_or_none(drawn, cmp):
+    kind, family = drawn
+    if kind == "huge" and not cmp.exact:
+        return  # a tolerance cannot compare them
+    assert_s_is_a_graph_or_none(with_cmp(family, cmp))
+
+
+@pytest.mark.parametrize("n", (2, 4))
+def test_above_a_tolerance_of_1_an_edgeless_s_is_no_graph(n):
+    # No pair is below its split, so S has no edges; and the slack of
+    # kernel.eq overflows to inf, within which S's infinite 2-weights meet
+    # every D.  Only the walk rejects S, and no class accepts.
+    family = DistanceFamily(n, {(i, j): j - i for i, j in itertools.combinations(range(1, n + 1), 2)}, Cmp(2))
+    assert assert_s_is_a_graph_or_none(family)
+    assert not any(r.accepted for r in classify(family).verdicts.values())
+
+
+def with_a_twin(family):
+    """The float family with vertex n + 1 a tenth of a tolerance from vertex
+    1 and as far as it from the rest: each pair of either with a third
+    vertex splits through the other within the tolerance, so the scan keeps
+    (1, n + 1) apart from the other vertices."""
+    n, d = family.n, family.d
+    values = {**family.values, **{(i, n + 1): d(1, i) for i in range(2, n + 1)}, (1, n + 1): family.cmp.tol / 10}
+    return DistanceFamily(n + 1, values, family.cmp)
+
+
+def test_s_is_a_connected_graph_or_none_on_noisy_families():
+    rng = random.Random(77)
+    noisy = [*noisy_families(rng, 1e-9), *noisy_paths(rng, 1e-9)]
+    assert not any(assert_s_is_a_graph_or_none(f) for f in noisy)
+    assert all(assert_s_is_a_graph_or_none(f) for f in [APART, *map(with_a_twin, noisy[::10])])
 
 
 def test_the_array_reweighting_equals_the_walk_from_x():
@@ -718,9 +787,11 @@ def test_a_tolerance_decides_infinite_splits_by_the_comparison_rule(tmp_path, ca
         line for line in accepted.splitlines() if '"accepted"' in line
     ]
     # the split of (2,3) is inf and those of (1,2) and (1,3) are 1e308 + 1,
-    # 1e308 in float64: S is the one edge (2,3), as in the scalar scan
+    # 1e308 in float64: the scan keeps the one pair (2,3), so S is
+    # disconnected and no graph, as in the scalar scan
     family = DistanceFamily(3, {(1, 2): 1e308, (1, 3): 1e308, (2, 3): 1}, TOL)
-    assert family.support.graph.edge_pairs() == {(2, 3)}
+    assert [e[:2] for e in oracles.split_scan(family)[0]] == [(2, 3)]
+    assert family.support.graph is None
     assert_matches_the_scan(family)
 
 

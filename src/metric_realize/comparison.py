@@ -8,7 +8,6 @@ compares floats with a relative tolerance.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Union
 
@@ -23,14 +22,15 @@ class Cmp:
     ``tol is None`` selects exact comparison (reference semantics, used by
     all acceptance tests).  Otherwise values are compared with relative
     tolerance ``tol`` (the rule is ``kernel.eq``'s).  A tolerance must be a
-    number with ``0 < tol < inf``.
+    number with ``0 < tol < 1``: from 1 on, no gap between positive values
+    exceeds the slack of ``kernel.lt``, so no pair would be indecomposable.
     """
 
     __slots__ = ("tol",)
 
     def __init__(self, tol: "float | None" = None):
-        if tol is not None and not 0 < tol < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+        if tol is not None and not 0 < tol < 1:
+            raise ValueError(f"tolerance must satisfy 0 < tol < 1, got {tol!r}")
         self.tol = tol
 
     @property

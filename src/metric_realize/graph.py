@@ -3,8 +3,10 @@
 The 2-weight of a pair (i, j) is the minimum total weight of a connected
 subgraph containing both; with positive weights this is the shortest-path
 weight, computed here by Floyd-Warshall on the dense min-plus kernel
-(``metric_realize.kernel``).  Exact verification does not compute it: it
-checks the Bellman equations of the graph on the family's array
+(``metric_realize.kernel``).  Exact verification does not compute it:
+when the graph's 2-weights are known (``two_weights`` computed them, or an
+exact ``prune`` kept its graph's) it compares them with the family's array,
+and otherwise it checks the Bellman equations of the graph on that array
 (``kernel.bellman``).
 
 A graph is stored as columns: 0-based vertex indices ``u`` < ``v`` in
@@ -70,8 +72,9 @@ class WeightedGraph:
     """
 
     # ``_dist`` keeps the 2-weights once ``two_weights`` or ``prune`` has
-    # computed them (``_distances``).  The graph does not change after
-    # construction, so neither do they.
+    # computed them (``_distances``), and an exact ``prune`` gives the
+    # pruned graph the 2-weights of the graph it pruned, which it keeps.
+    # The graph does not change after construction, so neither do they.
     __slots__ = ("n", "u", "v", "w", "scale", "_edges", "_adj", "_dist")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int, Number]]):
@@ -244,8 +247,11 @@ def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:
 
     Exact numbers need no walk: the kept edges are S of the 2-weights (an
     indecomposable pair's shortest path is one edge), which the split scan
-    proves connected (``support.analyse``).  A float64 array, float weights
-    or a tolerance, is walked: sums round and near-ties do not chain.
+    proves connected and a realization of them (``support.analyse``).  So
+    the pruned graph keeps the graph's 2-weights, and runs no Floyd-Warshall
+    of its own.  A float64 array, float weights or a tolerance, is walked,
+    and the pruned graph keeps no 2-weights: sums round and near-ties do not
+    chain.
     """
     if graph.n == 1:
         return graph
@@ -261,30 +267,39 @@ def prune(graph: WeightedGraph, cmp: Cmp = EXACT) -> WeightedGraph:
     duv = dist.array[u, v]
     keep = kernel.eq(w, duv, cmp) & kernel.lt(duv, m, cmp)
     u, v = u[keep], v[keep]
+    pruned = WeightedGraph._of_arrays(graph.n, u, v, graph.w[keep], graph.scale)
     if dist.scale is None:
         _check_connected(graph.n, u, v)
-    return WeightedGraph._of_arrays(graph.n, u, v, graph.w[keep], graph.scale)
+    else:
+        pruned._dist = dist
+    return pruned
 
 
 def verify_realization(graph: WeightedGraph, family: DistanceFamily) -> bool:
     """True iff the graph's 2-weights equal the family entrywise under its cmp
     mode.
 
-    In exact mode with exact weights this is the Bellman check
-    (``kernel.bellman``) on the family's array, O(n * m) and no
-    Floyd-Warshall: D_ij = min over the neighbours u of i of w_iu + D_uj.
-    Under a tolerance (a float64 family) or with a float weight, the graph's
-    2-weights are computed here afresh in float64 (not taken from the ones
-    ``two_weights`` or ``prune`` kept with it) and compared entrywise:
-    near-ties within a tolerance do not chain along a path, and float sums
-    round."""
+    In exact mode with exact weights no Floyd-Warshall runs.  A graph whose
+    2-weights are known (kept by ``two_weights`` or an exact ``prune``) is
+    compared with the family's array at their common scale, O(n^2).  Any
+    other graph (a document, ``WeightedGraph(n, edges)``, S, K_{X,Y}, the
+    closed snake) gets the Bellman check (``kernel.bellman``) on the
+    family's array, O(n * m): D_ij = min over the neighbours u of i of
+    w_iu + D_uj.  Under a tolerance (a float64 family) or with a float
+    weight, the graph's 2-weights are computed here afresh in float64 (not
+    taken from the ones ``two_weights`` kept with it) and compared
+    entrywise: near-ties within a tolerance do not chain along a path, and
+    float sums round."""
     if graph.n != family.n:
         raise GraphError(f"size mismatch: graph n={graph.n}, family n={family.n}")
     target, own = family.scaled
     if own is not None and graph.scale is not None:  # exact numbers, so exact mode
         scale = math.lcm(own, graph.scale)
+        target = kernel.at_scale(target, own, scale, 2)
+        if graph._dist is not None:
+            return np.array_equal(kernel.at_scale(graph._dist.array, graph.scale, scale, 2), target)
         w = kernel.at_scale(graph.w, graph.scale, scale)
-        return kernel.bellman(graph.n, graph.u, graph.v, w, kernel.at_scale(target, own, scale, 2), scale)
+        return kernel.bellman(graph.n, graph.u, graph.v, w, target, scale)
     try:
         w = kernel.at_scale(graph.w, graph.scale, None)
         target = kernel.at_scale(target, own, None, 2)

@@ -39,8 +39,10 @@ lies inside no path, so the exact values do not change.  Float mode keeps
 every midpoint, so that its values stay those of the scalar loop addition
 for addition, with no argument about rounding.
 
-Exact verification needs no Floyd-Warshall.  ``bellman`` checks that a
-graph realizes an exact family array through the Bellman equations
+Exact verification needs no Floyd-Warshall.  A graph whose 2-weights are
+known (``two_weights`` or an exact prune kept them) is compared with the
+family's array entrywise.  For any other graph, ``bellman`` checks that it
+realizes an exact family array through the Bellman equations
 D_ij = min over the neighbours u of i of w_iu + D_uj, in O(n * m) entries
 as numpy blocks; with positive weights the shortest-path weights are their
 only solution.  Under a tolerance near-ties do not chain along a path, and
@@ -292,7 +294,9 @@ def eq(a: np.ndarray, b: np.ndarray, cmp: Cmp) -> np.ndarray:
     float64 arrays under a tolerance by the relative rule
     |a - b| <= tol * max(1, |a|, |b|).  The floor of 1 keeps small values
     from meeting a vanishing threshold, and the cap of the magnitude at
-    FLOAT_MAX keeps an infinite sum from a finite value for tol <= 1."""
+    FLOAT_MAX keeps the slack finite (``Cmp`` holds tol < 1, so tol *
+    FLOAT_MAX does not overflow): an infinite sum is within no tolerance of
+    a finite value."""
     if cmp.exact:
         return a == b
     return np.abs(a - b) <= _slack(a, b, cmp.tol)

@@ -87,8 +87,7 @@ def analyse(family: DistanceFamily) -> Support:
     with both terms positive and smaller.  So S realizes D and is
     connected.  Float sums round, so the induction does not hold bit for
     bit: a float64 S is kept only when a walk finds it connected, and then
-    verified (above a tolerance of 1, ``kernel.eq`` takes the infinite
-    2-weights of a disconnected S as equal to any D).  A violation keeps no S.
+    verified.  A violation keeps no S.
     """
     n, cmp = family.n, family.cmp
     a, scale = family.scaled

@@ -140,7 +140,8 @@ def test_criterion_4_pruning_soundness():
         g = generate(GenSpec("arbitrary_connected", n, rng.randint(0, 10**9)))
         f = two_weights(g)
         p = prune(g)
-        if two_weights(p).values != f.values:
+        # a fresh graph of the kept edges, which has no 2-weights of g's
+        if two_weights(WeightedGraph(p.n, p.edges)).values != f.values:
             failures.append((case, "2-weights changed by pruning"))
             continue
         if prune(p) != p:

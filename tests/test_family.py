@@ -259,11 +259,14 @@ class TestToleranceMode:
         # within tolerance of equality: still counted as decomposable
         assert not is_indecomposable(f, 1, 3)
 
-    def test_tolerance_must_be_positive_and_finite(self):
-        for bad in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+    def test_tolerance_must_lie_between_0_and_1(self):
+        # from 1 on no gap between positive values exceeds the slack of
+        # kernel.lt, so no pair would be indecomposable
+        for bad in (0.0, -1.0, float("nan"), float("inf"), 1.0, 2.0, 1e300):
+            with pytest.raises(ValueError, match="tolerance must satisfy 0 < tol < 1"):
                 Cmp(bad)
-        assert Cmp(1e-300).tol == 1e-300 and Cmp(1e300).tol == 1e300
+        below_1 = math.nextafter(1.0, 0.0)
+        assert Cmp(1e-300).tol == 1e-300 and Cmp(below_1).tol == below_1
 
 
 class TestOnePassSupport:

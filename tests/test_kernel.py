@@ -290,6 +290,69 @@ def test_verify_realization_of_another_graph_equals_the_scalar_comparison(pair, 
             assert type(got) is bool and got == want
 
 
+# Exact weights of graphs whose 2-weights are known: int, tenths (scale 10)
+# and multiples of 2**60 and 10**400, whose sums need Python ints
+KNOWN_WEIGHTS = {
+    "int": st.integers(1, 20),
+    "decimal": st.integers(1, 200).map(lambda k: Fraction(k, 10)).map(
+        lambda q: q.numerator if q.denominator == 1 else q
+    ),
+    "wide": WEIGHTS["wide"],
+    "huge": WEIGHTS["huge"],
+}
+
+
+@st.composite
+def known_cases(draw):
+    """Pairs (graph, family) of an exact graph g: g against its own
+    2-weights, their family rebuilt from its values, the 2-weights with one
+    entry one unit of the array off, and another graph's 2-weights.  For g
+    at scale 1 also the 2-weights of g plus a useless chord of weight
+    D_uv + k/10 (k prime to 10, so scale 10): that graph against g's
+    2-weights, and g against its 2-weights and the same with one entry a
+    tenth off."""
+    kind = draw(st.sampled_from(sorted(KNOWN_WEIGHTS)))
+    g = draw(weighted_graphs(weights={kind: KNOWN_WEIGHTS[kind]}))
+    family = two_weights(g)
+    i, j = draw(st.sampled_from(sorted(family.values)))
+    d, unit = family.d(i, j), Fraction(1, family.scaled.scale)
+    off = with_value(family, i, j, d + (unit if d == unit else draw(st.sampled_from((unit, -unit)))))
+    other = two_weights(draw(weighted_graphs(n=g.n, weights={kind: KNOWN_WEIGHTS[kind]})))
+    cases = [(g, f) for f in (family, DistanceFamily(g.n, family.values), off, other)]
+    missing = sorted(set(itertools.combinations(range(1, g.n + 1), 2)) - g.edge_pairs())
+    if g.scale == 1 and missing:
+        u, v = draw(st.sampled_from(missing))
+        chord = WeightedGraph(g.n, [*g.edges, (u, v, family.d(u, v) + Fraction(draw(st.sampled_from((1, 3, 7, 9))), 10))])
+        tenths = two_weights(chord)
+        assert chord.scale == tenths.scaled.scale == 10
+        cases += [(chord, family), (g, tenths), (g, with_value(tenths, i, j, d + Fraction(1, 10)))]
+    return cases
+
+
+@KERNEL_SETTINGS
+@given(known_cases())
+def test_verification_of_known_2_weights_equals_the_bellman_check(cases):
+    # g and its prune hold g's 2-weights, which verification compares with
+    # the family's array; a graph of the same edges made afresh holds none,
+    # and the Bellman check on its columns, the scalar loop and verification
+    # of the fresh graph must agree with that comparison
+    for g, family in cases:
+        two_weights(g)
+        target, own = family.scaled
+        for known in (g, prune(g)):
+            fresh = WeightedGraph(known.n, known.edges)
+            scale = math.lcm(own, fresh.scale)
+            w = kernel.at_scale(fresh.w, fresh.scale, scale)
+            bellman = kernel.bellman(fresh.n, fresh.u, fresh.v, w, kernel.at_scale(target, own, scale, 2), scale)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(kernel, "bellman", lambda *args: pytest.fail("a known graph ran the Bellman check"))
+                m.setattr(kernel, "all_pairs", lambda *args: pytest.fail("a known graph ran Floyd-Warshall"))
+                got = verify_realization(known, family)
+            assert type(got) is bool
+            assert got == bellman == oracles.verify_realization(known, family)
+            assert verify_realization(fresh, family) is got
+
+
 # Tolerances down to about five float64 ulps, where the rounding of a
 # comparison could decide it
 SECOND_SCALE_CMPS = (Cmp(1e-9), Cmp(1e-12), Cmp(1e-15))
@@ -543,26 +606,63 @@ def test_two_weights_and_prune_of_one_graph_run_one_floyd_warshall(monkeypatch):
     assert pruned == prune(fresh) and pruned.edge_pairs() == {(1, 2), (2, 3), (3, 4)}
     assert two_weights(g).values == family.values
     assert two_weights(fresh, Cmp(1e-9)).values == {p: float(v) for p, v in family.values.items()}
-    # exact verification is the Bellman check on the family's array: no
-    # Floyd-Warshall and no connectivity walk
+    # exact verification compares known 2-weights with the family's array
+    # (the pruned graph keeps g's, and g its own), and runs the Bellman
+    # check for a graph without them: no Floyd-Warshall and no connectivity
+    # walk either way
+    document = WeightedGraph(pruned.n, pruned.edges)
     runs.clear()
-    walks = []
-    walk = graph_module._walk
+    walks, checks = [], []
+    walk, bellman = graph_module._walk, kernel.bellman
 
     def walking(*args):
         walks.append(args)
         return walk(*args)
 
+    def checking(*args):
+        checks.append(args)
+        return bellman(*args)
+
     monkeypatch.setattr(graph_module, "_walk", walking)
+    monkeypatch.setattr(kernel, "bellman", checking)
     assert verify_realization(pruned, family) is True
     assert verify_realization(g, family) is True
-    assert runs == [] and walks == []
+    assert runs == [] and walks == [] and checks == []
+    assert verify_realization(document, family) is True
+    assert runs == [] and walks == [] and len(checks) == 1
     # under a tolerance each verification computes the 2-weights of the graph
     # it checks afresh, on its weights in float64
     tolerant = two_weights(g, Cmp(1e-9))
     assert verify_realization(pruned, tolerant) is True
     assert verify_realization(g, tolerant) is True
     assert runs == [tuple((u, v, float(w)) for u, v, w in h.edges) for h in (pruned, g)]
+
+
+@pytest.mark.parametrize("tolerant", (False, True))
+def test_float_and_tolerance_prunes_keep_no_2_weights(monkeypatch, tolerant):
+    # Float sums round and near-ties do not chain: a prune under a tolerance,
+    # or of float weights, gives the pruned graph none of the graph's
+    # 2-weights, so its 2-weights and its verification run Floyd-Warshall
+    # of their own, and no Bellman check
+    edges = [(1, 2, Fraction(1, 2)), (2, 3, 1), (1, 3, Fraction(3, 2)), (3, 4, Fraction(1, 3))]
+    if tolerant:
+        g, cmp = WeightedGraph(4, edges), Cmp(1e-9)
+    else:
+        g, cmp = WeightedGraph(4, [(u, v, float(w)) for u, v, w in edges]), EXACT
+    family = two_weights(g, cmp)
+    runs = []
+    all_pairs = kernel.all_pairs
+
+    def counting(*args):
+        runs.append(args)
+        return all_pairs(*args)
+
+    monkeypatch.setattr(kernel, "all_pairs", counting)
+    monkeypatch.setattr(kernel, "bellman", lambda *args: pytest.fail("a float graph ran the Bellman check"))
+    pruned = prune(g, cmp)
+    assert runs == [] and pruned.edge_pairs() == {(1, 2), (2, 3), (3, 4)}
+    assert two_weights(pruned, cmp) == family and len(runs) == 1
+    assert verify_realization(pruned, family) is True and len(runs) == 2
 
 
 @pytest.mark.parametrize(
@@ -919,13 +1019,21 @@ def test_one_graph_round_trip_does_each_piece_of_work_once(monkeypatch):
     # graph_from_json -> two_weights -> prune -> verify_realization: one
     # Floyd-Warshall, one connectivity walk (the document's graph; the
     # exact pruned graph is S of its 2-weights, which the split scan
-    # certifies connected), and no scale derived from Python numbers: the reader
-    # scales plain weights itself.  Writing an exact int or decimal graph
-    # formats no number through format_number; a weight whose scale is not
-    # a divisor of a power of 10 does
+    # certifies connected), no Bellman check (the pruned graph keeps the
+    # 2-weights, which are compared), and no scale derived from Python
+    # numbers: the reader scales plain weights itself.  two_weights of the
+    # pruned graph runs no Floyd-Warshall.  Writing an exact int or decimal
+    # graph formats no number through format_number; a weight whose scale
+    # is not a divisor of a power of 10 does
     text = graph_to_json(WeightedGraph(5, [(1, 2, 3), (2, 3, 4), (1, 3, 7), (3, 4, 1), (4, 5, 2), (2, 5, 9)]))
-    counts = {"all_pairs": 0, "common_scale": 0, "_walk": 0, "format_number": 0}
-    spied = (kernel, "all_pairs"), (kernel, "common_scale"), (graph_module, "_walk"), (serialize, "format_number")
+    counts = {"all_pairs": 0, "bellman": 0, "common_scale": 0, "_walk": 0, "format_number": 0}
+    spied = (
+        (kernel, "all_pairs"),
+        (kernel, "bellman"),
+        (kernel, "common_scale"),
+        (graph_module, "_walk"),
+        (serialize, "format_number"),
+    )
     for module, name in spied:
         original = getattr(module, name)
 
@@ -938,8 +1046,12 @@ def test_one_graph_round_trip_does_each_piece_of_work_once(monkeypatch):
     family = two_weights(g)
     pruned = prune(g)
     assert verify_realization(pruned, family) is True
-    assert counts == {"all_pairs": 1, "common_scale": 0, "_walk": 1, "format_number": 0}
+    assert two_weights(pruned) == family
+    assert counts == {"all_pairs": 1, "bellman": 0, "common_scale": 0, "_walk": 1, "format_number": 0}
     assert pruned.edge_pairs() == {(1, 2), (2, 3), (3, 4), (4, 5)}
+    # the pruned graph written and read back has no 2-weights: Bellman
+    assert verify_realization(graph_from_json(graph_to_json(pruned)), family) is True
+    assert counts["all_pairs"] == 1 and counts["bellman"] == 1
     text, dot = graph_to_json(pruned), graph_to_dot(pruned)
     assert counts["format_number"] == 0
     decimal = graph_from_json('{"n": 3, "edges": [{"u": 1, "v": 2, "w": "0.5"}, {"u": 2, "v": 3, "w": "2.25"}]}')

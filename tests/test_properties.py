@@ -138,7 +138,8 @@ def test_prune_is_idempotent_and_keeps_the_two_weights(g):
     pruned = prune(g)
     assert prune(pruned) == pruned
     family = two_weights(g)
-    assert two_weights(pruned).values == family.values
+    # a fresh graph of the kept edges: the pruned graph holds g's 2-weights
+    assert two_weights(WeightedGraph(pruned.n, pruned.edges)).values == family.values
     # and the result is the unique pruned realization, the support graph
     assert pruned == support_graph(family)
 

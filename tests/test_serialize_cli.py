@@ -673,7 +673,7 @@ class TestCli:
     def test_bad_tolerance_is_input_error(self, tmp_files, capsys):
         _, matrix_path = tmp_files
         for args in (["check", "--class", "snake", matrix_path], ["classify", matrix_path]):
-            for bad in ("0", "-1", "nan", "inf"):
+            for bad in ("0", "-1", "nan", "inf", "1", "2"):
                 assert run([*args, "--tol", bad]) == 2, (args[0], bad)
                 captured = capsys.readouterr()
                 assert captured.out == ""

@@ -7,6 +7,7 @@ Kuratowski search, the errors of a tolerance on values beyond the float
 range, and the parser built once per process."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -274,7 +275,7 @@ def assert_s_is_a_graph_or_none(family):
 
 
 @SETTINGS
-@given(families(), st.sampled_from((EXACT, Cmp(1e-9), Cmp(2))))
+@given(families(), st.sampled_from((EXACT, Cmp(1e-9), Cmp(0.5))))
 @example(("int", DistanceFamily(4, SEVERAL_VIOLATIONS)), EXACT)
 @example(("decimal", APART), Cmp(1e-9))
 def test_s_is_a_connected_graph_or_none(drawn, cmp):
@@ -284,14 +285,21 @@ def test_s_is_a_connected_graph_or_none(drawn, cmp):
     assert_s_is_a_graph_or_none(with_cmp(family, cmp))
 
 
-@pytest.mark.parametrize("n", (2, 4))
-def test_above_a_tolerance_of_1_an_edgeless_s_is_no_graph(n):
-    # No pair is below its split, so S has no edges; and the slack of
-    # kernel.eq overflows to inf, within which S's infinite 2-weights meet
-    # every D.  Only the walk rejects S, and no class accepts.
-    family = DistanceFamily(n, {(i, j): j - i for i, j in itertools.combinations(range(1, n + 1), 2)}, Cmp(2))
-    assert assert_s_is_a_graph_or_none(family)
-    assert not any(r.accepted for r in classify(family).verdicts.values())
+@pytest.mark.parametrize("tol", ("1", "2"))
+def test_a_tolerance_of_1_or_more_is_refused(tol, tmp_path, capsys):
+    # From a tolerance of 1 on, no gap between positive values exceeds the
+    # slack of kernel.lt: S of every family would be edgeless and every
+    # class would reject naming no cause.  Cmp refuses such a tolerance, so
+    # no family holds it, and --tol exits 2 with one line naming it.
+    with pytest.raises(ValueError, match=rf"^tolerance must satisfy 0 < tol < 1, got {float(tol)!r}$"):
+        Cmp(float(tol))
+    path = tmp_path / "path.csv"
+    path.write_text("0,1,2,3\n1,0,1,2\n2,1,0,1\n3,2,1,0\n")
+    for argv in (["classify", str(path), "--tol", tol], ["check", "--class", "snake", "--tol", tol, str(path)]):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: --tol: tolerance must satisfy 0 < tol < 1, got {float(tol)!r}\n")
+    # the largest tolerance below 1 is taken
+    assert run(["classify", str(path), "--tol", repr(math.nextafter(1.0, 0.0))]) == 0
 
 
 def with_a_twin(family):

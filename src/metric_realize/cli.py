@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=int, default=20)
     p.add_argument("--format", choices=("json", "dot"), default="json")
 
-    p = sub.add_parser("verify", help="check that a graph realizes a matrix exactly")
+    p = sub.add_parser("verify", help="check that a graph realizes a matrix, exactly or within --tol")
     p.add_argument("graph")
     p.add_argument("matrix")
     _add_common(p)

@@ -60,10 +60,11 @@ class WeightedGraph:
 
     The graph is stored as columns, one entry per edge in sorted order:
     ``u`` and ``v`` hold 0-based vertex indices (label - 1) with u < v, and
-    ``w`` holds the weights times ``scale``, the LCM of their denominators,
-    by the kernel's rule: int64 when the largest fits, Python ints
-    (``object``) otherwise, and float64 with ``scale`` None as soon as one
-    weight is a float.  The graph keeps no other copy of its edges:
+    ``w`` holds the weights times ``scale``, a common multiple of their
+    denominators (their LCM, but a pruned graph keeps the scale of the
+    graph it pruned), by the kernel's rule: int64 when the largest fits,
+    Python ints (``object``) otherwise, and float64 with ``scale`` None as
+    soon as one weight is a float.  The graph keeps no other copy of its edges:
     ``edges`` (the sorted ``(u, v, weight)`` tuples) and ``adjacency()`` are
     views of the columns built on first use, so they show the numbers the
     columns hold (an np.int64 or bool weight as an int, an exact weight

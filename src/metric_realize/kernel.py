@@ -43,11 +43,12 @@ Exact verification needs no Floyd-Warshall.  A graph whose 2-weights are
 known (``two_weights`` or an exact prune kept them) is compared with the
 family's array entrywise.  For any other graph, ``bellman`` checks that it
 realizes an exact family array through the Bellman equations
-D_ij = min over the neighbours u of i of w_iu + D_uj, in O(n * m) entries
-as numpy blocks; with positive weights the shortest-path weights are their
-only solution.  Under a tolerance near-ties do not chain along a path, and
-float sums round, so there verification compares the graph's Floyd-Warshall
-matrix with the family entrywise (``eq``).
+D_ij = min over the neighbours u of i of w_iu + D_uj, one numpy step of
+deg(i) x n entries per vertex i, O(n * m) in all; with positive weights
+the shortest-path weights are their only solution.  Under a tolerance
+near-ties do not chain along a path, and float sums round, so there
+verification compares the graph's Floyd-Warshall matrix with the family
+entrywise (``eq``).
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ def python_floats(fn):
     return np.errstate(over="ignore", invalid="ignore")(fn)
 
 
-# Entries per block of the pair-by-vertex arrays in ``splits`` and
-# ``bellman``: a few MB per temporary whatever the number of pairs.
+# Entries per block of the pair-by-vertex arrays in ``splits``: a few MB
+# per temporary whatever the number of pairs.
 SPLIT_BLOCK = 1 << 18
 
 
@@ -320,39 +321,26 @@ def bellman(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, target: np.ndar
     (Bellman 1958).  Following a minimizing neighbour from i reaches j along
     a path of weight D_ij, and D_ij <= w_iu + D_uj on every edge keeps D at
     or below the path weights.  So the check also proves the graph
-    connected; a vertex without an edge fails it.
+    connected; a vertex without an edge fails it, unless it is the only one.
 
-    The directed edges, sorted by source, add their weight to the row of
-    their target, and ``np.minimum.reduceat`` takes each source's minimum:
-    O(n * m) entries in blocks of at most SPLIT_BLOCK, unless one source's
-    rows need more (never more than n x n).  The dtype holds the largest
-    weight plus the largest value."""
-    if not len(u):
-        return n < 2
+    The directed edges are sorted by source once; then each vertex i takes
+    the rows of its neighbours plus their weights, one numpy step of
+    deg(i) x n entries, and compares their minimum with row i: O(n * m) in
+    all.  The dtype holds the largest weight plus the largest value."""
     src = np.concatenate((u, v))
     order = np.argsort(src, kind="stable")
-    src, dst = src[order], np.concatenate((v, u))[order]
-    degree = np.bincount(src, minlength=n)
-    if not degree.all():
-        return False
-    dtype = _dtype(scale, int(w.max()) + int(target.max()))
+    dst = np.concatenate((v, u))[order]
+    starts = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+    dtype = _dtype(scale, int(w.max(initial=0)) + int(target.max()))
     d = np.asarray(target, dtype=dtype)
     w = np.concatenate((w, w)).astype(dtype)[order]
-    ends = np.cumsum(degree)
-    starts = ends - degree
-    cap = max(1, SPLIT_BLOCK // n)
-    first = 0
-    while first < n:
-        lo = starts[first]
-        last = max(first + 1, int(np.searchsorted(ends, lo + cap, side="right")))
-        hi = ends[last - 1]
-        block = d[dst[lo:hi]]
-        block += w[lo:hi, None]
-        best = np.minimum.reduceat(block, starts[first:last] - lo, axis=0)
-        sources = np.arange(first, last)
-        # D_ii = 0 takes no equation
-        best[sources - first, sources] = 0
-        if not (best == d[first:last]).all():
+    for i, lo, hi in zip(range(n), starts, starts[1:]):
+        if lo == hi:
+            return n == 1
+        best = d[dst[lo:hi]]
+        best += w[lo:hi, None]
+        best = best.min(axis=0)
+        best[i] = 0  # D_ii = 0 takes no equation
+        if not (best == d[i]).all():
             return False
-        first = last
     return True

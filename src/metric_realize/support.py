@@ -50,10 +50,13 @@ class Support:
 
     def rejection(self) -> Optional[Realization]:
         """The verdict shared by every class that needs S's realization: a
-        triangle violation rejects, and so does a float S that misses the
-        family or is no graph.  None when S decides."""
+        triangle violation rejects, and so does a float S that is no graph
+        (near-ties left it disconnected) or misses the family.  None when S
+        decides."""
         if self.violation is not None:
             return Realization.rejected(f"triangle violation at {self.violation}")
+        if self.graph is None:
+            return Realization.rejected("the support graph is disconnected within the tolerance")
         if self.realization is None:
             return Realization.rejected(
                 "the support graph does not realize the family within the tolerance"

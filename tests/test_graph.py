@@ -372,13 +372,18 @@ class TestPrune:
             s = support_graph(two_weights(g))
             assert prune(g) == WeightedGraph(s.n, s.edges)
 
-    @pytest.mark.parametrize("weights", ((Fraction(1, 3), 0.5, 2), (np.int64(1), Fraction(1, 2), 3)))
+    @pytest.mark.parametrize(
+        "weights", ((Fraction(1, 3), 0.5, 2), (np.int64(1), Fraction(1, 2), 3), (Fraction(1, 2), 1, Fraction(10, 3)))
+    )
     def test_the_pruned_edges_are_the_view_of_the_kept_columns(self, weights):
         # the chord 1-3 is longer than the path 1-2-3 and goes
         g = WeightedGraph(3, [(1, 2, weights[0]), (2, 3, weights[1]), (1, 3, weights[2])])
         p = prune(g)
         view = tuple(zip((p.u + 1).tolist(), (p.v + 1).tolist(), kernel.numbers(p.w, p.scale)))
         assert p.edges == view == (g.edges[0], g.edges[2])
+        # the kept columns keep the graph's scale, a common multiple of their
+        # denominators: 6 for 1/2, 1 and 10/3, where 1/2 and 1 alone need 2
+        assert p.scale == g.scale
 
     def test_an_infinite_float_split_keeps_its_edge_under_a_tolerance(self):
         # the one pair of n = 2 (its split is 2 * big) and each pair of a

@@ -241,11 +241,25 @@ PAIR_WEIGHTS = {**WEIGHTS, "int64 edge": st.integers(2**62 - 4, 2**62 + 4)}
 
 
 @st.composite
+def stars_and_complete_graphs(draw, weights=PAIR_WEIGHTS, max_n=8):
+    """A star about any centre, or a complete graph, one weight kind: a
+    vertex with n - 1 links."""
+    kind = draw(st.sampled_from(sorted(weights)))
+    n = draw(st.integers(2, max_n))
+    if draw(st.booleans()):
+        centre = draw(st.integers(1, n))
+        pairs = [(min(centre, x), max(centre, x)) for x in range(1, n + 1) if x != centre]
+    else:
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+    return WeightedGraph(n, [(u, v, draw(weights[kind])) for u, v in pairs])
+
+
+@st.composite
 def graph_pairs(draw):
-    """A graph g and a graph h on its vertices: g less an edge (connected or
-    not), g plus a chord at D_uv or one unit of the array off it, g with one
-    vertex cut off, or a graph of its own."""
-    g = draw(weighted_graphs(weights=PAIR_WEIGHTS))
+    """A graph g (random, a star or complete) and a graph h on its vertices:
+    g less an edge (connected or not), g plus a chord at D_uv or one unit of
+    the array off it, g with one vertex cut off, or a graph of its own."""
+    g = draw(weighted_graphs(weights=PAIR_WEIGHTS) | stars_and_complete_graphs())
     n = g.n
     shape = draw(st.sampled_from(("less", "chord", "isolated", "unrelated")))
     missing = sorted(set(itertools.combinations(range(1, n + 1), 2)) - g.edge_pairs())
@@ -271,8 +285,7 @@ def graph_pairs(draw):
 @given(graph_pairs(), st.sampled_from(CMPS))
 def test_verify_realization_of_another_graph_equals_the_scalar_comparison(pair, cmp):
     # the family of g, as two_weights gives it and rebuilt from its values
-    # (an int64 array where two_weights needs object), checked on h with
-    # blocks of the default size and with one source per block.  A
+    # (an int64 array where two_weights needs object), checked on h.  A
     # disconnected h never realizes D, in the package and in the oracle.
     g, h = pair
     assume(comparable(g, cmp) and comparable(h, cmp))
@@ -282,12 +295,8 @@ def test_verify_realization_of_another_graph_equals_the_scalar_comparison(pair, 
     assume(not (any(isinstance(w, float) for w in weights) and any(w >= HUGE for w in weights)))
     family = two_weights(g, cmp)
     for f in (family, DistanceFamily(g.n, family.values, cmp)):
-        want = oracles.verify_realization(h, f)
-        for block in (kernel.SPLIT_BLOCK, 1):
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(kernel, "SPLIT_BLOCK", block)
-                got = verify_realization(h, f)
-            assert type(got) is bool and got == want
+        got = verify_realization(h, f)
+        assert type(got) is bool and got == oracles.verify_realization(h, f)
 
 
 # Exact weights of graphs whose 2-weights are known: int, tenths (scale 10)
@@ -432,19 +441,20 @@ def test_the_bellman_sums_leave_int64_past_its_boundary(chord):
     assert verify_realization(h, family) is (chord >= top) is oracles.verify_realization(h, family)
 
 
-def test_the_bellman_blocks_stay_small():
-    # unit K_200 realizes its family; its 2m * n sums (about 8M entries) are
-    # built in blocks of SPLIT_BLOCK entries, never in one piece
+def test_the_bellman_steps_stay_small():
+    # unit K_200 made afresh (no known 2-weights) realizes its family; its
+    # 2m * n = 199 * n^2 sums are built one vertex's deg x n rows at a time,
+    # never in one piece
     n = 200
     g = WeightedGraph(n, [(u, v, 1) for u, v in itertools.combinations(range(1, n + 1), 2)])
-    family = two_weights(g)
+    family = two_weights(WeightedGraph(n, g.edges))
     tracemalloc.start()
     try:
         assert verify_realization(g, family) is True
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * max(kernel.SPLIT_BLOCK, n * n)
+    assert peak < 8 * 8 * n * n
 
 
 def test_the_min_plus_loops_work_in_a_narrow_copy():

@@ -886,16 +886,29 @@ class TestHostileInput:
         assert proc.wait(timeout=60) == 2, err
         assert err.startswith("error:") and err.count("\n") == 1, err
 
-    def test_tol_disconnected_support_gives_verdicts(self, tmp_path, capsys):
-        # within the tolerance, 2 and 3 nearly coincide and S is disconnected
+    @pytest.mark.parametrize(
+        "text, tol",
+        [("0,1,1\n1,0,1e-10\n1,1e-10,0\n", "1e-9"), ("0,1,2,3\n1,0,1,2\n2,1,0,1\n3,2,1,0\n", "0.7")],
+        ids=["near-twins", "wide-tolerance"],
+    )
+    def test_tol_disconnected_support_gives_verdicts(self, tmp_path, capsys, text, tol):
+        # within the tolerance S is disconnected: 2 and 3 nearly coincide, or
+        # on the unit path 1-2-3-4 from tol = 2/3 on no pair's gap exceeds
+        # the slack (3 - 1 <= tol * 3), so S is edgeless; every class names
+        # the disconnected S rather than an S that misses D
         path = tmp_path / "near.csv"
-        path.write_text("0,1,1\n1,0,1e-10\n1,1e-10,0\n")
+        path.write_text(text)
         for class_id in ("snake", "caterpillar", "tree", "planar"):
-            assert run(["check", "--class", class_id, str(path), "--tol"]) == 1
+            assert run(["check", "--class", class_id, str(path), "--tol", tol]) == 1
             assert "rejected" in capsys.readouterr().out
-        assert run(["classify", str(path), "--tol"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert not any(c["accepted"] for c in report["classes"].values())
+        assert run(["classify", str(path), "--tol", tol]) == 0
+        classes = json.loads(capsys.readouterr().out)["classes"]
+        assert not any(c["accepted"] for c in classes.values())
+        reason = "the support graph is disconnected within the tolerance"
+        assert {c: v["reason"] for c, v in classes.items()} == {
+            **dict.fromkeys(classes, reason),
+            "polygon": f"neither pruned polygon ({reason}) nor snake ({reason})",
+        }
 
 
 def test_cli_import_leaves_networkx_unloaded():
